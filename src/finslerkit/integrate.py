@@ -12,7 +12,6 @@ interpolant, stored in monomial form (continuous order 4, C^1 at the nodes).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,12 +74,13 @@ class OdeSolution:
     def _segment(self, t: float):
         if not self.segments:
             raise FinslerKitError("empty solution has no interpolant")
-        lefts = [seg[0] for seg in self.segments]
-        if len(lefts) > 1 and lefts[1] < lefts[0]:  # backward-time run
-            lefts = [-v for v in lefts]
+        nseg = len(self.segments)
+        lefts = self.ts[:nseg]  # ts[k] is the left end of segment k
+        if self.ts[-1] < self.ts[0]:  # backward-time run
+            lefts = -lefts
             t = -t
-        k = min(max(bisect_right(lefts, t) - 1, 0), len(self.segments) - 1)
-        return self.segments[k]
+        k = int(np.searchsorted(lefts, t, side="right")) - 1
+        return self.segments[min(max(k, 0), nseg - 1)]
 
     def __call__(self, t: float) -> np.ndarray:
         t0, h, r = self._segment(float(t))

@@ -7,10 +7,14 @@ the arithmetic yields every mixed partial up to the requested order in one
 evaluation, exact to round-off (no finite-difference truncation error).
 
 Storage is dense: a jet keeps one coefficient per multi-index of total degree
-up to the space order.  Multiplication uses a precomputed (i, j, k) index
-table folded with ``np.bincount``; division goes through a Newton iteration
-for the reciprocal; analytic functions (sin, exp, sqrt, ...) compose their
-univariate Taylor series with the nilpotent part via Horner's rule.
+up to the space order.  Multiplication uses a precomputed (i, j, k) pair
+table folded with ``np.bincount``.  The table is sorted by output degree, so
+the pairs a product of order-o jets needs (output degree <= o) are a prefix
+of it, and a product touches only that prefix (truncated Taylor arithmetic,
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).  Division
+goes through a Newton iteration for the reciprocal; analytic functions (sin,
+exp, sqrt, ...) compose their univariate Taylor series with the nilpotent part
+via Horner's rule.
 """
 
 from __future__ import annotations
@@ -75,23 +79,36 @@ class JetSpace:
         ]
 
         # multiplication table: c[k] += a[i] * b[j] over all pairs with
-        # deg(i) + deg(j) <= order
+        # deg(i) + deg(j) <= order, grouped by output degree d = deg(k).
+        # Within degree d the pairs run over i in index order, then over j of
+        # degree d - deg(i).  Each output slot k thus receives its summands in
+        # ascending i, the order of an i-major table, and since np.bincount
+        # adds its weights in array order every product is bit-identical to a
+        # full i-major product masked to the result order.
         by_degree: dict[int, list[int]] = {}
         for i, alpha in enumerate(self.indices):
             by_degree.setdefault(sum(alpha), []).append(i)
         ia, ib, ic = [], [], []
-        for i, alpha in enumerate(self.indices):
-            da = sum(alpha)
-            for db in range(order - da + 1):
-                for j in by_degree[db]:
-                    beta = self.indices[j]
-                    gamma = tuple(a + b for a, b in zip(alpha, beta))
-                    ia.append(i)
-                    ib.append(j)
-                    ic.append(self.index_of[gamma])
+        ends = []  # ends[o]: number of pairs of output degree <= o
+        for d in range(order + 1):
+            for da in range(d + 1):
+                for i in by_degree[da]:
+                    alpha = self.indices[i]
+                    for j in by_degree[d - da]:
+                        beta = self.indices[j]
+                        gamma = tuple(a + b for a, b in zip(alpha, beta))
+                        ia.append(i)
+                        ib.append(j)
+                        ic.append(self.index_of[gamma])
+            ends.append(len(ia))
         self._mul_ia = np.array(ia, dtype=np.intp)
         self._mul_ib = np.array(ib, dtype=np.intp)
         self._mul_ic = np.array(ic, dtype=np.intp)
+        # _mul_prefix[o]: views of the pairs a product of order-o jets needs;
+        # its slots above degree o get no summand and stay exactly zero
+        self._mul_prefix = [
+            (self._mul_ia[:e], self._mul_ib[:e], self._mul_ic[:e]) for e in ends
+        ]
 
         # derivative tables: one (src, dst, factor) triple set per variable
         self._deriv = []
@@ -160,9 +177,6 @@ class TaylorJet:
     def value(self) -> float:
         return float(self.c[0])
 
-    def taylor_coefficient(self, alpha) -> float:
-        return float(self.c[self.space.index_of[tuple(alpha)]])
-
     def partial(self, alpha) -> float:
         """True mixed partial for exponent tuple ``alpha`` (Taylor coeff * alpha!)."""
         i = self.space.index_of[tuple(alpha)]
@@ -213,10 +227,10 @@ class TaylorJet:
         if not isinstance(other, TaylorJet):
             return TaylorJet(self.space, self.order, self.c * float(other))
         sp = self.space
-        prod = self.c[sp._mul_ia] * other.c[sp._mul_ib]
-        c = np.bincount(sp._mul_ic, weights=prod, minlength=sp.size)
-        out = TaylorJet(sp, min(self.order, other.order), c)
-        return out._mask()
+        order = min(self.order, other.order)
+        ia, ib, ic = sp._mul_prefix[order]
+        c = np.bincount(ic, weights=self.c[ia] * other.c[ib], minlength=sp.size)
+        return TaylorJet(sp, order, c)
 
     __rmul__ = __mul__
 

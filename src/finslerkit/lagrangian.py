@@ -27,7 +27,7 @@ from .bundle import (
     TangentBundlePoint,
     bundle_point,
 )
-from .errors import ModelFormatError, NearDegenerateMetric, NonFiniteField
+from .errors import ModelFormatError, NonFiniteField
 from .jets import TaylorJet, eval_taylor
 from .jets import sqrt as generic_sqrt
 
@@ -223,16 +223,6 @@ class FinslerLagrangian:
                 g[a, b] = g[b, a] = 0.5 * jet.partial(tuple(alpha))
         if not np.isfinite(g).all():
             raise NonFiniteField("L-metric has non-finite entries")
-        return g
-
-    def l_metric_checked(self, point: TangentBundlePoint) -> np.ndarray:
-        """L-metric that additionally rejects near-degenerate points."""
-        g = self.l_metric(point)
-        if np.linalg.cond(g) > DEGENERACY_CONDITION_LIMIT:
-            raise NearDegenerateMetric(
-                f"L-metric condition number {np.linalg.cond(g):.3e} exceeds "
-                f"{DEGENERACY_CONDITION_LIMIT:.1e}"
-            )
         return g
 
     def finsler_function(self, point: TangentBundlePoint) -> float:

@@ -72,23 +72,6 @@ def richardson_hessian(f, z: np.ndarray, h1: float, h2: float) -> np.ndarray:
     return (r * b - a) / (r - 1.0)
 
 
-def third_derivative_tensor(f, z: np.ndarray, h: float) -> np.ndarray:
-    """All third partials of scalar ``f`` by differencing its FD Hessian."""
-    z = np.asarray(z, dtype=float)
-    m = z.size
-
-    def hess(w):
-        return central_hessian(f, w, h)
-
-    out = []
-    for d in range(m):
-        e = np.zeros_like(z)
-        e[d] = h
-        out.append((hess(z + e) - hess(z - e)) / (2.0 * h))
-    # out[d][b][c] = d_d d_b d_c f  ->  reorder to [b][c][d]
-    return np.transpose(np.array(out), (1, 2, 0))
-
-
 def configured_threads() -> int:
     """Worker count from the environment, clamped to at least 1."""
     raw = os.environ.get(THREAD_ENV_VAR, "1")

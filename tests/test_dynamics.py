@@ -1,6 +1,7 @@
 """Autoparallel integration, the exponential map, and its derivative blocks."""
 
 import csv
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -43,6 +44,31 @@ def test_backward_time_integration():
     sol = solve_ode(f, 0.0, np.array([1.0, 0.0]), -1.3)
     assert abs(sol.state_end[0] - np.cos(1.3)) < 1e-9
     assert abs(sol(-0.7)[0] - np.cos(0.7)) < 1e-9
+
+
+@pytest.mark.parametrize("t_end", [2.0, -2.0])
+def test_dense_output_segment_lookup_matches_bisection(t_end):
+    # the segment whose left end is the last one <= t (>= t backward), clamped
+    f = lambda t, z: np.array([z[1], -z[0]])
+    sol = solve_ode(f, 0.0, np.array([1.0, 0.0]), t_end)
+    assert len(sol.segments) > 2
+    sign = 1.0 if t_end > 0 else -1.0
+    lefts = [sign * seg[0] for seg in sol.segments]
+    mids = 0.5 * (sol.ts[1:] + sol.ts[:-1])
+    queries = list(sol.ts) + list(mids) + [-sign * 0.5, t_end + sign * 0.5]
+    for t in queries:
+        k = min(max(bisect_right(lefts, sign * t) - 1, 0), len(lefts) - 1)
+        assert sol._segment(float(t)) is sol.segments[k], t
+    # a query exactly on an interior node starts the following segment
+    assert np.array_equal(sol(float(sol.ts[1])), sol.segments[1][2][0])
+
+
+def test_dense_output_of_zero_length_run():
+    sol = solve_ode(lambda t, z: -z, 0.5, np.array([1.0, 2.0]), 0.5)
+    assert len(sol.segments) == 1
+    for t in (0.0, 0.5, 1.0):
+        assert np.array_equal(sol(t), [1.0, 2.0])
+        assert np.array_equal(sol.derivative(t), [0.0, 0.0])
 
 
 def test_blow_up_raises_step_underflow():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerkit import NonFiniteField, OrderUnsupported, bundle_point, eval_jet
-from finslerkit.jets import JetSpace, eval_taylor, sin, sqrt
+from finslerkit.jets import JetSpace, TaylorJet, eval_taylor, sin, sqrt
 from finslerkit.numerics import central_gradient, richardson_hessian
 
 
@@ -212,3 +212,61 @@ def test_derivative_drops_order_and_matches_shift():
     assert d.partial((0, 1)) == pytest.approx(2 * 0.4, rel=1e-15)
     with pytest.raises(OrderUnsupported):
         f.deriv(0).deriv(1).deriv(0).deriv(1)
+
+
+def _full_table_product(space, a, b):
+    """Reference product: every pair of the order-``space.order`` table, in
+    i-major order, folded with bincount, then masked to the result order."""
+    ia, ib, ic = [], [], []
+    for i, alpha in enumerate(space.indices):
+        for j, beta in enumerate(space.indices):
+            gamma = tuple(p + q for p, q in zip(alpha, beta))
+            if sum(gamma) <= space.order:
+                ia.append(i)
+                ib.append(j)
+                ic.append(space.index_of[gamma])
+    full = np.bincount(ic, weights=a.c[ia] * b.c[ib], minlength=space.size)
+    order = min(a.order, b.order)
+    return np.where(space.degrees <= order, full, 0.0)
+
+
+def _dict_convolution(space, a, b):
+    order = min(a.order, b.order)
+    acc = {}
+    for i, alpha in enumerate(space.indices):
+        for j, beta in enumerate(space.indices):
+            gamma = tuple(p + q for p, q in zip(alpha, beta))
+            if sum(gamma) <= order:
+                acc[gamma] = acc.get(gamma, 0.0) + a.c[i] * b.c[j]
+    return np.array([acc.get(alpha, 0.0) for alpha in space.indices])
+
+
+@st.composite
+def _jet_pair(draw):
+    nvars = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 5))
+    space = JetSpace.get(nvars, order)
+    coeffs = st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+        min_size=space.size,
+        max_size=space.size,
+    )
+    jets = []
+    for _ in range(2):
+        o = draw(st.integers(0, order))
+        c = np.where(space.degrees <= o, np.array(draw(coeffs)), 0.0)
+        jets.append(TaylorJet(space, o, c))
+    return space, jets[0], jets[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_jet_pair())
+def test_product_touches_only_the_needed_degrees(pair):
+    space, a, b = pair
+    prod = a * b
+    order = min(a.order, b.order)
+    assert prod.order == order
+    assert prod.c.tobytes() == _full_table_product(space, a, b).tobytes()
+    ref = _dict_convolution(space, a, b)
+    assert np.allclose(prod.c, ref, rtol=1e-14, atol=1e-14)
+    assert (prod.c[space.degrees > order] == 0.0).all()

@@ -29,7 +29,7 @@ import numpy as np
 
 from .bundle import DEGENERACY_CONDITION_LIMIT, TangentBundlePoint, bundle_point
 from .errors import NearDegenerateMetric, NonFiniteField
-from .jets import JetSpace, TaylorJet, eval_taylor
+from .jets import JetSpace, TaylorJet, eval_taylor, unit_index
 from .lagrangian import FinslerLagrangian
 
 
@@ -60,6 +60,40 @@ def jet_solve(matrix, rhs):
             acc = acc - aug[k][c] * out[c]
         out[k] = acc * aug[k][k].reciprocal()
     return out
+
+
+def _spray(model: FinslerLagrangian, point: TangentBundlePoint, order: int):
+    """L-metric jets g, their values g0 and the spray jets g^{-1} rhs.
+
+    The spray is valid to ``order + 1`` (N is its fiber derivative, valid to
+    ``order``).  L is built with x-degree <= min(order, 1) + 1, which keeps g
+    exact on x-degree <= min(order, 1) + 1 and the spray (hence N) exact on
+    x-degree <= min(order, 1): every x-slot the callers read.
+    """
+    n = model.dimension
+    point.require_nonzero_direction()
+    L = model.taylor(point, order + 3, x_order=min(order, 1) + 1)
+    ys = [L.space.variable(n + i, point.y[i]) for i in range(n)]
+
+    dL_x = [L.deriv(p) for p in range(n)]
+    g = [[0.5 * L.deriv(n + a).deriv(n + b) for b in range(n)] for a in range(n)]
+
+    g0 = np.array([[g[a][b].value for b in range(n)] for a in range(n)])
+    if not np.isfinite(g0).all():
+        raise NonFiniteField("L-metric is not finite at the requested point")
+    if np.linalg.cond(g0) > DEGENERACY_CONDITION_LIMIT:
+        raise NearDegenerateMetric(
+            f"L-metric condition number {np.linalg.cond(g0):.3e} at the "
+            "connection evaluation point"
+        )
+
+    rhs = []
+    for q in range(n):
+        acc = -1.0 * dL_x[q]
+        for p in range(n):
+            acc = acc + ys[p] * dL_x[p].deriv(n + q)
+        rhs.append(acc)
+    return g, g0, jet_solve(g, rhs)
 
 
 @dataclass
@@ -153,7 +187,12 @@ class GeneralConnection:
     # -- jet-level core ------------------------------------------------------
 
     def n_jets(self, point: TangentBundlePoint, order: int):
-        """N^a_b as an n x n nested list of jets valid to ``order``."""
+        """N^a_b as an n x n nested list of jets valid to ``order``.
+
+        For a canonical connection the jets are exact on the slots of
+        x-degree <= min(order, 1), the only x-derivatives of N any caller
+        reads; their higher x-slots are truncated (see :func:`_spray`).
+        """
         n = self.dimension
         if self._explicit_fn is not None:
             space = JetSpace.get(2 * n, order)
@@ -173,32 +212,7 @@ class GeneralConnection:
                 out.append(row)
             return out
 
-        model = self.lagrangian
-        point.require_nonzero_direction()
-        L = model.taylor(point, order + 3)
-        space = L.space
-        ys = [space.variable(n + i, point.y[i]) for i in range(n)]
-
-        dL_x = [L.deriv(p) for p in range(n)]
-        g = [[0.5 * L.deriv(n + a).deriv(n + b) for b in range(n)] for a in range(n)]
-
-        g0 = np.array([[g[a][b].value for b in range(n)] for a in range(n)])
-        if not np.isfinite(g0).all():
-            raise NonFiniteField("L-metric is not finite at the requested point")
-        if np.linalg.cond(g0) > DEGENERACY_CONDITION_LIMIT:
-            raise NearDegenerateMetric(
-                f"L-metric condition number {np.linalg.cond(g0):.3e} at the "
-                "connection evaluation point"
-            )
-
-        rhs = []
-        for q in range(n):
-            acc = -1.0 * dL_x[q]
-            for p in range(n):
-                acc = acc + ys[p] * dL_x[p].deriv(n + q)
-            rhs.append(acc)
-
-        spray = jet_solve(g, rhs)
+        _, _, spray = _spray(self.lagrangian, point, order)
         njets = [[0.25 * spray[a].deriv(n + b) for b in range(n)] for a in range(n)]
         for a in range(n):
             for b in range(n):
@@ -237,14 +251,7 @@ class GeneralConnection:
     def _assemble(self, point, deep: bool):
         n = self.dimension
         njets = self.n_jets(point, 2 if deep else 1)
-        space = njets[0][0].space
-        idx = space.index_of
-
-        def unit(v):
-            e = [0] * (2 * n)
-            e[v] += 1
-            return e
-
+        idx = njets[0][0].space.index_of
         N = np.empty((n, n))
         dN_x = np.empty((n, n, n))
         dN_y = np.empty((n, n, n))
@@ -253,8 +260,8 @@ class GeneralConnection:
                 c_arr = njets[a][b].c
                 N[a, b] = c_arr[0]
                 for c in range(n):
-                    dN_x[a, b, c] = c_arr[idx[tuple(unit(c))]]
-                    dN_y[a, b, c] = c_arr[idx[tuple(unit(n + c))]]
+                    dN_x[a, b, c] = c_arr[idx[unit_index(2 * n, c)]]
+                    dN_y[a, b, c] = c_arr[idx[unit_index(2 * n, n + c)]]
 
         delta_N = dN_x - np.einsum("mc,abm->abc", N, dN_y)
         R = delta_N - np.transpose(delta_N, (0, 2, 1))
@@ -269,14 +276,8 @@ class GeneralConnection:
                 jet = njets[a][b]
                 for c in range(n):
                     for d in range(n):
-                        exy = [0] * (2 * n)
-                        exy[n + c] += 1
-                        exy[d] += 1
-                        ddN_xy[a, b, c, d] = jet.partial(tuple(exy))
-                        eyy = [0] * (2 * n)
-                        eyy[n + c] += 1
-                        eyy[n + d] += 1
-                        ddN_yy[a, b, c, d] = jet.partial(tuple(eyy))
+                        ddN_xy[a, b, c, d] = jet.partial(unit_index(2 * n, n + c, d))
+                        ddN_yy[a, b, c, d] = jet.partial(unit_index(2 * n, n + c, n + d))
 
         delta_dN = ddN_xy - np.einsum("md,abcm->abcd", N, ddN_yy)
         return DeepConnectionEval(
@@ -307,35 +308,13 @@ class GeneralConnection:
         return results
 
 
-# -- spec-level convenience wrappers ------------------------------------------
-
-
-def cartan_nonlinear(model: FinslerLagrangian, point: TangentBundlePoint) -> np.ndarray:
-    """Canonical connection coefficients N^a_b of ``model`` at ``point``."""
-    return GeneralConnection.cartan(model).coefficients(point)
-
-
-def connection_eval(conn: GeneralConnection, point: TangentBundlePoint) -> ConnectionEval:
-    return conn.evaluate(point)
-
-
-def berwald_coeffs(conn: GeneralConnection, point: TangentBundlePoint) -> np.ndarray:
-    return conn.berwald(point)
-
-
 def horizontal_derivative(conn: GeneralConnection, field, point: TangentBundlePoint) -> np.ndarray:
     """delta_a f = d_a f - N^b_a d/dy^b f for a scalar bundle field."""
     n = conn.dimension
     jet = eval_taylor(field, point, 1)
     idx = jet.space.index_of
-
-    def unit(v):
-        e = [0] * (2 * n)
-        e[v] = 1
-        return tuple(e)
-
-    gx = np.array([jet.c[idx[unit(a)]] for a in range(n)])
-    gy = np.array([jet.c[idx[unit(n + a)]] for a in range(n)])
+    gx = np.array([jet.c[idx[unit_index(2 * n, a)]] for a in range(n)])
+    gy = np.array([jet.c[idx[unit_index(2 * n, n + a)]] for a in range(n)])
     N = conn.coefficients(point)
     return gx - N.T @ gy
 
@@ -348,43 +327,21 @@ def cartan_linear_delta(model: FinslerLagrangian, point: TangentBundlePoint) -> 
     Returned layout is [a, b, c].
     """
     n = model.dimension
-    point.require_nonzero_direction()
-    L = model.taylor(point, 3)
-    space = L.space
-    ys = [space.variable(n + i, point.y[i]) for i in range(n)]
-
-    dL_x = [L.deriv(p) for p in range(n)]
-    g = [[0.5 * L.deriv(n + a).deriv(n + b) for b in range(n)] for a in range(n)]
-    g0 = np.array([[g[a][b].value for b in range(n)] for a in range(n)])
-    if np.linalg.cond(g0) > DEGENERACY_CONDITION_LIMIT:
-        raise NearDegenerateMetric("L-metric too ill-conditioned for linear coefficients")
-
-    rhs = []
-    for q in range(n):
-        acc = -1.0 * dL_x[q]
-        for p in range(n):
-            acc = acc + ys[p] * dL_x[p].deriv(n + q)
-        rhs.append(acc)
-    spray = jet_solve(g, rhs)
+    # order 0 reads N at x-degree 0 and g at x-degree <= 1, both exact
+    g, g0, spray = _spray(model, point, 0)
     N0 = np.array(
         [[0.25 * spray[a].deriv(n + b).value for b in range(n)] for a in range(n)]
     )
 
-    idx = space.index_of
-
-    def unit(v):
-        e = [0] * (2 * n)
-        e[v] = 1
-        return tuple(e)
-
+    idx = g[0][0].space.index_of
     dg_x = np.empty((n, n, n))  # [q, c, b] = d_b g_qc
     dg_y = np.empty((n, n, n))  # [q, c, m] = d/dy^m g_qc
     for q in range(n):
         for c in range(n):
             arr = g[q][c].c
             for b in range(n):
-                dg_x[q, c, b] = arr[idx[unit(b)]]
-                dg_y[q, c, b] = arr[idx[unit(n + b)]]
+                dg_x[q, c, b] = arr[idx[unit_index(2 * n, b)]]
+                dg_y[q, c, b] = arr[idx[unit_index(2 * n, n + b)]]
 
     # delta_g[q, c, b] = delta_b g_qc
     delta_g = dg_x - np.einsum("mb,qcm->qcb", N0, dg_y)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FinslerKitError, StepSizeUnderflow
+from .errors import FinslerKitError, NonFiniteField, StepSizeUnderflow
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -123,8 +123,9 @@ def solve_ode(
     """Integrate dz/dt = f(t, z) from t0 to t_end.
 
     ``guard(t, z)`` runs after every accepted step and may raise to abort.
-    Raises :class:`StepSizeUnderflow` when error control pushes the step
-    below the round-off floor.
+    Raises :class:`NonFiniteField` as soon as ``f`` returns a NaN or an
+    infinity, and :class:`StepSizeUnderflow` when error control pushes the
+    step below the round-off floor.
     """
     z0 = np.asarray(z0, dtype=float)
     m = z0.size
@@ -140,14 +141,16 @@ def solve_ode(
     def call(t, z):
         nonlocal nfev
         nfev += 1
-        return np.asarray(f(t, z), dtype=float)
+        out = np.asarray(f(t, z), dtype=float)
+        if not np.isfinite(out).all():
+            raise NonFiniteField(f"right-hand side is not finite at t = {t:.6g}, state {z}")
+        return out
 
     k = np.empty((7, m))
     k[0] = call(t0, z0)
     h = first_step if first_step is not None else _initial_step(
-        f, t0, z0, k[0], direction, rtol, atol
+        call, t0, z0, k[0], direction, rtol, atol
     )
-    nfev += 1  # probe inside _initial_step
     h = min(abs(h), abs(span))
 
     ts = [t0]

@@ -7,14 +7,19 @@ the arithmetic yields every mixed partial up to the requested order in one
 evaluation, exact to round-off (no finite-difference truncation error).
 
 Storage is dense: a jet keeps one coefficient per multi-index of total degree
-up to the space order.  Multiplication uses a precomputed (i, j, k) pair
-table folded with ``np.bincount``.  The table is sorted by output degree, so
-the pairs a product of order-o jets needs (output degree <= o) are a prefix
-of it, and a product touches only that prefix (truncated Taylor arithmetic,
-Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).  Division
-goes through a Newton iteration for the reciprocal; analytic functions (sin,
-exp, sqrt, ...) compose their univariate Taylor series with the nilpotent part
-via Horner's rule.
+up to the space order.  A space may also cap the joint degree of its first
+``capped`` variables (the manifold slots x of a bundle field) and then holds
+only the multi-indices within both bounds.  The polynomials of x-degree above
+the cap form an ideal, so a product in the capped space is bit-identical to
+the full-space product on every kept slot; a quantity that needs only a few
+x-derivatives skips the slots it never reads.  Multiplication uses a
+precomputed (i, j, k) pair table folded with ``np.bincount``.  The table is
+sorted by output degree, so the pairs a product of order-o jets needs (output
+degree <= o) are a prefix of it, and a product touches only that prefix
+(truncated Taylor arithmetic, Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., SIAM 2008).  Division goes through a Newton iteration for the
+reciprocal; analytic functions (sin, exp, sqrt, ...) compose their univariate
+Taylor series with the nilpotent part via Horner's rule.
 """
 
 from __future__ import annotations
@@ -34,35 +39,64 @@ from .errors import NonFiniteField, OrderUnsupported
 MAX_EVAL_ORDER = 4
 
 
-def _multi_indices(nvars: int, order: int):
-    """All exponent tuples with total degree <= order, sorted by (degree, lex)."""
-    out = [(0,) * nvars]
-    for deg in range(1, order + 1):
-        block = set()
-        for combo in combinations_with_replacement(range(nvars), deg):
-            alpha = [0] * nvars
-            for v in combo:
-                alpha[v] += 1
-            block.add(tuple(alpha))
-        out.extend(sorted(block))
+def unit_index(nvars: int, *slots: int) -> tuple:
+    """Exponent tuple over ``nvars`` variables with one count per listed slot.
+
+    ``unit_index(4, 1)`` is (0, 1, 0, 0); repeats add up, so
+    ``unit_index(4, 1, 3, 3)`` is (0, 1, 0, 2).
+    """
+    alpha = [0] * nvars
+    for v in slots:
+        alpha[v] += 1
+    return tuple(alpha)
+
+
+def _multi_indices(nvars: int, order: int, capped: int, cap: int):
+    """Exponent tuples of total degree <= order and joint degree <= cap in the
+    first ``capped`` variables, sorted by (degree, lex)."""
+    out = []
+    for deg in range(order + 1):
+        block = {
+            unit_index(nvars, *combo)
+            for combo in combinations_with_replacement(range(nvars), deg)
+        }
+        out.extend(a for a in sorted(block) if sum(a[:capped]) <= cap)
     return out
 
 
 class JetSpace:
     """Index layout and operation tables for jets in ``nvars`` variables.
 
-    Instances are cached per (nvars, order); construction cost is paid once
-    per process.
+    The space holds the multi-indices of total degree <= ``order`` whose joint
+    degree in the first ``capped`` variables (the x-degree) is <= ``cap``, in
+    (degree, lex) order.  ``cap >= order`` is the full space, and ``get``
+    returns the same instance for every such cap.  Exactness in a capped space,
+    slot by slot against the same arithmetic in the full space:
+
+    - products and sums are bit-identical on every kept slot, since both
+      factors of a kept slot's pairs are kept, and the pairs run in the same
+      order (the table below drops only pairs whose output is not kept);
+    - a derivative in an uncapped variable is exact on every slot;
+    - a derivative in a capped variable reads zero at x-degree ``cap``,
+      where its full-space source lies outside the space.  A value built with
+      k nested x-derivatives is therefore exact on x-degree <= ``cap - k``.
+
+    Instances are cached per (nvars, order, capped, cap); construction cost is
+    paid once per process.
     """
 
-    _cache: dict[tuple[int, int], "JetSpace"] = {}
+    _cache: dict[tuple[int, int, int, int], "JetSpace"] = {}
 
-    def __init__(self, nvars: int, order: int):
+    def __init__(self, nvars: int, order: int, capped: int = 0, cap: int | None = None):
         if nvars < 1 or order < 0:
             raise ValueError("need nvars >= 1 and order >= 0")
+        if not 0 <= capped <= nvars or (cap is not None and cap < 0):
+            raise ValueError("need 0 <= capped <= nvars and cap >= 0")
         self.nvars = nvars
         self.order = order
-        self.indices = _multi_indices(nvars, order)
+        self.capped = capped
+        self.cap = order if cap is None else cap
+        self.indices = _multi_indices(nvars, order, capped, self.cap)
         self.size = len(self.indices)
         self.index_of = {alpha: i for i, alpha in enumerate(self.indices)}
         self.degrees = np.array([sum(a) for a in self.indices], dtype=np.int64)
@@ -79,15 +113,16 @@ class JetSpace:
         ]
 
         # multiplication table: c[k] += a[i] * b[j] over all pairs with
-        # deg(i) + deg(j) <= order, grouped by output degree d = deg(k).
+        # deg(i) + deg(j) <= order and k in the space, grouped by output
+        # degree d = deg(k).
         # Within degree d the pairs run over i in index order, then over j of
         # degree d - deg(i).  Each output slot k thus receives its summands in
         # ascending i, the order of an i-major table, and since np.bincount
         # adds its weights in array order every product is bit-identical to a
         # full i-major product masked to the result order.
-        by_degree: dict[int, list[int]] = {}
+        by_degree: dict[int, list[int]] = {d: [] for d in range(order + 1)}
         for i, alpha in enumerate(self.indices):
-            by_degree.setdefault(sum(alpha), []).append(i)
+            by_degree[sum(alpha)].append(i)
         ia, ib, ic = [], [], []
         ends = []  # ends[o]: number of pairs of output degree <= o
         for d in range(order + 1):
@@ -96,10 +131,12 @@ class JetSpace:
                     alpha = self.indices[i]
                     for j in by_degree[d - da]:
                         beta = self.indices[j]
-                        gamma = tuple(a + b for a, b in zip(alpha, beta))
+                        k = self.index_of.get(tuple(a + b for a, b in zip(alpha, beta)))
+                        if k is None:  # x-degree above the cap
+                            continue
                         ia.append(i)
                         ib.append(j)
-                        ic.append(self.index_of[gamma])
+                        ic.append(k)
             ends.append(len(ia))
         self._mul_ia = np.array(ia, dtype=np.intp)
         self._mul_ib = np.array(ib, dtype=np.intp)
@@ -110,16 +147,19 @@ class JetSpace:
             (self._mul_ia[:e], self._mul_ib[:e], self._mul_ic[:e]) for e in ends
         ]
 
-        # derivative tables: one (src, dst, factor) triple set per variable
+        # derivative tables: one (src, dst, factor) triple set per variable;
+        # a source of degree > order or above the cap is not in the space,
+        # and its target stays zero
         self._deriv = []
         for v in range(nvars):
             src, dst, fac = [], [], []
             for j, beta in enumerate(self.indices):
-                if sum(beta) > order - 1:
-                    continue
                 shifted = list(beta)
                 shifted[v] += 1
-                src.append(self.index_of[tuple(shifted)])
+                k = self.index_of.get(tuple(shifted))
+                if k is None:
+                    continue
+                src.append(k)
                 dst.append(j)
                 fac.append(beta[v] + 1.0)
             self._deriv.append(
@@ -131,11 +171,13 @@ class JetSpace:
             )
 
     @classmethod
-    def get(cls, nvars: int, order: int) -> "JetSpace":
-        key = (nvars, order)
+    def get(cls, nvars: int, order: int, capped: int = 0, cap: int | None = None) -> "JetSpace":
+        if capped == 0 or cap is None or cap >= order:
+            capped, cap = 0, order  # the full space
+        key = (nvars, order, capped, cap)
         space = cls._cache.get(key)
         if space is None:
-            space = cls(nvars, order)
+            space = cls(nvars, order, capped, cap)
             cls._cache[key] = space
         return space
 
@@ -150,10 +192,9 @@ class JetSpace:
         """The coordinate function of variable ``v`` expanded at ``value``."""
         c = np.zeros(self.size)
         c[0] = float(value)
-        if self.order >= 1:
-            unit = [0] * self.nvars
-            unit[v] = 1
-            c[self.index_of[tuple(unit)]] = 1.0
+        i = self.index_of.get(unit_index(self.nvars, v))
+        if i is not None:  # absent at order 0 or cap 0
+            c[i] = 1.0
         return TaylorJet(self, self.order, c)
 
 
@@ -397,12 +438,7 @@ class Jet:
         ``partial(x=(0,), y=(1, 1))`` is d/dx0 d/dy1 d/dy1 of the field.
         """
         n = self.center.dim
-        alpha = [0] * (2 * n)
-        for i in x:
-            alpha[int(i)] += 1
-        for i in y:
-            alpha[n + int(i)] += 1
-        return self.coefficients[tuple(alpha)]
+        return self.coefficients[unit_index(2 * n, *(int(i) for i in x), *(n + int(i) for i in y))]
 
 
 def eval_jet(field, point: TangentBundlePoint, order: int) -> Jet:
@@ -425,10 +461,16 @@ def eval_jet(field, point: TangentBundlePoint, order: int) -> Jet:
     return Jet(center=point, order=order, coefficients=coeffs)
 
 
-def eval_taylor(field, point: TangentBundlePoint, order: int) -> TaylorJet:
-    """Internal variant of :func:`eval_jet` returning the raw jet (any order)."""
+def eval_taylor(
+    field, point: TangentBundlePoint, order: int, x_order: int | None = None
+) -> TaylorJet:
+    """Internal variant of :func:`eval_jet` returning the raw jet (any order).
+
+    ``x_order`` caps the joint degree in the n manifold variables (see
+    :class:`JetSpace` for which slots stay exact); ``None`` keeps them all.
+    """
     n = point.dim
-    space = JetSpace.get(2 * n, order)
+    space = JetSpace.get(2 * n, order, n, x_order)
     xs = [space.variable(i, point.x[i]) for i in range(n)]
     ys = [space.variable(n + i, point.y[i]) for i in range(n)]
     out = field(xs, ys)

@@ -28,7 +28,7 @@ from .bundle import (
     bundle_point,
 )
 from .errors import ModelFormatError, NonFiniteField
-from .jets import TaylorJet, eval_taylor
+from .jets import TaylorJet, eval_taylor, unit_index
 from .jets import sqrt as generic_sqrt
 
 _FAMILIES = ("quadratic", "randers", "pth_root", "custom")
@@ -204,11 +204,16 @@ class FinslerLagrangian:
             raise NonFiniteField("Lagrangian value is not finite")
         return value
 
-    def taylor(self, point: TangentBundlePoint, order: int) -> TaylorJet:
-        """Full jet of L at ``point`` (internal orders above 4 allowed)."""
+    def taylor(
+        self, point: TangentBundlePoint, order: int, x_order: int | None = None
+    ) -> TaylorJet:
+        """Jet of L at ``point`` (internal orders above 4 allowed).
+
+        ``x_order`` caps the x-degree of the jet as in :func:`eval_taylor`.
+        """
         if self.family != "quadratic":
             point.require_nonzero_direction()
-        return eval_taylor(self._evaluator, point, order)
+        return eval_taylor(self._evaluator, point, order, x_order)
 
     def l_metric(self, point: TangentBundlePoint) -> np.ndarray:
         """Fiber Hessian g^L_ab = (1/2) d_a d_b L over y."""
@@ -217,10 +222,7 @@ class FinslerLagrangian:
         g = np.empty((n, n))
         for a in range(n):
             for b in range(a, n):
-                alpha = [0] * (2 * n)
-                alpha[n + a] += 1
-                alpha[n + b] += 1
-                g[a, b] = g[b, a] = 0.5 * jet.partial(tuple(alpha))
+                g[a, b] = g[b, a] = 0.5 * jet.partial(unit_index(2 * n, n + a, n + b))
         if not np.isfinite(g).all():
             raise NonFiniteField("L-metric has non-finite entries")
         return g
@@ -270,7 +272,7 @@ class FinslerLagrangian:
 
             # (ii) homogeneity: scaling plus the Euler identity y.dL/dy = r L
             checked["homogeneous"] += 1
-            euler = sum(p.y[a] * jet.partial(_ybar(n, a)) for a in range(n))
+            euler = sum(p.y[a] * jet.partial(unit_index(2 * n, n + a)) for a in range(n))
             bad = abs(euler - r * value) > tol * scale * r
             for lam in spec.scalings:
                 scaled = self.evaluate(bundle_point(p.x, lam * p.y))
@@ -340,12 +342,6 @@ class FinslerLagrangian:
             conditions=conditions,
             signature_tally=dict(sorted(signature_tally.items())),
         )
-
-
-def _ybar(n, a):
-    alpha = [0] * (2 * n)
-    alpha[n + a] = 1
-    return tuple(alpha)
 
 
 def _witness(p: TangentBundlePoint, detail: str) -> dict:

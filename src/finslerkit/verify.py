@@ -31,6 +31,7 @@ from .dynamics import (
     integrate_autoparallel,
     integrate_horizontal_autoparallel,
 )
+from .jets import unit_index
 from .lagrangian import FinslerLagrangian, SampleSpec
 from .models import load_model
 from .numerics import thread_map
@@ -153,12 +154,6 @@ def _counts(budget: str, dimension: int) -> dict:
     return counts
 
 
-def _unit_index(n, v):
-    e = [0] * (2 * n)
-    e[v] = 1
-    return tuple(e)
-
-
 # -- check implementations ------------------------------------------------------
 #
 # Each function returns a list of CheckResult rows (empty when the check does
@@ -179,8 +174,8 @@ def _check_identities(ctx: _Ctx) -> list:
         p = spec.draw(rng, n)
         ev = ctx.conn.evaluate(p)
         jet = ctx.model.taylor(p, 1)
-        gx = np.array([jet.partial(_unit_index(n, a)) for a in range(n)])
-        gy = np.array([jet.partial(_unit_index(n, n + a)) for a in range(n)])
+        gx = np.array([jet.partial(unit_index(2 * n, a)) for a in range(n)])
+        gy = np.array([jet.partial(unit_index(2 * n, n + a)) for a in range(n)])
         value = ctx.model.evaluate(p)
 
         euler = abs(float(gy @ p.y) - r * value) / (1.0 + abs(r * value))

@@ -10,12 +10,11 @@ from finslerkit import (
 )
 from finslerkit.connection import (
     GeneralConnection,
-    berwald_coeffs,
     cartan_linear_delta,
-    cartan_nonlinear,
-    connection_eval,
     horizontal_derivative,
+    jet_solve,
 )
+from finslerkit.jets import eval_taylor
 from finslerkit.lagrangian import FinslerLagrangian, SampleSpec
 from finslerkit.models import load_model
 from finslerkit.numerics import central_gradient, central_hessian
@@ -76,10 +75,10 @@ def test_flat_connection_vanishes():
 def test_polar_plane_closed_form():
     model = load_model("builtin:polar2d")
     p = bundle_point([2.0, 0.7], [1.0, 1.0])
-    N = cartan_nonlinear(model, p)
+    N = GeneralConnection.cartan(model).coefficients(p)
     assert np.allclose(N, [[0.0, -2.0], [0.5, 0.5]], atol=1e-12)
 
-    D = berwald_coeffs(GeneralConnection.cartan(model), p)
+    D = GeneralConnection.cartan(model).berwald(p)
     # D^a_bc = dbar_b N^a_c, linear case reduces to the Christoffel symbols
     assert D[0, 1, 1] == pytest.approx(-2.0, abs=1e-12)
     assert D[1, 0, 1] == pytest.approx(0.5, abs=1e-12)
@@ -110,7 +109,7 @@ def test_sphere_curvature_closed_form():
 def test_connection_matches_fd_oracle_on_randers():
     model = load_model("builtin:randers2d")
     p = bundle_point([0.3, 0.6], [1.1, -0.4])
-    N = cartan_nonlinear(model, p)
+    N = GeneralConnection.cartan(model).coefficients(p)
     N_fd = fd_cartan_nonlinear(model, p.x, p.y)
     scale = 1.0 + np.abs(N).max()
     assert np.abs(N - N_fd).max() < 2e-5 * scale
@@ -119,7 +118,7 @@ def test_connection_matches_fd_oracle_on_randers():
 def test_connection_matches_fd_oracle_on_quartic():
     model = load_model("builtin:quartic4d")
     p = bundle_point([0.2, -0.3, 0.5, 0.1], [0.9, 0.4, -0.7, 1.2])
-    N = cartan_nonlinear(model, p)
+    N = GeneralConnection.cartan(model).coefficients(p)
     N_fd = fd_cartan_nonlinear(model, p.x, p.y, h=2e-4)
     scale = 1.0 + np.abs(N).max()
     assert np.abs(N - N_fd).max() < 5e-5 * scale
@@ -278,7 +277,7 @@ def test_riemannian_reduction_to_levi_civita(name):
         return gamma
 
     for p in sample_points(model, 4, seed=23):
-        N = cartan_nonlinear(model, p)
+        N = GeneralConnection.cartan(model).coefficients(p)
         gamma = levi_civita(p.x)
         N_lc = np.einsum("abc,c->ab", gamma, p.y)
         assert np.abs(N - N_lc).max() <= 1e-8 * (1.0 + np.abs(N).max())
@@ -307,8 +306,8 @@ def test_transformation_law_under_linear_change():
 
     tilde = FinslerLagrangian.from_callable(transformed, 2, 2)
     p = bundle_point([0.4, -0.2], [1.0, 0.6])
-    N = cartan_nonlinear(base, p)
-    Nt = cartan_nonlinear(tilde, bundle_point(A @ p.x, A @ p.y))
+    N = GeneralConnection.cartan(base).coefficients(p)
+    Nt = GeneralConnection.cartan(tilde).coefficients(bundle_point(A @ p.x, A @ p.y))
     assert np.abs(Nt - A @ N @ Ainv).max() < 1e-9 * (1.0 + np.abs(N).max())
 
 
@@ -326,7 +325,8 @@ def test_explicit_connection_and_flag_audit():
     conn = GeneralConnection.explicit(n_fn, 2, homogeneous=True, symmetric=True)
     p = bundle_point([2.0, 0.7], [1.0, 1.0])
     assert np.allclose(conn.coefficients(p), [[0, -2], [0.5, 0.5]], atol=1e-13)
-    assert np.allclose(conn.coefficients(p), cartan_nonlinear(polar, p), atol=1e-12)
+    cartan = GeneralConnection.cartan(polar)
+    assert np.allclose(conn.coefficients(p), cartan.coefficients(p), atol=1e-12)
 
     pts = sample_points(polar, 4, seed=9)
     audit = conn.validate_flags(pts)
@@ -352,7 +352,7 @@ def test_horizontal_derivative_hand_value():
     delta = horizontal_derivative(conn, f, p)
     assert delta[0] == pytest.approx(2.0, rel=1e-12)
 
-    ev = connection_eval(conn, p)
+    ev = conn.evaluate(p)
     assert np.allclose(ev.N, conn.coefficients(p), atol=1e-14)
 
 
@@ -364,3 +364,43 @@ def test_degenerate_and_zero_direction_guards():
     randers = GeneralConnection.cartan(load_model("builtin:randers2d"))
     with pytest.raises(NearZeroDirection):
         randers.coefficients(bundle_point([0.0, 0.0], [0.0, 0.0]))
+
+
+def _full_space_n_jets(model, p, order):
+    """Reference N jets from a full-space L jet of total degree order + 3."""
+    n = model.dimension
+    L = eval_taylor(model._evaluator, p, order + 3)
+    ys = [L.space.variable(n + i, p.y[i]) for i in range(n)]
+    dL_x = [L.deriv(q) for q in range(n)]
+    g = [[0.5 * L.deriv(n + a).deriv(n + b) for b in range(n)] for a in range(n)]
+    rhs = []
+    for q in range(n):
+        acc = -1.0 * dL_x[q]
+        for k in range(n):
+            acc = acc + ys[k] * dL_x[k].deriv(n + q)
+        rhs.append(acc)
+    spray = jet_solve(g, rhs)
+    return [[0.25 * spray[a].deriv(n + b) for b in range(n)] for a in range(n)]
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_n_jets_match_full_space_on_the_slots_callers_read(name):
+    model = load_model(f"builtin:{name}")
+    conn = GeneralConnection.cartan(model)
+    n = model.dimension
+    for p in sample_points(model, 2, seed=5):
+        for order in (0, 1, 2):
+            capped = conn.n_jets(p, order)
+            full = _full_space_n_jets(model, p, order)
+            space, full_space = capped[0][0].space, full[0][0].space
+            assert space.size < full_space.size
+            read = [
+                alpha
+                for alpha in space.indices
+                if sum(alpha) <= order and sum(alpha[:n]) <= min(order, 1)
+            ]
+            mine = np.array([[[capped[a][b].c[space.index_of[al]] for al in read]
+                              for b in range(n)] for a in range(n)])
+            ref = np.array([[[full[a][b].c[full_space.index_of[al]] for al in read]
+                             for b in range(n)] for a in range(n)])
+            assert mine.tobytes() == ref.tobytes(), (name, order)

@@ -1,6 +1,7 @@
 """Autoparallel integration, the exponential map, and its derivative blocks."""
 
 import csv
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -16,7 +17,7 @@ from finslerkit.dynamics import (
     integrate_autoparallel,
     integrate_horizontal_autoparallel,
 )
-from finslerkit.errors import ExcludedSetEntered, StepSizeUnderflow
+from finslerkit.errors import ExcludedSetEntered, NonFiniteField, StepSizeUnderflow
 from finslerkit.integrate import solve_ode
 from finslerkit.models import load_model
 
@@ -75,6 +76,15 @@ def test_blow_up_raises_step_underflow():
     f = lambda t, z: z**2
     with pytest.raises(StepSizeUnderflow):
         solve_ode(f, 0.0, np.array([1.0]), 1.5)
+
+
+def test_non_finite_rhs_raises_non_finite_field_with_the_time():
+    f = lambda t, z: np.array([np.nan]) if t > 0.5 else -z
+    with pytest.raises(NonFiniteField, match=r"t = \S+") as info:
+        solve_ode(f, 0.0, np.array([1.0]), 1.0)
+    t = float(re.search(r"t = (\S+),", str(info.value)).group(1))
+    assert 0.5 < t <= 1.0
+    assert "state [" in str(info.value)
 
 
 # -- autoparallel lifts ----------------------------------------------------------

@@ -270,3 +270,63 @@ def test_product_touches_only_the_needed_degrees(pair):
     ref = _dict_convolution(space, a, b)
     assert np.allclose(prod.c, ref, rtol=1e-14, atol=1e-14)
     assert (prod.c[space.degrees > order] == 0.0).all()
+
+
+@st.composite
+def _capped_case(draw):
+    nvars = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 5))
+    capped = draw(st.integers(0, nvars))
+    cap = draw(st.integers(0, order))
+    full = JetSpace.get(nvars, order)
+    coeffs = st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+        min_size=full.size,
+        max_size=full.size,
+    )
+    jets = []
+    for _ in range(2):
+        o = draw(st.integers(0, order))
+        c = np.where(full.degrees <= o, np.array(draw(coeffs)), 0.0)
+        jets.append(TaylorJet(full, o, c))
+    return JetSpace.get(nvars, order, capped, cap), jets[0], jets[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_capped_case())
+def test_capped_space_is_exact_on_its_slots(case):
+    space, a, b = case
+    full = a.space
+    x_degree = lambda alpha: sum(alpha[: space.capped])
+    assert space.indices == [
+        alpha for alpha in full.indices if x_degree(alpha) <= space.cap
+    ]
+    kept = np.array([full.index_of[alpha] for alpha in space.indices], dtype=np.intp)
+
+    def restrict(jet):
+        return TaylorJet(space, jet.order, jet.c[kept])
+
+    prod = restrict(a) * restrict(b)
+    assert prod.order == min(a.order, b.order)
+    assert prod.c.tobytes() == (a * b).c[kept].tobytes()
+    if a.order == 0:
+        return
+    for v in range(space.nvars):
+        d = restrict(a).deriv(v)
+        ref = a.deriv(v).c[kept]
+        if v >= space.capped:  # uncapped: exact on every slot
+            assert d.c.tobytes() == ref.tobytes()
+        else:  # capped: exact below the cap, zero on it
+            below = np.array([x_degree(alpha) < space.cap for alpha in space.indices])
+            assert d.c[below].tobytes() == ref[below].tobytes()
+            assert (d.c[~below] == 0.0).all()
+
+
+def test_capped_space_sizes_and_full_space_identity():
+    assert JetSpace.get(8, 5, 4, 2).size == 756
+    assert JetSpace.get(8, 5, 4, 2)._mul_ia.size == 11187
+    assert JetSpace.get(8, 5).size == 1287
+    assert JetSpace.get(8, 5, 4, 5) is JetSpace.get(8, 5)
+    assert JetSpace.get(3, 2, 0, 1) is JetSpace.get(3, 2)
+    with pytest.raises(ValueError):
+        JetSpace(2, 3, 3, 1)

@@ -10,44 +10,43 @@ time-one exponential map of the horizontal autoparallel flow:
   manifold-induced change of coordinates.  It is only defined for
   connections declared homogeneous and fiber-symmetric.
 
-The ODE-based forward map is authoritative everywhere: Jacobians come from
-the variational flow, and only genuinely second-derivative data of the
-integrated map (the standard kind's fiber blocks) fall back to Richardson
-finite differences of variational Jacobians.  The truncated power series
-around xt = 0 serve as diagnostics and as Newton seeds for inversion — they
-are never the answer.
+The ODE-based forward map is authoritative everywhere.  Every derivative of
+the integrated map (Newton matrices, the standard kind's fiber blocks, the
+xt-Hessian of the Lagrangian and its fiber derivative) is read from one
+Taylor-mode flow of the order it needs (:func:`dynamics.exp_map_jets`), exact
+to integrator accuracy.  The truncated power series around xt = 0 serve as
+diagnostics and as Newton seeds for inversion — they are never the answer.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bundle import TangentBundlePoint, bundle_point
 from .connection import GeneralConnection
-from .dynamics import IntegrationControls, exp_map, exp_map_with_jacobian
+from .dynamics import (
+    IntegrationControls,
+    _sym_triple,
+    exp_map,
+    exp_map_jets,
+    exp_map_with_jacobian,
+)
 from .errors import (
     ExcludedSetEntered,
     FinslerKitError,
     NearDegenerateMetric,
     NearZeroDirection,
     NewtonDiverged,
+    NonFiniteField,
     OrderUnsupported,
     OutsideTrustRegion,
     SingularJacobian,
 )
-from .numerics import richardson_gradient, richardson_hessian
-
-# Steps for differencing quantities that are themselves ODE outputs.  With the
-# chart's default integration accuracy (rtol 1e-12) the propagated noise is
-# ~1e-12/step while the Richardson-extrapolated truncation error is O(step^4),
-# so these pairs keep both error sources a couple of orders below the
-# tolerances the chart guarantees are verified at.
-JACOBIAN_FD_STEPS = (1e-2, 5e-3)
-LAGRANGIAN_FD_STEPS = (1e-2, 5e-3)
-FIBER_FD_STEPS = (2e-2, 1e-2)
+from .jets import JetSpace, TaylorJet, unit_index
 
 JACOBIAN_CONDITION_LIMIT = 1e12
 
@@ -97,12 +96,11 @@ def _sym_pair(t: np.ndarray) -> np.ndarray:
     return 0.5 * (t + np.transpose(t, (0, 2, 1)))
 
 
-def _sym_triple(t: np.ndarray) -> np.ndarray:
-    """Symmetrize an (n, n, n, n) tensor over its last three slots."""
-    out = np.zeros_like(t)
-    for perm in [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]:
-        out += np.transpose(t, (0,) + perm)
-    return out / 6.0
+def _partials(jet: TaylorJet, *axes) -> np.ndarray:
+    """Tensor of the partials of ``jet`` taking one variable from each axis."""
+    nv = jet.space.nvars
+    values = [jet.partial(unit_index(nv, *vs)) for vs in itertools.product(*axes)]
+    return np.array(values).reshape([len(axis) for axis in axes])
 
 
 @dataclass
@@ -150,13 +148,21 @@ class AutoparallelChart:
                 f"|xt| = {r:.4g} exceeds the chart trust radius {self.radius_hint:.4g}"
             )
 
-    def _forward_state(self, xt: np.ndarray, yt: np.ndarray) -> np.ndarray:
-        if self.kind == "extended":
-            return exp_map(self.connection, self.base, xt, yt, self.controls).as_state()
-        end, dxdu, _, _, _ = exp_map_with_jacobian(
-            self.connection, self.base, xt, yt, wrt="u", controls=self.controls
+    def _image_jets(self, xt, yt, space: JetSpace, u_seed: int, v_seed: int | None = None):
+        """The image of (xt + du, yt + dv) as jets in ``space``, valid to its
+        order for the extended kind and to one order less for the standard
+        kind; the seeds are placed as in :func:`exp_map_jets`."""
+        n = self.dimension
+        x, y = exp_map_jets(
+            self.connection, self.base, xt, yt, space, u_seed, v_seed, self.controls
         )
-        return np.concatenate([end.x, dxdu @ yt])
+        xs = [TaylorJet(space, space.order, c) for c in x]
+        if self.kind == "extended":
+            return xs, [TaylorJet(space, space.order, c) for c in y]
+        # y = (dx/dxt) yt, with yt itself a jet when it is seeded
+        fiber = yt if v_seed is None else [space.variable(v_seed + i, yt[i]) for i in range(n)]
+        ys = [sum(xs[a].deriv(u_seed + i) * fiber[i] for i in range(n)) for a in range(n)]
+        return xs, ys
 
     def to_manifold(self, xt, yt) -> TangentBundlePoint:
         """Map chart coordinates to the bundle point they label."""
@@ -187,10 +193,11 @@ class AutoparallelChart:
     def _forward_with_update_matrix(self, z: np.ndarray):
         """Forward state at z = (xt, yt) plus a Newton update matrix.
 
-        For the extended kind the matrix is the exact variational-flow
-        Jacobian; for the standard kind the fiber rows are borrowed from the
-        extended map, which matches the true Jacobian to O(|xt|) — a
-        quasi-Newton update that stays contractive inside the trust region.
+        For the extended kind the matrix is the exact flow Jacobian (of the
+        order-1 Taylor-mode flow); for the standard kind the fiber rows are
+        borrowed from the extended map, which matches the true Jacobian to
+        O(|xt|) — a quasi-Newton update that stays contractive inside the
+        trust region.
         """
         n = self.dimension
         end, dxdu, dydu, dxdv, dydv = exp_map_with_jacobian(
@@ -209,9 +216,9 @@ class AutoparallelChart:
         target = p.as_state()
         z = self._newton_seed(p)
 
+        state, update = self._forward_with_update_matrix(z)
         res = np.inf
         for _ in range(cfg.max_iterations):
-            state, update = self._forward_with_update_matrix(z)
             F = state - target
             res = float(np.abs(F).max())
             if res <= cfg.tolerance:
@@ -224,15 +231,16 @@ class AutoparallelChart:
                 ) from err
             lam = 1.0
             for _ in range(_MAX_BACKTRACKS):
+                # a trial carries its Newton matrix, so the accepted one seeds
+                # the next iteration without a second integration
                 z_try = z + lam * step
                 try:
-                    res_try = float(
-                        np.abs(self._forward_state(z_try[:n], z_try[n:]) - target).max()
-                    )
+                    trial = self._forward_with_update_matrix(z_try)
                 except ExcludedSetEntered:
-                    res_try = np.inf
-                if res_try < res:
+                    trial = None
+                if trial is not None and float(np.abs(trial[0] - target).max()) < res:
                     z = z_try
+                    state, update = trial
                     break
                 lam *= cfg.damping
             else:
@@ -344,42 +352,21 @@ class AutoparallelChart:
         change: with forward blocks (Xx, Xy, Yx, Yy) of (x, y) w.r.t.
         (xt, yt), the coefficients are the dxt-part of the transformed form,
             Ntilde = (inverse Jacobian, yt-y block) @ (Yx + N(image) Xx).
-        All blocks come from the integrated map, never from the center
-        identities being verified.
+        All blocks come from the integrated map (an order-1 flow for the
+        extended kind, order 2 for the standard kind, whose fiber coordinate
+        is itself a derivative), never from the center identities being
+        verified.
         """
         xt = np.asarray(xt, dtype=float)
         yt = np.asarray(yt, dtype=float)
         self._check_trust(xt)
-        conn = self.connection
         n = self.dimension
-
-        end, dxdu, dydu, dxdv, dydv = exp_map_with_jacobian(
-            conn, self.base, xt, yt, wrt="uv", controls=self.controls
+        space = JetSpace.get(2 * n, 1 if self.kind == "extended" else 2)
+        xs, ys = self._image_jets(xt, yt, space, u_seed=0, v_seed=n)
+        img = bundle_point([j.value for j in xs], [j.value for j in ys])
+        forward = np.array(
+            [[j.partial(unit_index(2 * n, k)) for k in range(2 * n)] for j in xs + ys]
         )
-        if self.kind == "extended":
-            img = end
-            xx, xy, yx, yy = dxdu, dxdv, dydu, dydv
-        else:
-            img = bundle_point(end.x, dxdu @ yt)
-            xx, xy = dxdu, dxdv
-            h1, h2 = JACOBIAN_FD_STEPS
-
-            def y_of_xt(w):
-                _, jac, _, _, _ = exp_map_with_jacobian(
-                    conn, self.base, w, yt, wrt="u", controls=self.controls
-                )
-                return jac @ yt
-
-            def y_of_yt(w):
-                _, jac, _, _, _ = exp_map_with_jacobian(
-                    conn, self.base, xt, w, wrt="u", controls=self.controls
-                )
-                return jac @ w
-
-            yx = richardson_gradient(y_of_xt, xt, h1, h2)
-            yy = richardson_gradient(y_of_yt, yt, h1, h2)
-
-        forward = np.block([[xx, xy], [yx, yy]])
         cond = float(np.linalg.cond(forward))
         if not np.isfinite(cond) or cond > JACOBIAN_CONDITION_LIMIT:
             raise SingularJacobian(
@@ -388,10 +375,10 @@ class AutoparallelChart:
             )
         inverse = np.linalg.inv(forward)
         try:
-            n_img = conn.coefficients(img)
+            n_img = self.connection.coefficients(img)
         except (NearZeroDirection, NearDegenerateMetric) as err:
             raise ExcludedSetEntered(f"image point left the admissible set: {err}") from err
-        return inverse[n:, n:] @ (yx + n_img @ xx)
+        return inverse[n:, n:] @ (forward[n:, :n] + n_img @ forward[:n, :n])
 
     def _require_lagrangian(self):
         if self.connection.lagrangian is None:
@@ -400,34 +387,37 @@ class AutoparallelChart:
             )
         return self.connection.lagrangian
 
-    def _hessian_xt(self, yt: np.ndarray) -> np.ndarray:
-        """xt-Hessian of the scalar function the chart induces from L."""
-        model = self._require_lagrangian()
+    def _lagrangian_jet(self, yt: np.ndarray, space: JetSpace, u_seed: int, v_seed=None):
+        """L at the chart image of (du, yt + dv) as a jet in ``space``."""
+        xs, ys = self._image_jets(np.zeros(self.dimension), yt, space, u_seed, v_seed)
+        jet = self._require_lagrangian()(xs, ys)
+        if not np.isfinite(jet.c).all():
+            raise NonFiniteField("Lagrangian jet in the chart is not finite")
+        return jet
 
-        def f(xt):
-            return model.evaluate(self.to_manifold(xt, yt))
-
-        h1, h2 = LAGRANGIAN_FD_STEPS
-        return richardson_hessian(f, np.zeros(self.dimension), h1, h2)
+    def _xt_jet(self, yt: np.ndarray):
+        """L at the chart image of (dxt, yt), valid to order 2 in dxt."""
+        # the standard kind's fiber coordinate costs one order of x
+        space = JetSpace.get(self.dimension, 2 if self.kind == "extended" else 3)
+        return self._lagrangian_jet(yt, space, 0)
 
     def lagrangian_in_chart(self, yt) -> ChartLagrangian:
         """Value, xt-gradient and xt-Hessian of the Lagrangian at xt = 0."""
         yt = np.asarray(yt, dtype=float)
         model = self._require_lagrangian()
+        xts = range(self.dimension)
         value = model.evaluate(bundle_point(self.base, yt))
-
-        def f(xt):
-            return model.evaluate(self.to_manifold(xt, yt))
-
-        h1, h2 = LAGRANGIAN_FD_STEPS
-        grad = richardson_gradient(f, np.zeros(self.dimension), h1, h2)
-        return ChartLagrangian(value=value, grad_xt=grad, hess_xt=self._hessian_xt(yt))
+        jet = self._xt_jet(yt)
+        return ChartLagrangian(
+            value=value, grad_xt=_partials(jet, xts), hess_xt=_partials(jet, xts, xts)
+        )
 
     def _w_matrix(self, yv: np.ndarray) -> np.ndarray:
         """Inverse fiber metric contracted with the xt-Hessian at (0, yv)."""
         model = self._require_lagrangian()
         g = model.l_metric(bundle_point(self.base, yv))
-        return np.linalg.solve(g, self._hessian_xt(yv))
+        xts = range(self.dimension)
+        return np.linalg.solve(g, _partials(self._xt_jet(yv), xts, xts))
 
     def curvature_in_chart(self, yt) -> np.ndarray:
         """Curvature tensor at the chart center from in-chart data only.
@@ -435,13 +425,29 @@ class AutoparallelChart:
         Standard kind only: the xt-Hessian of the induced Lagrangian is
         contracted with the inverse fiber metric and antisymmetrized after a
         fiber derivative, R[a, b, c] = (dW[a, b, c] - dW[a, c, b]) / 2 with
-        W the contracted Hessian.  No connection coefficients enter.
+        W the contracted Hessian.  No connection coefficients enter.  The
+        Hessian and its fiber derivative come from one flow in the seeds
+        (dyt, dxt), order 4 with dyt-degree <= 1, which holds the Lagrangian
+        jet to order 3.
         """
         if self.kind != "standard":
             raise FinslerKitError("curvature reconstruction needs the standard kind")
         yt = np.asarray(yt, dtype=float)
-        h1, h2 = FIBER_FD_STEPS
-        dw = richardson_gradient(self._w_matrix, yt, h1, h2)
+        model = self._require_lagrangian()
+        n = self.dimension
+        # seeds (dyt, dxt): variables 0..n-1, then n..2n-1
+        jet = self._lagrangian_jet(yt, JetSpace.get(2 * n, 4, n, 1), n, 0)
+        yts, xts = range(n), range(n, 2 * n)
+        hess = _partials(jet, xts, xts)
+        dhess = _partials(jet, xts, xts, yts)
+        p = bundle_point(self.base, yt)
+        g = model.l_metric(p)
+        fibers = range(n, 2 * n)  # the y-variables of L's own (x, y) jet
+        dg = 0.5 * _partials(model.taylor(p, 3), fibers, fibers, fibers)
+        # W = g^{-1} H, so d_c W = g^{-1} (d_c H - d_c g W)
+        w = np.linalg.solve(g, hess)
+        rhs = dhess - np.einsum("amc,mb->abc", dg, w)
+        dw = np.linalg.solve(g, rhs.reshape(n, n * n)).reshape(n, n, n)
         return 0.5 * (dw - np.transpose(dw, (0, 2, 1)))
 
     # -- audit / export ----------------------------------------------------------

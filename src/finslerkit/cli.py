@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class RunConfig:
     seed: int = 0
     output: str | None = None
     format: str = "json"
-    extra: dict = field(default_factory=dict)
+    series_order: int | None = None
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
@@ -97,14 +97,6 @@ def _require_dim(model, name, vec) -> np.ndarray:
             f"--{name} has {len(vec)} components, model has dimension {model.dimension}"
         )
     return vec
-
-
-def _default_base(model) -> np.ndarray:
-    dom = model.domain or {}
-    n = model.dimension
-    lo = np.asarray(dom.get("x_min", [-1.0] * n), float)
-    hi = np.asarray(dom.get("x_max", [1.0] * n), float)
-    return 0.5 * (lo + hi)
 
 
 # -- subcommand bodies ----------------------------------------------------------
@@ -201,8 +193,8 @@ def _cmd_expmap(cfg: RunConfig) -> int:
 
 def _cmd_chart(cfg: RunConfig) -> int:
     model = load_model(cfg.model)
-    base = cfg.base if cfg.base is not None else _default_base(model)
-    base = _require_dim(model, "base", base)
+    lo, hi = model.domain_box()
+    base = _require_dim(model, "base", 0.5 * (lo + hi) if cfg.base is None else cfg.base)
     xt = _require_dim(model, "x-tilde", cfg.x_tilde)
     yt = _require_dim(model, "y-tilde", cfg.y_tilde)
     conn = GeneralConnection.cartan(model)
@@ -214,7 +206,7 @@ def _cmd_chart(cfg: RunConfig) -> int:
         return 0
     doc = {"schema_version": SCHEMA_VERSION, "command": "chart", "model": cfg.model}
     doc.update(chart.record(xt, yt))
-    order = cfg.extra.get("series_order")
+    order = cfg.series_order
     if order:
         approx = chart.series_forward(xt, yt, order)
         doc["series"] = {
@@ -330,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    extra = {}
-    if getattr(args, "series_order", None):
-        extra["series_order"] = args.series_order
     return RunConfig(
         command=args.command,
         model=args.model,
@@ -353,7 +342,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         output=args.output,
         format=getattr(args, "format", "json"),
-        extra=extra,
+        series_order=getattr(args, "series_order", None),
     )
 
 

@@ -66,13 +66,14 @@ def _spray(model: FinslerLagrangian, point: TangentBundlePoint, order: int):
     """L-metric jets g, their values g0 and the spray jets g^{-1} rhs.
 
     The spray is valid to ``order + 1`` (N is its fiber derivative, valid to
-    ``order``).  L is built with x-degree <= min(order, 1) + 1, which keeps g
-    exact on x-degree <= min(order, 1) + 1 and the spray (hence N) exact on
-    x-degree <= min(order, 1): every x-slot the callers read.
+    ``order``).  L is built with x-degree <= k + 1 for k = max(min(order, 1),
+    order - 1), which keeps g exact on x-degree <= k + 1 and the spray (hence
+    N) exact on x-degree <= k: every x-slot the callers read.  (Evaluations
+    read x-degree <= min(order, 1), a Taylor-mode flow x-degree <= order - 1.)
     """
     n = model.dimension
     point.require_nonzero_direction()
-    L = model.taylor(point, order + 3, x_order=min(order, 1) + 1)
+    L = model.taylor(point, order + 3, x_order=max(min(order, 1), order - 1) + 1)
     ys = [L.space.variable(n + i, point.y[i]) for i in range(n)]
 
     dL_x = [L.deriv(p) for p in range(n)]
@@ -126,6 +127,10 @@ class DeepConnectionEval(ConnectionEval):
     ddN_xy: np.ndarray = None
     ddN_yy: np.ndarray = None
     delta_dN: np.ndarray = None
+    # taylor[a, b, k, i]: Taylor coefficients at slot i of JetSpace.get(2n,
+    # order) of N^a_b (k = 0) and of d/dy^c N^a_b (k = 1 + c), exact on the
+    # x-degrees _spray names
+    taylor: np.ndarray = None
 
 
 class GeneralConnection:
@@ -190,8 +195,8 @@ class GeneralConnection:
         """N^a_b as an n x n nested list of jets valid to ``order``.
 
         For a canonical connection the jets are exact on the slots of
-        x-degree <= min(order, 1), the only x-derivatives of N any caller
-        reads; their higher x-slots are truncated (see :func:`_spray`).
+        x-degree the callers of that order read; their higher x-slots are
+        truncated (see :func:`_spray`).
         """
         n = self.dimension
         if self._explicit_fn is not None:
@@ -230,58 +235,58 @@ class GeneralConnection:
 
     def evaluate(self, point: TangentBundlePoint) -> ConnectionEval:
         """N with exact first x/y-derivatives, horizontal derivative, curvature."""
-        return self._cached(point, deep=False)
+        return self._cached(point, 1)
 
-    def evaluate_deep(self, point: TangentBundlePoint) -> DeepConnectionEval:
-        """Like :meth:`evaluate` plus exact second derivatives of N."""
-        return self._cached(point, deep=True)
+    def evaluate_deep(self, point: TangentBundlePoint, order: int = 2) -> DeepConnectionEval:
+        """Like :meth:`evaluate` plus exact second derivatives of N; an
+        ``order`` above 2 carries N's jet (``taylor``) further for flows."""
+        return self._cached(point, order)
 
-    def _cached(self, point, deep):
+    def _cached(self, point, order):
         # flows probing a stationary bundle point hammer the same argument;
-        # a small memo makes those re-evaluations free
-        key = (point.x.tobytes(), point.y.tobytes(), deep)
+        # a small memo makes those re-evaluations free.  Its hits are one flow
+        # apart at most, and a deep entry holds N's jet (29 KB on quartic4d),
+        # so it keeps few entries.
+        key = (point.x.tobytes(), point.y.tobytes(), order)
         hit = self._eval_cache.get(key)
         if hit is None:
-            if len(self._eval_cache) > 256:
+            if len(self._eval_cache) > 64:
                 self._eval_cache.clear()
-            hit = self._assemble(point, deep=deep)
+            hit = self._assemble(point, order)
             self._eval_cache[key] = hit
         return hit
 
-    def _assemble(self, point, deep: bool):
+    def _assemble(self, point, order: int):
         n = self.dimension
-        njets = self.n_jets(point, 2 if deep else 1)
-        idx = njets[0][0].space.index_of
-        N = np.empty((n, n))
-        dN_x = np.empty((n, n, n))
-        dN_y = np.empty((n, n, n))
-        for a in range(n):
-            for b in range(n):
-                c_arr = njets[a][b].c
-                N[a, b] = c_arr[0]
-                for c in range(n):
-                    dN_x[a, b, c] = c_arr[idx[unit_index(2 * n, c)]]
-                    dN_y[a, b, c] = c_arr[idx[unit_index(2 * n, n + c)]]
+        njets = self.n_jets(point, order)
+        # the slots of degree <= order lead the space of every N jet
+        space = JetSpace.get(2 * n, order)
+        taylor = np.array([[jet.c[: space.size] for jet in row] for row in njets])
+        if order >= 2:  # flows compose N together with its fiber derivatives
+            fiber = [space.derivative(taylor, n + c) for c in range(n)]
+            stack = np.stack([taylor] + fiber, axis=2)
+            taylor = stack[:, :, 0]
 
+        def partials(*slot_lists):
+            idx = np.array([space.index_of[unit_index(2 * n, *sl)] for sl in slot_lists])
+            return taylor[:, :, idx] * space.factorials[idx]
+
+        N = taylor[:, :, 0]
+        dN_x = partials(*((c,) for c in range(n)))
+        dN_y = partials(*((n + c,) for c in range(n)))
         delta_N = dN_x - np.einsum("mc,abm->abc", N, dN_y)
         R = delta_N - np.transpose(delta_N, (0, 2, 1))
 
-        if not deep:
+        if order < 2:
             return ConnectionEval(point, N, dN_x, dN_y, delta_N, R)
 
-        ddN_xy = np.empty((n, n, n, n))
-        ddN_yy = np.empty((n, n, n, n))
-        for a in range(n):
-            for b in range(n):
-                jet = njets[a][b]
-                for c in range(n):
-                    for d in range(n):
-                        ddN_xy[a, b, c, d] = jet.partial(unit_index(2 * n, n + c, d))
-                        ddN_yy[a, b, c, d] = jet.partial(unit_index(2 * n, n + c, n + d))
-
+        cd = [(c, d) for c in range(n) for d in range(n)]
+        ddN_xy = partials(*((n + c, d) for c, d in cd)).reshape(n, n, n, n)
+        ddN_yy = partials(*((n + c, n + d) for c, d in cd)).reshape(n, n, n, n)
         delta_dN = ddN_xy - np.einsum("md,abcm->abcd", N, ddN_yy)
         return DeepConnectionEval(
-            point, N, dN_x, dN_y, delta_N, R, ddN_xy=ddN_xy, ddN_yy=ddN_yy, delta_dN=delta_dN
+            point, N, dN_x, dN_y, delta_N, R,
+            ddN_xy=ddN_xy, ddN_yy=ddN_yy, delta_dN=delta_dN, taylor=stack,
         )
 
     def berwald(self, point: TangentBundlePoint) -> np.ndarray:

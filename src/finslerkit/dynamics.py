@@ -9,10 +9,14 @@ Two flavours of curve are integrated:
   whose state is (x, y, u) and whose time-one map is the exponential map
   EXP(u, v) = (x(1), y(1)) anchored at (x0, v).
 
-The first variational equations ride along on demand: for requested seed
-columns J(0) the block system J' = A(t) J is integrated with the exact
-A assembled from second derivatives of N, giving flow Jacobians to
-integrator accuracy (no finite differencing of the flow).
+Flow derivatives come from Taylor-mode flows: the state (x, y, u) is carried
+as truncated Taylor jets in seed variables (directions in u and v) through the
+same DP5 steps, every jet slot inside the error norm, so derivatives of the
+time-one map of any order come out exact to integrator accuracy (internal
+differentiation, Hairer, Norsett & Wanner, *Solving ODEs I*; truncated Taylor
+arithmetic, Griewank & Walther, *Evaluating Derivatives*).  The right-hand
+side composes N's (x, y)-jet at the primal point with the state's deviation
+jets; no finite differencing of the flow and no hand-built variational matrix.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .bundle import (
 from .connection import GeneralConnection
 from .errors import ExcludedSetEntered, NearDegenerateMetric, NearZeroDirection
 from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, OdeSolution, solve_ode
+from .jets import JetSpace, compose, unit_index
 
 
 @dataclass
@@ -272,6 +277,14 @@ class ExpDerivatives:
     d3x_duuu: np.ndarray
 
 
+def _sym_triple(t: np.ndarray) -> np.ndarray:
+    """Symmetrize an (n, n, n, n) tensor over its last three slots."""
+    out = np.zeros_like(t)
+    for perm in [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]:
+        out += np.transpose(t, (0,) + perm)
+    return out / 6.0
+
+
 def exp_derivatives(conn: GeneralConnection, base, v) -> ExpDerivatives:
     """Derivative blocks of the exponential map at (0, v), from one deep eval.
 
@@ -289,11 +302,6 @@ def exp_derivatives(conn: GeneralConnection, base, v) -> ExpDerivatives:
     d2y = 0.5 * (term + np.transpose(term, (0, 2, 1)))
 
     raw = -deep.delta_dN + 2.0 * np.einsum("qbr,rdc->qbcd", deep.dN_y, deep.dN_y)
-    d3x = np.zeros((n, n, n, n))
-    perms = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
-    for perm in perms:
-        d3x += np.transpose(raw, (0,) + perm)
-    d3x /= 6.0
 
     return ExpDerivatives(
         dx_du=eye,
@@ -302,79 +310,86 @@ def exp_derivatives(conn: GeneralConnection, base, v) -> ExpDerivatives:
         dy_dv=eye,
         d2x_duu=d2x,
         d2y_duu=d2y,
-        d3x_duuu=d3x,
+        d3x_duuu=_sym_triple(raw),
     )
 
 
-# -- variational flow ----------------------------------------------------------
+# -- Taylor-mode flow -----------------------------------------------------------
 
 
-def _variational_matrix(deep, u: np.ndarray, n: int) -> np.ndarray:
-    """A(z) with z = (x, y, u) for the horizontal autoparallel field."""
-    A = np.zeros((3 * n, 3 * n))
-    A[0:n, 2 * n : 3 * n] = np.eye(n)
-    # y' = -N(x, y) u
-    A[n : 2 * n, 0:n] = -np.einsum("abc,b->ac", deep.dN_x, u)
-    A[n : 2 * n, n : 2 * n] = -np.einsum("abc,b->ac", deep.dN_y, u)
-    A[n : 2 * n, 2 * n :] = -deep.N
-    # u' = -(d/dy^c N^a_b) u^b u^c
-    A[2 * n :, 0:n] = -np.einsum("abcd,b,c->ad", deep.ddN_xy, u, u)
-    A[2 * n :, n : 2 * n] = -np.einsum("abcd,b,c->ad", deep.ddN_yy, u, u)
-    A[2 * n :, 2 * n :] = -(
-        np.einsum("adb,b->ad", deep.dN_y, u) + np.einsum("abd,b->ad", deep.dN_y, u)
-    )
-    return A
+def _jet_rhs(conn: GeneralConnection, space: JetSpace, at_rest: bool):
+    """Horizontal field on a state of jets in ``space``, laid out as
+    (space.size, 3n): one row (x, y, u) per slot, the primal row first.
+
+    y' = -N(x, y) u and u' = -dN/dy^c(x, y) u u^c are composed to the space
+    order m from N's (x, y)-jet at the primal point.  That takes N to order
+    m + 1; a primal at rest (u = 0, so the u jets start at order 1) needs one
+    order less.
+    """
+    n = conn.dimension
+    m = space.order
+    order = max(2, m if at_rest else m + 1)
+    nspace = JetSpace.get(2 * n, order)
+
+    def rhs(t, z):
+        state = z.reshape(space.size, 3 * n).T
+        x, y, u = state[:n], state[n : 2 * n], state[2 * n :]
+        try:
+            ev = conn.evaluate_deep(bundle_point(x[:, 0], y[:, 0]), order)
+        except (NearZeroDirection, NearDegenerateMetric) as err:
+            _reraise_excluded(err)
+        dev = state[: 2 * n].copy()
+        dev[:, 0] = 0.0
+        # N[a, b] and dN[a, b, c] = d/dy^c N^a_b along the state jets
+        composed = compose(ev.taylor, nspace, dev, space)
+        dN_u = space.product(composed[:, :, 1:], u[None, None], m).sum(axis=2)
+        # y' = -N u and u' = -(dN u) u in one product
+        both = space.product(np.stack([composed[:, :, 0], dN_u]), u[None, None], m)
+        ydot, udot = -both.sum(axis=2)
+        return np.concatenate([u, ydot, udot]).T.ravel()
+
+    return rhs
 
 
-def flow_with_jacobian(
+def exp_map_jets(
     conn: GeneralConnection,
-    x0,
+    base,
     u,
     v,
-    seeds: np.ndarray,
-    t_end: float = 1.0,
+    space: JetSpace,
+    u_seed: int | None = None,
+    v_seed: int | None = None,
     controls: IntegrationControls | None = None,
 ):
-    """Integrate the horizontal flow plus J' = A J for the given seed columns.
+    """EXP(u + du, v + dv) as truncated Taylor jets in the seed variables.
 
-    ``seeds`` is a (3n, k) matrix of initial-condition derivatives.  Returns
-    ``(solution, k)``; the state layout is (x, y, u, J.flat).
+    u's components are seeded as the variables ``u_seed`` .. ``u_seed + n - 1``
+    of ``space`` and v's from ``v_seed``; ``None`` keeps that argument fixed.
+    Returns (x, y), each an (n, space.size) array of jet coefficients of the
+    time-one point, valid to ``space.order``.
     """
     controls = controls or IntegrationControls()
     n = conn.dimension
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if seeds.shape[0] != 3 * n:
-        raise ValueError(f"seed columns must have 3n = {3 * n} rows")
-    k = seeds.shape[1]
-
-    def rhs(t, z):
-        x, y, uu = z[:n], z[n : 2 * n], z[2 * n : 3 * n]
-        J = z[3 * n :].reshape(3 * n, k)
-        try:
-            deep = conn.evaluate_deep(bundle_point(x, y))
-        except (NearZeroDirection, NearDegenerateMetric) as err:
-            _reraise_excluded(err)
-        base = np.concatenate(
-            [uu, -deep.N @ uu, -np.einsum("abc,b,c->a", deep.dN_y, uu, uu)]
-        )
-        A = _variational_matrix(deep, uu, n)
-        return np.concatenate([base, (A @ J).ravel()])
-
-    z0 = np.concatenate(
-        [np.asarray(x0, float), np.asarray(v, float), np.asarray(u, float), seeds.ravel()]
-    )
+    u = np.asarray(u, float)
+    z0 = np.zeros((space.size, 3 * n))
+    z0[0] = np.concatenate([np.asarray(base, float), np.asarray(v, float), u])
+    for seed, col in ((v_seed, n), (u_seed, 2 * n)):
+        if seed is not None:
+            for i in range(n):
+                z0[space.index_of[unit_index(space.nvars, seed + i)], col + i] = 1.0
     sol = solve_ode(
-        rhs,
+        _jet_rhs(conn, space, at_rest=not u.any()),
         0.0,
-        z0,
-        t_end,
+        z0.ravel(),
+        1.0,
         rtol=controls.rtol,
         atol=controls.atol,
         guard=_guard_for(conn, n, slice(n, 2 * n)),
         max_steps=controls.max_steps,
         first_step=controls.first_step,
     )
-    return sol, k
+    state = sol.state_end.reshape(space.size, 3 * n).T.copy()
+    return state[:n], state[n : 2 * n]
 
 
 def exp_map_with_jacobian(
@@ -387,31 +402,22 @@ def exp_map_with_jacobian(
 ):
     """EXP(u, v) together with exact blocks of its (u, v)-Jacobian.
 
-    ``wrt``: "u", "v" or "uv" selects which directional seeds to carry.
+    ``wrt``: "u", "v" or "uv" selects which directional seeds to carry; the
+    blocks are the linear slots of the order-1 Taylor-mode flow.
     Returns (endpoint, dxdu, dydu, dxdv, dydv) with unused blocks None.
     """
     n = conn.dimension
-    cols = []
-    if "u" in wrt:
-        su = np.zeros((3 * n, n))
-        su[2 * n :, :] = np.eye(n)
-        cols.append(su)
-    if "v" in wrt:
-        sv = np.zeros((3 * n, n))
-        sv[n : 2 * n, :] = np.eye(n)
-        cols.append(sv)
-    seeds = np.hstack(cols)
-    sol, k = flow_with_jacobian(conn, base, u, v, seeds, 1.0, controls)
-    zf = sol.state_end
-    endpoint = bundle_point(zf[:n], zf[n : 2 * n])
-    J = zf[3 * n :].reshape(3 * n, k)
-    dxdu = dydu = dxdv = dydv = None
-    col = 0
-    if "u" in wrt:
-        dxdu = J[:n, col : col + n]
-        dydu = J[n : 2 * n, col : col + n]
-        col += n
-    if "v" in wrt:
-        dxdv = J[:n, col : col + n]
-        dydv = J[n : 2 * n, col : col + n]
+    space = JetSpace.get(n * len(wrt), 1)
+    u_seed = 0 if "u" in wrt else None
+    v_seed = (n if "u" in wrt else 0) if "v" in wrt else None
+    x, y = exp_map_jets(conn, base, u, v, space, u_seed, v_seed, controls)
+    endpoint = bundle_point(x[:, 0], y[:, 0])
+
+    def blocks(seed):
+        if seed is None:
+            return None, None
+        slots = [space.index_of[unit_index(space.nvars, seed + i)] for i in range(n)]
+        return x[:, slots], y[:, slots]
+
+    (dxdu, dydu), (dxdv, dydv) = blocks(u_seed), blocks(v_seed)
     return endpoint, dxdu, dydu, dxdv, dydv

@@ -19,7 +19,9 @@ degree <= o) are a prefix of it, and a product touches only that prefix
 (truncated Taylor arithmetic, Griewank & Walther, *Evaluating Derivatives*,
 2nd ed., SIAM 2008).  Division goes through a Newton iteration for the
 reciprocal; analytic functions (sin, exp, sqrt, ...) compose their univariate
-Taylor series with the nilpotent part via Horner's rule.
+Taylor series with the nilpotent part via Horner's rule; :func:`compose`
+applies a multivariate jet to other jets (how Taylor-mode flows push N's jet
+through their state).
 """
 
 from __future__ import annotations
@@ -170,6 +172,17 @@ class JetSpace:
                 )
             )
 
+        # monomial recursion for compose(): the slot of alpha (degree >= 1) is
+        # the slot of alpha minus its first variable v, times variable v
+        self._mono_var = np.zeros(self.size, dtype=np.intp)
+        self._mono_parent = np.zeros(self.size, dtype=np.intp)
+        for i, alpha in enumerate(self.indices[1:], start=1):
+            v = next(k for k, a in enumerate(alpha) if a)
+            self._mono_var[i] = v
+            self._mono_parent[i] = self.index_of[
+                tuple(a - (k == v) for k, a in enumerate(alpha))
+            ]
+
     @classmethod
     def get(cls, nvars: int, order: int, capped: int = 0, cap: int | None = None) -> "JetSpace":
         if capped == 0 or cap is None or cap >= order:
@@ -180,6 +193,30 @@ class JetSpace:
             space = cls(nvars, order, capped, cap)
             cls._cache[key] = space
         return space
+
+    # -- coefficient-array operations ---------------------------------------
+    #
+    # The same arithmetic as TaylorJet's, on stacks of coefficient arrays whose
+    # last axis runs over the slots of this space.
+
+    def product(self, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+        """Slot-wise jet products of ``a`` and ``b`` (broadcast against each
+        other), truncated at ``order``."""
+        ia, ib, ic = self._mul_prefix[order]
+        w = a[..., ia] * b[..., ib]
+        rows = math.prod(w.shape[:-1])
+        # one bincount over all rows: row r's slots are bins r * size + slot
+        flat = (np.arange(rows)[:, None] * self.size + ic).ravel()
+        out = np.bincount(flat, weights=w.ravel(), minlength=rows * self.size)
+        return out.reshape(w.shape[:-1] + (self.size,))
+
+    def derivative(self, c: np.ndarray, v: int) -> np.ndarray:
+        """Partial derivative in variable ``v`` of every jet in the stack ``c``
+        (``TaylorJet.deriv`` indexes its 1-d array directly: twice as fast)."""
+        src, dst, fac = self._deriv[v]
+        out = np.zeros(c.shape)
+        out[..., dst] = c[..., src] * fac
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -479,3 +516,29 @@ def eval_taylor(
     if not np.isfinite(out.c).all():
         raise NonFiniteField("field evaluation produced non-finite derivatives")
     return out
+
+
+# -- composition -------------------------------------------------------------
+
+
+def compose(coef: np.ndarray, space: JetSpace, inner: np.ndarray, out: JetSpace) -> np.ndarray:
+    """Coefficients in ``out`` of f(w0 + inner), to the order of ``out``.
+
+    ``coef[..., i]`` is the Taylor coefficient of f at ``space.indices[i]``
+    around w0 (the slots of degree <= ``out.order`` are read), and ``inner``
+    holds the ``space.nvars`` deviation jets as an (nvars, out.size) array with
+    zero constant terms.  The result is the coefficient matrix times the
+    monomials of the deviation jets, each monomial one product from a lower one.
+    """
+    order = out.order
+    count = int(np.searchsorted(space.degrees, order, side="right"))
+    mono = np.zeros((count, out.size))
+    mono[0, 0] = 1.0
+    for d in range(1, order + 1):
+        lo, hi = np.searchsorted(space.degrees[:count], [d, d + 1])
+        var = space._mono_var[lo:hi]
+        if d == 1:
+            mono[lo:hi] = inner[var]
+        else:
+            mono[lo:hi] = out.product(mono[space._mono_parent[lo:hi]], inner[var], order)
+    return coef[..., :count] @ mono

@@ -48,6 +48,27 @@ def _parse_vector(entries, n, what):
     return [ex.parse(str(entry)) for entry in entries]
 
 
+def _parse_box(domain, n):
+    """The (x_min, x_max) box of a domain block; [-1, 1]^n where it is silent."""
+    domain = {} if domain is None else domain
+    if not isinstance(domain, dict):
+        raise ModelFormatError("domain must be a mapping")
+    box = []
+    for key, default in (("x_min", -1.0), ("x_max", 1.0)):
+        entries = domain.get(key, [default] * n)
+        try:
+            bound = np.asarray(entries, dtype=float)
+        except (TypeError, ValueError):
+            bound = None
+        if bound is None or bound.shape != (n,):
+            raise ModelFormatError(f"domain {key} must be a list of {n} numbers, got {entries!r}")
+        box.append(bound)
+    lo, hi = box
+    if not (lo < hi).all():
+        raise ModelFormatError(f"domain x_min {lo.tolist()} must lie below x_max {hi.tolist()}")
+    return lo, hi
+
+
 def _check_variables(trees, n, what):
     allowed = {f"x{i + 1}" for i in range(n)} | {f"y{i + 1}" for i in range(n)}
     for tree in trees:
@@ -83,6 +104,7 @@ class FinslerLagrangian:
         self.family = family
         self.parameters = parameters or {}
         self.domain = domain
+        self._box = _parse_box(domain, dimension)
         self._evaluator = evaluator
         if evaluator is None:
             self._build_evaluator()
@@ -190,6 +212,12 @@ class FinslerLagrangian:
         if self.domain is not None:
             doc["domain"] = self.domain
         return doc
+
+    def domain_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinate box (x_min, x_max) of the model's domain, checked at
+        load; [-1, 1]^n when the document gives none."""
+        lo, hi = self._box
+        return lo.copy(), hi.copy()
 
     # -- evaluation ---------------------------------------------------------
 
@@ -418,11 +446,11 @@ class SampleSpec:
 
     @classmethod
     def for_model(cls, model: FinslerLagrangian, count: int = 200, seed: int = 0):
-        dom = model.domain or {}
+        lo, hi = model.domain_box()
         return cls(
             count=count,
             seed=seed,
-            x_min=dom.get("x_min"),
-            x_max=dom.get("x_max"),
-            y_norm=tuple(dom.get("y_norm", (0.5, 2.0))),
+            x_min=lo,
+            x_max=hi,
+            y_norm=tuple((model.domain or {}).get("y_norm", (0.5, 2.0))),
         )

@@ -34,7 +34,6 @@ from .dynamics import (
 from .jets import unit_index
 from .lagrangian import FinslerLagrangian, SampleSpec
 from .models import load_model
-from .numerics import thread_map
 
 SCHEMA_VERSION = 1
 
@@ -102,10 +101,7 @@ class _Ctx:
         return np.random.default_rng([self.seed, slot])
 
     def base_point(self) -> np.ndarray:
-        dom = self.model.domain or {}
-        n = self.dimension
-        lo = np.asarray(dom.get("x_min", [-1.0] * n), float)
-        hi = np.asarray(dom.get("x_max", [1.0] * n), float)
+        lo, hi = self.model.domain_box()
         return 0.5 * (lo + hi)
 
     def draw_fiber(self, rng, lo=0.5, hi=2.0) -> np.ndarray:
@@ -114,11 +110,8 @@ class _Ctx:
         return v * (lo + (hi - lo) * rng.random())
 
     def draw_inner_x(self, rng) -> np.ndarray:
-        dom = self.model.domain or {}
-        n = self.dimension
-        lo = np.asarray(dom.get("x_min", [-1.0] * n), float)
-        hi = np.asarray(dom.get("x_max", [1.0] * n), float)
-        return lo + (0.25 + 0.5 * rng.random(n)) * (hi - lo)
+        lo, hi = self.model.domain_box()
+        return lo + (0.25 + 0.5 * rng.random(self.dimension)) * (hi - lo)
 
     def chart(self, kind: str) -> AutoparallelChart:
         return AutoparallelChart(self.conn, self.base_point(), kind=kind, radius_hint=1.5)
@@ -498,8 +491,8 @@ def _check_chart_lagrangian_flatness(ctx: _Ctx) -> list:
 
 
 def _check_chart_hessian_curvature(ctx: _Ctx) -> list:
-    # the standard-kind Hessian costs ~4 n^2 augmented solves per sample; not
-    # worth a report row above dimension 2
+    # the standard-kind Hessian takes an order-3 flow, whose N jet comes from
+    # an order-6 L jet in 2n variables; not worth a report row above dimension 2
     if ctx.dimension > 2:
         return []
     rng = ctx.rng(9)
@@ -709,9 +702,7 @@ def run_verification(model_source, seed: int = 0, budget: str = "quick") -> dict
         flat=flat,
         heavy=model.dimension > 2 and not flat,
     )
-    # checks are independent; assembly order is the registry order either way
-    batches = thread_map(lambda check: check(ctx), _REGISTRY)
-    checks = [row for batch in batches for row in batch]
+    checks = [row for check in _REGISTRY for row in check(ctx)]
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",

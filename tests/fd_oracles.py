@@ -1,19 +1,11 @@
-"""Small numerical utilities: central differences, Richardson pairs, thread map.
+"""Finite-difference oracles: central differences and Richardson pairs.
 
-The finite-difference routines act on plain callables of a flat coordinate
-vector and know nothing about jets — they serve both as independent oracles
-in the test suite and as the derivative fallback for maps only available
-through integration.
+They act on plain callables of a flat coordinate vector and know nothing about
+jets or flows, so they serve the tests as independent checks of derivatives
+the library computes exactly.
 """
 
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
-
-THREAD_ENV_VAR = "FINSLERKIT_THREADS"
 
 
 def central_gradient(f, z: np.ndarray, h: float) -> np.ndarray:
@@ -70,22 +62,3 @@ def richardson_hessian(f, z: np.ndarray, h1: float, h2: float) -> np.ndarray:
     b = central_hessian(f, z, h2)
     r = (h1 / h2) ** 2
     return (r * b - a) / (r - 1.0)
-
-
-def configured_threads() -> int:
-    """Worker count from the environment, clamped to at least 1."""
-    raw = os.environ.get(THREAD_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def thread_map(fn, items):
-    """Order-preserving map honoring the thread-count environment variable."""
-    items = list(items)
-    workers = configured_threads()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

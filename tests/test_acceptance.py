@@ -26,7 +26,7 @@ from finslerkit.dynamics import (
 )
 from finslerkit.lagrangian import SampleSpec
 from finslerkit.models import builtin_names, load_model
-from finslerkit.verify import report_to_json, run_verification
+from finslerkit.verify import _fd_levi_civita, report_to_json, run_verification
 
 TIGHT = IntegrationControls(rtol=1e-12, atol=1e-14)
 
@@ -51,21 +51,13 @@ def conn_for(name):
     return _CONNECTIONS[name]
 
 
-def domain_box(model):
-    dom = model.domain or {}
-    n = model.dimension
-    lo = np.asarray(dom.get("x_min", [-1.0] * n), float)
-    hi = np.asarray(dom.get("x_max", [1.0] * n), float)
-    return lo, hi
-
-
 def midpoint(model):
-    lo, hi = domain_box(model)
+    lo, hi = model.domain_box()
     return 0.5 * (lo + hi)
 
 
 def inner_point(model, rng):
-    lo, hi = domain_box(model)
+    lo, hi = model.domain_box()
     return lo + (0.25 + 0.5 * rng.random(model.dimension)) * (hi - lo)
 
 
@@ -135,7 +127,7 @@ def test_c02_extended_chart_flattens_lagrangian(emit):
             worst = max(worst, np.abs(lag.grad_xt).max() / scale,
                         np.abs(lag.hess_xt).max() / scale)
     emit("extended chart kills d/dxt of L to 2nd order", worst, 1e-5,
-         "sphere2d+randers2d, 20 fibers each, FD probe")
+         "sphere2d+randers2d, 20 fibers each, flow jets")
 
 
 def test_c03_standard_chart_hessian_is_curvature_term(emit):
@@ -347,38 +339,6 @@ def test_c06_structural_identity_suite(emit):
     )
     emit("structural identities, 200 points x 5 models", residual, tolerance,
          f"worst: {label}")
-
-
-def _fd_levi_civita(model, x, h=1e-5):
-    """Christoffel symbols from polarization of L plus central differences."""
-    n = model.dimension
-
-    def metric(xv):
-        g = np.empty((n, n))
-        for a in range(n):
-            ea = np.zeros(n)
-            ea[a] = 1.0
-            for b in range(a, n):
-                eb = np.zeros(n)
-                eb[b] = 1.0
-                g[a, b] = g[b, a] = 0.5 * (
-                    model.evaluate(bundle_point(xv, ea + eb))
-                    - model.evaluate(bundle_point(xv, ea))
-                    - model.evaluate(bundle_point(xv, eb))
-                )
-        return g
-
-    dg = np.empty((n, n, n))  # dg[c][q][b] = d_c g_qb
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = h
-        dg[c] = (metric(x + e) - metric(x - e)) / (2.0 * h)
-    ginv = np.linalg.inv(metric(x))
-    gamma = np.empty((n, n, n))
-    for b in range(n):
-        for c in range(n):
-            gamma[:, b, c] = 0.5 * ginv @ (dg[b][:, c] + dg[c][:, b] - dg[:, b, c])
-    return gamma
 
 
 def test_c07_quadratic_models_reduce_to_levi_civita(emit):

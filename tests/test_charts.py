@@ -1,10 +1,13 @@
 """Autoparallel charts: center identities, series diagnostics, in-chart geometry."""
 
+import ast
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finslerkit
 from finslerkit.bundle import bundle_point
 from finslerkit.charts import (
     AutoparallelChart,
@@ -22,7 +25,8 @@ from finslerkit.errors import (
     OutsideTrustRegion,
 )
 from finslerkit.models import load_model
-from finslerkit.numerics import richardson_gradient
+
+from fd_oracles import richardson_gradient
 
 
 def chart_for(name, base, kind="extended", **kw):
@@ -417,6 +421,23 @@ def test_curvature_in_chart_flat_geometry_vanishes():
     ch = chart_for("polar2d", [1.0, 0.0], "standard")
     r_chart = ch.curvature_in_chart(np.array([0.3, 0.9]))
     assert np.abs(r_chart).max() <= 1e-6
+
+
+def test_library_takes_no_finite_differences():
+    # every derivative in the library comes from jets; differences are oracles
+    helpers = {"central_gradient", "central_hessian", "richardson_gradient", "richardson_hessian"}
+    modules = sorted(Path(finslerkit.__file__).parent.glob("*.py"))
+    assert "numerics.py" not in {path.name for path in modules}
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert not node.id.endswith("_FD_STEPS"), (path.name, node.id)
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in helpers, (path.name, node.name)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.split(".")[-1] for alias in node.names}
+                names.add((getattr(node, "module", None) or "").split(".")[-1])
+                assert not names & (helpers | {"numerics", "fd_oracles"}), path.name
 
 
 # -- quadratic Lagrangians reduce to classical normal coordinates --------------------

@@ -49,6 +49,19 @@ def test_dimension_mismatch_exits_two(capsys):
     assert "dimension" in err
 
 
+def test_malformed_domain_exits_two_naming_the_domain(tmp_path, capsys):
+    doc = {
+        "dimension": 2, "homogeneity_degree": 2, "family": "quadratic",
+        "parameters": {"metric": [["1", "0"], ["0", "1"]]},
+        "domain": {"x_min": [0.0], "x_max": [1.0, 2.0, 3.0]},
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "--model", str(path))
+    assert code == 2
+    assert "domain x_min" in err
+
+
 def test_unparsable_vector_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["connection", "--model", "builtin:polar2d", "--point", "abc",

@@ -14,10 +14,11 @@ from finslerkit.connection import (
     horizontal_derivative,
     jet_solve,
 )
-from finslerkit.jets import eval_taylor
+from finslerkit.jets import eval_taylor, unit_index
 from finslerkit.lagrangian import FinslerLagrangian, SampleSpec
 from finslerkit.models import load_model
-from finslerkit.numerics import central_gradient, central_hessian
+
+from fd_oracles import central_gradient, central_hessian
 
 MODELS = ["flat4d", "polar2d", "sphere2d", "randers2d", "quartic4d"]
 
@@ -404,3 +405,24 @@ def test_n_jets_match_full_space_on_the_slots_callers_read(name):
             ref = np.array([[[full[a][b].c[full_space.index_of[al]] for al in read]
                              for b in range(n)] for a in range(n)])
             assert mine.tobytes() == ref.tobytes(), (name, order)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_evaluation_tensors_are_the_jet_partials(name):
+    # the array extraction in _assemble against a slot-by-slot loop
+    model = load_model(f"builtin:{name}")
+    conn = GeneralConnection.cartan(model)
+    n = model.dimension
+    p = sample_points(model, 1, seed=8)[0]
+    deep = conn.evaluate_deep(p)
+    njets = conn.n_jets(p, 2)
+    for a in range(n):
+        for b in range(n):
+            jet = njets[a][b]
+            assert deep.N[a, b] == jet.value
+            for c in range(n):
+                assert deep.dN_x[a, b, c] == jet.partial(unit_index(2 * n, c))
+                assert deep.dN_y[a, b, c] == jet.partial(unit_index(2 * n, n + c))
+                for d in range(n):
+                    assert deep.ddN_xy[a, b, c, d] == jet.partial(unit_index(2 * n, n + c, d))
+                    assert deep.ddN_yy[a, b, c, d] == jet.partial(unit_index(2 * n, n + c, n + d))

@@ -13,13 +13,17 @@ from finslerkit.dynamics import (
     IntegrationControls,
     exp_derivatives,
     exp_map,
+    exp_map_jets,
     exp_map_with_jacobian,
     integrate_autoparallel,
     integrate_horizontal_autoparallel,
 )
 from finslerkit.errors import ExcludedSetEntered, NonFiniteField, StepSizeUnderflow
 from finslerkit.integrate import solve_ode
-from finslerkit.models import load_model
+from finslerkit.jets import JetSpace, unit_index
+from finslerkit.models import builtin_names, load_model
+
+from fd_oracles import richardson_hessian
 
 TIGHT = IntegrationControls(rtol=1e-12, atol=1e-13)
 
@@ -297,6 +301,142 @@ def test_exp_jacobian_from_variational_flow():
         mv = exp_map(conn, x0, u, v - e, TIGHT)
         assert np.abs((pv.x - mv.x) / (2 * h) - dxdv[:, j]).max() < 1e-7
         assert np.abs((pv.y - mv.y) / (2 * h) - dydv[:, j]).max() < 1e-7
+
+
+# -- Taylor-mode flows ----------------------------------------------------------
+
+
+def _variational_matrix(deep, u, n):
+    """A(z) of the first variational equations J' = A J of the horizontal field."""
+    A = np.zeros((3 * n, 3 * n))
+    A[0:n, 2 * n : 3 * n] = np.eye(n)
+    A[n : 2 * n, 0:n] = -np.einsum("abc,b->ac", deep.dN_x, u)
+    A[n : 2 * n, n : 2 * n] = -np.einsum("abc,b->ac", deep.dN_y, u)
+    A[n : 2 * n, 2 * n :] = -deep.N
+    A[2 * n :, 0:n] = -np.einsum("abcd,b,c->ad", deep.ddN_xy, u, u)
+    A[2 * n :, n : 2 * n] = -np.einsum("abcd,b,c->ad", deep.ddN_yy, u, u)
+    A[2 * n :, 2 * n :] = -(
+        np.einsum("adb,b->ad", deep.dN_y, u) + np.einsum("abd,b->ad", deep.dN_y, u)
+    )
+    return A
+
+
+def _variational_jacobian(conn, x0, u, v):
+    """Reference (u, v)-Jacobian of EXP from the hand-built variational system."""
+    n = conn.dimension
+
+    def rhs(t, z):
+        x, y, uu = z[:n], z[n : 2 * n], z[2 * n : 3 * n]
+        deep = conn.evaluate_deep(bundle_point(x, y))
+        base = np.concatenate([uu, -deep.N @ uu, -np.einsum("abc,b,c->a", deep.dN_y, uu, uu)])
+        J = z[3 * n :].reshape(3 * n, 2 * n)
+        return np.concatenate([base, (_variational_matrix(deep, uu, n) @ J).ravel()])
+
+    seeds = np.zeros((3 * n, 2 * n))
+    seeds[2 * n :, :n] = np.eye(n)
+    seeds[n : 2 * n, n:] = np.eye(n)
+    z0 = np.concatenate([x0, v, u, seeds.ravel()])
+    zf = solve_ode(rhs, 0.0, z0, 1.0, rtol=TIGHT.rtol, atol=TIGHT.atol).state_end
+    J = zf[3 * n :].reshape(3 * n, 2 * n)
+    return np.concatenate([zf[: 2 * n], J[: 2 * n].ravel()])
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_order_one_flow_matches_the_variational_system(name):
+    model = load_model(f"builtin:{name}")
+    conn = GeneralConnection.cartan(model)
+    n = model.dimension
+    lo, hi = model.domain_box()
+    rng = np.random.default_rng(41)
+    x0 = lo + (0.3 + 0.4 * rng.random(n)) * (hi - lo)
+    u = 0.3 * rng.standard_normal(n) / np.sqrt(n)
+    v = rng.standard_normal(n) + 0.5
+    end, dxdu, dydu, dxdv, dydv = exp_map_with_jacobian(conn, x0, u, v, controls=TIGHT)
+    mine = np.concatenate(
+        [end.x, end.y, np.block([[dxdu, dxdv], [dydu, dydv]]).ravel()]
+    )
+    ref = _variational_jacobian(conn, x0, u, v)
+    assert np.abs(mine - ref).max() <= 1e-10 * (1.0 + np.abs(ref).max())
+
+
+class _CachedExp:
+    """exp_map at (u, v) = z[:n], z[n:], memoized so every output component
+    reuses the same flows."""
+
+    def __init__(self, conn, x0):
+        self.conn, self.x0, self.cache = conn, x0, {}
+
+    def __call__(self, z):
+        key = z.tobytes()
+        if key not in self.cache:
+            n = self.conn.dimension
+            self.cache[key] = exp_map(self.conn, self.x0, z[:n], z[n:], TIGHT).as_state()
+        return self.cache[key]
+
+
+@pytest.mark.parametrize("name,x0,u,v", [
+    ("sphere2d", [1.1, 0.3], [0.25, -0.15], [0.8, -0.6]),
+    ("randers2d", [0.2, -0.3], [0.3, 0.2], [1.0, 0.4]),
+])
+def test_order_two_and_three_flow_jets_match_differences_of_exp_map(name, x0, u, v):
+    conn = conn_for(name)
+    x0, u, v = (np.asarray(a, float) for a in (x0, u, v))
+    n = 2
+    # order 2 in (u, v): every second partial of the time-one point
+    space = JetSpace.get(2 * n, 2)
+    x, y = exp_map_jets(conn, x0, u, v, space, u_seed=0, v_seed=n, controls=TIGHT)
+    flow = _CachedExp(conn, x0)
+    z0 = np.concatenate([u, v])
+    for row, comp in enumerate(np.vstack([x, y])):
+        fd = richardson_hessian(lambda z: flow(z)[row], z0, 2e-2, 1e-2)
+        jet = np.array(
+            [[comp[space.index_of[unit_index(2 * n, a, b)]] * (1.0 + (a == b))
+              for b in range(2 * n)] for a in range(2 * n)]
+        )
+        assert np.abs(jet - fd).max() <= 1e-6 * (1.0 + np.abs(fd).max())
+
+    # order 3 in u: the third derivative along a direction
+    space = JetSpace.get(n, 3)
+    x, y = exp_map_jets(conn, x0, u, v, space, u_seed=0, controls=TIGHT)
+    w = np.array([0.6, 0.8])
+    cubic = [i for i, alpha in enumerate(space.indices) if sum(alpha) == 3]
+    weights = np.array([6.0 * np.prod(w ** np.array(space.indices[i])) for i in cubic])
+
+    def third(h):
+        p = [exp_map(conn, x0, u + k * h * w, v, TIGHT).as_state() for k in (2, 1, -1, -2)]
+        return (p[0] - 2 * p[1] + 2 * p[2] - p[3]) / (2 * h**3)
+
+    fd = (4 * third(2e-2) - third(4e-2)) / 3
+    jet = np.vstack([x, y])[:, cubic] @ weights
+    assert np.abs(jet - fd).max() <= 1e-5 * (1.0 + np.abs(fd).max())
+
+
+@pytest.mark.parametrize("name,x0,v", [
+    ("sphere2d", [1.1, 0.3], [0.8, -0.6]),
+    ("randers2d", [0.2, -0.3], [1.0, 0.4]),
+    ("polar2d", [1.3, 0.2], [0.6, 0.8]),
+])
+def test_order_three_jets_at_zero_velocity_match_the_closed_form_blocks(name, x0, v):
+    conn = conn_for(name)
+    n = 2
+    space = JetSpace.get(n, 3)
+    x, y = exp_map_jets(conn, x0, np.zeros(n), v, space, u_seed=0, controls=TIGHT)
+    d = exp_derivatives(conn, x0, v)
+
+    def partials(comp, k):
+        shape = (n,) * k
+        out = np.empty(shape)
+        for idx in np.ndindex(*shape):
+            i = space.index_of[unit_index(n, *idx)]
+            out[idx] = comp[i] * space.factorials[i]
+        return out
+
+    for got, want in (
+        (np.array([partials(c, 2) for c in x]), d.d2x_duu),
+        (np.array([partials(c, 2) for c in y]), d.d2y_duu),
+        (np.array([partials(c, 3) for c in x]), d.d3x_duuu),
+    ):
+        assert np.abs(got - want).max() <= 1e-8 * (1.0 + np.abs(want).max())
 
 
 # -- trajectory container -----------------------------------------------------------

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerkit import NonFiniteField, OrderUnsupported, bundle_point, eval_jet
-from finslerkit.jets import JetSpace, TaylorJet, eval_taylor, sin, sqrt
-from finslerkit.numerics import central_gradient, richardson_hessian
+from finslerkit.jets import JetSpace, TaylorJet, compose, eval_taylor, sin, sqrt
+
+from fd_oracles import central_gradient, richardson_hessian
 
 
 def quadratic_fiber(xs, ys):
@@ -330,3 +331,42 @@ def test_capped_space_sizes_and_full_space_identity():
     assert JetSpace.get(3, 2, 0, 1) is JetSpace.get(3, 2)
     with pytest.raises(ValueError):
         JetSpace(2, 3, 3, 1)
+
+
+@st.composite
+def _composition_case(draw):
+    nin = draw(st.integers(1, 3))
+    nout = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 4))
+    capped = draw(st.integers(0, nout))
+    out = JetSpace.get(nout, order, capped, draw(st.integers(1, order)))
+    space = JetSpace.get(nin, draw(st.integers(order, order + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coef = rng.uniform(-2.0, 2.0, (2, space.size))
+    inner = rng.uniform(-2.0, 2.0, (nin, out.size))
+    inner[:, 0] = 0.0
+    return space, out, coef, inner
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_composition_case())
+def test_compose_is_the_polynomial_of_the_inner_jets(case):
+    space, out, coef, inner = case
+    got = compose(coef, space, inner, out)
+    jets = [TaylorJet(out, out.order, c) for c in inner]
+    for row, want_coef in zip(got, coef):
+        want = out.constant(0.0)
+        for i, alpha in enumerate(space.indices):
+            if sum(alpha) > out.order:
+                continue
+            term = out.constant(want_coef[i])
+            for v, k in enumerate(alpha):
+                for _ in range(k):
+                    term = term * jets[v]
+            want = want + term
+        assert np.allclose(row, want.c, rtol=1e-12, atol=1e-12)
+    # stacked products are the row-by-row jet products, bit for bit
+    stacked = out.product(inner[:, None], inner[None], out.order)
+    for a in range(len(inner)):
+        for b in range(len(inner)):
+            assert stacked[a, b].tobytes() == (jets[a] * jets[b]).c.tobytes()

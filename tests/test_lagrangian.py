@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerkit import ModelFormatError, NearZeroDirection, bundle_point
+from finslerkit import ModelFormatError, NearZeroDirection, bundle_point, verify
 from finslerkit.lagrangian import FinslerLagrangian, SampleSpec
 from finslerkit.models import BUILTIN_MODELS, load_model, save_model
-from finslerkit.numerics import richardson_hessian
+
+from fd_oracles import richardson_hessian
 
 
 def test_flat_quadratic_value():
@@ -177,6 +178,48 @@ def test_model_document_validation_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ModelFormatError):
         load_model(str(bad))
+
+
+def _box_as_written_per_site(model):
+    """The box logic each sampler and chart center once carried inline."""
+    dom = model.domain or {}
+    n = model.dimension
+    lo = np.asarray(dom.get("x_min", [-1.0] * n), float)
+    hi = np.asarray(dom.get("x_max", [1.0] * n), float)
+    return dom, lo, hi
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+def test_domain_box_draws_are_bit_identical_to_the_per_site_boxes(name):
+    model = load_model(f"builtin:{name}")
+    n = model.dimension
+    dom, lo, hi = _box_as_written_per_site(model)
+
+    spec = SampleSpec.for_model(model, count=6, seed=9)
+    ref = SampleSpec(count=6, seed=9, x_min=dom.get("x_min"), x_max=dom.get("x_max"),
+                     y_norm=tuple(dom.get("y_norm", (0.5, 2.0))))
+    ctx = verify._Ctx(name, model, None, 9, "quick", {}, False, False)
+    mine, theirs = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(6):
+        a, b = spec.draw(mine, n), ref.draw(theirs, n)
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+        inner = lo + (0.25 + 0.5 * theirs.random(n)) * (hi - lo)
+        assert ctx.draw_inner_x(mine).tobytes() == inner.tobytes()
+    assert ctx.base_point().tobytes() == (0.5 * (lo + hi)).tobytes()
+
+
+def test_domain_box_is_checked_at_load():
+    doc = dict(BUILTIN_MODELS["sphere2d"], domain={"x_min": [0.0], "x_max": [1.0, 2.0, 3.0]})
+    with pytest.raises(ModelFormatError, match="domain x_min"):
+        load_model(doc)
+    doc["domain"] = {"x_min": [0.0, 1.0], "x_max": [1.0, 1.0]}
+    with pytest.raises(ModelFormatError, match="domain x_min"):
+        load_model(doc)
+    doc["domain"] = {"x_max": [1.0, "wide"]}
+    with pytest.raises(ModelFormatError, match="domain x_max"):
+        load_model(doc)
+    lo, hi = load_model(dict(doc, domain=None)).domain_box()
+    assert lo.tolist() == [-1.0, -1.0] and hi.tolist() == [1.0, 1.0]
 
 
 def test_callable_backed_model():

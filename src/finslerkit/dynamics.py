@@ -11,7 +11,7 @@ Two flavours of curve are integrated:
 
 Flow derivatives come from Taylor-mode flows: the state (x, y, u) is carried
 as truncated Taylor jets in seed variables (directions in u and v) through the
-same DP5 steps, every jet slot inside the error norm, so derivatives of the
+same DOP853 steps, every jet slot inside the error norm, so derivatives of the
 time-one map of any order come out exact to integrator accuracy (internal
 differentiation, Hairer, Norsett & Wanner, *Solving ODEs I*; truncated Taylor
 arithmetic, Griewank & Walther, *Evaluating Derivatives*).  The right-hand
@@ -186,6 +186,28 @@ def _horizontal_rhs(conn: GeneralConnection):
     return rhs
 
 
+def _horizontal_flow(
+    conn: GeneralConnection, x0, u, v, t_end: float, controls: IntegrationControls | None
+) -> OdeSolution:
+    """Solution of the horizontal autoparallel on the state (x, y, u)."""
+    controls = controls or IntegrationControls()
+    n = conn.dimension
+    z0 = np.concatenate(
+        [np.asarray(x0, float), np.asarray(v, float), np.asarray(u, float)]
+    )
+    return solve_ode(
+        _horizontal_rhs(conn),
+        0.0,
+        z0,
+        t_end,
+        rtol=controls.rtol,
+        atol=controls.atol,
+        guard=_guard_for(conn, n, slice(n, 2 * n)),
+        max_steps=controls.max_steps,
+        first_step=controls.first_step,
+    )
+
+
 def integrate_horizontal_autoparallel(
     conn: GeneralConnection,
     x0,
@@ -199,28 +221,15 @@ def integrate_horizontal_autoparallel(
     The trajectory carries state (x, y, u); the returned samples are the
     bundle points (x, y), and the diagnostics include the largest
     horizontality residual |y' + N(x, y) x'| (scaled) of the continuous
-    extension measured at segment midpoints.
+    extension measured at segment midpoints.  That pass builds every
+    segment's interpolant, and ``field_evals`` counts its evaluations.
     """
-    controls = controls or IntegrationControls()
     n = conn.dimension
-    z0 = np.concatenate(
-        [np.asarray(x0, float), np.asarray(v, float), np.asarray(u, float)]
-    )
-    sol = solve_ode(
-        _horizontal_rhs(conn),
-        0.0,
-        z0,
-        t_end,
-        rtol=controls.rtol,
-        atol=controls.atol,
-        guard=_guard_for(conn, n, slice(n, 2 * n)),
-        max_steps=controls.max_steps,
-        first_step=controls.first_step,
-    )
+    sol = _horizontal_flow(conn, x0, u, v, t_end, controls)
 
     max_resid = 0.0
-    for t_left, hs, _ in sol.segments:
-        tm = t_left + 0.5 * hs
+    for seg in sol.segments:
+        tm = seg.t0 + 0.5 * seg.h
         z = sol(tm)
         dz = sol.derivative(tm)
         x, y = z[:n], z[n : 2 * n]
@@ -256,8 +265,9 @@ def exp_map(
     controls: IntegrationControls | None = None,
 ) -> TangentBundlePoint:
     """Time-one point of the horizontal autoparallel: EXP_base(u, v)."""
-    traj = integrate_horizontal_autoparallel(conn, base, u, v, 1.0, controls)
-    return traj.endpoint
+    n = conn.dimension
+    z = _horizontal_flow(conn, base, u, v, 1.0, controls).state_end
+    return bundle_point(z[:n], z[n : 2 * n])
 
 
 @dataclass

@@ -7,6 +7,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from finslerkit import integrate
 from finslerkit.bundle import bundle_point
 from finslerkit.connection import GeneralConnection
 from finslerkit.dynamics import (
@@ -58,14 +59,15 @@ def test_dense_output_segment_lookup_matches_bisection(t_end):
     sol = solve_ode(f, 0.0, np.array([1.0, 0.0]), t_end)
     assert len(sol.segments) > 2
     sign = 1.0 if t_end > 0 else -1.0
-    lefts = [sign * seg[0] for seg in sol.segments]
+    lefts = [sign * seg.t0 for seg in sol.segments]
     mids = 0.5 * (sol.ts[1:] + sol.ts[:-1])
     queries = list(sol.ts) + list(mids) + [-sign * 0.5, t_end + sign * 0.5]
     for t in queries:
         k = min(max(bisect_right(lefts, sign * t) - 1, 0), len(lefts) - 1)
-        assert sol._segment(float(t)) is sol.segments[k], t
+        assert sol._segment(float(t)) == k, t
     # a query exactly on an interior node starts the following segment
-    assert np.array_equal(sol(float(sol.ts[1])), sol.segments[1][2][0])
+    assert np.array_equal(sol(float(sol.ts[1])), sol.states[1])
+    assert sol.segments[1].coeffs.shape == (8, 2)  # degree 7
 
 
 def test_dense_output_of_zero_length_run():
@@ -74,6 +76,91 @@ def test_dense_output_of_zero_length_run():
     for t in (0.0, 0.5, 1.0):
         assert np.array_equal(sol(t), [1.0, 2.0])
         assert np.array_equal(sol.derivative(t), [0.0, 0.0])
+    assert sol.segments[0].coeffs.shape == (8, 2)
+    assert sol.nfev == 0
+
+
+def test_tableau_order_conditions():
+    # the quadrature conditions of an 8th-order method
+    b, c = integrate._A[12], integrate._C[:12]
+    for k in range(1, 9):
+        assert abs(b @ c ** (k - 1) - 1.0 / k) < 1e-15, k
+
+
+def test_tableau_rows_sum_to_their_nodes():
+    assert len(integrate._A) == len(integrate._C) == 16
+    for i, row in enumerate(integrate._A):
+        assert row.shape == (i,)
+        assert abs(row.sum() - integrate._C[i]) < 1e-14, i
+
+
+def test_error_rows_sum_to_zero():
+    e3 = integrate._A[12].copy()  # b minus the embedded 3rd-order weights
+    e3[[0, 8, 11]] -= integrate._BHH
+    for row in (integrate._E5, e3):
+        assert row.shape == (12,)
+        assert abs(row.sum()) < 1e-15
+
+
+def test_interpolant_matches_the_step_ends():
+    # s = 0 and s = 1 give z and z_new, with slopes f(t, z) and f(t + h, z_new)
+    f = lambda t, z: np.array([z[1], 5.0 * (1.0 - z[0] ** 2) * z[1] - z[0]])
+    sol = solve_ode(f, 0.0, np.array([2.0, 0.0]), 3.0)
+    for i, seg in enumerate(sol.segments):
+        r = sol._coefficients(i)
+        z, z_new = sol.states[i], sol.states[i + 1]
+        ends = [
+            (r[0], z),
+            (r.sum(axis=0), z_new),
+            (r[1] / seg.h, f(seg.t0, z)),
+            (np.arange(1, 8) @ r[1:] / seg.h, f(seg.t0 + seg.h, z_new)),
+        ]
+        for got, want in ends:
+            assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max()), i
+
+
+@pytest.mark.parametrize("t_end", [7.0, -7.0])
+def test_dense_output_matches_the_oscillator(t_end):
+    # z = (cos t, -sin t) at the default tolerances, forward and backward
+    f = lambda t, z: np.array([z[1], -z[0]])
+    sol = solve_ode(f, 0.0, np.array([1.0, 0.0]), t_end)
+    ts = np.linspace(0.0, t_end, 1001)
+    exact = np.stack([np.cos(ts), -np.sin(ts)], axis=1)
+    slope = np.stack([-np.sin(ts), -np.cos(ts)], axis=1)
+    values = np.array([sol(t) for t in ts])
+    derivs = np.array([sol.derivative(t) for t in ts])
+    assert np.abs(values - exact).max() < 1e-9
+    assert np.abs(derivs - slope).max() < 1e-7
+    # the same run with its segments built last to first is bitwise the same
+    again = solve_ode(f, 0.0, np.array([1.0, 0.0]), t_end)
+    assert np.array_equal(again.states, sol.states)
+    for t, v, d in zip(ts[::-1], values[::-1], derivs[::-1]):
+        assert np.array_equal(again(t), v)
+        assert np.array_equal(again.derivative(t), d)
+
+
+def test_nfev_counts_every_evaluation_and_dense_stages_are_lazy():
+    calls = 0
+
+    def f(t, z):
+        nonlocal calls
+        calls += 1
+        return np.array([z[1], 5.0 * (1.0 - z[0] ** 2) * z[1] - z[0]])
+
+    sol = solve_ode(f, 0.0, np.array([2.0, 0.0]), 10.0)
+    assert sol.nrejected > 0
+    # start-up (f at t0 and the initial-step probe), 11 stages per attempted
+    # step, the FSAL stage per accepted step, and no dense stages
+    assert sol.nfev == calls == 2 + 11 * (sol.naccepted + sol.nrejected) + sol.naccepted
+    assert all(seg.coeffs is None for seg in sol.segments)
+    t = float(sol.ts[3] + 0.25 * (sol.ts[4] - sol.ts[3]))
+    before = calls
+    sol(t)
+    assert sol.nfev == calls == before + 3
+    sol.derivative(t)
+    sol(float(sol.ts[3]))
+    assert sol.nfev == calls == before + 3
+    assert sol.segments[3].stages is None
 
 
 def test_blow_up_raises_step_underflow():
@@ -174,6 +261,30 @@ def test_horizontality_residual_is_small():
     )
     assert traj.diagnostics.max_horizontality_residual < 1e-6
     assert traj.diagnostics.rejected <= traj.diagnostics.accepted
+
+
+def test_exp_map_skips_the_residual_pass():
+    conn = conn_for("randers2d")
+    x0, u, v = np.array([0.2, -0.1]), np.array([0.8, 0.4]), np.array([1.0, -0.3])
+    calls = 0
+    coefficients = conn.coefficients
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return coefficients(p)
+
+    conn.coefficients = counted
+    p = exp_map(conn, x0, u, v)
+    assert calls == 0
+    traj = integrate_horizontal_autoparallel(conn, x0, u, v, 1.0)
+    d = traj.diagnostics
+    assert calls == d.accepted  # one residual probe per segment
+    assert np.array_equal(p.x, traj.endpoint.x)
+    assert np.array_equal(p.y, traj.endpoint.y)
+    # the residual pass built every interpolant: 3 dense stages per segment
+    assert d.field_evals == traj.solution.nfev
+    assert d.field_evals == 2 + 11 * (d.accepted + d.rejected) + 4 * d.accepted
 
 
 def test_horizontal_rescaling_property():

@@ -41,16 +41,17 @@ def jet_solve(matrix, rhs):
     """
     n = len(matrix)
     aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
+    inv = [None] * n  # pivot reciprocals; row k is final after step k
     for k in range(n):
         pivot_row = max(range(k, n), key=lambda r: abs(aug[r][k].value))
         if abs(aug[pivot_row][k].value) < 1e-300:
             raise NearDegenerateMetric("zero pivot in jet-valued linear solve")
         aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        inv = aug[k][k].reciprocal()
+        inv[k] = aug[k][k].reciprocal()
         for r in range(k + 1, n):
             if np.all(aug[r][k].c == 0.0):
                 continue
-            f = aug[r][k] * inv
+            f = aug[r][k] * inv[k]
             for c in range(k + 1, n + 1):
                 aug[r][c] = aug[r][c] - f * aug[k][c]
     out = [None] * n
@@ -58,7 +59,7 @@ def jet_solve(matrix, rhs):
         acc = aug[k][n]
         for c in range(k + 1, n):
             acc = acc - aug[k][c] * out[c]
-        out[k] = acc * aug[k][k].reciprocal()
+        out[k] = acc * inv[k]
     return out
 
 

@@ -33,13 +33,26 @@ from .bundle import (
     bundle_point,
 )
 from .connection import GeneralConnection
-from .errors import ExcludedSetEntered, NearDegenerateMetric, NearZeroDirection
+from .errors import (
+    ExcludedSetEntered,
+    NearDegenerateMetric,
+    NearZeroDirection,
+    NonFiniteField,
+)
 from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, OdeSolution, solve_ode
 from .jets import JetSpace, compose, unit_index
 
 
 @dataclass
 class IntegrationControls:
+    """Tolerances and step limits of one flow.
+
+    ``first_step`` None means the unit interval for the exponential-map flows
+    (``exp_map``, ``exp_map_jets`` and everything built on them) and Hairer's
+    starting-step estimate for flows to an arbitrary ``t_end`` (and for a
+    time-one flow that meets a point where the field fails).
+    """
+
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
     max_steps: int = 100_000
@@ -186,28 +199,6 @@ def _horizontal_rhs(conn: GeneralConnection):
     return rhs
 
 
-def _horizontal_flow(
-    conn: GeneralConnection, x0, u, v, t_end: float, controls: IntegrationControls | None
-) -> OdeSolution:
-    """Solution of the horizontal autoparallel on the state (x, y, u)."""
-    controls = controls or IntegrationControls()
-    n = conn.dimension
-    z0 = np.concatenate(
-        [np.asarray(x0, float), np.asarray(v, float), np.asarray(u, float)]
-    )
-    return solve_ode(
-        _horizontal_rhs(conn),
-        0.0,
-        z0,
-        t_end,
-        rtol=controls.rtol,
-        atol=controls.atol,
-        guard=_guard_for(conn, n, slice(n, 2 * n)),
-        max_steps=controls.max_steps,
-        first_step=controls.first_step,
-    )
-
-
 def integrate_horizontal_autoparallel(
     conn: GeneralConnection,
     x0,
@@ -224,8 +215,22 @@ def integrate_horizontal_autoparallel(
     extension measured at segment midpoints.  That pass builds every
     segment's interpolant, and ``field_evals`` counts its evaluations.
     """
+    controls = controls or IntegrationControls()
     n = conn.dimension
-    sol = _horizontal_flow(conn, x0, u, v, t_end, controls)
+    z0 = np.concatenate(
+        [np.asarray(x0, float), np.asarray(v, float), np.asarray(u, float)]
+    )
+    sol = solve_ode(
+        _horizontal_rhs(conn),
+        0.0,
+        z0,
+        t_end,
+        rtol=controls.rtol,
+        atol=controls.atol,
+        guard=_guard_for(conn, n, slice(n, 2 * n)),
+        max_steps=controls.max_steps,
+        first_step=controls.first_step,
+    )
 
     max_resid = 0.0
     for seg in sol.segments:
@@ -257,6 +262,40 @@ def integrate_horizontal_autoparallel(
     )
 
 
+def _solve_time_one(rhs, z0, guard, controls: IntegrationControls | None):
+    """``solve_ode`` on [0, 1] from a first trial step of the whole interval.
+
+    EXP(s u, v) is the time-s point of the flow from (u, v), so the step a
+    time-one flow needs is set by |u|, and error control shrinks a unit trial
+    that is too long.  A stage where the field cannot be evaluated (the
+    excluded set, or a non-finite value) gives error control nothing to judge,
+    so a flow that meets one runs again from Hairer's starting-step estimate
+    and fails only where that start fails too.  An explicit
+    ``controls.first_step`` is used as given.
+    """
+    controls = controls or IntegrationControls()
+
+    def run(first_step):
+        return solve_ode(
+            rhs,
+            0.0,
+            z0,
+            1.0,
+            rtol=controls.rtol,
+            atol=controls.atol,
+            guard=guard,
+            max_steps=controls.max_steps,
+            first_step=first_step,
+        )
+
+    if controls.first_step is not None:
+        return run(controls.first_step)
+    try:
+        return run(1.0)
+    except (ExcludedSetEntered, NonFiniteField):
+        return run(None)
+
+
 def exp_map(
     conn: GeneralConnection,
     base,
@@ -266,7 +305,11 @@ def exp_map(
 ) -> TangentBundlePoint:
     """Time-one point of the horizontal autoparallel: EXP_base(u, v)."""
     n = conn.dimension
-    z = _horizontal_flow(conn, base, u, v, 1.0, controls).state_end
+    z0 = np.concatenate(
+        [np.asarray(base, float), np.asarray(v, float), np.asarray(u, float)]
+    )
+    guard = _guard_for(conn, n, slice(n, 2 * n))
+    z = _solve_time_one(_horizontal_rhs(conn), z0, guard, controls).state_end
     return bundle_point(z[:n], z[n : 2 * n])
 
 
@@ -378,7 +421,6 @@ def exp_map_jets(
     Returns (x, y), each an (n, space.size) array of jet coefficients of the
     time-one point, valid to ``space.order``.
     """
-    controls = controls or IntegrationControls()
     n = conn.dimension
     u = np.asarray(u, float)
     z0 = np.zeros((space.size, 3 * n))
@@ -387,16 +429,11 @@ def exp_map_jets(
         if seed is not None:
             for i in range(n):
                 z0[space.index_of[unit_index(space.nvars, seed + i)], col + i] = 1.0
-    sol = solve_ode(
+    sol = _solve_time_one(
         _jet_rhs(conn, space, at_rest=not u.any()),
-        0.0,
         z0.ravel(),
-        1.0,
-        rtol=controls.rtol,
-        atol=controls.atol,
-        guard=_guard_for(conn, n, slice(n, 2 * n)),
-        max_steps=controls.max_steps,
-        first_step=controls.first_step,
+        _guard_for(conn, n, slice(n, 2 * n)),
+        controls,
     )
     state = sol.state_end.reshape(space.size, 3 * n).T.copy()
     return state[:n], state[n : 2 * n]

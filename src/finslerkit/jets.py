@@ -337,16 +337,18 @@ class TaylorJet:
             k = int(p)
             if k < 0:
                 return self.reciprocal() ** (-k)
-            result = self.space.constant(1.0)
-            result.order = self.order
-            base = self
+            if k == 0:
+                one = self.space.constant(1.0)
+                one.order = self.order
+                return one
+            result, base = None, self
             while k:
                 if k & 1:
-                    result = result * base
+                    result = base if result is None else result * base
                 k >>= 1
                 if k:
                     base = base * base
-            return result
+            return result.copy() if result is self else result
         return self._pow_real(float(p))
 
     # -- analytic functions -------------------------------------------------
@@ -355,9 +357,12 @@ class TaylorJet:
         """Horner evaluation of sum_k series[k] * (self - value)^k."""
         w = self.copy()
         w.c[0] = 0.0
-        r = self.space.constant(series[-1])
-        r.order = self.order
-        for k in range(len(series) - 2, -1, -1):
+        if len(series) == 1:  # order 0: w is zero
+            w.c[0] = series[0]
+            return w
+        r = w * series[-1]
+        r.c[0] += series[-2]
+        for k in range(len(series) - 3, -1, -1):
             r = r * w
             r.c[0] += series[k]
         return r

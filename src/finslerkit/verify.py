@@ -334,30 +334,26 @@ def _check_exp_derivative_blocks(ctx: _Ctx) -> list:
     ]
 
 
-def _fd_levi_civita(model: FinslerLagrangian, xv: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Christoffel symbols of the quadratic form's metric, by polarization + FD."""
+def _levi_civita(model: FinslerLagrangian, xv: np.ndarray) -> np.ndarray:
+    """Christoffel symbols of the quadratic form's metric, from order-1 jets.
+
+    L = g_ab(x) y^a y^b, so polarizing L's x-jets at y = e_a, e_b and
+    e_a + e_b gives g_ab and its first x-derivatives without the spray.
+    """
     n = model.dimension
+    eye = np.eye(n)
 
-    def metric(x):
-        g = np.empty((n, n))
-        for a in range(n):
-            for b in range(n):
-                ya, yb = np.zeros(n), np.zeros(n)
-                ya[a] = 1.0
-                yb[b] = 1.0
-                g[a, b] = 0.5 * (
-                    model.evaluate(bundle_point(x, ya + yb))
-                    - model.evaluate(bundle_point(x, ya))
-                    - model.evaluate(bundle_point(x, yb))
-                )
-        return g
+    def value_and_dx(y):
+        jet = model.taylor(bundle_point(xv, y), 1)
+        return np.array([jet.value] + [jet.partial(unit_index(2 * n, c)) for c in range(n)])
 
-    dg = np.empty((n, n, n))  # dg[c][q][b] = d_c g_qb
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = h
-        dg[c] = (metric(xv + e) - metric(xv - e)) / (2 * h)
-    ginv = np.linalg.inv(metric(xv))
+    single = [value_and_dx(eye[a]) for a in range(n)]
+    polar = np.array([
+        [0.5 * (value_and_dx(eye[a] + eye[b]) - single[a] - single[b]) for b in range(n)]
+        for a in range(n)
+    ])
+    dg = np.moveaxis(polar[..., 1:], 2, 0)  # dg[c][q][b] = d_c g_qb
+    ginv = np.linalg.inv(polar[..., 0])
     gamma = np.empty((n, n, n))
     for b in range(n):
         for c in range(n):
@@ -375,7 +371,7 @@ def _check_levi_civita(ctx: _Ctx) -> list:
     for _ in range(count):
         x0 = ctx.draw_inner_x(rng)
         y = ctx.draw_fiber(rng)
-        gamma = _fd_levi_civita(ctx.model, x0)
+        gamma = _levi_civita(ctx.model, x0)
         N = ctx.conn.coefficients(bundle_point(x0, y))
         gap = np.abs(np.einsum("abc,c->ab", gamma, y) - N).max()
         worst = max(worst, gap / (1.0 + np.abs(N).max()))

@@ -1,11 +1,14 @@
 """Finite-difference oracles: central differences and Richardson pairs.
 
-They act on plain callables of a flat coordinate vector and know nothing about
-jets or flows, so they serve the tests as independent checks of derivatives
-the library computes exactly.
+They act on plain callables of a flat coordinate vector, or on a model's
+point values, and know nothing about jets or flows, so they serve the tests as
+independent checks of derivatives the library computes exactly.
 """
 
 import numpy as np
+
+from finslerkit.bundle import bundle_point
+from finslerkit.lagrangian import FinslerLagrangian
 
 
 def central_gradient(f, z: np.ndarray, h: float) -> np.ndarray:
@@ -62,3 +65,34 @@ def richardson_hessian(f, z: np.ndarray, h1: float, h2: float) -> np.ndarray:
     b = central_hessian(f, z, h2)
     r = (h1 / h2) ** 2
     return (r * b - a) / (r - 1.0)
+
+
+def fd_levi_civita(model: FinslerLagrangian, xv: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Christoffel symbols of the quadratic form's metric, by polarization + FD."""
+    n = model.dimension
+
+    def metric(x):
+        g = np.empty((n, n))
+        for a in range(n):
+            for b in range(n):
+                ya, yb = np.zeros(n), np.zeros(n)
+                ya[a] = 1.0
+                yb[b] = 1.0
+                g[a, b] = 0.5 * (
+                    model.evaluate(bundle_point(x, ya + yb))
+                    - model.evaluate(bundle_point(x, ya))
+                    - model.evaluate(bundle_point(x, yb))
+                )
+        return g
+
+    dg = np.empty((n, n, n))  # dg[c][q][b] = d_c g_qb
+    for c in range(n):
+        e = np.zeros(n)
+        e[c] = h
+        dg[c] = (metric(xv + e) - metric(xv - e)) / (2 * h)
+    ginv = np.linalg.inv(metric(xv))
+    gamma = np.empty((n, n, n))
+    for b in range(n):
+        for c in range(n):
+            gamma[:, b, c] = 0.5 * ginv @ (dg[b][:, c] + dg[c][:, b] - dg[:, b, c])
+    return gamma

@@ -423,13 +423,38 @@ def test_curvature_in_chart_flat_geometry_vanishes():
     assert np.abs(r_chart).max() <= 1e-6
 
 
+def _central_differences(tree) -> list:
+    """Functions of ``tree`` that call one callable at both a + e and a - e."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        signs = {}
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.BinOp) and isinstance(arg.op, (ast.Add, ast.Sub)):
+                    key = (ast.dump(node.func), i, ast.dump(arg.left), ast.dump(arg.right))
+                    signs.setdefault(key, set()).add(type(arg.op))
+        if any(len(ops) == 2 for ops in signs.values()):
+            found.append(fn.name)
+    return found
+
+
 def test_library_takes_no_finite_differences():
     # every derivative in the library comes from jets; differences are oracles
     helpers = {"central_gradient", "central_hessian", "richardson_gradient", "richardson_hessian"}
+    oracles = ast.parse((Path(__file__).parent / "fd_oracles.py").read_text())
+    assert {"central_gradient", "central_hessian", "fd_levi_civita"} <= set(
+        _central_differences(oracles)
+    )
     modules = sorted(Path(finslerkit.__file__).parent.glob("*.py"))
     assert "numerics.py" not in {path.name for path in modules}
     for path in modules:
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        assert _central_differences(tree) == [], path.name
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 assert not node.id.endswith("_FD_STEPS"), (path.name, node.id)
             if isinstance(node, ast.FunctionDef):

@@ -14,7 +14,7 @@ from finslerkit.connection import (
     horizontal_derivative,
     jet_solve,
 )
-from finslerkit.jets import eval_taylor, unit_index
+from finslerkit.jets import JetSpace, TaylorJet, eval_taylor, unit_index
 from finslerkit.lagrangian import FinslerLagrangian, SampleSpec
 from finslerkit.models import load_model
 
@@ -365,6 +365,32 @@ def test_degenerate_and_zero_direction_guards():
     randers = GeneralConnection.cartan(load_model("builtin:randers2d"))
     with pytest.raises(NearZeroDirection):
         randers.coefficients(bundle_point([0.0, 0.0], [0.0, 0.0]))
+
+
+def test_jet_solve_takes_one_reciprocal_per_pivot(monkeypatch):
+    space = JetSpace.get(3, 2)
+    rng = np.random.default_rng(41)
+    n = 3
+    matrix = [[space.constant(0.0) for _ in range(n)] for _ in range(n)]
+    rhs = []
+    for a in range(n):
+        for b in range(n):
+            matrix[a][b].c[: space.size] = rng.standard_normal(space.size)
+        rhs.append(space.variable(a, rng.standard_normal()))
+    calls = 0
+    reciprocal = TaylorJet.reciprocal
+
+    def counted(jet):
+        nonlocal calls
+        calls += 1
+        return reciprocal(jet)
+
+    monkeypatch.setattr(TaylorJet, "reciprocal", counted)
+    out = jet_solve(matrix, rhs)
+    assert calls == n
+    for a in range(n):
+        back = sum((matrix[a][b] * out[b] for b in range(1, n)), matrix[a][0] * out[0])
+        assert np.abs((back - rhs[a]).c).max() < 1e-12
 
 
 def _full_space_n_jets(model, p, order):

@@ -3,11 +3,12 @@
 import csv
 import re
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finslerkit import integrate
+from finslerkit import dynamics, integrate
 from finslerkit.bundle import bundle_point
 from finslerkit.connection import GeneralConnection
 from finslerkit.dynamics import (
@@ -22,11 +23,13 @@ from finslerkit.dynamics import (
 from finslerkit.errors import ExcludedSetEntered, NonFiniteField, StepSizeUnderflow
 from finslerkit.integrate import solve_ode
 from finslerkit.jets import JetSpace, unit_index
+from finslerkit.lagrangian import SampleSpec
 from finslerkit.models import builtin_names, load_model
 
 from fd_oracles import richardson_hessian
 
 TIGHT = IntegrationControls(rtol=1e-12, atol=1e-13)
+LINE_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "line1d.json"
 
 
 def conn_for(name):
@@ -277,11 +280,19 @@ def test_exp_map_skips_the_residual_pass():
     conn.coefficients = counted
     p = exp_map(conn, x0, u, v)
     assert calls == 0
-    traj = integrate_horizontal_autoparallel(conn, x0, u, v, 1.0)
+    # same steps as exp_map: its first trial step is the unit interval
+    traj = integrate_horizontal_autoparallel(
+        conn, x0, u, v, 1.0, IntegrationControls(first_step=1.0)
+    )
     d = traj.diagnostics
     assert calls == d.accepted  # one residual probe per segment
     assert np.array_equal(p.x, traj.endpoint.x)
     assert np.array_equal(p.y, traj.endpoint.y)
+    # default controls: Hairer's start-up estimate costs one evaluation more
+    calls = 0
+    traj = integrate_horizontal_autoparallel(conn, x0, u, v, 1.0)
+    d = traj.diagnostics
+    assert calls == d.accepted
     # the residual pass built every interpolant: 3 dense stages per segment
     assert d.field_evals == traj.solution.nfev
     assert d.field_evals == 2 + 11 * (d.accepted + d.rejected) + 4 * d.accepted
@@ -412,6 +423,139 @@ def test_exp_jacobian_from_variational_flow():
         mv = exp_map(conn, x0, u, v - e, TIGHT)
         assert np.abs((pv.x - mv.x) / (2 * h) - dxdv[:, j]).max() < 1e-7
         assert np.abs((pv.y - mv.y) / (2 * h) - dydv[:, j]).max() < 1e-7
+
+
+# -- time-one flows start from the unit interval ---------------------------------
+
+REFERENCE = IntegrationControls(rtol=1e-13, atol=1e-15)
+ENDPOINT_TOL = 1e-8  # perfbench's flow-4d endpoint bound
+
+
+@pytest.fixture
+def flows(monkeypatch):
+    """The OdeSolution of every flow the dynamics module runs, in call order."""
+    sols = []
+
+    def recorded(*args, **kwargs):
+        sols.append(solve_ode(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(dynamics, "solve_ode", recorded)
+    return sols
+
+
+def _endpoint_gap(p, ref):
+    r = np.concatenate([ref.x, ref.y])
+    return np.abs(np.concatenate([p.x, p.y]) - r).max() / (1.0 + np.abs(r).max())
+
+
+@pytest.mark.parametrize("name", builtin_names() + ["line1d"])
+def test_time_one_flows_match_a_tight_run(name, flows):
+    model = load_model(str(LINE_MODEL) if name == "line1d" else f"builtin:{name}")
+    conn = GeneralConnection.cartan(model)
+    n = model.dimension
+    lo, hi = model.domain_box()
+    spec = SampleSpec(x_min=lo, x_max=hi)
+    rng = np.random.default_rng([606, n])
+    for speed in (0.05, 0.4, 2.0):
+        p = spec.draw(rng, n)
+        d = rng.standard_normal(n)
+        u = speed * d / np.linalg.norm(d)
+        ref = exp_map(conn, p.x, u, p.y, REFERENCE)
+        assert _endpoint_gap(exp_map(conn, p.x, u, p.y), ref) <= ENDPOINT_TOL
+        # the first trial is the unit interval; only a rejection shortens it
+        assert flows[-1].segments[0].h == 1.0 or flows[-1].nrejected >= 1
+        end = exp_map_with_jacobian(conn, p.x, u, p.y)[0]
+        assert _endpoint_gap(end, ref) <= ENDPOINT_TOL
+
+
+def test_a_rejected_unit_trial_shrinks_and_stays_accurate(flows):
+    conn = conn_for("randers2d")
+    x0, u, v = np.array([0.3, 0.6]), np.array([1.2, -1.4]), np.array([0.8, 0.5])
+    ref = exp_map(conn, x0, u, v, REFERENCE)
+    for run in (
+        lambda: exp_map(conn, x0, u, v),
+        lambda: exp_map_with_jacobian(conn, x0, u, v)[0],
+    ):
+        p = run()
+        sol = flows[-1]
+        assert sol.nrejected >= 1
+        # the unit trial cut by error control, at most 5x per rejection
+        assert integrate.MIN_FACTOR**sol.nrejected <= sol.segments[0].h < 1.0
+        assert _endpoint_gap(p, ref) <= ENDPOINT_TOL
+
+
+def test_a_unit_trial_with_an_excluded_stage_restarts_from_the_estimate(flows, monkeypatch):
+    # polar2d degenerates at r = 0: the unit trial's stages reach it, the
+    # flow itself passes r = 0.16 (the Cartesian chord's closest approach)
+    conn = conn_for("polar2d")
+    base, u, v = np.array([0.8, 0.0]), np.array([-2.0, 0.5]), np.array([1.0, 0.0])
+    with pytest.raises(ExcludedSetEntered):
+        exp_map(conn, base, u, v, IntegrationControls(first_step=1.0))
+    ref = exp_map(conn, base, u, v, IntegrationControls(rtol=1e-13, atol=1e-15, first_step=1e-3))
+    estimates = []
+    estimate = integrate._initial_step
+
+    def counted(*args):
+        estimates.append(estimate(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(integrate, "_initial_step", counted)
+    for run in (
+        lambda: exp_map(conn, base, u, v),
+        lambda: exp_map_with_jacobian(conn, base, u, v)[0],
+    ):
+        del estimates[:]
+        p = run()
+        assert flows[-1].segments[0].h == estimates[-1]  # the rerun's start
+        assert len(estimates) == 1
+        assert _endpoint_gap(p, ref) <= ENDPOINT_TOL
+
+
+def test_small_velocity_flow_takes_one_step(flows):
+    conn = conn_for("quartic4d")
+    base = np.array([0.2, -0.3, 0.1, 0.4])
+    u, v = 0.1 * np.array([0.5, -0.5, 0.5, 0.5]), np.array([0.6, 0.2, -0.7, 0.3])
+    exp_map(conn, base, u, v)
+    exp_map_with_jacobian(conn, base, u, v)
+    for sol in flows:
+        # one accepted step: start, 11 stages and the FSAL end point
+        assert (sol.naccepted, sol.nrejected, sol.nfev) == (1, 0, 13)
+        assert sol.segments[0].h == 1.0
+
+
+def test_explicit_first_step_is_honoured(flows):
+    conn = conn_for("randers2d")
+    x0, u, v = np.array([0.2, -0.1]), np.array([0.08, 0.04]), np.array([1.0, -0.3])
+    controls = IntegrationControls(first_step=0.25)
+    exp_map(conn, x0, u, v, controls)
+    exp_map_with_jacobian(conn, x0, u, v, controls=controls)
+    assert [sol.segments[0].h for sol in flows] == [0.25, 0.25]
+    assert controls.first_step == 0.25
+
+
+def test_flows_to_any_end_time_keep_the_starting_step_estimate(monkeypatch):
+    calls = 0
+    estimate = integrate._initial_step
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return estimate(*args)
+
+    monkeypatch.setattr(integrate, "_initial_step", counted)
+    conn = conn_for("randers2d")
+    x0, u, v = np.array([0.2, -0.1]), np.array([0.08, 0.04]), np.array([1.0, -0.3])
+    exp_map(conn, x0, u, v)
+    assert calls == 0
+    traj = integrate_horizontal_autoparallel(conn, x0, u, v, 1.0)
+    assert calls == 1
+    assert traj.solution.segments[0].h < 1.0
+    # the estimate's probe is the start's second evaluation
+    d = traj.diagnostics
+    assert d.field_evals == 2 + 11 * (d.accepted + d.rejected) + 4 * d.accepted
+    integrate_autoparallel(conn, x0, u, 1.0)
+    assert calls == 2
 
 
 # -- Taylor-mode flows ----------------------------------------------------------

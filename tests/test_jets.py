@@ -156,6 +156,35 @@ def test_integer_power_matches_repeated_product():
     assert np.allclose((u**-2).c, (u * u).reciprocal().c, atol=1e-12)
 
 
+def test_powers_and_series_multiply_no_constant_jets(monkeypatch):
+    space = JetSpace.get(2, 4)
+    u = 0.5 + space.variable(0, 0.3)
+    products = 0
+    mul = TaylorJet.__mul__
+
+    def counted(a, b):
+        nonlocal products
+        products += isinstance(b, TaylorJet)
+        return mul(a, b)
+
+    monkeypatch.setattr(TaylorJet, "__mul__", counted)
+    # binary powers: squarings plus one product per extra set bit
+    for k, expected in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
+        products = 0
+        power = u**k
+        assert products == expected, k
+        assert power is not u
+    # Horner on a degree-4 series: w times the top coefficient is a scaling
+    products = 0
+    u.exp()
+    assert products == space.order - 1
+    monkeypatch.undo()
+    assert np.array_equal((u**0).c, space.constant(1.0).c)
+    assert np.allclose((u**5).c, (u * u * u * u * u).c, atol=1e-14)
+    order0 = TaylorJet(space, 0, space.constant(0.3).c)
+    assert np.array_equal(order0.exp().c, space.constant(math.exp(0.3)).c)
+
+
 def test_half_power_matches_sqrt():
     space = JetSpace.get(2, 4)
     u = 1.5 + space.variable(1, 0.2)

@@ -5,12 +5,14 @@ fiber Lagrangian L is
 
     N^a_b = (1/4) d/dy^b [ g^{aq} ( y^p d^2L/dx^p dy^q  -  dL/dx^q ) ],
 
-with g the L-metric.  All derivatives come from the Taylor-jet engine, so a
-single jet evaluation of L at (x, y) yields N together with as many exact
-x/y-derivatives of N as the jet order affords: order 3 + k of L gives N to
-k-th derivative depth.  The inverse-metric contraction is performed by
-Gaussian elimination directly over jets (value-pivoted), so no symbolic
-inverse is ever formed.
+with g the L-metric.  All derivatives come from one Taylor jet of L at
+(x, y): order 3 + k of L gives N together with its exact x/y-derivatives to
+depth k.  Everything after L's jet is one array kernel on L's coefficient
+vector: a precomputed gather yields the jets of g and of the bracket
+y^p d^2L/dx^p dy^q - dL/dx^q, the jet of s = g^{-1}(bracket) follows degree
+by degree from the inverse of g's constant term (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13), and N = (1/4) ds/dy
+is one more gather.  No jet is inverted and no symbolic inverse is formed.
 
 Derived objects follow the usual conventions:
 
@@ -23,6 +25,7 @@ Derived objects follow the usual conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,69 +36,158 @@ from .jets import JetSpace, TaylorJet, eval_taylor, unit_index
 from .lagrangian import FinslerLagrangian
 
 
-def jet_solve(matrix, rhs):
-    """Solve M p = r by Gaussian elimination over jets, pivoting on values.
+def _x_cap(order: int) -> int:
+    """x-degree cap of the L jet behind N's jet of ``order``.
 
-    ``matrix`` is an n x n nested list of jets, ``rhs`` a length-n list; the
-    returned list holds jets of the common validity order.
+    L with x-degree <= k + 1 for k = max(min(order, 1), order - 1) keeps g
+    exact on x-degree <= k + 1 and the spray s (hence N) exact on x-degree
+    <= k: every x-slot the callers read.  (Evaluations read x-degree
+    <= min(order, 1), a Taylor-mode flow x-degree <= order - 1.)
     """
-    n = len(matrix)
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    inv = [None] * n  # pivot reciprocals; row k is final after step k
-    for k in range(n):
-        pivot_row = max(range(k, n), key=lambda r: abs(aug[r][k].value))
-        if abs(aug[pivot_row][k].value) < 1e-300:
-            raise NearDegenerateMetric("zero pivot in jet-valued linear solve")
-        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        inv[k] = aug[k][k].reciprocal()
-        for r in range(k + 1, n):
-            if np.all(aug[r][k].c == 0.0):
-                continue
-            f = aug[r][k] * inv[k]
-            for c in range(k + 1, n + 1):
-                aug[r][c] = aug[r][c] - f * aug[k][c]
-    out = [None] * n
-    for k in range(n - 1, -1, -1):
-        acc = aug[k][n]
-        for c in range(k + 1, n):
-            acc = acc - aug[k][c] * out[c]
-        out[k] = acc * inv[k]
-    return out
+    return max(min(order, 1), order - 1) + 1
 
 
-def _spray(model: FinslerLagrangian, point: TangentBundlePoint, order: int):
-    """L-metric jets g, their values g0 and the spray jets g^{-1} rhs.
-
-    The spray is valid to ``order + 1`` (N is its fiber derivative, valid to
-    ``order``).  L is built with x-degree <= k + 1 for k = max(min(order, 1),
-    order - 1), which keeps g exact on x-degree <= k + 1 and the spray (hence
-    N) exact on x-degree <= k: every x-slot the callers read.  (Evaluations
-    read x-degree <= min(order, 1), a Taylor-mode flow x-degree <= order - 1.)
-    """
-    n = model.dimension
+def _lagrangian_jet(model: FinslerLagrangian, point: TangentBundlePoint, order: int):
+    """The jet of L that N's jet of ``order`` is built from."""
     point.require_nonzero_direction()
-    L = model.taylor(point, order + 3, x_order=max(min(order, 1), order - 1) + 1)
-    ys = [L.space.variable(n + i, point.y[i]) for i in range(n)]
+    return model.taylor(point, order + 3, x_order=_x_cap(order))
 
-    dL_x = [L.deriv(p) for p in range(n)]
-    g = [[0.5 * L.deriv(n + a).deriv(n + b) for b in range(n)] for a in range(n)]
 
-    g0 = np.array([[g[a][b].value for b in range(n)] for a in range(n)])
+def _shift_maps(space: JetSpace):
+    """Per variable v: ``up[v, i]``, the slot of slot i's multi-index plus
+    e_v, ``rise[v, i]``, that index's exponent of v (the factor of d/dv), and
+    ``down[v, i]``, the slot of i minus e_v.  Absent slots map to the pad
+    slot ``space.size``, which maps to itself with factor 0."""
+    pad = space.size
+    up = np.full((space.nvars, pad + 1), pad, dtype=np.intp)
+    down = np.full((space.nvars, pad + 1), pad, dtype=np.intp)
+    rise = np.zeros((space.nvars, pad + 1))
+    for v, (src, dst, fac) in enumerate(space._deriv):
+        up[v, dst], rise[v, dst], down[v, src] = src, fac, dst
+    return up, rise, down
+
+
+@functools.lru_cache(maxsize=None)
+def _spray_tables(lspace: JetSpace, order: int):
+    """Index tables of the kernel, for L's jet in ``lspace`` and N's of ``order``.
+
+    ``work`` holds the slots of L's space of degree <= order + 1, the only
+    ones read after two derivatives.  ``src``/``fac`` gather the rows
+    0.5 d^2L/dy^a dy^b (n * n rows, g) and then the (2n + 1) x n bracket terms
+    d^2L/dx^p dy^q, the same shifted up by y^p's slot, and dL/dx^q; a source
+    that is not kept reads the pad slot ``lspace.size``.  The bracket is the
+    weighted sum (weights y^p, 1, -1) of those terms, folded by ``rhs_bins``.
+    ``nsrc``/``nfac`` take the spray s (n, work.size) to
+    N^a_b = (1/4) ds^a/dy^b on the slots of JetSpace.get(2n, order).
+    """
+    nvars = lspace.nvars
+    n = nvars // 2
+    work = JetSpace.get(nvars, order + 1, lspace.capped, lspace.cap)
+    out = JetSpace.get(nvars, order)
+    up, rise, down = _shift_maps(lspace)
+
+    def gather(start, *variables):
+        # sources and factors of the derivative in ``variables`` at ``start``
+        k, f = start, np.ones(start.size)
+        for v in variables:
+            k, f = up[v, k], f * rise[v, k]
+        return k, f
+
+    base = np.array([lspace.index_of[alpha] for alpha in work.indices])
+    rows = [gather(base, n + b, n + a) for a in range(n) for b in range(n)]
+    rows += [gather(base, n + q, p) for p in range(n) for q in range(n)]
+    rows += [gather(down[n + p, base], n + q, p) for p in range(n) for q in range(n)]
+    rows += [gather(base, q) for q in range(n)]
+    src = np.array([k for k, _ in rows])
+    fac = np.array([f for _, f in rows])
+    fac[: n * n] *= 0.5  # g is half the y-Hessian of L
+    rhs_bins = np.tile(np.arange(n * work.size), 2 * n + 1)
+
+    up, rise, _ = _shift_maps(work)
+    at = np.array([work.index_of[alpha] for alpha in out.indices])
+    # C order, so that N's jet is laid out as the (n, n, size) array it reads as
+    nsrc = np.ascontiguousarray(np.arange(n)[:, None, None] * work.size + up[n:, at])
+    nfac = np.ascontiguousarray(0.25 * rise[n:, at])
+    return work, src, fac, rhs_bins, nsrc, nfac
+
+
+@functools.lru_cache(maxsize=None)
+def _degree_blocks(space: JetSpace, n: int) -> list:
+    """Per degree d >= 1 of ``space``: its slot range [lo, hi), the product
+    pairs (i, j) of output degree d with deg i >= 1 as flat indices into the
+    (n, (n + 1) * size) array [h | s] of :func:`_series_solve` (h[a, b, i] and
+    s[b, j]), and the bins that fold their (n, n, pairs) products into the
+    (n, hi - lo) block."""
+    size = space.size
+    ends = [prefix[0].size for prefix in space._mul_prefix]
+    a = np.arange(n)[:, None, None]
+    b = np.arange(n)[None, :, None]
+    blocks = []
+    for d in range(1, space.order + 1):
+        lo, hi = np.searchsorted(space.degrees, [d, d + 1])
+        sl = slice(ends[d - 1], ends[d])
+        ia, ib, ic = space._mul_ia[sl], space._mul_ib[sl], space._mul_ic[sl]
+        keep = space.degrees[ia] > 0
+        ia, ib, ic = ia[keep], ib[keep], ic[keep]
+        h_idx = a * (n + 1) * size + b * size + ia
+        s_idx = (b * (n + 1) * size + n * size + ib)[0]
+        bins = np.broadcast_to(a * (hi - lo) + (ic - lo), h_idx.shape).ravel()
+        blocks.append((lo, hi, h_idx, s_idx, bins))
+    return blocks
+
+
+def _series_solve(space: JetSpace, g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve g s = rhs for an (n, n, size) stack g and an (n, size) stack rhs
+    of coefficient arrays in ``space``; s is valid to the space order.
+
+    With h = g0^{-1} g and r = g0^{-1} rhs (g0 = g's constant term), the
+    degree-d slots of s are those of r minus the degree-d part of
+    (h - 1) s, which reads s below degree d only.  g0 is checked as the
+    L-metric at the evaluation point.
+    """
+    n = g.shape[0]
+    g0 = g[:, :, 0]
     if not np.isfinite(g0).all():
         raise NonFiniteField("L-metric is not finite at the requested point")
-    if np.linalg.cond(g0) > DEGENERACY_CONDITION_LIMIT:
+    cond = np.linalg.cond(g0)
+    if cond > DEGENERACY_CONDITION_LIMIT:
         raise NearDegenerateMetric(
-            f"L-metric condition number {np.linalg.cond(g0):.3e} at the "
-            "connection evaluation point"
+            f"L-metric condition number {cond:.3e} at the connection evaluation point"
         )
+    inv = np.linalg.inv(g0)
+    # [h | r]; explicit sums over q keep each slot's rounding independent of
+    # the layout
+    stack = np.concatenate([g.reshape(n, -1), rhs], axis=1)
+    pre = inv[:, :1] * stack[0]
+    for q in range(1, n):
+        pre += inv[:, q : q + 1] * stack[q]
+    flat = pre.ravel()
+    s = pre[:, n * space.size :]  # r, overwritten degree by degree with s
+    for lo, hi, h_idx, s_idx, bins in _degree_blocks(space, n):
+        w = flat[h_idx] * flat[s_idx]
+        s[:, lo:hi] -= np.bincount(bins, weights=w.ravel(), minlength=n * (hi - lo)).reshape(
+            n, hi - lo
+        )
+    return s
 
-    rhs = []
-    for q in range(n):
-        acc = -1.0 * dL_x[q]
-        for p in range(n):
-            acc = acc + ys[p] * dL_x[p].deriv(n + q)
-        rhs.append(acc)
-    return g, g0, jet_solve(g, rhs)
+
+def _spray(L: TaylorJet, y: np.ndarray, order: int):
+    """The L-metric g and N's jet from L's jet at (x, y).
+
+    Returns g as an (n, n, work.size) array on the slots of the kernel's
+    working space, N as an (n, n, size) array on those of
+    ``JetSpace.get(2n, order)``, and the working space.  The spray s is valid
+    to ``order + 1`` and N, its fiber derivative, to ``order``.
+    """
+    n = y.size
+    work, src, fac, rhs_bins, nsrc, nfac = _spray_tables(L.space, order)
+    d = np.append(L.c, 0.0)[src] * fac
+    g = d[: n * n].reshape(n, n, work.size)
+    weights = np.concatenate([y, np.ones(n), [-1.0]])
+    terms = weights[:, None] * d[n * n :].reshape(2 * n + 1, n * work.size)
+    rhs = np.bincount(rhs_bins, weights=terms.ravel(), minlength=n * work.size)
+    s = _series_solve(work, g, rhs.reshape(n, work.size))
+    return g, s.ravel()[nsrc] * nfac, work
 
 
 @dataclass
@@ -130,7 +222,7 @@ class DeepConnectionEval(ConnectionEval):
     delta_dN: np.ndarray = None
     # taylor[a, b, k, i]: Taylor coefficients at slot i of JetSpace.get(2n,
     # order) of N^a_b (k = 0) and of d/dy^c N^a_b (k = 1 + c), exact on the
-    # x-degrees _spray names
+    # x-degrees _x_cap names
     taylor: np.ndarray = None
 
 
@@ -192,12 +284,13 @@ class GeneralConnection:
 
     # -- jet-level core ------------------------------------------------------
 
-    def n_jets(self, point: TangentBundlePoint, order: int):
-        """N^a_b as an n x n nested list of jets valid to ``order``.
+    def n_jets(self, point: TangentBundlePoint, order: int) -> np.ndarray:
+        """N^a_b's Taylor coefficients valid to ``order``, as an (n, n, size)
+        array on the slots of ``JetSpace.get(2n, order)``.
 
-        For a canonical connection the jets are exact on the slots of
-        x-degree the callers of that order read; their higher x-slots are
-        truncated (see :func:`_spray`).
+        For a canonical connection the coefficients are exact on the slots of
+        x-degree the callers of that order read; higher x-slots are truncated
+        (see :func:`_x_cap`).
         """
         n = self.dimension
         if self._explicit_fn is not None:
@@ -205,34 +298,27 @@ class GeneralConnection:
             xs = [space.variable(i, point.x[i]) for i in range(n)]
             ys = [space.variable(n + i, point.y[i]) for i in range(n)]
             rows = self._explicit_fn(xs, ys)
-            out = []
+            out = np.empty((n, n, space.size))
             for a in range(n):
-                row = []
                 for b in range(n):
                     entry = rows[a][b]
                     if not isinstance(entry, TaylorJet):
                         entry = space.constant(float(entry))
                     if not np.isfinite(entry.c).all():
                         raise NonFiniteField(f"explicit connection entry ({a},{b}) not finite")
-                    row.append(entry)
-                out.append(row)
+                    out[a, b] = entry.c
             return out
 
-        _, _, spray = _spray(self.lagrangian, point, order)
-        njets = [[0.25 * spray[a].deriv(n + b) for b in range(n)] for a in range(n)]
-        for a in range(n):
-            for b in range(n):
-                if not np.isfinite(njets[a][b].c).all():
-                    raise NonFiniteField("connection coefficients are not finite")
+        _, njets, _ = _spray(_lagrangian_jet(self.lagrangian, point, order), point.y, order)
+        if not np.isfinite(njets).all():
+            raise NonFiniteField("connection coefficients are not finite")
         return njets
 
     # -- extraction ----------------------------------------------------------
 
     def coefficients(self, point: TangentBundlePoint) -> np.ndarray:
         """Connection coefficient matrix N^a_b (upper index first)."""
-        njets = self.n_jets(point, 0)
-        n = self.dimension
-        return np.array([[njets[a][b].value for b in range(n)] for a in range(n)])
+        return self.n_jets(point, 0)[:, :, 0].copy()
 
     def evaluate(self, point: TangentBundlePoint) -> ConnectionEval:
         """N with exact first x/y-derivatives, horizontal derivative, curvature."""
@@ -259,31 +345,29 @@ class GeneralConnection:
 
     def _assemble(self, point, order: int):
         n = self.dimension
-        njets = self.n_jets(point, order)
-        # the slots of degree <= order lead the space of every N jet
-        space = JetSpace.get(2 * n, order)
-        taylor = np.array([[jet.c[: space.size] for jet in row] for row in njets])
+        taylor = self.n_jets(point, order)
         if order >= 2:  # flows compose N together with its fiber derivatives
+            space = JetSpace.get(2 * n, order)
             fiber = [space.derivative(taylor, n + c) for c in range(n)]
             stack = np.stack([taylor] + fiber, axis=2)
-            taylor = stack[:, :, 0]
+            taylor = stack[:, :, 0]  # N below is then a view of the cached stack
+        slots = _partial_slots(n, order)
 
-        def partials(*slot_lists):
-            idx = np.array([space.index_of[unit_index(2 * n, *sl)] for sl in slot_lists])
-            return taylor[:, :, idx] * space.factorials[idx]
+        def partials(kind):
+            idx, factorials = slots[kind]
+            return taylor[:, :, idx] * factorials
 
         N = taylor[:, :, 0]
-        dN_x = partials(*((c,) for c in range(n)))
-        dN_y = partials(*((n + c,) for c in range(n)))
+        dN_x = partials("x")
+        dN_y = partials("y")
         delta_N = dN_x - np.einsum("mc,abm->abc", N, dN_y)
         R = delta_N - np.transpose(delta_N, (0, 2, 1))
 
         if order < 2:
             return ConnectionEval(point, N, dN_x, dN_y, delta_N, R)
 
-        cd = [(c, d) for c in range(n) for d in range(n)]
-        ddN_xy = partials(*((n + c, d) for c, d in cd)).reshape(n, n, n, n)
-        ddN_yy = partials(*((n + c, n + d) for c, d in cd)).reshape(n, n, n, n)
+        ddN_xy = partials("xy").reshape(n, n, n, n)
+        ddN_yy = partials("yy").reshape(n, n, n, n)
         delta_dN = ddN_xy - np.einsum("md,abcm->abcd", N, ddN_yy)
         return DeepConnectionEval(
             point, N, dN_x, dN_y, delta_N, R,
@@ -314,6 +398,24 @@ class GeneralConnection:
         return results
 
 
+@functools.lru_cache(maxsize=None)
+def _partial_slots(n: int, order: int) -> dict:
+    """Slot indices in ``JetSpace.get(2n, order)`` and their factorials for
+    the partials of N that an evaluation of ``order`` reads."""
+    space = JetSpace.get(2 * n, order)
+
+    def slots(*slot_lists):
+        idx = np.array([space.index_of[unit_index(2 * n, *sl)] for sl in slot_lists])
+        return idx, space.factorials[idx]
+
+    out = {"x": slots(*((c,) for c in range(n))), "y": slots(*((n + c,) for c in range(n)))}
+    if order >= 2:
+        cd = [(c, d) for c in range(n) for d in range(n)]
+        out["xy"] = slots(*((n + c, d) for c, d in cd))
+        out["yy"] = slots(*((n + c, n + d) for c, d in cd))
+    return out
+
+
 def horizontal_derivative(conn: GeneralConnection, field, point: TangentBundlePoint) -> np.ndarray:
     """delta_a f = d_a f - N^b_a d/dy^b f for a scalar bundle field."""
     n = conn.dimension
@@ -334,27 +436,14 @@ def cartan_linear_delta(model: FinslerLagrangian, point: TangentBundlePoint) -> 
     """
     n = model.dimension
     # order 0 reads N at x-degree 0 and g at x-degree <= 1, both exact
-    g, g0, spray = _spray(model, point, 0)
-    N0 = np.array(
-        [[0.25 * spray[a].deriv(n + b).value for b in range(n)] for a in range(n)]
-    )
-
-    idx = g[0][0].space.index_of
-    dg_x = np.empty((n, n, n))  # [q, c, b] = d_b g_qc
-    dg_y = np.empty((n, n, n))  # [q, c, m] = d/dy^m g_qc
-    for q in range(n):
-        for c in range(n):
-            arr = g[q][c].c
-            for b in range(n):
-                dg_x[q, c, b] = arr[idx[unit_index(2 * n, b)]]
-                dg_y[q, c, b] = arr[idx[unit_index(2 * n, n + b)]]
+    g, njets, work = _spray(_lagrangian_jet(model, point, 0), point.y, 0)
+    x_slots = [work.index_of[unit_index(2 * n, b)] for b in range(n)]
+    y_slots = [work.index_of[unit_index(2 * n, n + b)] for b in range(n)]
+    dg_x = g[:, :, x_slots]  # [q, c, b] = d_b g_qc
+    dg_y = g[:, :, y_slots]  # [q, c, m] = d/dy^m g_qc
 
     # delta_g[q, c, b] = delta_b g_qc
-    delta_g = dg_x - np.einsum("mb,qcm->qcb", N0, dg_y)
-    ginv = np.linalg.inv(g0)
-    term = np.empty((n, n, n))
-    for q in range(n):
-        for b in range(n):
-            for c in range(n):
-                term[q, b, c] = delta_g[q, c, b] + delta_g[q, b, c] - delta_g[b, c, q]
-    return 0.5 * np.einsum("aq,qbc->abc", ginv, term)
+    delta_g = dg_x - np.einsum("mb,qcm->qcb", njets[:, :, 0], dg_y)
+    # term[q, b, c] = delta_b g_qc + delta_c g_qb - delta_q g_bc
+    term = np.transpose(delta_g, (0, 2, 1)) + delta_g - np.transpose(delta_g, (2, 0, 1))
+    return 0.5 * np.einsum("aq,qbc->abc", np.linalg.inv(g[:, :, 0]), term)

@@ -6,19 +6,23 @@ import pytest
 from finslerkit import (
     NearDegenerateMetric,
     NearZeroDirection,
+    NonFiniteField,
     bundle_point,
 )
 from finslerkit.connection import (
     GeneralConnection,
+    _series_solve,
+    _spray,
+    _x_cap,
     cartan_linear_delta,
     horizontal_derivative,
-    jet_solve,
 )
 from finslerkit.jets import JetSpace, TaylorJet, eval_taylor, unit_index
 from finslerkit.lagrangian import FinslerLagrangian, SampleSpec
 from finslerkit.models import load_model
 
 from fd_oracles import central_gradient, central_hessian
+from jet_oracles import jet_level_n, jet_solve
 
 MODELS = ["flat4d", "polar2d", "sphere2d", "randers2d", "quartic4d"]
 
@@ -394,20 +398,9 @@ def test_jet_solve_takes_one_reciprocal_per_pivot(monkeypatch):
 
 
 def _full_space_n_jets(model, p, order):
-    """Reference N jets from a full-space L jet of total degree order + 3."""
-    n = model.dimension
-    L = eval_taylor(model._evaluator, p, order + 3)
-    ys = [L.space.variable(n + i, p.y[i]) for i in range(n)]
-    dL_x = [L.deriv(q) for q in range(n)]
-    g = [[0.5 * L.deriv(n + a).deriv(n + b) for b in range(n)] for a in range(n)]
-    rhs = []
-    for q in range(n):
-        acc = -1.0 * dL_x[q]
-        for k in range(n):
-            acc = acc + ys[k] * dL_x[k].deriv(n + q)
-        rhs.append(acc)
-    spray = jet_solve(g, rhs)
-    return [[0.25 * spray[a].deriv(n + b) for b in range(n)] for a in range(n)]
+    """Reference N jets: the same kernel on a full-space L jet of total
+    degree order + 3."""
+    return _spray(eval_taylor(model._evaluator, p, order + 3), p.y, order)[1]
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -419,18 +412,13 @@ def test_n_jets_match_full_space_on_the_slots_callers_read(name):
         for order in (0, 1, 2):
             capped = conn.n_jets(p, order)
             full = _full_space_n_jets(model, p, order)
-            space, full_space = capped[0][0].space, full[0][0].space
-            assert space.size < full_space.size
-            read = [
-                alpha
-                for alpha in space.indices
-                if sum(alpha) <= order and sum(alpha[:n]) <= min(order, 1)
-            ]
-            mine = np.array([[[capped[a][b].c[space.index_of[al]] for al in read]
-                              for b in range(n)] for a in range(n)])
-            ref = np.array([[[full[a][b].c[full_space.index_of[al]] for al in read]
-                             for b in range(n)] for a in range(n)])
-            assert mine.tobytes() == ref.tobytes(), (name, order)
+            lspace = JetSpace.get(2 * n, order + 3, n, _x_cap(order))
+            assert lspace.size < JetSpace.get(2 * n, order + 3).size
+            space = JetSpace.get(2 * n, order)
+            assert capped.shape == full.shape == (n, n, space.size)
+            assert capped.flags.c_contiguous
+            read = [i for i, alpha in enumerate(space.indices) if sum(alpha[:n]) <= min(order, 1)]
+            assert capped[:, :, read].tobytes() == full[:, :, read].tobytes(), (name, order)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -442,13 +430,103 @@ def test_evaluation_tensors_are_the_jet_partials(name):
     p = sample_points(model, 1, seed=8)[0]
     deep = conn.evaluate_deep(p)
     njets = conn.n_jets(p, 2)
+    space = JetSpace.get(2 * n, 2)
+
+    def partial(a, b, *slots):
+        i = space.index_of[unit_index(2 * n, *slots)]
+        return float(njets[a, b, i] * space.factorials[i])
+
     for a in range(n):
         for b in range(n):
-            jet = njets[a][b]
-            assert deep.N[a, b] == jet.value
+            assert deep.N[a, b] == njets[a, b, 0]
             for c in range(n):
-                assert deep.dN_x[a, b, c] == jet.partial(unit_index(2 * n, c))
-                assert deep.dN_y[a, b, c] == jet.partial(unit_index(2 * n, n + c))
+                assert deep.dN_x[a, b, c] == partial(a, b, c)
+                assert deep.dN_y[a, b, c] == partial(a, b, n + c)
                 for d in range(n):
-                    assert deep.ddN_xy[a, b, c, d] == jet.partial(unit_index(2 * n, n + c, d))
-                    assert deep.ddN_yy[a, b, c, d] == jet.partial(unit_index(2 * n, n + c, n + d))
+                    assert deep.ddN_xy[a, b, c, d] == partial(a, b, n + c, d)
+                    assert deep.ddN_yy[a, b, c, d] == partial(a, b, n + c, n + d)
+
+
+def _jet_stack(space, arrays):
+    return [TaylorJet(space, space.order, np.array(c)) for c in arrays]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_series_solve_matches_jet_elimination(n):
+    rng = np.random.default_rng(60 + n)
+    pivoting = np.eye(n)[::-1]  # zero leading entry for n >= 2: elimination must pivot
+    for order in range(5):
+        space = JetSpace.get(3, order)
+        for g0 in (rng.standard_normal((n, n)) + 2.0 * np.eye(n), pivoting):
+            g = rng.standard_normal((n, n, space.size))
+            g[:, :, 0] = g0
+            rhs = rng.standard_normal((n, space.size))
+            s = _series_solve(space, g, rhs)
+            ref = jet_solve([_jet_stack(space, row) for row in g], _jet_stack(space, rhs))
+            ref = np.array([jet.c for jet in ref])
+            assert np.abs(s - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max()), (n, order)
+
+
+def test_series_solve_refuses_a_degenerate_metric():
+    space = JetSpace.get(2, 2)
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((2, 2, space.size))
+    rhs = rng.standard_normal((2, space.size))
+    g[:, :, 0] = [[1.0, 0.0], [0.0, 1e-9]]
+    with pytest.raises(NearDegenerateMetric):
+        _series_solve(space, g, rhs)
+    g[:, :, 0] = [[1.0, np.nan], [0.0, 1.0]]
+    with pytest.raises(NonFiniteField):
+        _series_solve(space, g, rhs)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_n_jets_match_jet_level_elimination(name):
+    model = load_model(f"builtin:{name}")
+    conn = GeneralConnection.cartan(model)
+    n = model.dimension
+    for p in sample_points(model, 2, seed=13):
+        for order in (0, 1, 2, 3):
+            mine = conn.n_jets(p, order)
+            L = model.taylor(p, order + 3)
+            ref = jet_level_n(L, p.y, order)
+            space = JetSpace.get(2 * n, order)
+            read = [al for al in space.indices if sum(al[:n]) <= max(min(order, 1), order - 1)]
+            got = np.array([[[mine[a, b, space.index_of[al]] for al in read]
+                             for b in range(n)] for a in range(n)])
+            want = np.array([[[ref[a][b].c[L.space.index_of[al]] for al in read]
+                              for b in range(n)] for a in range(n)])
+            assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max()), (name, order)
+
+
+def test_n_jets_take_no_jet_products_outside_the_lagrangian(monkeypatch):
+    inside = 0
+    calls = {"inside": 0, "outside": 0}
+    taylor = FinslerLagrangian.taylor
+
+    def traced_taylor(self, *args, **kwargs):
+        nonlocal inside
+        inside += 1
+        try:
+            return taylor(self, *args, **kwargs)
+        finally:
+            inside -= 1
+
+    def counted(fn):
+        def wrapper(*args):
+            calls["inside" if inside else "outside"] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(FinslerLagrangian, "taylor", traced_taylor)
+    for attr in ("__mul__", "__rmul__", "reciprocal"):
+        monkeypatch.setattr(TaylorJet, attr, counted(TaylorJet.__dict__[attr]))
+    for name in MODELS:
+        model = load_model(f"builtin:{name}")
+        conn = GeneralConnection.cartan(model)
+        for p in sample_points(model, 2, seed=19):
+            for order in (0, 1, 2, 3):
+                conn.n_jets(p, order)
+    assert calls["outside"] == 0
+    assert calls["inside"] > 0  # the counters see L's own products

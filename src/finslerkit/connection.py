@@ -149,12 +149,14 @@ def _series_solve(space: JetSpace, g: np.ndarray, rhs: np.ndarray) -> np.ndarray
     g0 = g[:, :, 0]
     if not np.isfinite(g0).all():
         raise NonFiniteField("L-metric is not finite at the requested point")
-    cond = np.linalg.cond(g0)
+    # one SVD gives the condition number and, once that passes, the inverse
+    left, sv, right = np.linalg.svd(g0)
+    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
     if cond > DEGENERACY_CONDITION_LIMIT:
         raise NearDegenerateMetric(
             f"L-metric condition number {cond:.3e} at the connection evaluation point"
         )
-    inv = np.linalg.inv(g0)
+    inv = (right.T / sv) @ left.T
     # [h | r]; explicit sums over q keep each slot's rounding independent of
     # the layout
     stack = np.concatenate([g.reshape(n, -1), rhs], axis=1)

@@ -7,11 +7,15 @@ stable JSON serialization: given the same model, seed and budget, two runs
 produce byte-identical output.
 
 Budgets trade coverage for runtime.  ``quick`` is smoke scale; ``full`` uses
-the acceptance-scale sample counts on two-dimensional models.  On higher
-dimensional models the chart checks stay at smoke scale (one augmented
-tangent solve costs seconds there, not milliseconds), and the standard-kind
-chart rows are skipped unless the connection is flat.  The identity and
-dynamics checks always run at the requested scale.
+the acceptance-scale sample counts.  A budget sets the same counts on every
+model, and every row measures all of its samples.  Which rows a report holds
+depends only on whether a claim applies: the quadratic reductions need a
+quadratic Lagrangian and the exact-shift rows a flat connection.
+
+Claims about Taylor coefficients at a point (the exponential map's derivative
+blocks, the truncated chart series) are compared against the coefficients of
+one Taylor-mode flow at rest, which are exact to round-off; no check takes a
+finite difference or fits an observed order.
 """
 
 from __future__ import annotations
@@ -28,10 +32,11 @@ from .dynamics import (
     IntegrationControls,
     exp_derivatives,
     exp_map,
+    exp_map_jets,
     integrate_autoparallel,
     integrate_horizontal_autoparallel,
 )
-from .jets import unit_index
+from .jets import JetSpace, unit_index
 from .lagrangian import FinslerLagrangian, SampleSpec
 from .models import load_model
 
@@ -40,7 +45,7 @@ SCHEMA_VERSION = 1
 _TIGHT = IntegrationControls(rtol=1e-12, atol=1e-14)
 
 # connections whose coefficients stay below this at probe points are treated
-# as identically flat (exact-shift checks apply, convergence-rate checks do not)
+# as identically flat (the exact-shift checks apply)
 _FLATNESS_PROBE_TOL = 1e-12
 
 
@@ -88,10 +93,8 @@ class _Ctx:
     model: FinslerLagrangian
     conn: GeneralConnection
     seed: int
-    budget: str
     counts: dict
     flat: bool
-    heavy: bool  # dimension > 2 with a curved connection: augmented solves are slow
 
     @property
     def dimension(self) -> int:
@@ -117,9 +120,9 @@ class _Ctx:
         return AutoparallelChart(self.conn, self.base_point(), kind=kind, radius_hint=1.5)
 
 
-def _counts(budget: str, dimension: int) -> dict:
+def _counts(budget: str) -> dict:
     full = budget == "full"
-    counts = {
+    return {
         "identity": 200 if full else 25,
         "rescale": 20 if full else 4,
         "exp_zero": 20 if full else 5,
@@ -136,15 +139,19 @@ def _counts(budget: str, dimension: int) -> dict:
         "series": 3 if full else 1,
         "flat_probe": 8 if full else 3,
     }
-    if dimension > 2:
-        # every chart probe above dimension 2 pays for augmented tangent
-        # solves; keep those sweeps at smoke scale regardless of budget
-        counts["exp_blocks"] = min(counts["exp_blocks"], 3)
-        counts["chart_center"] = 3 if full else 1
-        counts["chart_flat"] = 3 if full else 1
-        counts["round_trip"] = 6 if full else 3
-        counts["series"] = 1
-    return counts
+
+
+def _gap(value: np.ndarray, reference: np.ndarray) -> float:
+    """Largest deviation from ``reference``, scaled by 1 + its largest entry."""
+    return float(np.abs(value - reference).max() / (1.0 + np.abs(reference).max()))
+
+
+def _taylor_terms(space: JetSpace, c: np.ndarray, point: np.ndarray, degrees) -> np.ndarray:
+    """Sum of the terms of the jets ``c`` (one row per jet) whose degree is in
+    ``degrees``, evaluated at ``point`` (one value per variable of ``space``)."""
+    monomials = np.prod(point ** np.array(space.indices), axis=1)
+    keep = np.isin(space.degrees, degrees)
+    return c[:, keep] @ monomials[keep]
 
 
 # -- check implementations ------------------------------------------------------
@@ -189,8 +196,7 @@ def _check_identities(ctx: _Ctx) -> list:
             )
 
         G = cartan_linear_delta(ctx.model, p)
-        spray_gap = np.abs(np.einsum("abc,b->ac", G, p.y) - ev.N).max()
-        worst["spray"] = max(worst["spray"], spray_gap / (1.0 + np.abs(ev.N).max()))
+        worst["spray"] = max(worst["spray"], _gap(np.einsum("abc,b->ac", G, p.y), ev.N))
 
         contraction = np.einsum("rbc,r->bc", ev.R, gy)
         worst["annihilation"] = max(
@@ -272,6 +278,8 @@ def _check_exp_zero_velocity(ctx: _Ctx) -> list:
 def _check_exp_derivative_blocks(ctx: _Ctx) -> list:
     rng = ctx.rng(3)
     n = ctx.dimension
+    # seeds (dv, du); no block is second order in v, so v's degree is capped at 1
+    space = JetSpace.get(2 * n, 3, n, 1)
     worst = 0.0
     count = ctx.counts["exp_blocks"]
     for _ in range(count):
@@ -280,57 +288,27 @@ def _check_exp_derivative_blocks(ctx: _Ctx) -> list:
         w = rng.standard_normal(n)
         w /= np.linalg.norm(w)
         blocks = exp_derivatives(ctx.conn, x0, v)
-        base = exp_map(ctx.conn, x0, np.zeros(n), v, _TIGHT)
-
-        def along_u(h):
-            return exp_map(ctx.conn, x0, h * w, v, _TIGHT)
-
-        def along_v(h):
-            return exp_map(ctx.conn, x0, np.zeros(n), v + h * w, _TIGHT)
-
-        def rich(pairs):
-            a, b = pairs  # values at steps h and h/2
-            return (4.0 * b - a) / 3.0
-
-        def d1(path, h):
-            p, m = path(h), path(-h)
-            return (p.x - m.x) / (2 * h), (p.y - m.y) / (2 * h)
-
-        h = 1e-2
-        u_h, u_h2 = d1(along_u, h), d1(along_u, h / 2)
-        v_h, v_h2 = d1(along_v, h), d1(along_v, h / 2)
-
-        def gap(fd, block):
-            closed = block @ w
-            return np.abs(fd - closed).max() / (1.0 + np.abs(closed).max())
-
-        worst = max(worst, gap(rich([u_h[0], u_h2[0]]), blocks.dx_du))
-        worst = max(worst, gap(rich([u_h[1], u_h2[1]]), blocks.dy_du))
-        worst = max(worst, gap(rich([v_h[0], v_h2[0]]), blocks.dx_dv))
-        worst = max(worst, gap(rich([v_h[1], v_h2[1]]), blocks.dy_dv))
-
-        def d2(h):
-            p, m = along_u(h), along_u(-h)
-            return (p.x - 2 * base.x + m.x) / h**2, (p.y - 2 * base.y + m.y) / h**2
-
-        a1, a2 = d2(2e-2), d2(1e-2)
-        cl2x = np.einsum("qbc,b,c->q", blocks.d2x_duu, w, w)
-        cl2y = np.einsum("qbc,b,c->q", blocks.d2y_duu, w, w)
-        worst = max(worst, np.abs(rich([a1[0], a2[0]]) - cl2x).max() / (1.0 + np.abs(cl2x).max()))
-        worst = max(worst, np.abs(rich([a1[1], a2[1]]) - cl2y).max() / (1.0 + np.abs(cl2y).max()))
-
-        def d3(h):
-            p2, p1 = along_u(2 * h), along_u(h)
-            m1, m2 = along_u(-h), along_u(-2 * h)
-            return (p2.x - 2 * p1.x + 2 * m1.x - m2.x) / (2 * h**3)
-
-        cl3 = np.einsum("qbcd,b,c,d->q", blocks.d3x_duuu, w, w, w)
-        fd3 = rich([d3(4e-2), d3(2e-2)])
-        worst = max(worst, np.abs(fd3 - cl3).max() / (1.0 + np.abs(cl3).max()))
+        # EXP(du, v + dv) is a flow at rest, so its jets are exact to round-off
+        x, y = exp_map_jets(
+            ctx.conn, x0, np.zeros(n), v, space, u_seed=n, v_seed=0, controls=_TIGHT
+        )
+        du, dv = np.concatenate([np.zeros(n), w]), np.concatenate([w, np.zeros(n)])
+        # a derivative of order k along w is k! times the degree-k terms there
+        pairs = [
+            (_taylor_terms(space, x, du, 1), blocks.dx_du @ w),
+            (_taylor_terms(space, y, du, 1), blocks.dy_du @ w),
+            (_taylor_terms(space, x, dv, 1), blocks.dx_dv @ w),
+            (_taylor_terms(space, y, dv, 1), blocks.dy_dv @ w),
+            (2 * _taylor_terms(space, x, du, 2), np.einsum("qbc,b,c->q", blocks.d2x_duu, w, w)),
+            (2 * _taylor_terms(space, y, du, 2), np.einsum("qbc,b,c->q", blocks.d2y_duu, w, w)),
+            (6 * _taylor_terms(space, x, du, 3),
+             np.einsum("qbcd,b,c,d->q", blocks.d3x_duuu, w, w, w)),
+        ]
+        worst = max([worst] + [_gap(closed, flow) for flow, closed in pairs])
     return [
         _row(ctx, "exp-derivative-blocks",
-             "closed-form derivative blocks of the exponential map match the integrated flow",
-             count, worst, 1e-5),
+             "closed-form derivative blocks of the exponential map equal the flow's Taylor coefficients",
+             count, worst, 1e-10),
     ]
 
 
@@ -373,8 +351,7 @@ def _check_levi_civita(ctx: _Ctx) -> list:
         y = ctx.draw_fiber(rng)
         gamma = _levi_civita(ctx.model, x0)
         N = ctx.conn.coefficients(bundle_point(x0, y))
-        gap = np.abs(np.einsum("abc,c->ab", gamma, y) - N).max()
-        worst = max(worst, gap / (1.0 + np.abs(N).max()))
+        worst = max(worst, _gap(np.einsum("abc,c->ab", gamma, y), N))
     return [
         _row(ctx, "levi-civita-reduction",
              "for a quadratic Lagrangian the connection is the Levi-Civita transport",
@@ -399,8 +376,7 @@ def _check_berwald_y_independence(ctx: _Ctx) -> list:
             if ref_D is None:
                 ref_D, ref_G = D, G
                 continue
-            worst = max(worst, np.abs(D - ref_D).max() / (1.0 + np.abs(ref_D).max()))
-            worst = max(worst, np.abs(G - ref_G).max() / (1.0 + np.abs(ref_G).max()))
+            worst = max(worst, _gap(D, ref_D), _gap(G, ref_G))
     return [
         _row(ctx, "berwald-y-independence",
              "for a quadratic Lagrangian the Berwald and delta-Christoffel symbols are fiber-independent",
@@ -451,9 +427,8 @@ def _check_chart_center_connection(ctx: _Ctx) -> list:
     rng = ctx.rng(7)
     n = ctx.dimension
     count = ctx.counts["chart_center"]
-    kinds = ["extended"] if ctx.heavy else ["extended", "standard"]
     rows = []
-    for kind in kinds:
+    for kind in ("extended", "standard"):
         chart = ctx.chart(kind)
         worst = 0.0
         for _ in range(count):
@@ -487,10 +462,6 @@ def _check_chart_lagrangian_flatness(ctx: _Ctx) -> list:
 
 
 def _check_chart_hessian_curvature(ctx: _Ctx) -> list:
-    # the standard-kind Hessian takes an order-3 flow, whose N jet comes from
-    # an order-6 L jet in 2n variables; not worth a report row above dimension 2
-    if ctx.dimension > 2:
-        return []
     rng = ctx.rng(9)
     chart = ctx.chart("standard")
     worst = 0.0
@@ -502,7 +473,7 @@ def _check_chart_hessian_curvature(ctx: _Ctx) -> list:
         g = ctx.model.l_metric(p)
         R = ctx.conn.evaluate(p).R
         target = (2.0 / 3.0) * np.einsum("d,am,mbd->ab", yt, g, R)
-        worst = max(worst, np.abs(hess - target).max() / (1.0 + np.abs(target).max()))
+        worst = max(worst, _gap(hess, target))
     return [
         _row(ctx, "chart-hessian-curvature",
              "the standard-chart Hessian of L at the center is 2/3 of the fiber-contracted lowered curvature",
@@ -511,8 +482,6 @@ def _check_chart_hessian_curvature(ctx: _Ctx) -> list:
 
 
 def _check_chart_round_trip(ctx: _Ctx) -> list:
-    if ctx.heavy:
-        return []
     rng = ctx.rng(10)
     n = ctx.dimension
     count = ctx.counts["round_trip"]
@@ -536,7 +505,7 @@ def _check_chart_round_trip(ctx: _Ctx) -> list:
 
 
 def _check_straight_geodesics(ctx: _Ctx) -> list:
-    if ctx.model.family != "quadratic" or ctx.heavy:
+    if ctx.model.family != "quadratic":
         return []
     rng = ctx.rng(11)
     chart = ctx.chart("standard")
@@ -560,8 +529,6 @@ def _check_straight_geodesics(ctx: _Ctx) -> list:
 
 
 def _check_curvature_invariance(ctx: _Ctx) -> list:
-    if ctx.dimension > 2:
-        return []
     rng = ctx.rng(12)
     chart = ctx.chart("standard")
     worst = 0.0
@@ -570,7 +537,7 @@ def _check_curvature_invariance(ctx: _Ctx) -> list:
         yt = ctx.draw_fiber(rng)
         in_chart = chart.curvature_in_chart(yt)
         ambient = ctx.conn.evaluate(bundle_point(chart.base, yt)).R
-        worst = max(worst, np.abs(in_chart - ambient).max() / (1.0 + np.abs(ambient).max()))
+        worst = max(worst, _gap(in_chart, ambient))
     return [
         _row(ctx, "chart-curvature-invariance",
              "curvature evaluated inside the standard chart equals the ambient curvature on the center fiber",
@@ -578,32 +545,14 @@ def _check_curvature_invariance(ctx: _Ctx) -> list:
     ]
 
 
-def _band_row(ctx, id, claim, samples, ratios, band) -> CheckResult:
-    lo, hi = band
-    outside = 0.0
-    for ratio in ratios:
-        if not np.isfinite(ratio):
-            outside = max(outside, float("inf"))
-        elif ratio < lo:
-            outside = max(outside, lo - ratio)
-        elif ratio > hi:
-            outside = max(outside, ratio - hi)
-    return _row(ctx, id, claim, samples, outside, 0.0)
-
-
 def _check_series_orders(ctx: _Ctx) -> list:
-    if ctx.flat:
-        return []  # truncation errors vanish identically; there is no rate to measure
     rng = ctx.rng(13)
     n = ctx.dimension
     count = ctx.counts["series"]
-    s1, s2 = 0.1, 0.05
-    # differences below this are integrator noise, not truncation error; a
-    # ratio of two such numbers says nothing about the order (the kinds
-    # coincide outright wherever the curvature vanishes)
-    floor = 1e-10
-
-    ratios_x, ratios_y, ratios_gap = [], [], []
+    # the extended kind's jets hold the map to order 3, the standard kind's
+    # fiber to order 2
+    space = JetSpace.get(n, 3)
+    worst = dict.fromkeys(("cubic", "quadratic", "kinds"), 0.0)
     for _ in range(count):
         # a generic base point per sample: symmetry points of a model (e.g.
         # the equator of a sphere) can null the leading series coefficients
@@ -611,46 +560,31 @@ def _check_series_orders(ctx: _Ctx) -> list:
         w = rng.standard_normal(n)
         w /= np.linalg.norm(w)
         yt = ctx.draw_fiber(rng, 0.5, 1.0)
-        ext = AutoparallelChart(ctx.conn, base, kind="extended", radius_hint=1.5)
-        std = None if ctx.heavy else AutoparallelChart(
-            ctx.conn, base, kind="standard", radius_hint=1.5
+        ext, std = (
+            AutoparallelChart(ctx.conn, base, kind=kind, radius_hint=1.5)
+            for kind in ("extended", "standard")
         )
-
-        def err_x(s):
-            return np.abs(ext.series_forward(s * w, yt, 3).x - ext.to_manifold(s * w, yt).x).max()
-
-        def err_y(s):
-            return np.abs(ext.series_forward(s * w, yt, 2).y - ext.to_manifold(s * w, yt).y).max()
-
-        e2 = err_x(s2)
-        if e2 >= floor:
-            ratios_x.append(err_x(s1) / e2)
-        e2 = err_y(s2)
-        if e2 >= floor:
-            ratios_y.append(err_y(s1) / e2)
-        if std is not None:
-            def gap(s):
-                return np.abs(ext.to_manifold(s * w, yt).y - std.to_manifold(s * w, yt).y).max()
-
-            g2 = gap(s2)
-            if g2 >= floor:
-                ratios_gap.append(gap(s1) / g2)
-
-    rows = [
-        _band_row(ctx, "series-order-cubic",
-                  "the order-3 coordinate series misses the integrated map at fourth order (ratio in [12, 20])",
-                  count, ratios_x, (12.0, 20.0)),
-        _band_row(ctx, "series-order-quadratic",
-                  "the order-2 fiber series misses the integrated map at third order (ratio in [6, 10])",
-                  count, ratios_y, (6.0, 10.0)),
+        # the chart maps' Taylor coefficients at xt = 0, from flows at rest
+        xs, ys = ext._image_jets(np.zeros(n), yt, space, 0)
+        ys_std = std._image_jets(np.zeros(n), yt, space, 0)[1]
+        xs, ys, ys_std = (np.array([jet.c for jet in jets]) for jets in (xs, ys, ys_std))
+        for key, value, reference in (
+            ("cubic", ext.series_forward(w, yt, 3).x, _taylor_terms(space, xs, w, range(4))),
+            ("quadratic", ext.series_forward(w, yt, 2).y, _taylor_terms(space, ys, w, range(3))),
+            ("kinds", ys_std[:, space.degrees <= 1], ys[:, space.degrees <= 1]),
+        ):
+            worst[key] = max(worst[key], _gap(value, reference))
+    return [
+        _row(ctx, "series-order-cubic",
+             "the order-3 coordinate series is the chart map's Taylor polynomial through third order",
+             count, worst["cubic"], 1e-10),
+        _row(ctx, "series-order-quadratic",
+             "the order-2 fiber series is the chart map's Taylor polynomial through second order",
+             count, worst["quadratic"], 1e-10),
+        _row(ctx, "series-kind-gap",
+             "extended and standard chart fibers agree through first order at the center",
+             count, worst["kinds"], 1e-10),
     ]
-    if not ctx.heavy:
-        rows.append(
-            _band_row(ctx, "series-kind-gap",
-                      "extended and standard charts agree to second order (ratio in [3.2, 5])",
-                      count, ratios_gap, (3.2, 5.0))
-        )
-    return rows
 
 
 _REGISTRY = [
@@ -687,16 +621,13 @@ def run_verification(model_source, seed: int = 0, budget: str = "quick") -> dict
     model = load_model(model_source)
     conn = GeneralConnection.cartan(model)
     name = str(model_source) if not isinstance(model_source, FinslerLagrangian) else "<object>"
-    flat = _is_flat(model, conn)
     ctx = _Ctx(
         name=name,
         model=model,
         conn=conn,
         seed=int(seed),
-        budget=budget,
-        counts=_counts(budget, model.dimension),
-        flat=flat,
-        heavy=model.dimension > 2 and not flat,
+        counts=_counts(budget),
+        flat=_is_flat(model, conn),
     )
     checks = [row for check in _REGISTRY for row in check(ctx)]
     return {

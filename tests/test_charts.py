@@ -423,8 +423,29 @@ def test_curvature_in_chart_flat_geometry_vanishes():
     assert np.abs(r_chart).max() <= 1e-6
 
 
+def _signed_step(arg):
+    """An argument written as a + e or a - e, or as e or -e (``-h * w``
+    counts as -(h * w)), split into (sign, step); None for a literal."""
+    if isinstance(arg, ast.BinOp) and isinstance(arg.op, (ast.Add, ast.Sub)):
+        return type(arg.op), ("shift", ast.dump(arg.left), ast.dump(arg.right))
+    sign = ast.Add
+    if (
+        isinstance(arg, ast.BinOp)
+        and isinstance(arg.op, (ast.Mult, ast.Div))
+        and isinstance(arg.left, ast.UnaryOp)
+        and isinstance(arg.left.op, ast.USub)
+    ):
+        arg, sign = ast.BinOp(arg.left.operand, arg.op, arg.right), ast.Sub
+    elif isinstance(arg, ast.UnaryOp) and isinstance(arg.op, ast.USub):
+        arg, sign = arg.operand, ast.Sub
+    if isinstance(arg, ast.Constant):
+        return None  # np.full(n, -1.0) next to np.full(n, 1.0) is no difference
+    return sign, ("scale", ast.dump(arg))
+
+
 def _central_differences(tree) -> list:
-    """Functions of ``tree`` that call one callable at both a + e and a - e."""
+    """Functions of ``tree`` that call one callable at both a + e and a - e,
+    or at both e and -e."""
     found = []
     for fn in ast.walk(tree):
         if not isinstance(fn, ast.FunctionDef):
@@ -434,9 +455,9 @@ def _central_differences(tree) -> list:
             if not isinstance(node, ast.Call):
                 continue
             for i, arg in enumerate(node.args):
-                if isinstance(arg, ast.BinOp) and isinstance(arg.op, (ast.Add, ast.Sub)):
-                    key = (ast.dump(node.func), i, ast.dump(arg.left), ast.dump(arg.right))
-                    signs.setdefault(key, set()).add(type(arg.op))
+                step = _signed_step(arg)
+                if step is not None:
+                    signs.setdefault((ast.dump(node.func), i, step[1]), set()).add(step[0])
         if any(len(ops) == 2 for ops in signs.values()):
             found.append(fn.name)
     return found
@@ -463,6 +484,28 @@ def test_library_takes_no_finite_differences():
                 names = {alias.name.split(".")[-1] for alias in node.names}
                 names.add((getattr(node, "module", None) or "").split(".")[-1])
                 assert not names & (helpers | {"numerics", "fd_oracles"}), path.name
+
+
+def test_finite_difference_guard_sees_sign_flipped_steps():
+    source = """
+def shifted(f, z, e):
+    return f(z + e) - f(z - e)
+
+def scaled(f, h, w):
+    return f(h * w) - f(-h * w)
+
+def closure(f, h):
+    def path(s):
+        return f(s)
+    return path(2 * h) - path(-2 * h) + path(h) - path(-h)
+
+def box(n):
+    return np.full(n, -1.0), np.full(n, 1.0)
+
+def one_sided(f, h):
+    return f(h) - f(0.0)
+"""
+    assert _central_differences(ast.parse(source)) == ["shifted", "scaled", "closure"]
 
 
 # -- quadratic Lagrangians reduce to classical normal coordinates --------------------

@@ -198,7 +198,7 @@ def test_domain_box_draws_are_bit_identical_to_the_per_site_boxes(name):
     spec = SampleSpec.for_model(model, count=6, seed=9)
     ref = SampleSpec(count=6, seed=9, x_min=dom.get("x_min"), x_max=dom.get("x_max"),
                      y_norm=tuple(dom.get("y_norm", (0.5, 2.0))))
-    ctx = verify._Ctx(name, model, None, 9, "quick", {}, False, False)
+    ctx = verify._Ctx(name, model, None, 9, {}, False)
     mine, theirs = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(6):
         a, b = spec.draw(mine, n), ref.draw(theirs, n)

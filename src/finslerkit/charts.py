@@ -38,8 +38,6 @@ from .dynamics import (
 from .errors import (
     ExcludedSetEntered,
     FinslerKitError,
-    NearDegenerateMetric,
-    NearZeroDirection,
     NewtonDiverged,
     NonFiniteField,
     OrderUnsupported,
@@ -180,10 +178,7 @@ class AutoparallelChart:
 
     def _newton_seed(self, p: TangentBundlePoint) -> np.ndarray:
         """Second-order inverse series at (x0, y), the Newton starting point."""
-        try:
-            ev = self.connection.evaluate(bundle_point(self.base, p.y))
-        except (NearZeroDirection, NearDegenerateMetric) as err:
-            raise ExcludedSetEntered(f"inverse seed evaluation failed: {err}") from err
+        ev = self.connection.evaluate(bundle_point(self.base, p.y))
         d = p.x - self.base
         xt = d + 0.5 * np.einsum("qbc,b,c->q", ev.dN_y, d, d)
         quad = ev.delta_N + 2.0 * np.einsum("rc,qrb->qbc", ev.N, ev.dN_y)
@@ -374,10 +369,7 @@ class AutoparallelChart:
                 f"{float(np.linalg.norm(xt)):.4g}"
             )
         inverse = np.linalg.inv(forward)
-        try:
-            n_img = self.connection.coefficients(img)
-        except (NearZeroDirection, NearDegenerateMetric) as err:
-            raise ExcludedSetEntered(f"image point left the admissible set: {err}") from err
+        n_img = self.connection.coefficients(img)
         return inverse[n:, n:] @ (forward[n:, :n] + n_img @ forward[:n, :n])
 
     def _require_lagrangian(self):

@@ -25,6 +25,7 @@ from .dynamics import (
     integrate_horizontal_autoparallel,
 )
 from .errors import FinslerKitError, ModelFormatError
+from .integrate import DEFAULT_ATOL, DEFAULT_RTOL
 from .lagrangian import SampleSpec
 from .models import load_model
 from .verify import SCHEMA_VERSION, format_table, report_to_json, run_verification
@@ -45,8 +46,8 @@ class RunConfig:
     y_tilde: np.ndarray | None = None
     kind: str = "extended"
     t_end: float = 1.0
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    rtol: float = DEFAULT_RTOL
+    atol: float = DEFAULT_ATOL
     radius: float = 0.5
     samples: int = 200
     budget: str = "quick"
@@ -267,6 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, default=0)
 
+    def tolerances(p):
+        p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
+        p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
+
     p = sub.add_parser("validate", help="sample-based Lagrangian admissibility report")
     common(p)
     p.add_argument("--samples", type=int, default=200)
@@ -281,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", type=_vector, required=True)
     p.add_argument("--direction", type=_vector, required=True)
     p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
+    tolerances(p)
 
     p = sub.add_parser(
         "autoparallel", help="horizontal autoparallel with independent seeds, CSV"
@@ -292,16 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--velocity", type=_vector, required=True)
     p.add_argument("--fiber", type=_vector, required=True)
     p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
+    tolerances(p)
 
     p = sub.add_parser("expmap", help="exponential map value and Jacobian blocks")
     common(p)
     p.add_argument("--point", type=_vector, required=True)
     p.add_argument("--velocity", type=_vector, required=True)
     p.add_argument("--fiber", type=_vector, required=True)
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
+    tolerances(p)
 
     p = sub.add_parser("chart", help="adapted-chart evaluation with round-trip audit")
     common(p)
@@ -334,8 +336,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         y_tilde=getattr(args, "y_tilde", None),
         kind=getattr(args, "kind", "extended"),
         t_end=getattr(args, "t_end", 1.0),
-        rtol=getattr(args, "rtol", 1e-10),
-        atol=getattr(args, "atol", 1e-12),
+        rtol=getattr(args, "rtol", DEFAULT_RTOL),
+        atol=getattr(args, "atol", DEFAULT_ATOL),
         radius=getattr(args, "radius", 0.5),
         samples=getattr(args, "samples", 200),
         budget=getattr(args, "budget", "quick"),

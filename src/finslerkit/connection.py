@@ -296,6 +296,7 @@ class GeneralConnection:
         """
         n = self.dimension
         if self._explicit_fn is not None:
+            point.require_nonzero_direction()
             space = JetSpace.get(2 * n, order)
             xs = [space.variable(i, point.x[i]) for i in range(n)]
             ys = [space.variable(n + i, point.y[i]) for i in range(n)]

@@ -26,19 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import (
-    DEGENERACY_CONDITION_LIMIT,
-    ZERO_DIRECTION_GUARD,
-    TangentBundlePoint,
-    bundle_point,
-)
+from .bundle import ZERO_DIRECTION_GUARD, TangentBundlePoint, bundle_point
 from .connection import GeneralConnection
-from .errors import (
-    ExcludedSetEntered,
-    NearDegenerateMetric,
-    NearZeroDirection,
-    NonFiniteField,
-)
 from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, OdeSolution, solve_ode
 from .jets import JetSpace, compose, unit_index
 
@@ -49,8 +38,7 @@ class IntegrationControls:
 
     ``first_step`` None means the unit interval for the exponential-map flows
     (``exp_map``, ``exp_map_jets`` and everything built on them) and Hairer's
-    starting-step estimate for flows to an arbitrary ``t_end`` (and for a
-    time-one flow that meets a point where the field fails).
+    starting-step estimate for flows to an arbitrary ``t_end``.
     """
 
     rtol: float = DEFAULT_RTOL
@@ -113,32 +101,6 @@ class Trajectory:
             )
 
 
-def _guard_for(conn: GeneralConnection, n: int, y_slice: slice):
-    """Excluded-set guard run at accepted steps: zero section + degeneracy."""
-
-    def guard(t, z):
-        y = z[y_slice]
-        if float(np.linalg.norm(y)) < ZERO_DIRECTION_GUARD:
-            raise ExcludedSetEntered(f"fiber direction collapsed to zero at t = {t:.6g}")
-        if conn.lagrangian is not None:
-            x = z[:n]
-            try:
-                g = conn.lagrangian.l_metric(bundle_point(x, y))
-            except (NearZeroDirection, NearDegenerateMetric) as err:
-                raise ExcludedSetEntered(str(err)) from err
-            cond = float(np.linalg.cond(g))
-            if not np.isfinite(cond) or cond > DEGENERACY_CONDITION_LIMIT:
-                raise ExcludedSetEntered(
-                    f"L-metric condition number {cond:.3e} at t = {t:.6g}"
-                )
-
-    return guard
-
-
-def _reraise_excluded(err):
-    raise ExcludedSetEntered(f"connection evaluation failed: {err}") from err
-
-
 def integrate_autoparallel(
     conn: GeneralConnection,
     x0,
@@ -154,10 +116,7 @@ def integrate_autoparallel(
 
     def rhs(t, z):
         x, v = z[:n], z[n:]
-        try:
-            N = conn.coefficients(bundle_point(x, v))
-        except (NearZeroDirection, NearDegenerateMetric) as err:
-            _reraise_excluded(err)
+        N = conn.coefficients(bundle_point(x, v))
         return np.concatenate([v, -N @ v])
 
     sol = solve_ode(
@@ -167,7 +126,6 @@ def integrate_autoparallel(
         t_end,
         rtol=controls.rtol,
         atol=controls.atol,
-        guard=_guard_for(conn, n, slice(n, 2 * n)),
         max_steps=controls.max_steps,
         first_step=controls.first_step,
     )
@@ -189,10 +147,7 @@ def _horizontal_rhs(conn: GeneralConnection):
 
     def rhs(t, z):
         x, y, u = z[:n], z[n : 2 * n], z[2 * n :]
-        try:
-            ev = conn.evaluate(bundle_point(x, y))
-        except (NearZeroDirection, NearDegenerateMetric) as err:
-            _reraise_excluded(err)
+        ev = conn.evaluate(bundle_point(x, y))
         xdd = -np.einsum("abc,b,c->a", ev.dN_y, u, u)
         return np.concatenate([u, -ev.N @ u, xdd])
 
@@ -227,7 +182,6 @@ def integrate_horizontal_autoparallel(
         t_end,
         rtol=controls.rtol,
         atol=controls.atol,
-        guard=_guard_for(conn, n, slice(n, 2 * n)),
         max_steps=controls.max_steps,
         first_step=controls.first_step,
     )
@@ -262,38 +216,25 @@ def integrate_horizontal_autoparallel(
     )
 
 
-def _solve_time_one(rhs, z0, guard, controls: IntegrationControls | None):
+def _solve_time_one(rhs, z0, controls: IntegrationControls | None):
     """``solve_ode`` on [0, 1] from a first trial step of the whole interval.
 
     EXP(s u, v) is the time-s point of the flow from (u, v), so the step a
     time-one flow needs is set by |u|, and error control shrinks a unit trial
-    that is too long.  A stage where the field cannot be evaluated (the
-    excluded set, or a non-finite value) gives error control nothing to judge,
-    so a flow that meets one runs again from Hairer's starting-step estimate
-    and fails only where that start fails too.  An explicit
-    ``controls.first_step`` is used as given.
+    that is too long, or one whose stages leave the field's domain.  An
+    explicit ``controls.first_step`` is used as given.
     """
     controls = controls or IntegrationControls()
-
-    def run(first_step):
-        return solve_ode(
-            rhs,
-            0.0,
-            z0,
-            1.0,
-            rtol=controls.rtol,
-            atol=controls.atol,
-            guard=guard,
-            max_steps=controls.max_steps,
-            first_step=first_step,
-        )
-
-    if controls.first_step is not None:
-        return run(controls.first_step)
-    try:
-        return run(1.0)
-    except (ExcludedSetEntered, NonFiniteField):
-        return run(None)
+    return solve_ode(
+        rhs,
+        0.0,
+        z0,
+        1.0,
+        rtol=controls.rtol,
+        atol=controls.atol,
+        max_steps=controls.max_steps,
+        first_step=1.0 if controls.first_step is None else controls.first_step,
+    )
 
 
 def exp_map(
@@ -308,8 +249,7 @@ def exp_map(
     z0 = np.concatenate(
         [np.asarray(base, float), np.asarray(v, float), np.asarray(u, float)]
     )
-    guard = _guard_for(conn, n, slice(n, 2 * n))
-    z = _solve_time_one(_horizontal_rhs(conn), z0, guard, controls).state_end
+    z = _solve_time_one(_horizontal_rhs(conn), z0, controls).state_end
     return bundle_point(z[:n], z[n : 2 * n])
 
 
@@ -387,10 +327,7 @@ def _jet_rhs(conn: GeneralConnection, space: JetSpace, at_rest: bool):
     def rhs(t, z):
         state = z.reshape(space.size, 3 * n).T
         x, y, u = state[:n], state[n : 2 * n], state[2 * n :]
-        try:
-            ev = conn.evaluate_deep(bundle_point(x[:, 0], y[:, 0]), order)
-        except (NearZeroDirection, NearDegenerateMetric) as err:
-            _reraise_excluded(err)
+        ev = conn.evaluate_deep(bundle_point(x[:, 0], y[:, 0]), order)
         dev = state[: 2 * n].copy()
         dev[:, 0] = 0.0
         # N[a, b] and dN[a, b, c] = d/dy^c N^a_b along the state jets
@@ -432,7 +369,6 @@ def exp_map_jets(
     sol = _solve_time_one(
         _jet_rhs(conn, space, at_rest=not u.any()),
         z0.ravel(),
-        _guard_for(conn, n, slice(n, 2 * n)),
         controls,
     )
     state = sol.state_end.reshape(space.size, 3 * n).T.copy()

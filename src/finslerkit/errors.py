@@ -17,16 +17,22 @@ class OrderUnsupported(FinslerKitError):
     """A derivative order outside the supported range was requested."""
 
 
-class NearZeroDirection(FinslerKitError):
+class ExcludedSetEntered(FinslerKitError):
+    """A point of the bundle's excluded set: the zero section or the points
+    where the L-metric degenerates.
+
+    The connection raises one of the two subclasses below at such a point.  A
+    flow whose trial stage meets one rejects that step; a flow that starts or
+    lands on one raises it.
+    """
+
+
+class NearZeroDirection(ExcludedSetEntered):
     """A fiber direction is too close to the zero section to be usable."""
 
 
-class NearDegenerateMetric(FinslerKitError):
+class NearDegenerateMetric(ExcludedSetEntered):
     """The fiber Hessian of the Lagrangian is numerically singular."""
-
-
-class ExcludedSetEntered(FinslerKitError):
-    """An integrated curve hit the degenerate/guarded subset of the bundle."""
 
 
 class StepSizeUnderflow(FinslerKitError):

@@ -1,11 +1,14 @@
 """Dormand-Prince 8(5,3) integrator (DOP853) with lazy continuous output.
 
 Geometry-agnostic: integrates dz/dt = f(t, z) with standard step control on
-the combined 5th/3rd-order error estimate, and calls an optional guard after
-each accepted step so callers can police excluded regions of their state
-space.  Tolerances default to the tight values the rest of the package
-assumes (rtol 1e-10, atol 1e-12), where an 8th-order pair needs a fraction of
-the steps of a 5th-order one.
+the combined 5th/3rd-order error estimate.  A field that cannot be evaluated
+at a trial stage (``f`` raises :class:`ExcludedSetEntered`, or returns a
+non-finite value) rejects that step like a failed error test, as in SUNDIALS
+ARKODE's recoverable right-hand-side failures; a failure at the start point
+or at an accepted step's end point ends the run, so the caller's field is the
+one check of its excluded set.  Tolerances default to the tight values the
+rest of the package assumes (rtol 1e-10, atol 1e-12), where an 8th-order pair
+needs a fraction of the steps of a 5th-order one.
 
 A step evaluates f at 11 new stages; an accepted step adds one evaluation at
 its end point, which is the next step's first stage (FSAL), so an accepted
@@ -28,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FinslerKitError, NonFiniteField, StepSizeUnderflow
+from .errors import ExcludedSetEntered, FinslerKitError, NonFiniteField, StepSizeUnderflow
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -243,7 +246,7 @@ class OdeSolution:
         self.nfev += 1
         out = np.asarray(self.fun(t, z), dtype=float)
         if not np.isfinite(out).all():
-            raise NonFiniteField(f"right-hand side is not finite at t = {t:.6g}, state {z}")
+            raise NonFiniteField(f"right-hand side is not finite at t = {float(t)!r}, state {z}")
         return out
 
     def _segment(self, t: float) -> int:
@@ -317,16 +320,17 @@ def solve_ode(
     t_end: float,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    guard=None,
     max_steps: int = 100_000,
     first_step: float | None = None,
 ) -> OdeSolution:
     """Integrate dz/dt = f(t, z) from t0 to t_end.
 
-    ``guard(t, z)`` runs after every accepted step and may raise to abort.
-    Raises :class:`NonFiniteField` as soon as ``f`` returns a NaN or an
-    infinity, and :class:`StepSizeUnderflow` when error control pushes the
-    step below the round-off floor.
+    An :class:`ExcludedSetEntered` or :class:`NonFiniteField` at a trial
+    stage rejects the step and cuts it by ``MIN_FACTOR``; if the step then
+    underflows, that stage's error is raised.  The same errors at t0 or at an
+    accepted step's end point are raised at once.  Raises
+    :class:`StepSizeUnderflow` when error control pushes the step below the
+    round-off floor.
     """
     z0 = np.asarray(z0, dtype=float)
     m = z0.size
@@ -351,19 +355,27 @@ def solve_ode(
     naccepted = nrejected = 0
     max_err = 0.0
     just_rejected = False
+    stage_failure = None  # the last trial stage's error since an accepted step
 
     for _ in range(max_steps):
         if (t - t_end) * direction >= 0.0:
             break
         h = min(h, abs(t_end - t))
         if h < 1e-14 * max(1.0, abs(t)):
-            raise StepSizeUnderflow(
-                f"step size {h:.3e} underflowed at t = {t:.6g}"
-            )
+            if stage_failure is not None:
+                raise stage_failure
+            raise StepSizeUnderflow(f"step size {h:.3e} underflowed at t = {float(t)!r}")
         hs = h * direction
 
-        for i in range(1, 12):
-            k[i] = call(t + _C[i] * hs, z + hs * (_A[i] @ k[:i]))
+        try:
+            for i in range(1, 12):
+                k[i] = call(t + _C[i] * hs, z + hs * (_A[i] @ k[:i]))
+        except (ExcludedSetEntered, NonFiniteField) as err:
+            stage_failure = err
+            nrejected += 1
+            just_rejected = True
+            h *= MIN_FACTOR
+            continue
         dz = _A[12] @ k[:12]  # the 8th-order weights b
         z_new = z + hs * dz
         # DOP853's error norm: the 5th-order estimate scaled by the 3rd-order one
@@ -383,8 +395,7 @@ def solve_ode(
             naccepted += 1
             max_err = max(max_err, err)
             k[0] = k[12]  # FSAL
-            if guard is not None:
-                guard(t, z)
+            stage_failure = None
             factor = MAX_FACTOR if err == 0.0 else min(
                 MAX_FACTOR, max(MIN_FACTOR, SAFETY * err ** -0.125)
             )

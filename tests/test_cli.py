@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from finslerkit.cli import main
+from finslerkit.cli import build_parser, config_from_args, main
 from finslerkit.connection import GeneralConnection
 from finslerkit.dynamics import IntegrationControls, exp_map_with_jacobian
 from finslerkit.models import load_model
@@ -76,6 +76,24 @@ def test_nonpositive_tolerance_exits_two(capsys):
     )
     assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["connection", "--point", "1,0", "--direction", "0,1"],
+        ["geodesic", "--point", "1,0", "--direction", "0,1"],
+        ["autoparallel", "--point", "1,0", "--velocity", "0,1", "--fiber", "1,0"],
+        ["expmap", "--point", "1,0", "--velocity", "0,1", "--fiber", "1,0"],
+        ["chart", "--x-tilde", "0,0", "--y-tilde", "1,0"],
+        ["verify"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_default_tolerances_are_the_integrator_defaults(argv):
+    args = build_parser().parse_args(argv[:1] + ["--model", "builtin:polar2d"] + argv[1:])
+    assert config_from_args(args).controls() == IntegrationControls()
 
 
 def test_negative_components_via_equals_syntax(capsys):

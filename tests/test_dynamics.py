@@ -20,7 +20,13 @@ from finslerkit.dynamics import (
     integrate_autoparallel,
     integrate_horizontal_autoparallel,
 )
-from finslerkit.errors import ExcludedSetEntered, NonFiniteField, StepSizeUnderflow
+from finslerkit.errors import (
+    ExcludedSetEntered,
+    NearDegenerateMetric,
+    NearZeroDirection,
+    NonFiniteField,
+    StepSizeUnderflow,
+)
 from finslerkit.integrate import solve_ode
 from finslerkit.jets import JetSpace, unit_index
 from finslerkit.lagrangian import SampleSpec
@@ -181,6 +187,41 @@ def test_non_finite_rhs_raises_non_finite_field_with_the_time():
     assert "state [" in str(info.value)
 
 
+def test_an_excluded_trial_stage_rejects_the_step():
+    # the field is undefined for z < 0; a first step of 10 overshoots into it
+    refusals = 0
+
+    def f(t, z):
+        nonlocal refusals
+        if z[0] < 0.0:
+            refusals += 1
+            raise ExcludedSetEntered(f"z = {z[0]} < 0")
+        return -z
+
+    sol = solve_ode(f, 0.0, np.array([1.0]), 5.0, first_step=10.0)
+    assert refusals >= 1
+    assert sol.nrejected >= refusals
+    exact = np.exp(-sol.ts)
+    assert np.abs(sol.states[:, 0] / exact - 1.0).max() <= integrate.DEFAULT_RTOL
+
+
+def test_a_field_that_fails_past_a_time_raises_its_error_there():
+    # every step past t* = 0.3 is rejected until the step underflows; the
+    # error raised is the failing stage's, at a time just past t*
+    f = lambda t, z: np.array([np.nan]) if t > 0.3 else -z
+    with pytest.raises(NonFiniteField) as info:
+        solve_ode(f, 0.0, np.array([1.0]), 1.0, first_step=1.0)
+    t = float(re.search(r"t = (\S+),", str(info.value)).group(1))
+    assert 0.3 < t < 0.3 + 1e-12
+
+
+def test_connection_refusals_are_excluded_set_errors():
+    assert issubclass(NearZeroDirection, ExcludedSetEntered)
+    assert issubclass(NearDegenerateMetric, ExcludedSetEntered)
+    assert isinstance(NearZeroDirection("y = 0"), ExcludedSetEntered)
+    assert isinstance(NearDegenerateMetric("cond"), ExcludedSetEntered)
+
+
 # -- autoparallel lifts ----------------------------------------------------------
 
 
@@ -225,12 +266,12 @@ def test_lift_rescaling_property():
 
 def test_lift_into_coordinate_singularity_is_caught():
     # a straight line passing within 1e-6 of the origin: the angular fiber
-    # metric component r^2 degenerates and the excluded-set guard must fire
+    # metric component r^2 degenerates and the connection must refuse it
     conn = conn_for("polar2d")
     x0 = np.array([1.0, 0.0])
     b = 1e-6
     u = np.array([-1.0, b])  # tiny angular momentum, r_min ~ b
-    with pytest.raises((ExcludedSetEntered, StepSizeUnderflow)):
+    with pytest.raises(ExcludedSetEntered):
         integrate_autoparallel(conn, x0, u, 2.0)
 
 
@@ -485,31 +526,33 @@ def test_a_rejected_unit_trial_shrinks_and_stays_accurate(flows):
         assert _endpoint_gap(p, ref) <= ENDPOINT_TOL
 
 
-def test_a_unit_trial_with_an_excluded_stage_restarts_from_the_estimate(flows, monkeypatch):
+def test_a_unit_trial_with_an_excluded_stage_is_a_rejected_step(flows, monkeypatch):
     # polar2d degenerates at r = 0: the unit trial's stages reach it, the
     # flow itself passes r = 0.16 (the Cartesian chord's closest approach)
     conn = conn_for("polar2d")
     base, u, v = np.array([0.8, 0.0]), np.array([-2.0, 0.5]), np.array([1.0, 0.0])
-    with pytest.raises(ExcludedSetEntered):
-        exp_map(conn, base, u, v, IntegrationControls(first_step=1.0))
     ref = exp_map(conn, base, u, v, IntegrationControls(rtol=1e-13, atol=1e-15, first_step=1e-3))
-    estimates = []
-    estimate = integrate._initial_step
 
-    def counted(*args):
-        estimates.append(estimate(*args))
-        return estimates[-1]
+    def no_estimate(*args):
+        raise AssertionError("a time-one flow asked for the starting-step estimate")
 
-    monkeypatch.setattr(integrate, "_initial_step", counted)
-    for run in (
-        lambda: exp_map(conn, base, u, v),
-        lambda: exp_map_with_jacobian(conn, base, u, v)[0],
-    ):
-        del estimates[:]
-        p = run()
-        assert flows[-1].segments[0].h == estimates[-1]  # the rerun's start
-        assert len(estimates) == 1
-        assert _endpoint_gap(p, ref) <= ENDPOINT_TOL
+    monkeypatch.setattr(integrate, "_initial_step", no_estimate)
+    for controls in (None, IntegrationControls(first_step=1.0)):
+        for run in (
+            lambda: exp_map(conn, base, u, v, controls),
+            lambda: exp_map_with_jacobian(conn, base, u, v, controls=controls)[0],
+        ):
+            del flows[:]
+            p = run()
+            assert len(flows) == 1
+            assert flows[0].nrejected >= 1
+            assert _endpoint_gap(p, ref) <= ENDPOINT_TOL
+
+
+def test_exp_map_of_an_explicit_connection_refuses_the_zero_fiber():
+    conn = GeneralConnection.explicit(lambda xs, ys: [[0.0, 0.0], [0.0, 0.0]], 2)
+    with pytest.raises(NearZeroDirection):
+        exp_map(conn, [0.1, 0.2], [0.3, -0.4], [0.0, 0.0])
 
 
 def test_small_velocity_flow_takes_one_step(flows):

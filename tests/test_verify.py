@@ -80,6 +80,14 @@ def test_every_applicable_row_runs_and_measures_its_samples(name):
     assert all(row["samples"] >= 1 for row in rows)
 
 
+@pytest.mark.parametrize("name", ["sphere2d", "polar2d", "flat4d"])
+def test_berwald_row_counts_its_comparisons(name):
+    # the first fiber at each base is the reference the others are compared with
+    counts = verify._counts("quick")
+    row = next(r for r in quick_report(name)["checks"] if r["id"] == "berwald-y-independence")
+    assert row["samples"] == counts["berwald_bases"] * (counts["berwald_fibers"] - 1) == 4
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name", ["sphere2d", "randers2d", "quartic4d"])
 def test_series_rows_catch_a_one_percent_cubic_error(monkeypatch, name, seed):

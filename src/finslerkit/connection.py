@@ -35,6 +35,9 @@ from .errors import NearDegenerateMetric, NonFiniteField
 from .jets import JetSpace, TaylorJet, eval_taylor, unit_index
 from .lagrangian import FinslerLagrangian
 
+# entries of GeneralConnection's evaluation memo
+_MEMO_SIZE = 16
+
 
 def _x_cap(order: int) -> int:
     """x-degree cap of the L jet behind N's jet of ``order``.
@@ -335,15 +338,16 @@ class GeneralConnection:
     def _cached(self, point, order):
         # flows probing a stationary bundle point hammer the same argument;
         # a small memo makes those re-evaluations free.  Its hits are one flow
-        # apart at most, and a deep entry holds N's jet (29 KB on quartic4d),
-        # so it keeps few entries.
+        # apart at most, and a deep entry holds N's jet (37 KB on quartic4d),
+        # so it keeps the _MEMO_SIZE most recently used entries.
         key = (point.x.tobytes(), point.y.tobytes(), order)
-        hit = self._eval_cache.get(key)
+        cache = self._eval_cache
+        hit = cache.pop(key, None)
         if hit is None:
-            if len(self._eval_cache) > 64:
-                self._eval_cache.clear()
             hit = self._assemble(point, order)
-            self._eval_cache[key] = hit
+            if len(cache) >= _MEMO_SIZE:
+                del cache[next(iter(cache))]  # the least recently used
+        cache[key] = hit  # (re)inserted last: dicts keep insertion order
         return hit
 
     def _assemble(self, point, order: int):

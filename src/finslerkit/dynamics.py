@@ -250,7 +250,8 @@ def exp_map(
         [np.asarray(base, float), np.asarray(v, float), np.asarray(u, float)]
     )
     z = _solve_time_one(_horizontal_rhs(conn), z0, controls).state_end
-    return bundle_point(z[:n], z[n : 2 * n])
+    # copies, so that a kept endpoint does not pin the flow's state history
+    return bundle_point(z[:n].copy(), z[n : 2 * n].copy())
 
 
 @dataclass
@@ -394,7 +395,7 @@ def exp_map_with_jacobian(
     u_seed = 0 if "u" in wrt else None
     v_seed = (n if "u" in wrt else 0) if "v" in wrt else None
     x, y = exp_map_jets(conn, base, u, v, space, u_seed, v_seed, controls)
-    endpoint = bundle_point(x[:, 0], y[:, 0])
+    endpoint = bundle_point(x[:, 0].copy(), y[:, 0].copy())  # not views of the jet state
 
     def blocks(seed):
         if seed is None:

@@ -15,13 +15,26 @@ the full-space product on every kept slot; a quantity that needs only a few
 x-derivatives skips the slots it never reads.  Multiplication uses a
 precomputed (i, j, k) pair table folded with ``np.bincount``.  The table is
 sorted by output degree, so the pairs a product of order-o jets needs (output
-degree <= o) are a prefix of it, and a product touches only that prefix
-(truncated Taylor arithmetic, Griewank & Walther, *Evaluating Derivatives*,
-2nd ed., SIAM 2008).  Division goes through a Newton iteration for the
-reciprocal; analytic functions (sin, exp, sqrt, ...) compose their univariate
-Taylor series with the nilpotent part via Horner's rule; :func:`compose`
-applies a multivariate jet to other jets (how Taylor-mode flows push N's jet
-through their state).
+degree <= o) are a prefix of it (truncated Taylor arithmetic, Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).  Division goes through
+a Newton iteration for the reciprocal; analytic functions (sin, exp, sqrt,
+...) compose their univariate Taylor series with the nilpotent part via
+Horner's rule; :func:`compose` applies a multivariate jet to other jets (how
+Taylor-mode flows push N's jet through their state).
+
+Every jet also carries a ``support``: a bitmask of the variables its non-zero
+coefficients may involve.  The invariant is that each slot whose multi-index
+uses a variable outside the support holds exactly 0.  A constant has support
+0, ``variable(v)`` has ``1 << v``, sums and products take the union, and the
+other operations keep their operand's support; a jet built from a raw array
+gets every variable.  A product runs only the prefix pairs whose left slot
+lies in the left support and whose right slot lies in the right one (sparse
+derivative propagation, ibid., ch. 13).  Every dropped pair has an exactly
+zero factor, so its product is +0 or -0 when the other factor is finite; and
+``np.bincount`` starts each bin from +0.0 and adds in array order, so no bin
+is ever -0.0 and adding a signed zero never changes it.  The kept pairs run in
+the prefix's order, so finite products are bit-identical to the full-table
+product, sign bits included.
 """
 
 from __future__ import annotations
@@ -83,6 +96,11 @@ class JetSpace:
       where its full-space source lies outside the space.  A value built with
       k nested x-derivatives is therefore exact on x-degree <= ``cap - k``.
 
+    Products of jets with partial supports (see :class:`TaylorJet`) run the
+    subsequence of ``_mul_prefix[order]`` that :meth:`pairs` filters by the
+    factors' supports, cached per (order, support_a, support_b); full against
+    full is the prefix itself.
+
     Instances are cached per (nvars, order, capped, cap); construction cost is
     paid once per process.
     """
@@ -102,6 +120,9 @@ class JetSpace:
         self.size = len(self.indices)
         self.index_of = {alpha: i for i, alpha in enumerate(self.indices)}
         self.degrees = np.array([sum(a) for a in self.indices], dtype=np.int64)
+        # slot_vars[i, v]: slot i's multi-index involves variable v
+        self.slot_vars = np.array(self.indices, dtype=np.int64).reshape(self.size, nvars) > 0
+        self.full_support = (1 << nvars) - 1
 
         # factorial(alpha) per slot, for converting Taylor coefficients into
         # true mixed partials
@@ -148,6 +169,7 @@ class JetSpace:
         self._mul_prefix = [
             (self._mul_ia[:e], self._mul_ib[:e], self._mul_ic[:e]) for e in ends
         ]
+        self._pairs: dict[tuple[int, int, int], tuple] = {}
 
         # derivative tables: one (src, dst, factor) triple set per variable;
         # a source of degree > order or above the cap is not in the space,
@@ -194,6 +216,26 @@ class JetSpace:
             cls._cache[key] = space
         return space
 
+    def pairs(self, order: int, support_a: int, support_b: int) -> tuple:
+        """The pairs of ``_mul_prefix[order]``, in its order, whose left slot
+        involves only variables in ``support_a`` and right slot only variables
+        in ``support_b``."""
+        key = (order, support_a, support_b)
+        table = self._pairs.get(key)
+        if table is None:
+            table = self._mul_prefix[order]
+            if support_a != self.full_support or support_b != self.full_support:
+                ia, ib, ic = table
+                keep = self._within(support_a)[ia] & self._within(support_b)[ib]
+                table = (ia[keep], ib[keep], ic[keep])
+            self._pairs[key] = table
+        return table
+
+    def _within(self, support: int) -> np.ndarray:
+        """Per slot: its multi-index involves only variables in ``support``."""
+        outside = [v for v in range(self.nvars) if not support >> v & 1]
+        return ~self.slot_vars[:, outside].any(axis=1)
+
     # -- coefficient-array operations ---------------------------------------
     #
     # The same arithmetic as TaylorJet's, on stacks of coefficient arrays whose
@@ -223,7 +265,7 @@ class JetSpace:
     def constant(self, value: float) -> "TaylorJet":
         c = np.zeros(self.size)
         c[0] = float(value)
-        return TaylorJet(self, self.order, c)
+        return TaylorJet(self, self.order, c, 0)
 
     def variable(self, v: int, value: float) -> "TaylorJet":
         """The coordinate function of variable ``v`` expanded at ``value``."""
@@ -232,22 +274,27 @@ class JetSpace:
         i = self.index_of.get(unit_index(self.nvars, v))
         if i is not None:  # absent at order 0 or cap 0
             c[i] = 1.0
-        return TaylorJet(self, self.order, c)
+        return TaylorJet(self, self.order, c, 1 << v)
 
 
 class TaylorJet:
     """One truncated multivariate Taylor series, valid up to ``self.order``.
 
     Coefficients above the jet's own validity order are kept zeroed so that
-    arithmetic never propagates stale high-degree terms.
+    arithmetic never propagates stale high-degree terms.  ``support`` is a
+    bitmask of the variables the non-zero coefficients may involve: every slot
+    whose multi-index uses a variable outside it is exactly 0, so products skip
+    those slots bit-identically (see the module docstring).  ``None`` means
+    every variable, the right default for a jet built from a raw array.
     """
 
-    __slots__ = ("space", "order", "c")
+    __slots__ = ("space", "order", "c", "support")
 
-    def __init__(self, space: JetSpace, order: int, c: np.ndarray):
+    def __init__(self, space: JetSpace, order: int, c: np.ndarray, support: int | None = None):
         self.space = space
         self.order = order
         self.c = c
+        self.support = space.full_support if support is None else support
 
     # -- inspection ---------------------------------------------------------
 
@@ -267,7 +314,7 @@ class TaylorJet:
         src, dst, fac = self.space._deriv[v]
         c = np.zeros(self.space.size)
         c[dst] = self.c[src] * fac
-        out = TaylorJet(self.space, self.order - 1, c)
+        out = TaylorJet(self.space, self.order - 1, c, self.support)
         out._mask()
         return out
 
@@ -277,23 +324,25 @@ class TaylorJet:
         return self
 
     def copy(self) -> "TaylorJet":
-        return TaylorJet(self.space, self.order, self.c.copy())
+        return TaylorJet(self.space, self.order, self.c.copy(), self.support)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, TaylorJet):
             c = self.c + other.c
-            out = TaylorJet(self.space, min(self.order, other.order), c)
+            out = TaylorJet(
+                self.space, min(self.order, other.order), c, self.support | other.support
+            )
             return out._mask()
         c = self.c.copy()
         c[0] += float(other)
-        return TaylorJet(self.space, self.order, c)
+        return TaylorJet(self.space, self.order, c, self.support)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TaylorJet(self.space, self.order, -self.c)
+        return TaylorJet(self.space, self.order, -self.c, self.support)
 
     def __sub__(self, other):
         return self.__add__(-other if isinstance(other, TaylorJet) else -float(other))
@@ -303,12 +352,12 @@ class TaylorJet:
 
     def __mul__(self, other):
         if not isinstance(other, TaylorJet):
-            return TaylorJet(self.space, self.order, self.c * float(other))
+            return TaylorJet(self.space, self.order, self.c * float(other), self.support)
         sp = self.space
         order = min(self.order, other.order)
-        ia, ib, ic = sp._mul_prefix[order]
+        ia, ib, ic = sp.pairs(order, self.support, other.support)
         c = np.bincount(ic, weights=self.c[ia] * other.c[ib], minlength=sp.size)
-        return TaylorJet(sp, order, c)
+        return TaylorJet(sp, order, c, self.support | other.support)
 
     __rmul__ = __mul__
 
@@ -317,7 +366,7 @@ class TaylorJet:
         if c0 == 0.0:
             raise ZeroDivisionError("jet reciprocal with zero constant term")
         inv = self.space.constant(1.0 / c0)
-        inv.order = self.order
+        inv.order, inv.support = self.order, self.support
         # Newton doubles the number of correct orders each sweep
         sweeps = max(1, math.ceil(math.log2(self.order + 1))) if self.order else 0
         for _ in range(sweeps):
@@ -327,7 +376,7 @@ class TaylorJet:
     def __truediv__(self, other):
         if isinstance(other, TaylorJet):
             return self * other.reciprocal()
-        return TaylorJet(self.space, self.order, self.c / float(other))
+        return TaylorJet(self.space, self.order, self.c / float(other), self.support)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * float(other)
@@ -339,7 +388,7 @@ class TaylorJet:
                 return self.reciprocal() ** (-k)
             if k == 0:
                 one = self.space.constant(1.0)
-                one.order = self.order
+                one.order, one.support = self.order, self.support
                 return one
             result, base = None, self
             while k:

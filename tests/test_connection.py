@@ -375,11 +375,11 @@ def test_jet_solve_takes_one_reciprocal_per_pivot(monkeypatch):
     space = JetSpace.get(3, 2)
     rng = np.random.default_rng(41)
     n = 3
-    matrix = [[space.constant(0.0) for _ in range(n)] for _ in range(n)]
+    matrix = [[None] * n for _ in range(n)]
     rhs = []
     for a in range(n):
         for b in range(n):
-            matrix[a][b].c[: space.size] = rng.standard_normal(space.size)
+            matrix[a][b] = TaylorJet(space, space.order, rng.standard_normal(space.size))
         rhs.append(space.variable(a, rng.standard_normal()))
     calls = 0
     reciprocal = TaylorJet.reciprocal

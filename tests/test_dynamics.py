@@ -762,3 +762,18 @@ def test_dense_state_matches_stored_nodes():
         p = traj.state(traj.ts[k])
         assert np.abs(p.x - traj.xs[k]).max() < 1e-12
         assert np.abs(p.y - traj.ys[k]).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, base, u, v",
+    [
+        ("sphere2d", [np.pi / 3, 0.4], [0.3, -0.2], [0.8, -0.5]),
+        ("quartic4d", [0.2, -0.3, 0.1, 0.4], [0.1, -0.05, 0.05, 0.1], [0.6, 0.2, -0.7, 0.3]),
+    ],
+)
+def test_time_one_endpoints_own_their_coordinates(name, base, u, v):
+    # a kept endpoint must not pin the flow's state history or its jet state
+    conn = conn_for(name)
+    for endpoint in (exp_map(conn, base, u, v), exp_map_with_jacobian(conn, base, u, v)[0]):
+        assert endpoint.x.base is None
+        assert endpoint.y.base is None

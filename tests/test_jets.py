@@ -399,3 +399,176 @@ def test_compose_is_the_polynomial_of_the_inner_jets(case):
     for a in range(len(inner)):
         for b in range(len(inner)):
             assert stacked[a, b].tobytes() == (jets[a] * jets[b]).c.tobytes()
+
+
+# -- supports ----------------------------------------------------------------
+#
+# A jet's support bounds the variables its non-zero coefficients involve, and
+# products skip the pairs outside both factors' supports.  The trees below mix
+# every operation on leaves over a random subset of the variables; evaluated a
+# second time from array-built leaves (full support, so every product runs the
+# whole degree prefix), they must give the same bits.
+
+_LEAVES = st.one_of(
+    st.tuples(st.just("var"), st.integers(0, 7), st.floats(-2.0, 2.0)),
+    st.tuples(st.just("const"), st.floats(-2.0, 2.0)),
+)
+
+
+def _branches(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*", "/"]), children, children),
+        st.tuples(st.sampled_from(["neg", "exp", "sin", "sqrt", "recip", "cube"]), children),
+        st.tuples(st.just("scale"), children, st.floats(-3.0, 3.0)),
+        st.tuples(st.just("deriv"), children, st.integers(0, 7)),
+    )
+
+
+_TREES = st.recursive(_LEAVES, _branches, max_leaves=10)
+
+
+def _evaluate_tree(tree, space, full, seen):
+    """The jet of ``tree`` in ``space``; ``full`` builds the leaves from raw
+    arrays, so that every jet of that run has the full support."""
+    head = tree[0]
+    if head in ("var", "const"):
+        if head == "var":
+            jet = space.variable(tree[1] % space.nvars, tree[2])
+        else:
+            jet = space.constant(tree[1])
+        if full:
+            jet = TaylorJet(space, jet.order, jet.c.copy())
+        seen.append(jet)
+        return jet
+    a = _evaluate_tree(tree[1], space, full, seen)
+    if head in ("+", "-", "*", "/"):
+        b = _evaluate_tree(tree[2], space, full, seen)
+        if head == "+":
+            out = a + b
+        elif head == "-":
+            out = a - b
+        elif head == "*":
+            out = a * b
+        else:
+            out = a / (1.0 + b * b)
+    elif head == "neg":
+        out = -a
+    elif head == "exp":
+        out = (0.25 * a).exp()
+    elif head == "sin":
+        out = a.sin()
+    elif head == "sqrt":
+        out = (1.0 + a * a).sqrt()
+    elif head == "recip":
+        out = (1.0 + a * a).reciprocal()
+    elif head == "cube":
+        out = a**3
+    elif head == "scale":
+        out = a * tree[2]
+    else:  # deriv
+        out = a.deriv(tree[2] % space.nvars) if a.order >= 1 else a
+    seen.append(out)
+    return out
+
+
+@st.composite
+def _support_case(draw):
+    nvars = draw(st.integers(2, 8))
+    order = draw(st.integers(0, 5))
+    capped = draw(st.integers(0, nvars))
+    space = JetSpace.get(nvars, order, capped, draw(st.integers(0, order)))
+    return space, draw(_TREES)
+
+
+def _bits(jet):
+    return jet.c.view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_support_case())
+def test_support_aware_products_are_bit_identical_to_full_support(case):
+    space, tree = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        sparse = _evaluate_tree(tree, space, False, [])
+        full = _evaluate_tree(tree, space, True, [])
+    assert full.support == space.full_support
+    if not np.isfinite(full.c).all():
+        return  # the bit-identity claim is for finite results
+    assert sparse.order == full.order
+    assert np.array_equal(_bits(sparse), _bits(full))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_support_case())
+def test_every_slot_outside_the_support_is_zero(case):
+    space, tree = case
+    seen = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        _evaluate_tree(tree, space, False, seen)
+    for jet in seen:
+        assert 0 <= jet.support <= space.full_support
+        for alpha, coefficient in zip(space.indices, jet.c):
+            if any(k and not jet.support >> v & 1 for v, k in enumerate(alpha)):
+                assert coefficient == 0.0  # +0.0, or -0.0 after a negation
+
+
+def test_supports_of_constructors():
+    space = JetSpace.get(4, 3)
+    assert space.full_support == 0b1111
+    assert space.constant(2.0).support == 0
+    assert space.variable(2, 0.5).support == 0b0100
+    assert TaylorJet(space, 2, np.zeros(space.size)).support == space.full_support
+    # sums and products take the union; the rest keep the operand's support
+    u, w = space.variable(0, 0.3), space.variable(3, -0.4)
+    assert (u + w).support == (u * w).support == (u - w).support == 0b1001
+    for kept in (-u, 2.0 * u, u / 3.0, u.deriv(0), u.copy(), u.exp(), u.reciprocal(), u**2, u**0):
+        assert kept.support == 0b0001
+    # full against full runs the degree prefix itself
+    for order in range(space.order + 1):
+        full = space.full_support
+        assert space.pairs(order, full, full) is space._mul_prefix[order]
+
+
+def test_array_built_image_jets_have_full_support():
+    from finslerkit.charts import AutoparallelChart
+    from finslerkit.connection import GeneralConnection
+    from finslerkit.models import load_model
+
+    conn = GeneralConnection.cartan(load_model("builtin:sphere2d"))
+    chart = AutoparallelChart(conn, np.array([np.pi / 3, 0.4]), kind="extended")
+    space = JetSpace.get(2, 2)
+    xs, ys = chart._image_jets(np.zeros(2), np.array([0.8, -0.5]), space, 0)
+    assert all(jet.support == space.full_support for jet in xs + ys)
+
+
+def test_non_finite_coefficient_still_raises_with_sparse_factors():
+    # x1's factor overflows; y2's factor has support {y2}, so the product never
+    # pairs the overflowed slots with y2's zero slots.  The infinity still
+    # reaches the result and is caught.
+    def f(xs, ys):
+        return (xs[0] * 1e308 * 10.0) * ys[1]
+
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteField):
+        eval_taylor(f, bundle_point([0.5, 0.0], [1.0, 2.0]), 2)
+
+
+def test_quartic_lagrangian_jet_touches_under_one_percent_of_the_pairs(monkeypatch):
+    from finslerkit.connection import _lagrangian_jet
+    from finslerkit.models import load_model
+
+    model = load_model("builtin:quartic4d")
+    p = bundle_point([0.1, -0.2, 0.3, 0.05], [0.7, -0.4, 0.5, 0.9])
+    run = prefix = 0
+    pairs = JetSpace.pairs
+
+    def counted(space, order, support_a, support_b):
+        nonlocal run, prefix
+        table = pairs(space, order, support_a, support_b)
+        run += table[0].size
+        prefix += space._mul_prefix[order][0].size
+        return table
+
+    monkeypatch.setattr(JetSpace, "pairs", counted)
+    _lagrangian_jet(model, p, 2)
+    assert prefix > 0
+    assert run <= 0.01 * prefix

@@ -31,7 +31,6 @@ from .errors import (
     SingularJacobian,
     StepSizeUnderflow,
 )
-from .jets import Jet, eval_jet
 from .lagrangian import FinslerLagrangian, SampleSpec
 from .models import builtin_names, load_model, save_model
 from .verify import run_verification
@@ -41,8 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "TangentBundlePoint",
     "bundle_point",
-    "Jet",
-    "eval_jet",
     "FinslerLagrangian",
     "SampleSpec",
     "load_model",

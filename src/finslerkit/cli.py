@@ -33,7 +33,10 @@ from .verify import SCHEMA_VERSION, format_table, report_to_json, run_verificati
 
 @dataclass
 class RunConfig:
-    """One CLI invocation, fully determined (with the seed) before any work."""
+    """One CLI invocation, fully determined (with the seed) before any work.
+
+    The field defaults are the CLI's: the parser passes only the flags given.
+    """
 
     command: str
     model: str
@@ -263,89 +266,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary):
+        # a flag not given stays out of the namespace, so RunConfig's default holds
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--model", required=True, help="builtin:NAME or a model JSON path")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int)
+        return p
 
     def tolerances(p):
-        p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
-        p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
+        p.add_argument("--rtol", type=float)
+        p.add_argument("--atol", type=float)
 
-    p = sub.add_parser("validate", help="sample-based Lagrangian admissibility report")
-    common(p)
-    p.add_argument("--samples", type=int, default=200)
+    p = command("validate", "sample-based Lagrangian admissibility report")
+    p.add_argument("--samples", type=int)
 
-    p = sub.add_parser("connection", help="connection tensors at one bundle point")
-    common(p)
+    p = command("connection", "connection tensors at one bundle point")
     p.add_argument("--point", type=_vector, required=True)
     p.add_argument("--direction", type=_vector, required=True)
 
-    p = sub.add_parser("geodesic", help="canonical-lift autoparallel, CSV trajectory")
-    common(p)
+    p = command("geodesic", "canonical-lift autoparallel, CSV trajectory")
     p.add_argument("--point", type=_vector, required=True)
     p.add_argument("--direction", type=_vector, required=True)
-    p.add_argument("--t-end", type=float, default=1.0)
+    p.add_argument("--t-end", type=float)
     tolerances(p)
 
-    p = sub.add_parser(
-        "autoparallel", help="horizontal autoparallel with independent seeds, CSV"
-    )
-    common(p)
+    p = command("autoparallel", "horizontal autoparallel with independent seeds, CSV")
     p.add_argument("--point", type=_vector, required=True)
     p.add_argument("--velocity", type=_vector, required=True)
     p.add_argument("--fiber", type=_vector, required=True)
-    p.add_argument("--t-end", type=float, default=1.0)
+    p.add_argument("--t-end", type=float)
     tolerances(p)
 
-    p = sub.add_parser("expmap", help="exponential map value and Jacobian blocks")
-    common(p)
+    p = command("expmap", "exponential map value and Jacobian blocks")
     p.add_argument("--point", type=_vector, required=True)
     p.add_argument("--velocity", type=_vector, required=True)
     p.add_argument("--fiber", type=_vector, required=True)
     tolerances(p)
 
-    p = sub.add_parser("chart", help="adapted-chart evaluation with round-trip audit")
-    common(p)
+    p = command("chart", "adapted-chart evaluation with round-trip audit")
     p.add_argument("--base", type=_vector, help="chart center (default: domain midpoint)")
-    p.add_argument("--kind", choices=["extended", "standard"], default="extended")
+    p.add_argument("--kind", choices=["extended", "standard"])
     p.add_argument("--x-tilde", type=_vector, required=True)
     p.add_argument("--y-tilde", type=_vector, required=True)
-    p.add_argument("--radius", type=float, default=0.5, help="trust-region radius")
+    p.add_argument("--radius", type=float, help="trust-region radius")
     p.add_argument("--series-order", type=int, choices=[1, 2, 3])
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--format", choices=["json", "csv"])
 
-    p = sub.add_parser("verify", help="run the property-verification suite")
-    common(p)
-    p.add_argument("--budget", choices=["quick", "full"], default="quick")
-    p.add_argument("--format", choices=["table", "json"], default="table")
+    p = command("verify", "run the property-verification suite")
+    p.add_argument("--budget", choices=["quick", "full"])
+    p.add_argument("--format", choices=["table", "json"])
+    p.set_defaults(format="table")
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        model=args.model,
-        point=getattr(args, "point", None),
-        direction=getattr(args, "direction", None),
-        velocity=getattr(args, "velocity", None),
-        fiber=getattr(args, "fiber", None),
-        base=getattr(args, "base", None),
-        x_tilde=getattr(args, "x_tilde", None),
-        y_tilde=getattr(args, "y_tilde", None),
-        kind=getattr(args, "kind", "extended"),
-        t_end=getattr(args, "t_end", 1.0),
-        rtol=getattr(args, "rtol", DEFAULT_RTOL),
-        atol=getattr(args, "atol", DEFAULT_ATOL),
-        radius=getattr(args, "radius", 0.5),
-        samples=getattr(args, "samples", 200),
-        budget=getattr(args, "budget", "quick"),
-        seed=args.seed,
-        output=args.output,
-        format=getattr(args, "format", "json"),
-        series_order=getattr(args, "series_order", None),
-    )
+    return RunConfig(**vars(args))
 
 
 def main(argv=None) -> int:

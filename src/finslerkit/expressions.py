@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from . import jets
-from .errors import ExpressionError
+from .errors import ExpressionError, NonFiniteField
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -187,6 +187,8 @@ def evaluate(node, env: dict):
     if node.op == "*":
         return left * right
     if node.op == "/":
+        if not isinstance(right, jets.TaylorJet) and right == 0.0:
+            raise NonFiniteField(f"division by zero in {to_string(node)!r}")
         return left / right
     if node.op == "^":
         if isinstance(right, jets.TaylorJet):

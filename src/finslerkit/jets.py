@@ -12,15 +12,21 @@ up to the space order.  A space may also cap the joint degree of its first
 only the multi-indices within both bounds.  The polynomials of x-degree above
 the cap form an ideal, so a product in the capped space is bit-identical to
 the full-space product on every kept slot; a quantity that needs only a few
-x-derivatives skips the slots it never reads.  Multiplication uses a
-precomputed (i, j, k) pair table folded with ``np.bincount``.  The table is
-sorted by output degree, so the pairs a product of order-o jets needs (output
-degree <= o) are a prefix of it (truncated Taylor arithmetic, Griewank &
-Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).  Division goes through
-a Newton iteration for the reciprocal; analytic functions (sin, exp, sqrt,
-...) compose their univariate Taylor series with the nilpotent part via
-Horner's rule; :func:`compose` applies a multivariate jet to other jets (how
-Taylor-mode flows push N's jet through their state).
+x-derivatives skips the slots it never reads.
+
+There is one product and one derivative, both on coefficient arrays:
+:meth:`JetSpace.product` and :meth:`JetSpace.derivative`.  A
+:class:`TaylorJet` is one such array with an order and a support, and its
+``*`` and ``deriv`` call them; :func:`compose` and the Taylor-mode flows call
+them on stacks of arrays.  The product folds a precomputed (i, j, k) pair
+table with ``np.bincount``.  The table is sorted by output degree, so the
+pairs a product of order-o jets needs (output degree <= o) are a prefix of it
+(truncated Taylor arithmetic, Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., SIAM 2008).  Division goes through a Newton iteration for the
+reciprocal; analytic functions (sin, exp, sqrt, ...) compose their univariate
+Taylor series with the nilpotent part via Horner's rule; :func:`compose`
+applies a multivariate jet to other jets (how Taylor-mode flows push N's jet
+through their state).
 
 Every jet also carries a ``support``: a bitmask of the variables its non-zero
 coefficients may involve.  The invariant is that each slot whose multi-index
@@ -35,23 +41,21 @@ zero factor, so its product is +0 or -0 when the other factor is finite; and
 is ever -0.0 and adding a signed zero never changes it.  The kept pairs run in
 the prefix's order, so finite products are bit-identical to the full-table
 product, sign bits included.
+
+A reciprocal of a jet with zero constant term and a float power of zero with
+a negative exponent raise :class:`NonFiniteField`, the error of every other
+point where a field has no finite Taylor expansion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .bundle import TangentBundlePoint
 from .errors import NonFiniteField, OrderUnsupported
-
-# Public derivative-extraction cap for eval_jet.  Internal consumers may build
-# deeper spaces (the flow-Jacobian tensors need one extra order), but the
-# user-facing jet record stops here.
-MAX_EVAL_ORDER = 4
 
 
 def unit_index(nvars: int, *slots: int) -> tuple:
@@ -96,10 +100,12 @@ class JetSpace:
       where its full-space source lies outside the space.  A value built with
       k nested x-derivatives is therefore exact on x-degree <= ``cap - k``.
 
-    Products of jets with partial supports (see :class:`TaylorJet`) run the
-    subsequence of ``_mul_prefix[order]`` that :meth:`pairs` filters by the
-    factors' supports, cached per (order, support_a, support_b); full against
-    full is the prefix itself.
+    The space owns the jet arithmetic's two kernels, on coefficient arrays
+    whose last axis runs over its slots: :meth:`product` and
+    :meth:`derivative`.  A product of factors with partial supports (see
+    :class:`TaylorJet`) runs the subsequence of ``_mul_prefix[order]`` that
+    :meth:`pairs` filters by the supports, cached per (order, support_a,
+    support_b); full against full is the prefix itself.
 
     Instances are cached per (nvars, order, capped, cap); construction cost is
     paid once per process.
@@ -236,15 +242,28 @@ class JetSpace:
         outside = [v for v in range(self.nvars) if not support >> v & 1]
         return ~self.slot_vars[:, outside].any(axis=1)
 
-    # -- coefficient-array operations ---------------------------------------
-    #
-    # The same arithmetic as TaylorJet's, on stacks of coefficient arrays whose
-    # last axis runs over the slots of this space.
+    # -- the kernels ---------------------------------------------------------
 
-    def product(self, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    def product(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        order: int,
+        support_a: int | None = None,
+        support_b: int | None = None,
+    ) -> np.ndarray:
         """Slot-wise jet products of ``a`` and ``b`` (broadcast against each
-        other), truncated at ``order``."""
-        ia, ib, ic = self._mul_prefix[order]
+        other), truncated at ``order``.  ``support_a`` and ``support_b`` bound
+        the variables the factors' non-zero slots involve; ``None`` is every
+        variable."""
+        full = self.full_support
+        ia, ib, ic = self.pairs(
+            order,
+            full if support_a is None else support_a,
+            full if support_b is None else support_b,
+        )
+        if a.ndim == 1 and b.ndim == 1:  # one jet: plain indexing is faster
+            return np.bincount(ic, weights=a[ia] * b[ib], minlength=self.size)
         w = a[..., ia] * b[..., ib]
         rows = math.prod(w.shape[:-1])
         # one bincount over all rows: row r's slots are bins r * size + slot
@@ -253,8 +272,7 @@ class JetSpace:
         return out.reshape(w.shape[:-1] + (self.size,))
 
     def derivative(self, c: np.ndarray, v: int) -> np.ndarray:
-        """Partial derivative in variable ``v`` of every jet in the stack ``c``
-        (``TaylorJet.deriv`` indexes its 1-d array directly: twice as fast)."""
+        """Partial derivative in variable ``v`` of every jet in the stack ``c``."""
         src, dst, fac = self._deriv[v]
         out = np.zeros(c.shape)
         out[..., dst] = c[..., src] * fac
@@ -311,9 +329,7 @@ class TaylorJet:
         """Partial derivative with respect to variable ``v``; drops one order."""
         if self.order < 1:
             raise OrderUnsupported("cannot differentiate an order-0 jet")
-        src, dst, fac = self.space._deriv[v]
-        c = np.zeros(self.space.size)
-        c[dst] = self.c[src] * fac
+        c = self.space.derivative(self.c, v)
         out = TaylorJet(self.space, self.order - 1, c, self.support)
         out._mask()
         return out
@@ -353,18 +369,16 @@ class TaylorJet:
     def __mul__(self, other):
         if not isinstance(other, TaylorJet):
             return TaylorJet(self.space, self.order, self.c * float(other), self.support)
-        sp = self.space
         order = min(self.order, other.order)
-        ia, ib, ic = sp.pairs(order, self.support, other.support)
-        c = np.bincount(ic, weights=self.c[ia] * other.c[ib], minlength=sp.size)
-        return TaylorJet(sp, order, c, self.support | other.support)
+        c = self.space.product(self.c, other.c, order, self.support, other.support)
+        return TaylorJet(self.space, order, c, self.support | other.support)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "TaylorJet":
         c0 = self.c[0]
         if c0 == 0.0:
-            raise ZeroDivisionError("jet reciprocal with zero constant term")
+            raise NonFiniteField("reciprocal of a jet with zero constant term")
         inv = self.space.constant(1.0 / c0)
         inv.order, inv.support = self.order, self.support
         # Newton doubles the number of correct orders each sweep
@@ -497,66 +511,20 @@ def power(base, exponent):
     """Generic ``base ** exponent`` for float or jet base and numeric exponent."""
     if isinstance(base, TaylorJet):
         return base**exponent
-    return float(base) ** float(exponent)
-
-
-# -- public jet record -------------------------------------------------------
-
-
-@dataclass
-class Jet:
-    """All mixed partials of a scalar bundle field at one point.
-
-    ``coefficients`` maps exponent tuples over the 2n variables (first the n
-    manifold slots, then the n fiber slots) to true mixed-partial values, so
-    the empty multi-index entry is the plain field value and entries are
-    invariant under permutation of differentiation order by construction.
-    """
-
-    center: TangentBundlePoint
-    order: int
-    coefficients: dict
-
-    @property
-    def value(self) -> float:
-        n = self.center.dim
-        return self.coefficients[(0,) * (2 * n)]
-
-    def partial(self, x=(), y=()) -> float:
-        """Mixed partial for manifold indices ``x`` and fiber indices ``y``.
-
-        Arguments list coordinate slots with multiplicity, e.g.
-        ``partial(x=(0,), y=(1, 1))`` is d/dx0 d/dy1 d/dy1 of the field.
-        """
-        n = self.center.dim
-        return self.coefficients[unit_index(2 * n, *(int(i) for i in x), *(n + int(i) for i in y))]
-
-
-def eval_jet(field, point: TangentBundlePoint, order: int) -> Jet:
-    """Evaluate ``field(x_vars, y_vars)`` and all mixed partials up to ``order``.
-
-    Exact for polynomial fields of degree <= order; raises
-    :class:`OrderUnsupported` above the cap and :class:`NonFiniteField` if any
-    extracted coefficient fails to be finite.
-    """
-    if not isinstance(order, int) or order < 0 or order > MAX_EVAL_ORDER:
-        raise OrderUnsupported(
-            f"jet order must be an integer in [0, {MAX_EVAL_ORDER}], got {order!r}"
-        )
-    raw = eval_taylor(field, point, order)
-    coeffs = {
-        alpha: float(raw.c[i] * raw.space.factorials[i])
-        for i, alpha in enumerate(raw.space.indices)
-        if raw.space.degrees[i] <= order
-    }
-    return Jet(center=point, order=order, coefficients=coeffs)
+    base, exponent = float(base), float(exponent)
+    if base == 0.0 and exponent < 0.0:
+        raise NonFiniteField(f"power {exponent} of zero")
+    return base**exponent
 
 
 def eval_taylor(
     field, point: TangentBundlePoint, order: int, x_order: int | None = None
 ) -> TaylorJet:
-    """Internal variant of :func:`eval_jet` returning the raw jet (any order).
+    """Jet of ``field(x_vars, y_vars)`` at ``point``: every mixed partial up to
+    ``order``, read with :meth:`TaylorJet.partial`.
 
+    Exact for polynomial fields of degree <= order; raises
+    :class:`NonFiniteField` if any coefficient fails to be finite.
     ``x_order`` caps the joint degree in the n manifold variables (see
     :class:`JetSpace` for which slots stay exact); ``None`` keeps them all.
     """

@@ -291,7 +291,7 @@ class FinslerLagrangian:
                 value = self.evaluate(p)
                 g = self.l_metric(p)
                 jet = self.taylor(p, 1)
-            except (NonFiniteField, ZeroDivisionError, ValueError) as err:
+            except (NonFiniteField, ValueError) as err:
                 failed["smooth"] += 1
                 witnesses["smooth"].append(_witness(p, str(err)))
                 continue
@@ -334,7 +334,7 @@ class FinslerLagrangian:
                 shell = bundle_point(p.x, p.y / abs(value) ** (1.0 / r))
                 try:
                     eig = np.linalg.eigvalsh(self.l_metric(shell))
-                except (NonFiniteField, ZeroDivisionError, ValueError):
+                except (NonFiniteField, ValueError):
                     continue
                 sig = "".join("+" if v > 0 else ("-" if v < 0 else "0") for v in sorted(eig)[::-1])
                 signature_tally[sig] = signature_tally.get(sig, 0) + 1

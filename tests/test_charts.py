@@ -23,6 +23,7 @@ from finslerkit.errors import (
     FinslerKitError,
     NewtonDiverged,
     OutsideTrustRegion,
+    SingularJacobian,
 )
 from finslerkit.models import load_model
 
@@ -120,6 +121,14 @@ def test_connection_in_chart_flat_everywhere():
         xt *= 0.3 / np.linalg.norm(xt)
         yt = rng.normal(size=4) + np.array([2.0, 0, 0, 0])
         assert np.abs(ch.connection_in_chart(xt, yt)).max() < 1e-10
+
+
+def test_connection_in_chart_refuses_a_conjugate_point():
+    # geodesics from the sphere's equator refocus at distance pi, where the
+    # chart Jacobian is singular up to round-off (condition number ~8e12)
+    ch = chart_for("sphere2d", [np.pi / 2, 0.0], radius_hint=4.0)
+    with pytest.raises(SingularJacobian, match="condition number"):
+        ch.connection_in_chart([0.0, np.pi], [1.0, 0.3])
 
 
 def test_chart_connection_derivative_matches_hessian_contraction():

@@ -1,13 +1,14 @@
 """CLI behavior: subcommand outputs, exit codes, report shapes."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
-from finslerkit.cli import build_parser, config_from_args, main
+from finslerkit.cli import RunConfig, build_parser, config_from_args, main
 from finslerkit.connection import GeneralConnection
 from finslerkit.dynamics import IntegrationControls, exp_map_with_jacobian
 from finslerkit.models import load_model
@@ -62,6 +63,20 @@ def test_malformed_domain_exits_two_naming_the_domain(tmp_path, capsys):
     assert "domain x_min" in err
 
 
+def test_a_pole_at_the_point_exits_two(tmp_path, capsys):
+    doc = {
+        "dimension": 2, "homogeneity_degree": 2, "family": "custom",
+        "parameters": {"expression": "(y1^2+y2^2)*(2 + 1/x1)"},
+    }
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        capsys, "connection", "--model", str(path), "--point", "0,0.5", "--direction", "1,0",
+    )
+    assert code == 2
+    assert "NonFiniteField" in err
+
+
 def test_unparsable_vector_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["connection", "--model", "builtin:polar2d", "--point", "abc",
@@ -78,22 +93,38 @@ def test_nonpositive_tolerance_exits_two(capsys):
     assert "positive" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["validate"],
-        ["connection", "--point", "1,0", "--direction", "0,1"],
-        ["geodesic", "--point", "1,0", "--direction", "0,1"],
-        ["autoparallel", "--point", "1,0", "--velocity", "0,1", "--fiber", "1,0"],
-        ["expmap", "--point", "1,0", "--velocity", "0,1", "--fiber", "1,0"],
-        ["chart", "--x-tilde", "0,0", "--y-tilde", "1,0"],
-        ["verify"],
-    ],
-    ids=lambda argv: argv[0],
-)
+# each subcommand with only its required flags
+BARE = [
+    ["validate"],
+    ["connection", "--point", "1,0", "--direction", "0,1"],
+    ["geodesic", "--point", "1,0", "--direction", "0,1"],
+    ["autoparallel", "--point", "1,0", "--velocity", "0,1", "--fiber", "1,0"],
+    ["expmap", "--point", "1,0", "--velocity", "0,1", "--fiber", "1,0"],
+    ["chart", "--x-tilde", "0,0", "--y-tilde", "1,0"],
+    ["verify"],
+]
+
+
+def bare_args(argv):
+    return build_parser().parse_args(argv[:1] + ["--model", "builtin:polar2d"] + argv[1:])
+
+
+@pytest.mark.parametrize("argv", BARE, ids=lambda argv: argv[0])
 def test_default_tolerances_are_the_integrator_defaults(argv):
-    args = build_parser().parse_args(argv[:1] + ["--model", "builtin:polar2d"] + argv[1:])
-    assert config_from_args(args).controls() == IntegrationControls()
+    assert config_from_args(bare_args(argv)).controls() == IntegrationControls()
+
+
+@pytest.mark.parametrize("argv", BARE, ids=lambda argv: argv[0])
+def test_a_bare_subcommand_takes_the_run_config_defaults(argv):
+    args = bare_args(argv)
+    given = {"command", "model"} | {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
+    # verify's one default of its own: it prints a table unless asked for json
+    defaults = {"format": "table"} if argv[0] == "verify" else {}
+    assert set(vars(args)) == given | set(defaults)
+    cfg = config_from_args(args)
+    for field in dataclasses.fields(RunConfig):
+        if field.name not in given:
+            assert getattr(cfg, field.name) == defaults.get(field.name, field.default), field.name
 
 
 def test_negative_components_via_equals_syntax(capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerkit import dynamics, integrate
+from finslerkit import dynamics, expressions, integrate
 from finslerkit.bundle import bundle_point
 from finslerkit.connection import GeneralConnection
 from finslerkit.dynamics import (
@@ -205,6 +205,27 @@ def test_an_excluded_trial_stage_rejects_the_step():
     assert np.abs(sol.states[:, 0] / exact - 1.0).max() <= integrate.DEFAULT_RTOL
 
 
+def test_a_trial_stage_on_a_pole_is_a_rejected_step():
+    # 0 / sin(t - 1/3) is 0 except on its pole t = 1/3, the node of the unit
+    # trial's stage 5; that stage's division by zero rejects the step
+    field = expressions.parse("0 / sin(t - 1/3) - z")
+    poles = []
+
+    def f(t, z):
+        try:
+            return np.array([expressions.evaluate(field, {"t": t, "z": z[0]})])
+        except NonFiniteField:
+            poles.append(t)
+            raise
+
+    sol = solve_ode(f, 0.0, np.array([1.0]), 1.0, first_step=1.0)
+    assert poles == [1 / 3]
+    assert sol.nrejected >= 1
+    assert sol.segments[0].h < 1.0
+    exact = np.exp(-sol.ts)
+    assert np.abs(sol.states[:, 0] / exact - 1.0).max() <= integrate.DEFAULT_RTOL
+
+
 def test_a_field_that_fails_past_a_time_raises_its_error_there():
     # every step past t* = 0.3 is rejected until the step underflows; the
     # error raised is the failing stage's, at a time just past t*
@@ -273,6 +294,15 @@ def test_lift_into_coordinate_singularity_is_caught():
     u = np.array([-1.0, b])  # tiny angular momentum, r_min ~ b
     with pytest.raises(ExcludedSetEntered):
         integrate_autoparallel(conn, x0, u, 2.0)
+
+
+def test_a_lift_that_starts_on_a_pole_raises_non_finite_field():
+    pole = load_model({
+        "dimension": 2, "homogeneity_degree": 2, "family": "custom",
+        "parameters": {"expression": "(y1^2 + y2^2) * (2 + 1/x1)"},
+    })
+    with pytest.raises(NonFiniteField, match="reciprocal"):
+        integrate_autoparallel(GeneralConnection.cartan(pole), [0.0, 0.5], [1.0, 0.0], 1.0)
 
 
 # -- horizontal transport ---------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerkit import ExpressionError, bundle_point
+from finslerkit import ExpressionError, NonFiniteField, bundle_point
 from finslerkit.expressions import (
     BinOp,
     Call,
@@ -49,6 +49,15 @@ def test_parse_errors():
             parse(bad)
     with pytest.raises(ExpressionError):
         ev("x1 + z9", x1=1.0)
+
+
+def test_poles_raise_non_finite_field():
+    p = bundle_point([0.0, 1.0], [1.0, 0.5])
+    for text in ["1 / sin(x1)", "x1 ^ -2", "y1 / x1"]:
+        with pytest.raises(NonFiniteField):
+            ev(text, x1=0.0, y1=1.0)
+        with pytest.raises(NonFiniteField):  # the same pole over jets
+            eval_taylor(lambda xs, ys: evaluate(parse(text), coordinate_env(2, xs, ys)), p, 2)
 
 
 def test_round_trip_fixed_cases():
@@ -114,7 +123,7 @@ def test_printed_form_evaluates_identically(tree):
     env = {"x1": 0.37, "x2": -0.82, "y1": 1.21, "y2": 0.55}
     try:
         want = evaluate(tree, env)
-    except (ZeroDivisionError, OverflowError, ValueError):
+    except (NonFiniteField, OverflowError, ValueError):
         return
     got = evaluate(parse(to_string(tree)), env)
     if math.isfinite(want):

@@ -1,14 +1,16 @@
 """Taylor-jet engine: exactness on polynomials, FD cross-checks, error paths."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerkit import NonFiniteField, OrderUnsupported, bundle_point, eval_jet
-from finslerkit.jets import JetSpace, TaylorJet, compose, eval_taylor, sin, sqrt
+from finslerkit import NonFiniteField, OrderUnsupported, bundle_point
+from finslerkit.jets import JetSpace, TaylorJet, compose, eval_taylor, sin, sqrt, unit_index
 
 from fd_oracles import central_gradient, richardson_hessian
 
@@ -18,14 +20,22 @@ def quadratic_fiber(xs, ys):
     return ys[0] * ys[0]
 
 
+def partial(jet, x=(), y=()):
+    """Mixed partial of a bundle field's jet for manifold indices ``x`` and
+    fiber indices ``y``, with multiplicity: ``partial(jet, x=(0,), y=(1, 1))``
+    is d/dx0 d/dy1 d/dy1 of the field."""
+    n = jet.space.nvars // 2
+    return jet.partial(unit_index(2 * n, *x, *(n + i for i in y)))
+
+
 def test_polynomial_fiber_square_is_exact():
     p = bundle_point([0.3, -1.2], [0.7, 2.0])
-    jet = eval_jet(quadratic_fiber, p, 2)
+    jet = eval_taylor(quadratic_fiber, p, 2)
     assert jet.value == 0.7 * 0.7
-    assert jet.partial(y=(0, 0)) == 2.0
-    assert jet.partial(y=(0,)) == 2.0 * 0.7
-    assert jet.partial(x=(0,)) == 0.0
-    assert jet.partial(x=(1,), y=(0,)) == 0.0
+    assert partial(jet, y=(0, 0)) == 2.0
+    assert partial(jet, y=(0,)) == 2.0 * 0.7
+    assert partial(jet, x=(0,)) == 0.0
+    assert partial(jet, x=(1,), y=(0,)) == 0.0
 
 
 def test_mixed_cubic_polynomial_exact():
@@ -34,11 +44,11 @@ def test_mixed_cubic_polynomial_exact():
         return xs[0] * ys[1] * ys[1]
 
     p = bundle_point([2.0, 0.5], [1.5, -0.25])
-    jet = eval_jet(f, p, 3)
-    assert jet.partial(x=(0,), y=(1, 1)) == 2.0
-    assert jet.partial(y=(1, 1)) == 2.0 * 2.0
-    assert jet.partial(x=(0,), y=(1,)) == 2.0 * (-0.25)
-    assert jet.partial(x=(0, 0)) == 0.0
+    jet = eval_taylor(f, p, 3)
+    assert partial(jet, x=(0,), y=(1, 1)) == 2.0
+    assert partial(jet, y=(1, 1)) == 2.0 * 2.0
+    assert partial(jet, x=(0,), y=(1,)) == 2.0 * (-0.25)
+    assert partial(jet, x=(0, 0)) == 0.0
 
 
 def test_transcendental_field_against_closed_form():
@@ -47,8 +57,8 @@ def test_transcendental_field_against_closed_form():
         return sin(xs[0]) * ys[0]
 
     p = bundle_point([0.7, 0.0], [1.0, 0.0])
-    jet = eval_jet(f, p, 3)
-    assert jet.partial(x=(0, 0), y=(0,)) == pytest.approx(-math.sin(0.7), rel=1e-14)
+    jet = eval_taylor(f, p, 3)
+    assert partial(jet, x=(0, 0), y=(0,)) == pytest.approx(-math.sin(0.7), rel=1e-14)
     assert jet.value == pytest.approx(math.sin(0.7), rel=1e-14)
 
 
@@ -57,7 +67,7 @@ def test_gradient_matches_finite_differences():
         return sin(xs[0] * ys[1]) + sqrt(3.0 + xs[1] * xs[1]) * ys[0]
 
     p = bundle_point([0.4, -0.9], [1.1, 0.6])
-    jet = eval_jet(f, p, 1)
+    jet = eval_taylor(f, p, 1)
 
     def flat(z):
         x, y = z[:2], z[2:]
@@ -66,7 +76,7 @@ def test_gradient_matches_finite_differences():
     z0 = p.as_state()
     fd = central_gradient(flat, z0, 1e-6)
     exact = np.array(
-        [jet.partial(x=(0,)), jet.partial(x=(1,)), jet.partial(y=(0,)), jet.partial(y=(1,))]
+        [partial(jet, x=(0,)), partial(jet, x=(1,)), partial(jet, y=(0,)), partial(jet, y=(1,))]
     )
     assert np.allclose(exact, fd, atol=5e-10)
 
@@ -78,7 +88,7 @@ def test_hessian_matches_richardson_finite_differences():
         return exp(0.2 * xs[0]) * ys[0] * ys[0] + xs[1] * ys[1] * ys[0]
 
     p = bundle_point([0.25, 1.4], [0.8, -0.3])
-    jet = eval_jet(f, p, 2)
+    jet = eval_taylor(f, p, 2)
 
     def flat(z):
         x, y = z[:2], z[2:]
@@ -92,7 +102,7 @@ def test_hessian_matches_richardson_finite_differences():
             spec = {"x": [], "y": []}
             spec[kindi].append(idxi)
             spec[kindj].append(idxj)
-            exact = jet.partial(x=tuple(spec["x"]), y=tuple(spec["y"]))
+            exact = partial(jet, x=tuple(spec["x"]), y=tuple(spec["y"]))
             assert exact == pytest.approx(fd[i, j], abs=2e-6), (kindi, idxi, kindj, idxj)
 
 
@@ -101,25 +111,16 @@ def test_fourth_order_partial_of_quartic():
         return ys[0] ** 4
 
     p = bundle_point([0.0, 0.0], [1.3, 0.2])
-    jet = eval_jet(f, p, 4)
-    assert jet.partial(y=(0, 0, 0, 0)) == pytest.approx(24.0, rel=1e-13)
-
-
-def test_order_cap_and_validation():
-    p = bundle_point([0.0], [1.0])
-    with pytest.raises(OrderUnsupported):
-        eval_jet(quadratic_fiber, bundle_point([0, 0], [1, 0]), 5)
-    with pytest.raises(OrderUnsupported):
-        eval_jet(quadratic_fiber, bundle_point([0, 0], [1, 0]), -1)
-    del p
+    jet = eval_taylor(f, p, 4)
+    assert partial(jet, y=(0, 0, 0, 0)) == pytest.approx(24.0, rel=1e-13)
 
 
 def test_non_finite_field_detected():
     def f(xs, ys):
         return (xs[0] - 1.0).reciprocal()
 
-    with pytest.raises((NonFiniteField, ZeroDivisionError)):
-        eval_jet(f, bundle_point([1.0, 0.0], [1.0, 0.0]), 1)
+    with pytest.raises(NonFiniteField):
+        eval_taylor(f, bundle_point([1.0, 0.0], [1.0, 0.0]), 1)
 
     def g(xs, ys):
         from finslerkit.jets import log
@@ -127,7 +128,7 @@ def test_non_finite_field_detected():
         return log(xs[0])
 
     with pytest.raises(NonFiniteField):
-        eval_jet(g, bundle_point([-2.0, 0.0], [1.0, 0.0]), 1)
+        eval_taylor(g, bundle_point([-2.0, 0.0], [1.0, 0.0]), 1)
 
 
 def test_empty_multi_index_is_plain_value():
@@ -135,8 +136,8 @@ def test_empty_multi_index_is_plain_value():
         return 3.5 + 0.0 * xs[0]
 
     p = bundle_point([1.0, 2.0], [3.0, 4.0])
-    jet = eval_jet(f, p, 2)
-    assert jet.coefficients[(0, 0, 0, 0)] == 3.5
+    jet = eval_taylor(f, p, 2)
+    assert jet.partial((0, 0, 0, 0)) == 3.5
     assert jet.value == 3.5
 
 
@@ -510,6 +511,30 @@ def test_every_slot_outside_the_support_is_zero(case):
         for alpha, coefficient in zip(space.indices, jet.c):
             if any(k and not jet.support >> v & 1 for v, k in enumerate(alpha)):
                 assert coefficient == 0.0  # +0.0, or -0.0 after a negation
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_support_case())
+def test_stacked_products_with_partial_supports_are_the_row_by_row_products(case):
+    space, tree = case
+    seen = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        _evaluate_tree(tree, space, False, seen)
+    order = max(jet.order for jet in seen)
+    rows = [jet for jet in seen if jet.order == order and np.isfinite(jet.c).all()]
+    if not rows:
+        return
+    # each stack's support bounds every row's: the union of the rows' supports
+    left, right = rows[::2], rows[1::2] or rows
+    support_a = functools.reduce(operator.or_, (jet.support for jet in left))
+    support_b = functools.reduce(operator.or_, (jet.support for jet in right))
+    a = np.stack([jet.c for jet in left])[:, None]
+    b = np.stack([jet.c for jet in right])[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = space.product(a, b, order, support_a, support_b)
+        for i, jet_a in enumerate(left):
+            for j, jet_b in enumerate(right):
+                assert np.array_equal(stacked[i, j].view(np.int64), _bits(jet_a * jet_b))
 
 
 def test_supports_of_constructors():

@@ -16,11 +16,13 @@ xt-Hessian of the Lagrangian and its fiber derivative) is read from one
 Taylor-mode flow of the order it needs (:func:`dynamics.exp_map_jets`), exact
 to integrator accuracy.  The truncated power series around xt = 0 serve as
 diagnostics and as Newton seeds for inversion — they are never the answer.
+The series, the Jacobian series and the Newton seed are contractions of
+EXP's derivative blocks at u = 0 (:func:`dynamics.exp_derivatives`): the
+extended chart is EXP itself, and the standard fiber is (dx/dxt) yt.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
@@ -30,7 +32,8 @@ from .bundle import TangentBundlePoint, bundle_point
 from .connection import GeneralConnection
 from .dynamics import (
     IntegrationControls,
-    _sym_triple,
+    _write_csv,
+    exp_derivatives,
     exp_map,
     exp_map_jets,
     exp_map_with_jacobian,
@@ -87,11 +90,6 @@ class ChartLagrangian:
     value: float
     grad_xt: np.ndarray
     hess_xt: np.ndarray
-
-
-def _sym_pair(t: np.ndarray) -> np.ndarray:
-    """Symmetrize an (n, n, n) tensor in its last two slots."""
-    return 0.5 * (t + np.transpose(t, (0, 2, 1)))
 
 
 def _partials(jet: TaylorJet, *axes) -> np.ndarray:
@@ -177,12 +175,19 @@ class AutoparallelChart:
     # -- inverse map -----------------------------------------------------------
 
     def _newton_seed(self, p: TangentBundlePoint) -> np.ndarray:
-        """Second-order inverse series at (x0, y), the Newton starting point."""
-        ev = self.connection.evaluate(bundle_point(self.base, p.y))
+        """Second-order inverse of EXP's Taylor polynomial, its blocks taken
+        at (x0, y): the Newton starting point."""
+        b = exp_derivatives(self.connection, self.base, p.y)
         d = p.x - self.base
-        xt = d + 0.5 * np.einsum("qbc,b,c->q", ev.dN_y, d, d)
-        quad = ev.delta_N + 2.0 * np.einsum("rc,qrb->qbc", ev.N, ev.dN_y)
-        yt = p.y + ev.N @ d + 0.5 * np.einsum("qbc,b,c->q", quad, d, d)
+        dy = b.dy_du @ d
+        xt = d - 0.5 * np.einsum("qbc,b,c->q", b.d2x_duu, d, d)
+        quad = np.einsum("qa,abc->qbc", b.dy_du, b.d2x_duu) - b.d2y_duu
+        yt = (
+            p.y
+            - dy
+            + 0.5 * np.einsum("qbc,b,c->q", quad, d, d)
+            + np.einsum("qbr,r,b->q", b.d2y_duv, dy, d)
+        )
         return np.concatenate([xt, yt])
 
     def _forward_with_update_matrix(self, z: np.ndarray):
@@ -255,85 +260,58 @@ class AutoparallelChart:
 
         The x-part carries terms through the requested order (1, 2 or 3);
         the y-part is a second-order series, which is where the two chart
-        kinds first differ.
+        kinds first differ.  Both contract EXP's derivative blocks at
+        (x0, yt): the extended kind is EXP's Taylor polynomial, the standard
+        kind's fiber (dx/dxt) yt.
         """
         if order not in (1, 2, 3):
             raise OrderUnsupported(f"series order must be 1, 2 or 3, got {order}")
         xt = np.asarray(xt, dtype=float)
         yt = np.asarray(yt, dtype=float)
-        center = bundle_point(self.base, yt)
-        need_deep = order == 3 or (self.kind == "standard" and order >= 2)
-        ev = (
-            self.connection.evaluate_deep(center)
-            if need_deep
-            else self.connection.evaluate(center)
-        )
-
-        cubic = (
-            ev.delta_dN - 2.0 * np.einsum("qbr,rdc->qbcd", ev.dN_y, ev.dN_y)
-            if need_deep
-            else None
-        )
-
+        b = exp_derivatives(self.connection, self.base, yt)
         x = self.base + xt
-        y = yt - ev.N @ xt
+        y = yt + b.dy_du @ xt
         if order >= 2:
-            x = x - 0.5 * np.einsum("qbc,b,c->q", ev.dN_y, xt, xt)
+            x = x + 0.5 * np.einsum("qbc,b,c->q", b.d2x_duu, xt, xt)
             if self.kind == "extended":
-                quad = ev.delta_N - np.einsum("qa,acb->qbc", ev.N, ev.dN_y)
-                y = y - 0.5 * np.einsum("qbc,b,c->q", quad, xt, xt)
+                y = y + 0.5 * np.einsum("qbc,b,c->q", b.d2y_duu, xt, xt)
             else:
                 # y = J(xt) yt with J the xt-derivative series of the x-part
-                amat = _sym_pair(ev.dN_y)
-                smat = _sym_triple(cubic)
                 jac = (
-                    np.eye(self.dimension)
-                    - np.einsum("qpc,c->qp", amat, xt)
-                    - 0.5 * np.einsum("qpcd,c,d->qp", smat, xt, xt)
+                    b.dx_du
+                    + np.einsum("qpc,c->qp", b.d2x_duu, xt)
+                    + 0.5 * np.einsum("qpcd,c,d->qp", b.d3x_duuu, xt, xt)
                 )
                 y = jac @ yt
         if order == 3:
-            x = x - np.einsum("qbcd,b,c,d->q", cubic, xt, xt, xt) / 6.0
+            x = x + np.einsum("qbcd,b,c,d->q", b.d3x_duuu, xt, xt, xt) / 6.0
         return bundle_point(x, y)
 
     def jacobian_series(self, yt) -> ChartJacobianSeries:
-        """Zeroth- and first-order blocks of the chart Jacobian at xt = 0."""
+        """Zeroth- and first-order blocks of the chart Jacobian at xt = 0,
+        contracted from EXP's derivative blocks at (x0, yt)."""
         yt = np.asarray(yt, dtype=float)
         n = self.dimension
-        center = bundle_point(self.base, yt)
-        ev = (
-            self.connection.evaluate_deep(center)
-            if self.kind == "standard"
-            else self.connection.evaluate(center)
-        )
-        eye = np.eye(n)
-        zeros_lin = np.zeros((n, n, n))
-        # A[q, p, c] = symmetrized fiber derivative, the x-part's linear term
-        amat = _sym_pair(ev.dN_y)
-
+        b = exp_derivatives(self.connection, self.base, yt)
         if self.kind == "extended":
-            dy_dxt = -ev.N.copy()
-            dy_dxt_lin = -_sym_pair(ev.delta_N) + _sym_pair(
-                np.einsum("qa,acb->qbc", ev.N, ev.dN_y)
-            )
-            dy_dyt_lin = -np.transpose(ev.dN_y, (0, 2, 1))
+            dy_dxt, dy_dxt_lin = b.dy_du, b.d2y_duu
+            dy_dyt_lin = np.transpose(b.d2y_duv, (0, 2, 1))
         else:
-            cubic = ev.delta_dN - 2.0 * np.einsum("qbr,rdc->qbcd", ev.dN_y, ev.dN_y)
-            smat = _sym_triple(cubic)
-            dy_dxt = -np.einsum("qpb,p->qb", amat, yt)
-            dy_dxt_lin = -np.einsum("qpbc,p->qbc", smat, yt)
+            # y = (dx/dxt) yt, so its blocks are the x-part's contracted with yt
+            dy_dxt = np.einsum("qpb,p->qb", b.d2x_duu, yt)
+            dy_dxt_lin = np.einsum("qpbc,p->qbc", b.d3x_duuu, yt)
             # the fiber derivative of J contracted with yt drops out for
             # homogeneous symmetric connections, leaving J's own linear term
-            dy_dyt_lin = -amat
+            dy_dyt_lin = b.d2x_duu.copy()
 
         return ChartJacobianSeries(
             kind=self.kind,
-            dx_dxt=eye,
-            dx_dyt=np.zeros((n, n)),
+            dx_dxt=b.dx_du,
+            dx_dyt=b.dx_dv,
             dy_dxt=dy_dxt,
-            dy_dyt=eye.copy(),
-            dx_dxt_lin=-amat,
-            dx_dyt_lin=zeros_lin,
+            dy_dyt=b.dy_dv,
+            dx_dxt_lin=b.d2x_duu,
+            dx_dyt_lin=np.zeros((n, n, n)),
             dy_dxt_lin=dy_dxt_lin,
             dy_dyt_lin=dy_dyt_lin,
         )
@@ -466,14 +444,6 @@ class AutoparallelChart:
 
 def export_grid_csv(chart: AutoparallelChart, xt_rows, yt, target) -> None:
     """Evaluate the chart on a list of xt points and write a CSV table."""
-    if hasattr(target, "write"):
-        _write_grid_csv(chart, xt_rows, yt, target)
-    else:
-        with open(target, "w", newline="") as fh:
-            _write_grid_csv(chart, xt_rows, yt, fh)
-
-
-def _write_grid_csv(chart, xt_rows, yt, fh) -> None:
     yt = np.asarray(yt, dtype=float)
     n = chart.dimension
     header = (
@@ -481,12 +451,11 @@ def _write_grid_csv(chart, xt_rows, yt, fh) -> None:
         + [f"x{i + 1}" for i in range(n)]
         + [f"y{i + 1}" for i in range(n)]
     )
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    for xt in xt_rows:
-        p = chart.to_manifold(np.asarray(xt, dtype=float), yt)
-        writer.writerow(
-            [repr(float(v)) for v in np.asarray(xt, dtype=float)]
-            + [repr(float(v)) for v in p.x]
-            + [repr(float(v)) for v in p.y]
-        )
+
+    def rows():
+        for xt in xt_rows:
+            xt = np.asarray(xt, dtype=float)
+            p = chart.to_manifold(xt, yt)
+            yield np.concatenate([xt, p.x, p.y])
+
+    _write_csv(target, header, rows())

@@ -9,7 +9,6 @@ precision; reports with the same model, seed and budget are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 
@@ -84,8 +83,7 @@ def _matrix_list(arr: np.ndarray) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
-def _emit_json(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -112,7 +110,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
     report = model.validate_spacetime(spec)
     doc = {"schema_version": SCHEMA_VERSION, "command": "validate", "model": cfg.model}
     doc.update(report.as_dict())
-    _emit_json(doc, cfg.output)
+    _emit(report_to_json(doc), cfg.output)
     return 0 if report.all_passed else 1
 
 
@@ -134,15 +132,8 @@ def _cmd_connection(cfg: RunConfig) -> int:
         "delta_christoffel": _matrix_list(cartan_linear_delta(model, p)),
         "curvature": _matrix_list(ev.R),
     }
-    _emit_json(doc, cfg.output)
+    _emit(report_to_json(doc), cfg.output)
     return 0
-
-
-def _emit_trajectory(traj, output) -> None:
-    if output:
-        traj.to_csv(output)
-    else:
-        traj.to_csv(sys.stdout)
 
 
 def _cmd_geodesic(cfg: RunConfig) -> int:
@@ -151,7 +142,7 @@ def _cmd_geodesic(cfg: RunConfig) -> int:
     u = _require_dim(model, "direction", cfg.direction)
     conn = GeneralConnection.cartan(model)
     traj = integrate_autoparallel(conn, x, u, cfg.t_end, cfg.controls())
-    _emit_trajectory(traj, cfg.output)
+    traj.to_csv(cfg.output or sys.stdout)
     return 0
 
 
@@ -162,7 +153,7 @@ def _cmd_autoparallel(cfg: RunConfig) -> int:
     v = _require_dim(model, "fiber", cfg.fiber)
     conn = GeneralConnection.cartan(model)
     traj = integrate_horizontal_autoparallel(conn, x, u, v, cfg.t_end, cfg.controls())
-    _emit_trajectory(traj, cfg.output)
+    traj.to_csv(cfg.output or sys.stdout)
     return 0
 
 
@@ -191,7 +182,7 @@ def _cmd_expmap(cfg: RunConfig) -> int:
             "dy_dv": _matrix_list(dydv),
         },
     }
-    _emit_json(doc, cfg.output)
+    _emit(report_to_json(doc), cfg.output)
     return 0
 
 
@@ -218,20 +209,18 @@ def _cmd_chart(cfg: RunConfig) -> int:
             "x": _matrix_list(approx.x),
             "y": _matrix_list(approx.y),
         }
-    _emit_json(doc, cfg.output)
+    _emit(report_to_json(doc), cfg.output)
     return 0
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
     report = run_verification(cfg.model, seed=cfg.seed, budget=cfg.budget)
+    table = format_table(report) + "\n"
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(report_to_json(report))
-        sys.stdout.write(format_table(report) + "\n")
-    elif cfg.format == "json":
-        sys.stdout.write(report_to_json(report))
+        _emit(report_to_json(report), cfg.output)
+        sys.stdout.write(table)
     else:
-        sys.stdout.write(format_table(report) + "\n")
+        sys.stdout.write(report_to_json(report) if cfg.format == "json" else table)
     return 0 if report["all_passed"] else 1
 
 

@@ -82,23 +82,21 @@ class Trajectory:
 
     def to_csv(self, target) -> None:
         """Write samples as ``t, x1..xn, y1..yn`` rows to a path or handle."""
-        if hasattr(target, "write"):
-            self._write_csv(target)
-        else:
-            with open(target, "w", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh) -> None:
         n = self.dimension
         header = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)]
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(self.ts):
-            writer.writerow(
-                [repr(float(t))]
-                + [repr(float(v)) for v in self.xs[i]]
-                + [repr(float(v)) for v in self.ys[i]]
-            )
+        _write_csv(target, header, np.column_stack([self.ts, self.xs, self.ys]))
+
+
+def _write_csv(target, header, rows) -> None:
+    """Write ``header`` and rows of floats at round-trip precision (repr) as
+    CSV to a path or an open handle."""
+    if not hasattr(target, "write"):
+        with open(target, "w", newline="") as fh:
+            _write_csv(fh, header, rows)
+        return
+    writer = csv.writer(target)
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) for v in row] for row in rows)
 
 
 def integrate_autoparallel(
@@ -260,6 +258,7 @@ class ExpDerivatives:
 
     Layout: first-derivative blocks are (n, n) matrices; ``d2*_duu`` are
     (n, b, c) and ``d3x_duuu`` is (n, b, c, d), symmetric in the lower slots.
+    ``d2y_duv[q, b, c]`` is d^2 y^q / du^b dv^c, that is -d/dy^c N^q_b.
     """
 
     dx_du: np.ndarray
@@ -269,6 +268,7 @@ class ExpDerivatives:
     d2x_duu: np.ndarray
     d2y_duu: np.ndarray
     d3x_duuu: np.ndarray
+    d2y_duv: np.ndarray
 
 
 def _sym_triple(t: np.ndarray) -> np.ndarray:
@@ -282,13 +282,12 @@ def _sym_triple(t: np.ndarray) -> np.ndarray:
 def exp_derivatives(conn: GeneralConnection, base, v) -> ExpDerivatives:
     """Derivative blocks of the exponential map at (0, v), from one deep eval.
 
-    Valid for homogeneous symmetric connections (the canonical construction
-    always qualifies); the third-derivative block symmetrizes its two product
-    terms accordingly.
+    The third-derivative block symmetrizes its two product terms, so it
+    holds for fiber-symmetric connections (the canonical construction always
+    qualifies); the other blocks hold for any connection.
     """
     n = conn.dimension
     deep = conn.evaluate_deep(bundle_point(np.asarray(base, float), np.asarray(v, float)))
-    eye = np.eye(n)
 
     d2x = -0.5 * (deep.dN_y + np.transpose(deep.dN_y, (0, 2, 1)))
 
@@ -298,13 +297,14 @@ def exp_derivatives(conn: GeneralConnection, base, v) -> ExpDerivatives:
     raw = -deep.delta_dN + 2.0 * np.einsum("qbr,rdc->qbcd", deep.dN_y, deep.dN_y)
 
     return ExpDerivatives(
-        dx_du=eye,
-        dy_du=-deep.N.copy(),
+        dx_du=np.eye(n),
+        dy_du=-deep.N,
         dx_dv=np.zeros((n, n)),
-        dy_dv=eye,
+        dy_dv=np.eye(n),
         d2x_duu=d2x,
         d2y_duu=d2y,
         d3x_duuu=_sym_triple(raw),
+        d2y_duv=-deep.dN_y,
     )
 
 

@@ -514,6 +514,8 @@ def power(base, exponent):
     base, exponent = float(base), float(exponent)
     if base == 0.0 and exponent < 0.0:
         raise NonFiniteField(f"power {exponent} of zero")
+    if base < 0.0 and not exponent.is_integer():
+        raise NonFiniteField(f"non-integer power {exponent} of negative value {base:.3e}")
     return base**exponent
 
 

@@ -49,24 +49,31 @@ def _parse_vector(entries, n, what):
 
 
 def _parse_box(domain, n):
-    """The (x_min, x_max) box of a domain block; [-1, 1]^n where it is silent."""
+    """The (x_min, x_max) box and the y_norm band (lo, hi) of a domain block;
+    [-1, 1]^n and (0.5, 2) where it is silent."""
     domain = {} if domain is None else domain
     if not isinstance(domain, dict):
         raise ModelFormatError("domain must be a mapping")
-    box = []
-    for key, default in (("x_min", -1.0), ("x_max", 1.0)):
-        entries = domain.get(key, [default] * n)
+    parsed = []
+    for key, default, size in (
+        ("x_min", [-1.0] * n, n), ("x_max", [1.0] * n, n), ("y_norm", [0.5, 2.0], 2)
+    ):
+        entries = domain.get(key, default)
         try:
             bound = np.asarray(entries, dtype=float)
         except (TypeError, ValueError):
             bound = None
-        if bound is None or bound.shape != (n,):
-            raise ModelFormatError(f"domain {key} must be a list of {n} numbers, got {entries!r}")
-        box.append(bound)
-    lo, hi = box
+        if bound is None or bound.shape != (size,):
+            raise ModelFormatError(f"domain {key} must be a list of {size} numbers, got {entries!r}")
+        parsed.append(bound)
+    lo, hi, band = parsed
     if not (lo < hi).all():
         raise ModelFormatError(f"domain x_min {lo.tolist()} must lie below x_max {hi.tolist()}")
-    return lo, hi
+    if not (np.isfinite(band).all() and 0.0 < band[0] <= band[1]):
+        raise ModelFormatError(
+            f"domain y_norm {band.tolist()} must be two finite numbers with 0 < lo <= hi"
+        )
+    return lo, hi, tuple(band.tolist())
 
 
 def _check_variables(trees, n, what):
@@ -104,7 +111,8 @@ class FinslerLagrangian:
         self.family = family
         self.parameters = parameters or {}
         self.domain = domain
-        self._box = _parse_box(domain, dimension)
+        lo, hi, self._y_norm = _parse_box(domain, dimension)
+        self._box = (lo, hi)
         self._evaluator = evaluator
         if evaluator is None:
             self._build_evaluator()
@@ -452,5 +460,5 @@ class SampleSpec:
             seed=seed,
             x_min=lo,
             x_max=hi,
-            y_norm=tuple((model.domain or {}).get("y_norm", (0.5, 2.0))),
+            y_norm=model._y_norm,
         )

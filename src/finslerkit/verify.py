@@ -303,6 +303,9 @@ def _check_exp_derivative_blocks(ctx: _Ctx) -> list:
             (2 * _taylor_terms(space, y, du, 2), np.einsum("qbc,b,c->q", blocks.d2y_duu, w, w)),
             (6 * _taylor_terms(space, x, du, 3),
              np.einsum("qbcd,b,c,d->q", blocks.d3x_duuu, w, w, w)),
+            # the du dv terms: degree 2 at du + dv less its pure du and dv parts
+            (_taylor_terms(space, y, du + dv, 2) - _taylor_terms(space, y, du, 2)
+             - _taylor_terms(space, y, dv, 2), np.einsum("qbc,b,c->q", blocks.d2y_duv, w, w)),
         ]
         worst = max([worst] + [_gap(closed, flow) for flow, closed in pairs])
     return [

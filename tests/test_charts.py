@@ -12,12 +12,16 @@ from finslerkit.bundle import bundle_point
 from finslerkit.charts import (
     AutoparallelChart,
     NewtonConfig,
-    _sym_pair,
-    _sym_triple,
     export_grid_csv,
 )
 from finslerkit.connection import GeneralConnection
-from finslerkit.dynamics import IntegrationControls, exp_map, exp_map_with_jacobian, integrate_autoparallel
+from finslerkit.dynamics import (
+    IntegrationControls,
+    exp_derivatives,
+    exp_map,
+    exp_map_with_jacobian,
+    integrate_autoparallel,
+)
 from finslerkit.errors import (
     ExcludedSetEntered,
     FinslerKitError,
@@ -194,6 +198,27 @@ def test_inverse_seed_gap_shrinks_at_third_order():
     assert 6.0 <= ratio <= 10.0
 
 
+def test_inverse_seed_is_third_order_without_fiber_symmetry():
+    # d/dy^c N^a_b is not symmetric in (b, c) here, so the seed's mixed term
+    # must contract EXP's du dv block in its own slot order
+    def fn(xs, ys):
+        return [
+            [0.3 * xs[0] * ys[0] + 0.4 * ys[1], 0.5 * ys[0] - 0.2 * xs[1] * ys[1]],
+            [0.1 * ys[0] + 0.4 * xs[0] * ys[1], -0.3 * ys[1] + 0.25 * xs[1] * ys[0]],
+        ]
+
+    conn = GeneralConnection.explicit(fn, 2)
+    ch = AutoparallelChart(conn, np.array([0.2, -0.1]))
+    yt = np.array([0.6, 0.8])
+
+    def gap(s):
+        xt = s * PROBE_DIR
+        return np.abs(ch._newton_seed(ch.to_manifold(xt, yt)) - np.concatenate([xt, yt])).max()
+
+    ratio = gap(0.1) / gap(0.05)
+    assert 6.0 <= ratio <= 10.0
+
+
 def test_newton_divergence_reports_last_iterate():
     ch = chart_for(
         "polar2d", [1.0, 0.0], newton_config=NewtonConfig(max_iterations=2)
@@ -276,11 +301,8 @@ def test_standard_series_quadratic_weight_is_half():
     # accuracy; the integrated map settles the choice.
     ch = chart_for("sphere2d", SPHERE_BASE, "standard")
     yt = SPHERE_YT
-    deep = ch.connection.evaluate_deep(bundle_point(ch.base, yt))
-    amat = _sym_pair(deep.dN_y)
-    smat = _sym_triple(
-        deep.delta_dN - 2.0 * np.einsum("qbr,rdc->qbcd", deep.dN_y, deep.dN_y)
-    )
+    blocks = exp_derivatives(ch.connection, ch.base, yt)
+    amat, smat = -blocks.d2x_duu, -blocks.d3x_duuu
 
     def gap(s, weight):
         xt = s * PROBE_DIR

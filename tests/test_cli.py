@@ -77,6 +77,36 @@ def test_a_pole_at_the_point_exits_two(tmp_path, capsys):
     assert "NonFiniteField" in err
 
 
+def test_a_real_power_of_a_negative_coordinate_fails_smoothness(tmp_path, capsys):
+    doc = {
+        "dimension": 2, "homogeneity_degree": 2, "family": "custom",
+        "parameters": {"expression": "(y1^2+y2^2)*(2 + x1^0.5)"},
+    }
+    path = tmp_path / "root.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "validate", "--model", str(path), "--samples", "5")
+    assert code == 1
+    smooth = json.loads(out)["conditions"]["smooth"]
+    assert smooth["passed"] is False
+    # x1 is drawn from [-1, 1], so some samples take a root of a negative value
+    assert 0 < smooth["failures"] == len(smooth["witnesses"]) < smooth["checked"]
+    assert all("negative" in w["detail"] for w in smooth["witnesses"])
+
+
+@pytest.mark.parametrize("band", ["ab", 5, [0, 0]])
+def test_bad_y_norm_band_exits_two(tmp_path, capsys, band):
+    doc = {
+        "dimension": 2, "homogeneity_degree": 2, "family": "quadratic",
+        "parameters": {"metric": [["1", "0"], ["0", "1"]]},
+        "domain": {"y_norm": band},
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "--model", str(path))
+    assert code == 2
+    assert "domain y_norm" in err
+
+
 def test_unparsable_vector_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["connection", "--model", "builtin:polar2d", "--point", "abc",

@@ -767,6 +767,22 @@ def test_order_three_jets_at_zero_velocity_match_the_closed_form_blocks(name, x0
         assert np.abs(got - want).max() <= 1e-8 * (1.0 + np.abs(want).max())
 
 
+@pytest.mark.parametrize("name,x0,v", [
+    ("randers2d", [0.2, -0.3], [1.0, 0.4]),
+    ("quartic4d", [0.2, -0.3, 0.1, 0.4], [0.6, 0.2, -0.7, 0.3]),
+])
+def test_mixed_jets_at_zero_velocity_match_the_du_dv_block(name, x0, v):
+    conn = conn_for(name)
+    n = len(x0)
+    space = JetSpace.get(2 * n, 2)
+    y = exp_map_jets(conn, x0, np.zeros(n), v, space, u_seed=0, v_seed=n, controls=TIGHT)[1]
+    d = exp_derivatives(conn, x0, v)
+    # the slot of du^b dv^c holds d^2 y / du^b dv^c itself (factorial 1)
+    slots = [[space.index_of[unit_index(2 * n, b, n + c)] for c in range(n)] for b in range(n)]
+    got = y[:, slots]
+    assert np.abs(got - d.d2y_duv).max() <= 1e-10 * (1.0 + np.abs(d.d2y_duv).max())
+
+
 # -- trajectory container -----------------------------------------------------------
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerkit import NonFiniteField, OrderUnsupported, bundle_point
-from finslerkit.jets import JetSpace, TaylorJet, compose, eval_taylor, sin, sqrt, unit_index
+from finslerkit.jets import JetSpace, TaylorJet, compose, eval_taylor, power, sin, sqrt, unit_index
 
 from fd_oracles import central_gradient, richardson_hessian
 
@@ -190,6 +190,14 @@ def test_half_power_matches_sqrt():
     space = JetSpace.get(2, 4)
     u = 1.5 + space.variable(1, 0.2)
     assert np.allclose((u**0.5).c, u.sqrt().c, atol=1e-14)
+
+
+def test_float_power_of_negative_base_is_typed():
+    # a float base takes the jets' rule: no complex result, a typed error
+    with pytest.raises(NonFiniteField):
+        power(-2.0, 0.5)
+    assert power(-2.0, 3.0) == -8.0
+    assert power(-2.0, -2) == 0.25
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,6 +13,9 @@ y^p d^2L/dx^p dy^q - dL/dx^q, the jet of s = g^{-1}(bracket) follows degree
 by degree from the inverse of g's constant term (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13), and N = (1/4) ds/dy
 is one more gather.  No jet is inverted and no symbolic inverse is formed.
+The kernel works only on the x-degrees the callers read (see :func:`_x_cap`):
+N's higher x-slots are exact zeros.  An evaluation keeps N's jet and derives
+the tensors below from it on first access.
 
 Derived objects follow the usual conventions:
 
@@ -26,7 +29,6 @@ Derived objects follow the usual conventions:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +45,10 @@ def _x_cap(order: int) -> int:
     """x-degree cap of the L jet behind N's jet of ``order``.
 
     L with x-degree <= k + 1 for k = max(min(order, 1), order - 1) keeps g
-    exact on x-degree <= k + 1 and the spray s (hence N) exact on x-degree
-    <= k: every x-slot the callers read.  (Evaluations read x-degree
-    <= min(order, 1), a Taylor-mode flow x-degree <= order - 1.)
+    and the spray s (hence N) exact on x-degree <= k: every x-slot the
+    callers read.  (Evaluations read x-degree <= min(order, 1), a Taylor-mode
+    flow x-degree <= order - 1.)  The kernel solves for s on x-degree <= k
+    only, so N's slots of x-degree k + 1 are exact zeros.
     """
     return max(min(order, 1), order - 1) + 1
 
@@ -74,18 +77,22 @@ def _shift_maps(space: JetSpace):
 def _spray_tables(lspace: JetSpace, order: int):
     """Index tables of the kernel, for L's jet in ``lspace`` and N's of ``order``.
 
-    ``work`` holds the slots of L's space of degree <= order + 1, the only
-    ones read after two derivatives.  ``src``/``fac`` gather the rows
+    ``work`` holds the slots of degree <= order + 1, the only ones read after
+    two derivatives, and x-degree below L's cap, the only ones on which the
+    bracket (one x-derivative of L) is exact.  The x-degrees above a cap form
+    an ideal, so g, the bracket and s are bit-identical on ``work``'s slots
+    to the same solve in a larger space.  ``src``/``fac`` gather the rows
     0.5 d^2L/dy^a dy^b (n * n rows, g) and then the (2n + 1) x n bracket terms
     d^2L/dx^p dy^q, the same shifted up by y^p's slot, and dL/dx^q; a source
     that is not kept reads the pad slot ``lspace.size``.  The bracket is the
     weighted sum (weights y^p, 1, -1) of those terms, folded by ``rhs_bins``.
     ``nsrc``/``nfac`` take the spray s (n, work.size) to
-    N^a_b = (1/4) ds^a/dy^b on the slots of JetSpace.get(2n, order).
+    N^a_b = (1/4) ds^a/dy^b on the slots ``kept`` of JetSpace.get(2n, order),
+    those ``work`` holds; N's other slots, of x-degree at L's cap, are zeros.
     """
     nvars = lspace.nvars
     n = nvars // 2
-    work = JetSpace.get(nvars, order + 1, lspace.capped, lspace.cap)
+    work = JetSpace.get(nvars, order + 1, lspace.capped, lspace.cap - 1)
     out = JetSpace.get(nvars, order)
     up, rise, down = _shift_maps(lspace)
 
@@ -107,11 +114,12 @@ def _spray_tables(lspace: JetSpace, order: int):
     rhs_bins = np.tile(np.arange(n * work.size), 2 * n + 1)
 
     up, rise, _ = _shift_maps(work)
-    at = np.array([work.index_of[alpha] for alpha in out.indices])
+    kept = np.array([i for i, alpha in enumerate(out.indices) if alpha in work.index_of])
+    at = np.array([work.index_of[out.indices[i]] for i in kept])
     # C order, so that N's jet is laid out as the (n, n, size) array it reads as
     nsrc = np.ascontiguousarray(np.arange(n)[:, None, None] * work.size + up[n:, at])
     nfac = np.ascontiguousarray(0.25 * rise[n:, at])
-    return work, src, fac, rhs_bins, nsrc, nfac
+    return work, src, fac, rhs_bins, (n, n, out.size), kept, nsrc, nfac
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,22 +190,28 @@ def _spray(L: TaylorJet, y: np.ndarray, order: int):
     Returns g as an (n, n, work.size) array on the slots of the kernel's
     working space, N as an (n, n, size) array on those of
     ``JetSpace.get(2n, order)``, and the working space.  The spray s is valid
-    to ``order + 1`` and N, its fiber derivative, to ``order``.
+    to ``order + 1`` and N, its fiber derivative, to ``order``, on the
+    x-degrees :func:`_x_cap` names.
     """
     n = y.size
-    work, src, fac, rhs_bins, nsrc, nfac = _spray_tables(L.space, order)
+    work, src, fac, rhs_bins, shape, kept, nsrc, nfac = _spray_tables(L.space, order)
     d = np.append(L.c, 0.0)[src] * fac
     g = d[: n * n].reshape(n, n, work.size)
     weights = np.concatenate([y, np.ones(n), [-1.0]])
     terms = weights[:, None] * d[n * n :].reshape(2 * n + 1, n * work.size)
     rhs = np.bincount(rhs_bins, weights=terms.ravel(), minlength=n * work.size)
     s = _series_solve(work, g, rhs.reshape(n, work.size))
-    return g, s.ravel()[nsrc] * nfac, work
+    njets = np.zeros(shape)
+    njets[:, :, kept] = s.ravel()[nsrc] * nfac
+    return g, njets, work
 
 
-@dataclass
 class ConnectionEval:
     """Connection coefficients and first derivatives at one bundle point.
+
+    Holds N's jet of ``order`` (an (n, n, size) array on the slots of
+    ``JetSpace.get(2n, order)``); each tensor below is derived from it on
+    first access and then kept, so callers pay only for what they read.
 
     Index layout: ``N[a, b]`` has upper index first; derivative tensors put
     the differentiation index last, e.g. ``dN_y[a, b, c]`` is
@@ -205,30 +219,66 @@ class ConnectionEval:
     ``R[a, b, c]`` is the curvature R^a_bc, antisymmetric in (b, c).
     """
 
-    point: TangentBundlePoint
-    N: np.ndarray
-    dN_x: np.ndarray
-    dN_y: np.ndarray
-    delta_N: np.ndarray
-    R: np.ndarray
+    def __init__(self, point: TangentBundlePoint, jet: np.ndarray, order: int):
+        self.point = point
+        self.jet = jet
+        self.order = order
+        self.n = jet.shape[0]
+
+    def _partials(self, kind):
+        idx, factorials = _partial_slots(self.n, self.order)[kind]
+        return self.jet[:, :, idx] * factorials
+
+    @functools.cached_property
+    def N(self) -> np.ndarray:
+        return self.jet[:, :, 0]
+
+    @functools.cached_property
+    def dN_x(self) -> np.ndarray:
+        return self._partials("x")
+
+    @functools.cached_property
+    def dN_y(self) -> np.ndarray:
+        return self._partials("y")
+
+    @functools.cached_property
+    def delta_N(self) -> np.ndarray:
+        return self.dN_x - np.einsum("mc,abm->abc", self.N, self.dN_y)
+
+    @functools.cached_property
+    def R(self) -> np.ndarray:
+        return self.delta_N - np.transpose(self.delta_N, (0, 2, 1))
 
 
-@dataclass
 class DeepConnectionEval(ConnectionEval):
     """Adds exact second derivatives of N (needed by flow Jacobians).
 
     ``ddN_xy[a, b, c, d]`` is d/dx^d of (d/dy^c N^a_b); ``ddN_yy[a, b, c, d]``
     is d/dy^d d/dy^c N^a_b; ``delta_dN[a, b, c, d]`` is
-    delta_d (d/dy^c N^a_b).
+    delta_d (d/dy^c N^a_b).  ``taylor[a, b, k, i]`` holds the Taylor
+    coefficients at slot i of N^a_b (k = 0) and of d/dy^c N^a_b (k = 1 + c),
+    exact on the x-degrees :func:`_x_cap` names; flows compose it.
     """
 
-    ddN_xy: np.ndarray = None
-    ddN_yy: np.ndarray = None
-    delta_dN: np.ndarray = None
-    # taylor[a, b, k, i]: Taylor coefficients at slot i of JetSpace.get(2n,
-    # order) of N^a_b (k = 0) and of d/dy^c N^a_b (k = 1 + c), exact on the
-    # x-degrees _x_cap names
-    taylor: np.ndarray = None
+    @functools.cached_property
+    def ddN_xy(self) -> np.ndarray:
+        return self._partials("xy").reshape((self.n,) * 4)
+
+    @functools.cached_property
+    def ddN_yy(self) -> np.ndarray:
+        return self._partials("yy").reshape((self.n,) * 4)
+
+    @functools.cached_property
+    def delta_dN(self) -> np.ndarray:
+        return self.ddN_xy - np.einsum("md,abcm->abcd", self.N, self.ddN_yy)
+
+    @functools.cached_property
+    def taylor(self) -> np.ndarray:
+        row, slot, src, fac = _partial_slots(self.n, self.order)["fiber"]
+        stack = np.zeros((self.n, self.n, self.n + 1, self.jet.shape[2]))
+        stack[:, :, 0] = self.jet
+        stack[:, :, row, slot] = self.jet[:, :, src] * fac
+        return stack
 
 
 class GeneralConnection:
@@ -294,7 +344,7 @@ class GeneralConnection:
         array on the slots of ``JetSpace.get(2n, order)``.
 
         For a canonical connection the coefficients are exact on the slots of
-        x-degree the callers of that order read; higher x-slots are truncated
+        x-degree the callers of that order read; higher x-slots are exact zeros
         (see :func:`_x_cap`).
         """
         n = self.dimension
@@ -338,48 +388,20 @@ class GeneralConnection:
     def _cached(self, point, order):
         # flows probing a stationary bundle point hammer the same argument;
         # a small memo makes those re-evaluations free.  Its hits are one flow
-        # apart at most, and a deep entry holds N's jet (37 KB on quartic4d),
-        # so it keeps the _MEMO_SIZE most recently used entries.
+        # apart at most, and an entry holds N's jet and what its readers
+        # derived from it (on quartic4d at order 2: a 5.8 KB jet, and the
+        # 29 KB fiber stack once a flow reads it), so it keeps the _MEMO_SIZE
+        # most recently used entries.
         key = (point.x.tobytes(), point.y.tobytes(), order)
         cache = self._eval_cache
         hit = cache.pop(key, None)
         if hit is None:
-            hit = self._assemble(point, order)
+            kind = DeepConnectionEval if order >= 2 else ConnectionEval
+            hit = kind(point, self.n_jets(point, order), order)
             if len(cache) >= _MEMO_SIZE:
                 del cache[next(iter(cache))]  # the least recently used
         cache[key] = hit  # (re)inserted last: dicts keep insertion order
         return hit
-
-    def _assemble(self, point, order: int):
-        n = self.dimension
-        taylor = self.n_jets(point, order)
-        if order >= 2:  # flows compose N together with its fiber derivatives
-            space = JetSpace.get(2 * n, order)
-            fiber = [space.derivative(taylor, n + c) for c in range(n)]
-            stack = np.stack([taylor] + fiber, axis=2)
-            taylor = stack[:, :, 0]  # N below is then a view of the cached stack
-        slots = _partial_slots(n, order)
-
-        def partials(kind):
-            idx, factorials = slots[kind]
-            return taylor[:, :, idx] * factorials
-
-        N = taylor[:, :, 0]
-        dN_x = partials("x")
-        dN_y = partials("y")
-        delta_N = dN_x - np.einsum("mc,abm->abc", N, dN_y)
-        R = delta_N - np.transpose(delta_N, (0, 2, 1))
-
-        if order < 2:
-            return ConnectionEval(point, N, dN_x, dN_y, delta_N, R)
-
-        ddN_xy = partials("xy").reshape(n, n, n, n)
-        ddN_yy = partials("yy").reshape(n, n, n, n)
-        delta_dN = ddN_xy - np.einsum("md,abcm->abcd", N, ddN_yy)
-        return DeepConnectionEval(
-            point, N, dN_x, dN_y, delta_N, R,
-            ddN_xy=ddN_xy, ddN_yy=ddN_yy, delta_dN=delta_dN, taylor=stack,
-        )
 
     def berwald(self, point: TangentBundlePoint) -> np.ndarray:
         """Fiber-derivative coefficients D^a_bc = d/dy^b N^a_c as [a, b, c]."""
@@ -408,7 +430,8 @@ class GeneralConnection:
 @functools.lru_cache(maxsize=None)
 def _partial_slots(n: int, order: int) -> dict:
     """Slot indices in ``JetSpace.get(2n, order)`` and their factorials for
-    the partials of N that an evaluation of ``order`` reads."""
+    the partials of N that an evaluation of ``order`` reads; at order >= 2
+    also the gather of ``DeepConnectionEval.taylor``'s fiber rows."""
     space = JetSpace.get(2 * n, order)
 
     def slots(*slot_lists):
@@ -420,6 +443,9 @@ def _partial_slots(n: int, order: int) -> dict:
         cd = [(c, d) for c in range(n) for d in range(n)]
         out["xy"] = slots(*((n + c, d) for c, d in cd))
         out["yy"] = slots(*((n + c, n + d) for c, d in cd))
+        # row 1 + c holds d/dy^c of every slot: (rows, slots, sources, factors)
+        deriv = [(np.full(s.size, 1 + c), d, s, f) for c, (s, d, f) in enumerate(space._deriv[n:])]
+        out["fiber"] = tuple(np.concatenate(column) for column in zip(*deriv))
     return out
 
 
@@ -442,12 +468,20 @@ def cartan_linear_delta(model: FinslerLagrangian, point: TangentBundlePoint) -> 
     Returned layout is [a, b, c].
     """
     n = model.dimension
-    # order 0 reads N at x-degree 0 and g at x-degree <= 1, both exact
-    g, njets, work = _spray(_lagrangian_jet(model, point, 0), point.y, 0)
-    x_slots = [work.index_of[unit_index(2 * n, b)] for b in range(n)]
-    y_slots = [work.index_of[unit_index(2 * n, n + b)] for b in range(n)]
-    dg_x = g[:, :, x_slots]  # [q, c, b] = d_b g_qc
-    dg_y = g[:, :, y_slots]  # [q, c, m] = d/dy^m g_qc
+    # order 0 reads N at x-degree 0, and L's jet is exact on x-degree <= 1
+    L = _lagrangian_jet(model, point, 0)
+    g, njets, _ = _spray(L, point.y, 0)
+
+    def half_third(offset):
+        # [q, c, b] = d/dv^b g_qc = (1/2) d^3L / dy^q dy^c dv^b, where v is
+        # x at offset 0 and y at offset n
+        at = L.space.index_of
+        i = np.array([[[at[unit_index(2 * n, n + q, n + c, offset + b)] for b in range(n)]
+                       for c in range(n)] for q in range(n)])
+        return L.c[i] * (0.5 * L.space.factorials[i])
+
+    dg_x = half_third(0)  # [q, c, b] = d_b g_qc
+    dg_y = half_third(n)  # [q, c, m] = d/dy^m g_qc
 
     # delta_g[q, c, b] = delta_b g_qc
     delta_g = dg_x - np.einsum("mb,qcm->qcb", njets[:, :, 0], dg_y)

@@ -282,9 +282,7 @@ def _sym_triple(t: np.ndarray) -> np.ndarray:
 def exp_derivatives(conn: GeneralConnection, base, v) -> ExpDerivatives:
     """Derivative blocks of the exponential map at (0, v), from one deep eval.
 
-    The third-derivative block symmetrizes its two product terms, so it
-    holds for fiber-symmetric connections (the canonical construction always
-    qualifies); the other blocks hold for any connection.
+    Every block holds for any connection, fiber-symmetric or not.
     """
     n = conn.dimension
     deep = conn.evaluate_deep(bundle_point(np.asarray(base, float), np.asarray(v, float)))
@@ -294,7 +292,13 @@ def exp_derivatives(conn: GeneralConnection, base, v) -> ExpDerivatives:
     term = -deep.delta_N + np.einsum("qa,abc->qbc", deep.N, deep.dN_y)
     d2y = 0.5 * (term + np.transpose(term, (0, 2, 1)))
 
-    raw = -deep.delta_dN + 2.0 * np.einsum("qbr,rdc->qbcd", deep.dN_y, deep.dN_y)
+    # x'''^q = raw[q, b, c, d] u^b u^c u^d: x'' = -dN_y[q, b, c] u^b u^c
+    # differentiated along the flow, with u' = x'' in each of its two slots
+    raw = (
+        -deep.delta_dN
+        + np.einsum("qrc,rbd->qbcd", deep.dN_y, deep.dN_y)
+        + np.einsum("qbr,rcd->qbcd", deep.dN_y, deep.dN_y)
+    )
 
     return ExpDerivatives(
         dx_du=np.eye(n),

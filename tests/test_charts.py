@@ -19,6 +19,7 @@ from finslerkit.dynamics import (
     IntegrationControls,
     exp_derivatives,
     exp_map,
+    exp_map_jets,
     exp_map_with_jacobian,
     integrate_autoparallel,
 )
@@ -29,6 +30,7 @@ from finslerkit.errors import (
     OutsideTrustRegion,
     SingularJacobian,
 )
+from finslerkit.jets import JetSpace, unit_index
 from finslerkit.models import load_model
 
 from fd_oracles import richardson_gradient
@@ -198,16 +200,18 @@ def test_inverse_seed_gap_shrinks_at_third_order():
     assert 6.0 <= ratio <= 10.0
 
 
+def _skew_fiber(xs, ys):
+    """An explicit connection whose d/dy^c N^a_b is not symmetric in (b, c)."""
+    return [
+        [0.3 * xs[0] * ys[0] + 0.4 * ys[1], 0.5 * ys[0] - 0.2 * xs[1] * ys[1]],
+        [0.1 * ys[0] + 0.4 * xs[0] * ys[1], -0.3 * ys[1] + 0.25 * xs[1] * ys[0]],
+    ]
+
+
 def test_inverse_seed_is_third_order_without_fiber_symmetry():
     # d/dy^c N^a_b is not symmetric in (b, c) here, so the seed's mixed term
     # must contract EXP's du dv block in its own slot order
-    def fn(xs, ys):
-        return [
-            [0.3 * xs[0] * ys[0] + 0.4 * ys[1], 0.5 * ys[0] - 0.2 * xs[1] * ys[1]],
-            [0.1 * ys[0] + 0.4 * xs[0] * ys[1], -0.3 * ys[1] + 0.25 * xs[1] * ys[0]],
-        ]
-
-    conn = GeneralConnection.explicit(fn, 2)
+    conn = GeneralConnection.explicit(_skew_fiber, 2)
     ch = AutoparallelChart(conn, np.array([0.2, -0.1]))
     yt = np.array([0.6, 0.8])
 
@@ -217,6 +221,32 @@ def test_inverse_seed_is_third_order_without_fiber_symmetry():
 
     ratio = gap(0.1) / gap(0.05)
     assert 6.0 <= ratio <= 10.0
+
+
+def test_cubic_series_is_fourth_order_accurate_without_fiber_symmetry():
+    # EXP's third u-derivative has two product terms, dN_y[q, r, c] dN_y[r, b, d]
+    # and dN_y[q, b, r] dN_y[r, c, d], which differ when d/dy N is not symmetric
+    conn = GeneralConnection.explicit(_skew_fiber, 2)
+    ch = AutoparallelChart(conn, np.array([0.2, -0.1]))
+    yt = np.array([0.6, 0.8])
+
+    def gap(s):
+        xt = s * PROBE_DIR
+        return np.abs(ch.series_forward(xt, yt, 3).x - ch.to_manifold(xt, yt).x).max()
+
+    ratio = gap(0.1) / gap(0.05)
+    assert 13.0 <= ratio <= 20.0  # 16 for an O(|xt|^4) remainder
+
+    # the closed form against the third-order slots of an at-rest Taylor-mode flow
+    space = JetSpace.get(2, 3)
+    x, _ = exp_map_jets(conn, ch.base, np.zeros(2), yt, space, u_seed=0)
+    d3 = exp_derivatives(conn, ch.base, yt).d3x_duuu
+    for b in range(2):
+        for c in range(2):
+            for d in range(2):
+                i = space.index_of[unit_index(2, b, c, d)]
+                flow = x[:, i] * space.factorials[i]
+                assert np.abs(d3[:, b, c, d] - flow).max() <= 1e-10 * (1.0 + np.abs(flow).max())
 
 
 def test_newton_divergence_reports_last_iterate():

@@ -1,5 +1,7 @@
 """Connection construction against independent oracles and closed forms."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from finslerkit import (
 )
 from finslerkit.connection import (
     GeneralConnection,
+    _partial_slots,
     _series_solve,
     _spray,
     _x_cap,
@@ -25,6 +28,12 @@ from fd_oracles import central_gradient, central_hessian
 from jet_oracles import jet_level_n, jet_solve
 
 MODELS = ["flat4d", "polar2d", "sphere2d", "randers2d", "quartic4d"]
+LINE_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "line1d.json"
+
+
+def load(name):
+    """A builtin model, or the benchmark's one-dimensional model ``line1d``."""
+    return load_model(LINE_MODEL if name == "line1d" else f"builtin:{name}")
 
 
 def sample_points(model, count, seed):
@@ -403,13 +412,15 @@ def _full_space_n_jets(model, p, order):
     return _spray(eval_taylor(model._evaluator, p, order + 3), p.y, order)[1]
 
 
-@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize("name", MODELS + ["line1d"])
 def test_n_jets_match_full_space_on_the_slots_callers_read(name):
-    model = load_model(f"builtin:{name}")
+    # the spray is solved on x-degree <= _x_cap(order) - 1 only: bit-identical
+    # there to the uncapped solve, and N's slots above are exact zeros
+    model = load(name)
     conn = GeneralConnection.cartan(model)
     n = model.dimension
     for p in sample_points(model, 2, seed=5):
-        for order in (0, 1, 2):
+        for order in (0, 1, 2, 3):
             capped = conn.n_jets(p, order)
             full = _full_space_n_jets(model, p, order)
             lspace = JetSpace.get(2 * n, order + 3, n, _x_cap(order))
@@ -417,10 +428,106 @@ def test_n_jets_match_full_space_on_the_slots_callers_read(name):
             space = JetSpace.get(2 * n, order)
             assert capped.shape == full.shape == (n, n, space.size)
             assert capped.flags.c_contiguous
-            read = [i for i, alpha in enumerate(space.indices) if sum(alpha[:n]) <= min(order, 1)]
-            assert capped[:, :, read].tobytes() == full[:, :, read].tobytes(), (name, order)
+            x_degree = np.array([sum(alpha[:n]) for alpha in space.indices])
+            solved = x_degree <= _x_cap(order) - 1
+            assert solved.sum() >= (x_degree <= min(order, 1)).sum()
+            assert capped[:, :, solved].tobytes() == full[:, :, solved].tobytes(), (name, order)
+            zeros = np.zeros((n, n, (~solved).sum()))
+            assert capped[:, :, ~solved].tobytes() == zeros.tobytes(), (name, order)
 
 
+@pytest.mark.parametrize("name", MODELS + ["line1d"])
+def test_cartan_linear_delta_matches_the_metric_jet_gather(name):
+    # oracle: d_b g_qc and d/dy^m g_qc gathered, as before the capped solve,
+    # from g's jet on the uncapped order-1 working space
+    model = load(name)
+    conn = GeneralConnection.cartan(model)
+    n = model.dimension
+    work = JetSpace.get(2 * n, 1)
+    for p in sample_points(model, 3, seed=21):
+        L = model.taylor(p, 3, x_order=1)
+        g = np.empty((n, n, work.size))
+        for q in range(n):
+            for c in range(n):
+                for i, alpha in enumerate(work.indices):
+                    beta = list(alpha)
+                    beta[n + c] += 1
+                    rise_c = beta[n + c]
+                    beta[n + q] += 1
+                    fac = 1.0 * rise_c * beta[n + q] * 0.5
+                    g[q, c, i] = L.c[L.space.index_of[tuple(beta)]] * fac
+        x_slots = [work.index_of[unit_index(2 * n, b)] for b in range(n)]
+        y_slots = [work.index_of[unit_index(2 * n, n + b)] for b in range(n)]
+        N = conn.n_jets(p, 0)[:, :, 0]
+        delta_g = g[:, :, x_slots] - np.einsum("mb,qcm->qcb", N, g[:, :, y_slots])
+        term = np.transpose(delta_g, (0, 2, 1)) + delta_g - np.transpose(delta_g, (2, 0, 1))
+        want = 0.5 * np.einsum("aq,qbc->abc", np.linalg.inv(g[:, :, 0]), term)
+        assert cartan_linear_delta(model, p).tobytes() == want.tobytes(), name
+
+
+def _skew_fiber(xs, ys):
+    """An explicit connection whose d/dy^c N^a_b is not symmetric in (b, c)
+    and whose second y-derivatives do not all vanish."""
+    return [
+        [0.3 * xs[0] * ys[0] + 0.4 * ys[1], 0.5 * ys[0] - 0.2 * xs[1] * ys[1]],
+        [0.1 * ys[0] + 0.4 * xs[0] * ys[1], -0.3 * ys[1] + 0.25 * xs[1] * ys[0] * ys[0]],
+    ]
+
+
+def _eager_tensors(conn, p, order):
+    """Oracle: the tensors of an evaluation of ``order``, built all at once
+    from N's jet as the connection built them before they were derived on
+    first access."""
+    n = conn.dimension
+    taylor = conn.n_jets(p, order)
+    if order >= 2:
+        space = JetSpace.get(2 * n, order)
+        fiber = [space.derivative(taylor, n + c) for c in range(n)]
+        stack = np.stack([taylor] + fiber, axis=2)
+        taylor = stack[:, :, 0]
+    slots = _partial_slots(n, order)
+
+    def partials(kind):
+        idx, factorials = slots[kind]
+        return taylor[:, :, idx] * factorials
+
+    out = {"N": taylor[:, :, 0], "dN_x": partials("x"), "dN_y": partials("y")}
+    out["delta_N"] = out["dN_x"] - np.einsum("mc,abm->abc", out["N"], out["dN_y"])
+    out["R"] = out["delta_N"] - np.transpose(out["delta_N"], (0, 2, 1))
+    if order >= 2:
+        out["ddN_xy"] = partials("xy").reshape(n, n, n, n)
+        out["ddN_yy"] = partials("yy").reshape(n, n, n, n)
+        out["delta_dN"] = out["ddN_xy"] - np.einsum("md,abcm->abcd", out["N"], out["ddN_yy"])
+        out["taylor"] = stack
+    return out
+
+
+@pytest.mark.parametrize("name", MODELS + ["explicit"])
+def test_evaluation_tensors_are_derived_on_first_access(name):
+    if name == "explicit":
+        conn = GeneralConnection.explicit(_skew_fiber, 2)
+        points = [bundle_point([0.2, -0.1], [0.6, 0.8]), bundle_point([-0.4, 0.3], [1.1, -0.2])]
+    else:
+        model = load_model(f"builtin:{name}")
+        conn = GeneralConnection.cartan(model)
+        points = sample_points(model, 2, seed=29)
+    for p in points:
+        for order in (1, 2, 3):
+            ev = conn.evaluate(p) if order == 1 else conn.evaluate_deep(p, order)
+            assert conn._cached(p, order) is ev  # the memo keeps the evaluation
+            assert not ev.__dict__.keys() & {"N", "dN_x", "delta_N", "R"}  # nothing derived yet
+            want = _eager_tensors(conn, p, order)
+            if order == 1:
+                for absent in ("ddN_xy", "ddN_yy", "delta_dN", "taylor"):
+                    assert not hasattr(ev, absent)
+            else:
+                assert ev.taylor is ev.taylor  # the flows' read derives nothing else
+                assert not ev.__dict__.keys() & {"N", "dN_x", "delta_N", "R", "delta_dN"}
+            for attr, value in want.items():
+                got = getattr(ev, attr)
+                assert got.shape == value.shape, (name, order, attr)
+                assert got.tobytes() == value.tobytes(), (name, order, attr)
+                assert getattr(ev, attr) is got  # derived once, then kept
 @pytest.mark.parametrize("name", MODELS)
 def test_evaluation_tensors_are_the_jet_partials(name):
     # the array extraction in _assemble against a slot-by-slot loop

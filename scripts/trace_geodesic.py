@@ -15,7 +15,7 @@ import numpy as np
 
 from finslerkit.charts import AutoparallelChart
 from finslerkit.connection import GeneralConnection
-from finslerkit.dynamics import IntegrationControls, integrate_autoparallel
+from finslerkit.dynamics import TIGHT, integrate_autoparallel
 from finslerkit.errors import FinslerKitError
 from finslerkit.models import load_model
 
@@ -36,8 +36,7 @@ def main(argv=None):
 
     model = load_model(args.model)
     conn = GeneralConnection.cartan(model)
-    controls = IntegrationControls(rtol=1e-12, atol=1e-14)
-    traj = integrate_autoparallel(conn, args.point, args.direction, args.t_end, controls)
+    traj = integrate_autoparallel(conn, args.point, args.direction, args.t_end, TIGHT)
 
     chart = None
     if conn.homogeneous and conn.symmetric:

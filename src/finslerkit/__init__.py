@@ -7,7 +7,7 @@ verification suite over the package's own geometric identities.
 """
 
 from .bundle import TangentBundlePoint, bundle_point
-from .charts import AutoparallelChart, NewtonConfig, export_grid_csv
+from .charts import AutoparallelChart, export_grid_csv
 from .connection import GeneralConnection
 from .dynamics import (
     IntegrationControls,
@@ -53,7 +53,6 @@ __all__ = [
     "exp_map",
     "exp_map_with_jacobian",
     "AutoparallelChart",
-    "NewtonConfig",
     "export_grid_csv",
     "run_verification",
     "FinslerKitError",

@@ -33,11 +33,12 @@ class TangentBundlePoint:
     def dim(self) -> int:
         return self.x.size
 
-    def require_nonzero_direction(self, guard: float = ZERO_DIRECTION_GUARD):
+    def require_nonzero_direction(self):
         """Raise :class:`NearZeroDirection` if y is numerically on the zero section."""
-        if float(np.linalg.norm(self.y)) < guard:
+        norm = float(np.linalg.norm(self.y))
+        if norm < ZERO_DIRECTION_GUARD:
             raise NearZeroDirection(
-                f"fiber direction norm {np.linalg.norm(self.y):.3e} below guard {guard:.1e}"
+                f"fiber direction norm {norm:.3e} below guard {ZERO_DIRECTION_GUARD:.1e}"
             )
         return self
 

@@ -24,14 +24,14 @@ extended chart is EXP itself, and the standard fiber is (dx/dxt) yt.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bundle import TangentBundlePoint, bundle_point
 from .connection import GeneralConnection
 from .dynamics import (
-    IntegrationControls,
+    TIGHT,
     _write_csv,
     exp_derivatives,
     exp_map,
@@ -51,18 +51,11 @@ from .jets import JetSpace, TaylorJet, unit_index
 
 JACOBIAN_CONDITION_LIMIT = 1e12
 
+# damped Newton of the inverse map
+_NEWTON_TOLERANCE = 1e-10
+_MAX_ITERATIONS = 50
 _MAX_BACKTRACKS = 25
-
-
-def _tight_controls() -> IntegrationControls:
-    return IntegrationControls(rtol=1e-12, atol=1e-14)
-
-
-@dataclass
-class NewtonConfig:
-    tolerance: float = 1e-10
-    max_iterations: int = 50
-    damping: float = 0.5  # step shrink factor while the residual fails to drop
+_DAMPING = 0.5  # step shrink factor while the residual fails to drop
 
 
 @dataclass
@@ -108,15 +101,14 @@ class AutoparallelChart:
     refuses connections not declared homogeneous and symmetric (spot-check
     declarations with ``GeneralConnection.validate_flags`` when in doubt).
     ``radius_hint`` is the trust radius for forward evaluation, not a
-    guaranteed injectivity radius.
+    guaranteed injectivity radius.  Every flow runs at the tight tolerances
+    ``dynamics.TIGHT``.
     """
 
     connection: GeneralConnection
     base: np.ndarray
     kind: str = "extended"
-    newton_config: NewtonConfig = field(default_factory=NewtonConfig)
     radius_hint: float = 0.5
-    controls: IntegrationControls = field(default_factory=_tight_controls)
 
     def __post_init__(self):
         if self.kind not in ("extended", "standard"):
@@ -150,7 +142,7 @@ class AutoparallelChart:
         kind; the seeds are placed as in :func:`exp_map_jets`."""
         n = self.dimension
         x, y = exp_map_jets(
-            self.connection, self.base, xt, yt, space, u_seed, v_seed, self.controls
+            self.connection, self.base, xt, yt, space, u_seed, v_seed, TIGHT
         )
         xs = [TaylorJet(space, space.order, c) for c in x]
         if self.kind == "extended":
@@ -166,9 +158,9 @@ class AutoparallelChart:
         yt = np.asarray(yt, dtype=float)
         self._check_trust(xt)
         if self.kind == "extended":
-            return exp_map(self.connection, self.base, xt, yt, self.controls)
+            return exp_map(self.connection, self.base, xt, yt, TIGHT)
         end, dxdu, _, _, _ = exp_map_with_jacobian(
-            self.connection, self.base, xt, yt, wrt="u", controls=self.controls
+            self.connection, self.base, xt, yt, wrt="u", controls=TIGHT
         )
         return bundle_point(end.x, dxdu @ yt)
 
@@ -201,7 +193,7 @@ class AutoparallelChart:
         """
         n = self.dimension
         end, dxdu, dydu, dxdv, dydv = exp_map_with_jacobian(
-            self.connection, self.base, z[:n], z[n:], wrt="uv", controls=self.controls
+            self.connection, self.base, z[:n], z[n:], wrt="uv", controls=TIGHT
         )
         if self.kind == "extended":
             state = end.as_state()
@@ -211,17 +203,16 @@ class AutoparallelChart:
 
     def from_manifold(self, p: TangentBundlePoint):
         """Invert the forward map by damped Newton from the series seed."""
-        cfg = self.newton_config
         n = self.dimension
         target = p.as_state()
         z = self._newton_seed(p)
 
         state, update = self._forward_with_update_matrix(z)
         res = np.inf
-        for _ in range(cfg.max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             F = state - target
             res = float(np.abs(F).max())
-            if res <= cfg.tolerance:
+            if res <= _NEWTON_TOLERANCE:
                 return z[:n].copy(), z[n:].copy()
             try:
                 step = np.linalg.solve(update, -F)
@@ -242,13 +233,13 @@ class AutoparallelChart:
                     z = z_try
                     state, update = trial
                     break
-                lam *= cfg.damping
+                lam *= _DAMPING
             else:
                 raise NewtonDiverged(
                     "damped Newton made no progress", last_iterate=z, residual=res
                 )
         raise NewtonDiverged(
-            f"no convergence within {cfg.max_iterations} iterations",
+            f"no convergence within {_MAX_ITERATIONS} iterations",
             last_iterate=z,
             residual=res,
         )

@@ -65,6 +65,8 @@ class RunConfig:
             raise ValueError("chart radius must be positive")
         if self.t_end == 0:
             raise ValueError("t-end must be nonzero")
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
 
     def controls(self) -> IntegrationControls:
         return IntegrationControls(rtol=self.rtol, atol=self.atol)
@@ -260,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--model", required=True, help="builtin:NAME or a model JSON path")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int)
         return p
 
     def tolerances(p):
@@ -269,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("validate", "sample-based Lagrangian admissibility report")
     p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
 
     p = command("connection", "connection tensors at one bundle point")
     p.add_argument("--point", type=_vector, required=True)
@@ -303,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"])
 
     p = command("verify", "run the property-verification suite")
+    p.add_argument("--seed", type=int)
     p.add_argument("--budget", choices=["quick", "full"])
     p.add_argument("--format", choices=["table", "json"])
     p.set_defaults(format="table")

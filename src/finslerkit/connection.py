@@ -39,6 +39,8 @@ from .lagrangian import FinslerLagrangian
 
 # entries of GeneralConnection's evaluation memo
 _MEMO_SIZE = 16
+# relative tolerance of validate_flags' spot-checks
+_FLAG_TOL = 1e-9
 
 
 def _x_cap(order: int) -> int:
@@ -296,7 +298,6 @@ class GeneralConnection:
         explicit_fn=None,
         homogeneous: bool = False,
         symmetric: bool = False,
-        label: str = "",
     ):
         if (lagrangian is None) == (explicit_fn is None):
             raise ValueError("provide exactly one of lagrangian or explicit_fn")
@@ -305,7 +306,6 @@ class GeneralConnection:
         self._explicit_fn = explicit_fn
         self.homogeneous = homogeneous
         self.symmetric = symmetric
-        self.label = label or ("canonical" if lagrangian is not None else "explicit")
         self._eval_cache: dict = {}
 
     # -- constructors --------------------------------------------------------
@@ -326,7 +326,7 @@ class GeneralConnection:
 
     @classmethod
     def explicit(
-        cls, fn, dimension: int, homogeneous: bool = False, symmetric: bool = False, label: str = ""
+        cls, fn, dimension: int, homogeneous: bool = False, symmetric: bool = False
     ) -> "GeneralConnection":
         """Wrap a callable ``fn(x_vars, y_vars) -> n x n nested list`` of scalars."""
         return cls(
@@ -334,7 +334,6 @@ class GeneralConnection:
             explicit_fn=fn,
             homogeneous=homogeneous,
             symmetric=symmetric,
-            label=label,
         )
 
     # -- jet-level core ------------------------------------------------------
@@ -410,7 +409,7 @@ class GeneralConnection:
 
     # -- declared-flag audit ---------------------------------------------------
 
-    def validate_flags(self, points, tol: float = 1e-9) -> dict:
+    def validate_flags(self, points) -> dict:
         """Spot-check declared homogeneity/symmetry on sample points."""
         results = {"homogeneous": True, "symmetric": True, "checked": 0}
         for p in points:
@@ -418,10 +417,10 @@ class GeneralConnection:
             scale = 1.0 + float(np.abs(ev.N).max())
             for lam in (0.5, 2.0):
                 scaled = self.coefficients(bundle_point(p.x, lam * p.y))
-                if np.abs(scaled - lam * ev.N).max() > tol * scale * max(1.0, lam):
+                if np.abs(scaled - lam * ev.N).max() > _FLAG_TOL * scale * max(1.0, lam):
                     results["homogeneous"] = False
             gap = np.abs(ev.dN_y - np.transpose(ev.dN_y, (0, 2, 1))).max()
-            if gap > tol * (1.0 + np.abs(ev.dN_y).max()):
+            if gap > _FLAG_TOL * (1.0 + np.abs(ev.dN_y).max()):
                 results["symmetric"] = False
             results["checked"] += 1
         return results

@@ -32,9 +32,9 @@ from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, OdeSolution, solve_ode
 from .jets import JetSpace, compose, unit_index
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegrationControls:
-    """Tolerances and step limits of one flow.
+    """Tolerances and first step of one flow.
 
     ``first_step`` None means the unit interval for the exponential-map flows
     (``exp_map``, ``exp_map_jets`` and everything built on them) and Hairer's
@@ -43,8 +43,11 @@ class IntegrationControls:
 
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    max_steps: int = 100_000
     first_step: float | None = None
+
+
+# The tight tolerances of chart flows, verify's probes and the geodesic trace.
+TIGHT = IntegrationControls(rtol=1e-12, atol=1e-14)
 
 
 @dataclass
@@ -124,7 +127,6 @@ def integrate_autoparallel(
         t_end,
         rtol=controls.rtol,
         atol=controls.atol,
-        max_steps=controls.max_steps,
         first_step=controls.first_step,
     )
     return Trajectory(
@@ -180,7 +182,6 @@ def integrate_horizontal_autoparallel(
         t_end,
         rtol=controls.rtol,
         atol=controls.atol,
-        max_steps=controls.max_steps,
         first_step=controls.first_step,
     )
 
@@ -230,7 +231,6 @@ def _solve_time_one(rhs, z0, controls: IntegrationControls | None):
         1.0,
         rtol=controls.rtol,
         atol=controls.atol,
-        max_steps=controls.max_steps,
         first_step=1.0 if controls.first_step is None else controls.first_step,
     )
 

@@ -16,7 +16,6 @@ parsed model feed the derivative engine directly.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -29,13 +28,14 @@ _TOKEN = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 
+# the jets shims dispatch on the argument's type: float or Taylor jet
 FUNCTIONS = {
-    "sin": (jets.sin, math.sin),
-    "cos": (jets.cos, math.cos),
-    "exp": (jets.exp, math.exp),
-    "log": (jets.log, math.log),
-    "sqrt": (jets.sqrt, math.sqrt),
-    "abs": (jets.absolute, abs),
+    "sin": jets.sin,
+    "cos": jets.cos,
+    "exp": jets.exp,
+    "log": jets.log,
+    "sqrt": jets.sqrt,
+    "abs": jets.absolute,
 }
 
 
@@ -175,9 +175,7 @@ def evaluate(node, env: dict):
     if isinstance(node, Neg):
         return -evaluate(node.operand, env)
     if isinstance(node, Call):
-        jet_fn, float_fn = FUNCTIONS[node.func]
-        arg = evaluate(node.arg, env)
-        return jet_fn(arg) if isinstance(arg, jets.TaylorJet) else float_fn(arg)
+        return FUNCTIONS[node.func](evaluate(node.arg, env))
     left = evaluate(node.left, env)
     right = evaluate(node.right, env)
     if node.op == "+":

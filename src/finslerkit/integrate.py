@@ -39,6 +39,7 @@ DEFAULT_ATOL = 1e-12
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
+MAX_STEPS = 100_000
 
 # Constants transcribed from SciPy's scipy/integrate/_ivp/dop853_coefficients.py
 # (BSD-3-Clause), which holds the published DOP853 values.
@@ -320,7 +321,6 @@ def solve_ode(
     t_end: float,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    max_steps: int = 100_000,
     first_step: float | None = None,
 ) -> OdeSolution:
     """Integrate dz/dt = f(t, z) from t0 to t_end.
@@ -357,7 +357,7 @@ def solve_ode(
     just_rejected = False
     stage_failure = None  # the last trial stage's error since an accepted step
 
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if (t - t_end) * direction >= 0.0:
             break
         h = min(h, abs(t_end - t))
@@ -408,7 +408,7 @@ def solve_ode(
             just_rejected = True
             h *= max(MIN_FACTOR, SAFETY * err ** -0.125)
     else:
-        raise FinslerKitError(f"integration exceeded {max_steps} steps")
+        raise FinslerKitError(f"integration exceeded {MAX_STEPS} steps")
 
     sol.ts = np.array(ts)
     sol.states = np.array(states)

@@ -33,6 +33,17 @@ from .jets import sqrt as generic_sqrt
 
 _FAMILIES = ("quadratic", "randers", "pth_root", "custom")
 
+# validate_spacetime's fiber scalings and relative tolerance
+_SCALINGS = (0.5, 2.0, 3.0)
+_VALIDATION_TOL = 1e-9
+
+
+def _whole_number(value, what) -> int:
+    """``value`` as an int; only whole numbers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ModelFormatError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
 
 def _parse_matrix(rows, n, what):
     if not isinstance(rows, list) or len(rows) != n or any(
@@ -106,6 +117,8 @@ class FinslerLagrangian:
             )
         if family not in _FAMILIES and evaluator is None:
             raise ModelFormatError(f"unknown family {family!r}")
+        if parameters is not None and not isinstance(parameters, dict):
+            raise ModelFormatError(f"parameters must be a mapping, got {parameters!r}")
         self.dimension = dimension
         self.homogeneity_degree = homogeneity_degree
         self.family = family
@@ -142,8 +155,8 @@ class FinslerLagrangian:
         elif self.family == "randers":
             metric = _parse_matrix(params.get("metric"), n, "randers metric")
             one_form = _parse_vector(params.get("one_form"), n, "randers one_form")
-            exponent = params.get("exponent", 2)
-            if int(exponent) != self.homogeneity_degree:
+            exponent = _whole_number(params.get("exponent", 2), "randers exponent")
+            if exponent != self.homogeneity_degree:
                 raise ModelFormatError("randers exponent must equal homogeneity_degree")
             _check_variables(
                 [t for row in metric for t in row] + one_form, n, "randers data"
@@ -161,12 +174,12 @@ class FinslerLagrangian:
                 for a in range(n):
                     lin = lin + ex.evaluate(one_form[a], env) * y[a]
                 base = root + lin
-                return base ** int(exponent)
+                return base**exponent
 
         elif self.family == "pth_root":
             form = ex.parse(str(params.get("form", "")))
-            p = params.get("p")
-            if int(p) != self.homogeneity_degree:
+            p = _whole_number(params.get("p"), "pth_root degree p")
+            if p != self.homogeneity_degree:
                 raise ModelFormatError("pth_root degree p must equal homogeneity_degree")
             _check_variables([form], n, "pth_root form")
 
@@ -201,8 +214,8 @@ class FinslerLagrangian:
         if missing:
             raise ModelFormatError(f"model document missing fields {sorted(missing)}")
         return cls(
-            dimension=int(doc["dimension"]),
-            homogeneity_degree=int(doc["homogeneity_degree"]),
+            dimension=_whole_number(doc["dimension"], "dimension"),
+            homogeneity_degree=_whole_number(doc["homogeneity_degree"], "homogeneity_degree"),
             family=str(doc["family"]),
             parameters=doc["parameters"],
             domain=doc.get("domain"),
@@ -283,7 +296,6 @@ class FinslerLagrangian:
         n, r = self.dimension, self.homogeneity_degree
         rng = np.random.default_rng(spec.seed)
         points = [spec.draw(rng, n) for _ in range(spec.count)]
-        tol = spec.tolerance
 
         conditions = {}
         witnesses = {name: [] for name in ("smooth", "homogeneous", "reversible", "nondegenerate", "signature")}
@@ -309,10 +321,10 @@ class FinslerLagrangian:
             # (ii) homogeneity: scaling plus the Euler identity y.dL/dy = r L
             checked["homogeneous"] += 1
             euler = sum(p.y[a] * jet.partial(unit_index(2 * n, n + a)) for a in range(n))
-            bad = abs(euler - r * value) > tol * scale * r
-            for lam in spec.scalings:
+            bad = abs(euler - r * value) > _VALIDATION_TOL * scale * r
+            for lam in _SCALINGS:
                 scaled = self.evaluate(bundle_point(p.x, lam * p.y))
-                if abs(scaled - lam**r * value) > tol * scale * max(1.0, lam**r):
+                if abs(scaled - lam**r * value) > _VALIDATION_TOL * scale * max(1.0, lam**r):
                     bad = True
             if bad:
                 failed["homogeneous"] += 1
@@ -321,7 +333,7 @@ class FinslerLagrangian:
             # (iii) reversibility of |L|
             checked["reversible"] += 1
             mirrored = self.evaluate(bundle_point(p.x, -p.y))
-            if abs(abs(mirrored) - abs(value)) > tol * scale:
+            if abs(abs(mirrored) - abs(value)) > _VALIDATION_TOL * scale:
                 failed["reversible"] += 1
                 witnesses["reversible"].append(
                     _witness(p, f"|L(-y)| - |L(y)| = {abs(mirrored) - abs(value):.3e}")
@@ -437,8 +449,6 @@ class SampleSpec:
     x_min: np.ndarray | None = None
     x_max: np.ndarray | None = None
     y_norm: tuple = (0.5, 2.0)
-    scalings: tuple = (0.5, 2.0, 3.0)
-    tolerance: float = 1e-9
 
     def draw(self, rng: np.random.Generator, n: int) -> TangentBundlePoint:
         lo = np.full(n, -1.0) if self.x_min is None else np.asarray(self.x_min, float)

@@ -29,7 +29,7 @@ from .bundle import TangentBundlePoint, bundle_point
 from .charts import AutoparallelChart
 from .connection import GeneralConnection, cartan_linear_delta
 from .dynamics import (
-    IntegrationControls,
+    TIGHT,
     exp_derivatives,
     exp_map,
     exp_map_jets,
@@ -41,8 +41,6 @@ from .lagrangian import FinslerLagrangian, SampleSpec
 from .models import load_model
 
 SCHEMA_VERSION = 1
-
-_TIGHT = IntegrationControls(rtol=1e-12, atol=1e-14)
 
 # connections whose coefficients stay below this at probe points are treated
 # as identically flat (the exact-shift checks apply)
@@ -243,10 +241,10 @@ def _check_velocity_rescaling(ctx: _Ctx) -> list:
         x0 = ctx.draw_inner_x(rng)
         u = ctx.draw_fiber(rng, 0.2, 0.35)
         v = ctx.draw_fiber(rng)
-        ref = integrate_horizontal_autoparallel(ctx.conn, x0, u, v, 2.0, _TIGHT)
+        ref = integrate_horizontal_autoparallel(ctx.conn, x0, u, v, 2.0, TIGHT)
         for alpha in (0.25, 0.5, 2.0):
             end = integrate_horizontal_autoparallel(
-                ctx.conn, x0, alpha * u, v, 1.0, _TIGHT
+                ctx.conn, x0, alpha * u, v, 1.0, TIGHT
             ).endpoint
             at = ref.state(alpha)
             gap = np.linalg.norm(np.concatenate([end.x - at.x, end.y - at.y]))
@@ -266,7 +264,7 @@ def _check_exp_zero_velocity(ctx: _Ctx) -> list:
     for _ in range(count):
         x0 = ctx.draw_inner_x(rng)
         v = ctx.draw_fiber(rng)
-        end = exp_map(ctx.conn, x0, np.zeros(n), v, _TIGHT)
+        end = exp_map(ctx.conn, x0, np.zeros(n), v, TIGHT)
         worst = max(worst, np.abs(end.x - x0).max(), np.abs(end.y - v).max())
     return [
         _row(ctx, "exp-zero-velocity",
@@ -290,7 +288,7 @@ def _check_exp_derivative_blocks(ctx: _Ctx) -> list:
         blocks = exp_derivatives(ctx.conn, x0, v)
         # EXP(du, v + dv) is a flow at rest, so its jets are exact to round-off
         x, y = exp_map_jets(
-            ctx.conn, x0, np.zeros(n), v, space, u_seed=n, v_seed=0, controls=_TIGHT
+            ctx.conn, x0, np.zeros(n), v, space, u_seed=n, v_seed=0, controls=TIGHT
         )
         du, dv = np.concatenate([np.zeros(n), w]), np.concatenate([w, np.zeros(n)])
         # a derivative of order k along w is k! times the degree-k terms there
@@ -411,7 +409,7 @@ def _check_flat_exactness(ctx: _Ctx) -> list:
     for _ in range(3):
         u = ctx.draw_fiber(rng, 0.2, 0.4)
         v = ctx.draw_fiber(rng)
-        end = exp_map(ctx.conn, x0, u, v, _TIGHT)
+        end = exp_map(ctx.conn, x0, u, v, TIGHT)
         map_worst = max(map_worst, np.abs(end.x - (x0 + u)).max(), np.abs(end.y - v).max())
         for chart in charts:
             q = chart.to_manifold(u, v)
@@ -516,7 +514,7 @@ def _check_straight_geodesics(ctx: _Ctx) -> list:
     count = ctx.counts["geodesics"]
     for _ in range(count):
         u0 = ctx.draw_fiber(rng, 0.25, 0.4)
-        traj = integrate_autoparallel(ctx.conn, chart.base, u0, 0.75, _TIGHT)
+        traj = integrate_autoparallel(ctx.conn, chart.base, u0, 0.75, TIGHT)
         ray = None
         for t in (0.25, 0.5, 0.75):
             xt, _ = chart.from_manifold(traj.state(t))

@@ -11,6 +11,7 @@ import pytest
 from finslerkit.cli import RunConfig, build_parser, config_from_args, main
 from finslerkit.connection import GeneralConnection
 from finslerkit.dynamics import IntegrationControls, exp_map_with_jacobian
+from finslerkit.errors import ModelFormatError
 from finslerkit.models import load_model
 
 
@@ -107,6 +108,58 @@ def test_bad_y_norm_band_exits_two(tmp_path, capsys, band):
     assert "domain y_norm" in err
 
 
+UNIT_METRIC = {"metric": [["1", "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"dimension": 2.7}, "dimension must be a whole number"),
+        ({"dimension": True}, "dimension must be a whole number"),
+        ({"homogeneity_degree": 2.9}, "homogeneity_degree must be a whole number"),
+        ({"homogeneity_degree": "2"}, "homogeneity_degree must be a whole number"),
+        ({"parameters": "oops"}, "parameters must be a mapping"),
+        (
+            {"family": "pth_root", "homogeneity_degree": 4,
+             "parameters": {"form": "y1^4 + y2^4"}},
+            "pth_root degree p must be a whole number, got None",
+        ),
+        (
+            {"family": "pth_root", "homogeneity_degree": 4,
+             "parameters": {"form": "y1^4 + y2^4", "p": 4.5}},
+            "pth_root degree p must be a whole number",
+        ),
+        (
+            {"family": "randers",
+             "parameters": dict(UNIT_METRIC, one_form=["0.1", "0"], exponent=2.5)},
+            "randers exponent must be a whole number",
+        ),
+    ],
+    ids=["dimension", "bool-dimension", "degree", "string-degree", "parameters",
+         "pth-root-without-p", "pth-root-p", "randers-exponent"],
+)
+def test_a_malformed_model_document_is_a_format_error(tmp_path, capsys, fields, message):
+    doc = {"dimension": 2, "homogeneity_degree": 2, "family": "quadratic",
+           "parameters": UNIT_METRIC}
+    doc.update(fields)
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "connection", "--model", str(path), "--point", "0.1,0.2", "--direction", "1,0",
+    )
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_a_sample_count_below_one_exits_two(capsys, count):
+    code, out, err = run_cli(capsys, "validate", "--model", "builtin:flat4d", "--samples", count)
+    assert (code, out) == (2, "")
+    assert "samples must be at least 1" in err
+
+
 def test_unparsable_vector_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["connection", "--model", "builtin:polar2d", "--point", "abc",
@@ -142,6 +195,18 @@ def bare_args(argv):
 @pytest.mark.parametrize("argv", BARE, ids=lambda argv: argv[0])
 def test_default_tolerances_are_the_integrator_defaults(argv):
     assert config_from_args(bare_args(argv)).controls() == IntegrationControls()
+
+
+def test_seed_is_an_option_of_validate_and_verify_only(capsys):
+    for argv in BARE:
+        with_seed = argv[:1] + ["--model", "builtin:polar2d", "--seed", "3"] + argv[1:]
+        if argv[0] in ("validate", "verify"):
+            assert config_from_args(build_parser().parse_args(with_seed)).seed == 3
+            continue
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(with_seed)
+        assert exc.value.code == 2, argv[0]
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", BARE, ids=lambda argv: argv[0])

@@ -1,6 +1,7 @@
 """Autoparallel integration, the exponential map, and its derivative blocks."""
 
 import csv
+import dataclasses
 import re
 from bisect import bisect_right
 from pathlib import Path
@@ -379,6 +380,13 @@ def test_horizontal_rescaling_property():
     at_alpha = full.state(alpha)
     assert np.abs(short.x - at_alpha.x).max() < 1e-8
     assert np.abs(short.y - at_alpha.y).max() < 1e-8
+
+
+def test_the_shared_tight_controls_cannot_be_changed():
+    # charts, verify and the geodesic trace all read this one instance
+    assert (dynamics.TIGHT.rtol, dynamics.TIGHT.atol) == (1e-12, 1e-14)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dynamics.TIGHT.rtol = 1e-6
 
 
 # -- exponential map ---------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
     SingularJacobian,
     StepSizeUnderflow,
 )
-from .lagrangian import FinslerLagrangian, SampleSpec
+from .lagrangian import FinslerLagrangian
 from .models import builtin_names, load_model, save_model
 from .verify import run_verification
 
@@ -41,7 +41,6 @@ __all__ = [
     "TangentBundlePoint",
     "bundle_point",
     "FinslerLagrangian",
-    "SampleSpec",
     "load_model",
     "save_model",
     "builtin_names",

@@ -23,7 +23,6 @@ extended chart is EXP itself, and the standard fiber is (dx/dxt) yt.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,7 @@ from .errors import (
     OutsideTrustRegion,
     SingularJacobian,
 )
-from .jets import JetSpace, TaylorJet, unit_index
+from .jets import JetSpace, TaylorJet
 
 JACOBIAN_CONDITION_LIMIT = 1e12
 
@@ -83,13 +82,6 @@ class ChartLagrangian:
     value: float
     grad_xt: np.ndarray
     hess_xt: np.ndarray
-
-
-def _partials(jet: TaylorJet, *axes) -> np.ndarray:
-    """Tensor of the partials of ``jet`` taking one variable from each axis."""
-    nv = jet.space.nvars
-    values = [jet.partial(unit_index(nv, *vs)) for vs in itertools.product(*axes)]
-    return np.array(values).reshape([len(axis) for axis in axes])
 
 
 @dataclass
@@ -328,9 +320,7 @@ class AutoparallelChart:
         space = JetSpace.get(2 * n, 1 if self.kind == "extended" else 2)
         xs, ys = self._image_jets(xt, yt, space, u_seed=0, v_seed=n)
         img = bundle_point([j.value for j in xs], [j.value for j in ys])
-        forward = np.array(
-            [[j.partial(unit_index(2 * n, k)) for k in range(2 * n)] for j in xs + ys]
-        )
+        forward = np.array([j.partials(range(2 * n)) for j in xs + ys])
         cond = float(np.linalg.cond(forward))
         if not np.isfinite(cond) or cond > JACOBIAN_CONDITION_LIMIT:
             raise SingularJacobian(
@@ -370,7 +360,7 @@ class AutoparallelChart:
         value = model.evaluate(bundle_point(self.base, yt))
         jet = self._xt_jet(yt)
         return ChartLagrangian(
-            value=value, grad_xt=_partials(jet, xts), hess_xt=_partials(jet, xts, xts)
+            value=value, grad_xt=jet.partials(xts), hess_xt=jet.partials(xts, xts)
         )
 
     def _w_matrix(self, yv: np.ndarray) -> np.ndarray:
@@ -378,7 +368,7 @@ class AutoparallelChart:
         model = self._require_lagrangian()
         g = model.l_metric(bundle_point(self.base, yv))
         xts = range(self.dimension)
-        return np.linalg.solve(g, _partials(self._xt_jet(yv), xts, xts))
+        return np.linalg.solve(g, self._xt_jet(yv).partials(xts, xts))
 
     def curvature_in_chart(self, yt) -> np.ndarray:
         """Curvature tensor at the chart center from in-chart data only.
@@ -399,12 +389,12 @@ class AutoparallelChart:
         # seeds (dyt, dxt): variables 0..n-1, then n..2n-1
         jet = self._lagrangian_jet(yt, JetSpace.get(2 * n, 4, n, 1), n, 0)
         yts, xts = range(n), range(n, 2 * n)
-        hess = _partials(jet, xts, xts)
-        dhess = _partials(jet, xts, xts, yts)
+        hess = jet.partials(xts, xts)
+        dhess = jet.partials(xts, xts, yts)
         p = bundle_point(self.base, yt)
         g = model.l_metric(p)
         fibers = range(n, 2 * n)  # the y-variables of L's own (x, y) jet
-        dg = 0.5 * _partials(model.taylor(p, 3), fibers, fibers, fibers)
+        dg = 0.5 * model.taylor(p, 3).partials(fibers, fibers, fibers)
         # W = g^{-1} H, so d_c W = g^{-1} (d_c H - d_c g W)
         w = np.linalg.solve(g, hess)
         rhs = dhess - np.einsum("amc,mb->abc", dg, w)

@@ -25,7 +25,6 @@ from .dynamics import (
 )
 from .errors import FinslerKitError, ModelFormatError
 from .integrate import DEFAULT_ATOL, DEFAULT_RTOL
-from .lagrangian import SampleSpec
 from .models import load_model
 from .verify import SCHEMA_VERSION, format_table, report_to_json, run_verification
 
@@ -93,6 +92,13 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_document(cfg: RunConfig, body: dict) -> None:
+    """Write ``body`` as JSON under the schema_version/command/model header."""
+    doc = {"schema_version": SCHEMA_VERSION, "command": cfg.command, "model": cfg.model}
+    doc.update(body)
+    _emit(report_to_json(doc), cfg.output)
+
+
 def _require_dim(model, name, vec) -> np.ndarray:
     if vec is None:
         raise ValueError(f"--{name} is required for this command")
@@ -107,13 +113,9 @@ def _require_dim(model, name, vec) -> np.ndarray:
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
-    model = load_model(cfg.model)
-    spec = SampleSpec.for_model(model, count=cfg.samples, seed=cfg.seed)
-    report = model.validate_spacetime(spec)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "validate", "model": cfg.model}
-    doc.update(report.as_dict())
-    _emit(report_to_json(doc), cfg.output)
-    return 0 if report.all_passed else 1
+    report = load_model(cfg.model).validate_spacetime(cfg.samples, cfg.seed)
+    _write_document(cfg, report)
+    return 0 if report["all_passed"] else 1
 
 
 def _cmd_connection(cfg: RunConfig) -> int:
@@ -123,18 +125,14 @@ def _cmd_connection(cfg: RunConfig) -> int:
     conn = GeneralConnection.cartan(model)
     p = bundle_point(x, y)
     ev = conn.evaluate(p)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "connection",
-        "model": cfg.model,
+    _write_document(cfg, {
         "point": _matrix_list(x),
         "direction": _matrix_list(y),
         "N": _matrix_list(ev.N),
         "berwald": _matrix_list(conn.berwald(p)),
         "delta_christoffel": _matrix_list(cartan_linear_delta(model, p)),
         "curvature": _matrix_list(ev.R),
-    }
-    _emit(report_to_json(doc), cfg.output)
+    })
     return 0
 
 
@@ -168,10 +166,7 @@ def _cmd_expmap(cfg: RunConfig) -> int:
     end, dxdu, dydu, dxdv, dydv = exp_map_with_jacobian(
         conn, x, u, v, wrt="uv", controls=cfg.controls()
     )
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "expmap",
-        "model": cfg.model,
+    _write_document(cfg, {
         "point": _matrix_list(x),
         "velocity": _matrix_list(u),
         "fiber": _matrix_list(v),
@@ -183,15 +178,13 @@ def _cmd_expmap(cfg: RunConfig) -> int:
             "dx_dv": _matrix_list(dxdv),
             "dy_dv": _matrix_list(dydv),
         },
-    }
-    _emit(report_to_json(doc), cfg.output)
+    })
     return 0
 
 
 def _cmd_chart(cfg: RunConfig) -> int:
     model = load_model(cfg.model)
-    lo, hi = model.domain_box()
-    base = _require_dim(model, "base", 0.5 * (lo + hi) if cfg.base is None else cfg.base)
+    base = _require_dim(model, "base", model.center() if cfg.base is None else cfg.base)
     xt = _require_dim(model, "x-tilde", cfg.x_tilde)
     yt = _require_dim(model, "y-tilde", cfg.y_tilde)
     conn = GeneralConnection.cartan(model)
@@ -201,17 +194,16 @@ def _cmd_chart(cfg: RunConfig) -> int:
             raise ValueError("csv format requires --output")
         export_grid_csv(chart, [xt], yt, cfg.output)
         return 0
-    doc = {"schema_version": SCHEMA_VERSION, "command": "chart", "model": cfg.model}
-    doc.update(chart.record(xt, yt))
+    body = chart.record(xt, yt)
     order = cfg.series_order
     if order:
         approx = chart.series_forward(xt, yt, order)
-        doc["series"] = {
+        body["series"] = {
             "order": order,
             "x": _matrix_list(approx.x),
             "y": _matrix_list(approx.y),
         }
-    _emit(report_to_json(doc), cfg.output)
+    _write_document(cfg, body)
     return 0
 
 

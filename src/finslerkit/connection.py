@@ -452,11 +452,8 @@ def horizontal_derivative(conn: GeneralConnection, field, point: TangentBundlePo
     """delta_a f = d_a f - N^b_a d/dy^b f for a scalar bundle field."""
     n = conn.dimension
     jet = eval_taylor(field, point, 1)
-    idx = jet.space.index_of
-    gx = np.array([jet.c[idx[unit_index(2 * n, a)]] for a in range(n)])
-    gy = np.array([jet.c[idx[unit_index(2 * n, n + a)]] for a in range(n)])
     N = conn.coefficients(point)
-    return gx - N.T @ gy
+    return jet.partials(range(n)) - N.T @ jet.partials(range(n, 2 * n))
 
 
 def cartan_linear_delta(model: FinslerLagrangian, point: TangentBundlePoint) -> np.ndarray:
@@ -471,16 +468,10 @@ def cartan_linear_delta(model: FinslerLagrangian, point: TangentBundlePoint) -> 
     L = _lagrangian_jet(model, point, 0)
     g, njets, _ = _spray(L, point.y, 0)
 
-    def half_third(offset):
-        # [q, c, b] = d/dv^b g_qc = (1/2) d^3L / dy^q dy^c dv^b, where v is
-        # x at offset 0 and y at offset n
-        at = L.space.index_of
-        i = np.array([[[at[unit_index(2 * n, n + q, n + c, offset + b)] for b in range(n)]
-                       for c in range(n)] for q in range(n)])
-        return L.c[i] * (0.5 * L.space.factorials[i])
-
-    dg_x = half_third(0)  # [q, c, b] = d_b g_qc
-    dg_y = half_third(n)  # [q, c, m] = d/dy^m g_qc
+    # d/dv g_qc = (1/2) d^3L / dy^q dy^c dv for v = x^b and v = y^m
+    fibers = range(n, 2 * n)
+    dg_x = 0.5 * L.partials(fibers, fibers, range(n))  # [q, c, b] = d_b g_qc
+    dg_y = 0.5 * L.partials(fibers, fibers, fibers)  # [q, c, m] = d/dy^m g_qc
 
     # delta_g[q, c, b] = delta_b g_qc
     delta_g = dg_x - np.einsum("mb,qcm->qcb", njets[:, :, 0], dg_y)

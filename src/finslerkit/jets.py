@@ -42,15 +42,17 @@ is ever -0.0 and adding a signed zero never changes it.  The kept pairs run in
 the prefix's order, so finite products are bit-identical to the full-table
 product, sign bits included.
 
-A reciprocal of a jet with zero constant term and a float power of zero with
-a negative exponent raise :class:`NonFiniteField`, the error of every other
-point where a field has no finite Taylor expansion.
+A reciprocal of a jet with zero constant term, a float power of zero with a
+negative exponent, and a square root or logarithm outside its domain (float
+or jet) raise :class:`NonFiniteField`, the error of every other point where
+a field has no finite Taylor expansion.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
+from itertools import product as cartesian
 
 import numpy as np
 
@@ -325,6 +327,15 @@ class TaylorJet:
         i = self.space.index_of[tuple(alpha)]
         return float(self.c[i] * self.space.factorials[i])
 
+    def partials(self, *axes) -> np.ndarray:
+        """Tensor of the true mixed partials taking one variable from each of
+        ``axes`` (sequences of variable numbers); one axis gives a gradient,
+        two a Hessian block."""
+        at, nv = self.space.index_of, self.space.nvars
+        idx = np.array([at[unit_index(nv, *vs)] for vs in cartesian(*axes)], dtype=np.intp)
+        values = self.c[idx] * self.space.factorials[idx]
+        return values.reshape([len(axis) for axis in axes])
+
     def deriv(self, v: int) -> "TaylorJet":
         """Partial derivative with respect to variable ``v``; drops one order."""
         if self.order < 1:
@@ -499,11 +510,23 @@ def _shim(jet_method, float_fn):
     return fn
 
 
+def _float_log(v):
+    if v <= 0.0:
+        raise NonFiniteField(f"log of non-positive value {v:.3e}")
+    return math.log(v)
+
+
+def _float_sqrt(v):
+    if v < 0.0:
+        raise NonFiniteField(f"sqrt of negative value {v:.3e}")
+    return math.sqrt(v)
+
+
 sin = _shim(TaylorJet.sin, math.sin)
 cos = _shim(TaylorJet.cos, math.cos)
 exp = _shim(TaylorJet.exp, math.exp)
-log = _shim(TaylorJet.log, math.log)
-sqrt = _shim(TaylorJet.sqrt, math.sqrt)
+log = _shim(TaylorJet.log, _float_log)
+sqrt = _shim(TaylorJet.sqrt, _float_sqrt)
 absolute = _shim(TaylorJet.absolute, abs)
 
 

@@ -16,8 +16,6 @@ fundamental tensor everything downstream consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import expressions as ex
@@ -28,7 +26,7 @@ from .bundle import (
     bundle_point,
 )
 from .errors import ModelFormatError, NonFiniteField
-from .jets import TaylorJet, eval_taylor, unit_index
+from .jets import TaylorJet, eval_taylor
 from .jets import sqrt as generic_sqrt
 
 _FAMILIES = ("quadratic", "randers", "pth_root", "custom")
@@ -240,6 +238,38 @@ class FinslerLagrangian:
         lo, hi = self._box
         return lo.copy(), hi.copy()
 
+    # -- sampling -------------------------------------------------------------
+    #
+    # validate and verify draw every bundle point from the declared domain:
+    # base points from the box, fiber norms from the y_norm band.
+
+    def center(self) -> np.ndarray:
+        """Midpoint of the domain box, the default chart center."""
+        lo, hi = self._box
+        return 0.5 * (lo + hi)
+
+    def draw_inner_x(self, rng: np.random.Generator) -> np.ndarray:
+        """A base point from the middle half of the domain box on every axis."""
+        lo, hi = self._box
+        return lo + (0.25 + 0.5 * rng.random(self.dimension)) * (hi - lo)
+
+    def draw_fiber(self, rng: np.random.Generator, band=None) -> np.ndarray:
+        """A fiber vector of uniformly random direction whose norm is uniform
+        in ``band`` (lo, hi), the model's y_norm band by default."""
+        lo, hi = self._y_norm if band is None else band
+        direction = rng.standard_normal(self.dimension)
+        norm = np.linalg.norm(direction)
+        while norm < 1e-8:
+            direction = rng.standard_normal(self.dimension)
+            norm = np.linalg.norm(direction)
+        return direction / norm * (lo + (hi - lo) * rng.random())
+
+    def draw_point(self, rng: np.random.Generator) -> TangentBundlePoint:
+        """A bundle point: x uniform in the domain box, y from :meth:`draw_fiber`."""
+        lo, hi = self._box
+        x = lo + (hi - lo) * rng.random(self.dimension)
+        return bundle_point(x, self.draw_fiber(rng))
+
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x, y):
@@ -266,12 +296,8 @@ class FinslerLagrangian:
 
     def l_metric(self, point: TangentBundlePoint) -> np.ndarray:
         """Fiber Hessian g^L_ab = (1/2) d_a d_b L over y."""
-        n = point.dim
-        jet = self.taylor(point, 2)
-        g = np.empty((n, n))
-        for a in range(n):
-            for b in range(a, n):
-                g[a, b] = g[b, a] = 0.5 * jet.partial(unit_index(2 * n, n + a, n + b))
+        fibers = range(point.dim, 2 * point.dim)
+        g = 0.5 * self.taylor(point, 2).partials(fibers, fibers)
         if not np.isfinite(g).all():
             raise NonFiniteField("L-metric has non-finite entries")
         return g
@@ -282,7 +308,7 @@ class FinslerLagrangian:
 
     # -- validation ---------------------------------------------------------
 
-    def validate_spacetime(self, spec: "SampleSpec") -> "ValidationReport":
+    def validate_spacetime(self, count: int, seed: int) -> dict:
         """Check the defining conditions on a finite sample of bundle points.
 
         Conditions (sampled diagnostics, not proofs):
@@ -292,14 +318,16 @@ class FinslerLagrangian:
           (iv)  nondegenerate L-metric away from the flagged degenerate set;
           (v)   on the |L| = 1 shell, the L-metric has Lorentzian-type
                 signature (eps, -eps, ..., -eps) on a nonempty sample subset.
+
+        ``count`` points come from :meth:`draw_point` with a generator seeded
+        by ``seed``.  Returns the report dict that ``validate`` writes.
         """
         n, r = self.dimension, self.homogeneity_degree
-        rng = np.random.default_rng(spec.seed)
-        points = [spec.draw(rng, n) for _ in range(spec.count)]
+        rng = np.random.default_rng(seed)
+        points = [self.draw_point(rng) for _ in range(count)]
 
-        conditions = {}
-        witnesses = {name: [] for name in ("smooth", "homogeneous", "reversible", "nondegenerate", "signature")}
-        checked = dict.fromkeys(witnesses, 0)
+        witnesses = {name: [] for name in ("smooth", "homogeneous", "reversible", "nondegenerate")}
+        checked = dict.fromkeys((*witnesses, "signature"), 0)
         failed = dict.fromkeys(witnesses, 0)
         signature_tally: dict[str, int] = {}
         qualifying = 0
@@ -320,7 +348,7 @@ class FinslerLagrangian:
 
             # (ii) homogeneity: scaling plus the Euler identity y.dL/dy = r L
             checked["homogeneous"] += 1
-            euler = sum(p.y[a] * jet.partial(unit_index(2 * n, n + a)) for a in range(n))
+            euler = sum(ya * d for ya, d in zip(p.y, jet.partials(range(n, 2 * n))))
             bad = abs(euler - r * value) > _VALIDATION_TOL * scale * r
             for lam in _SCALINGS:
                 scaled = self.evaluate(bundle_point(p.x, lam * p.y))
@@ -364,111 +392,32 @@ class FinslerLagrangian:
                 if got == wanted:
                     qualifying += 1
 
-        for name in witnesses:
-            if name == "signature":
-                continue
-            conditions[name] = ConditionOutcome(
-                passed=failed[name] == 0 and checked[name] > 0,
-                checked=checked[name],
-                failures=failed[name],
-                witnesses=witnesses[name][:5],
-            )
-        conditions["signature"] = ConditionOutcome(
-            passed=qualifying > 0,
-            checked=checked["signature"],
-            failures=checked["signature"] - qualifying,
-            witnesses=[],
-            detail=f"{qualifying} samples on the unit shell carry the required signature",
-        )
-
-        return ValidationReport(
-            dimension=n,
-            homogeneity_degree=r,
-            family=self.family,
-            samples=spec.count,
-            seed=spec.seed,
-            conditions=conditions,
-            signature_tally=dict(sorted(signature_tally.items())),
-        )
+        conditions = {}
+        for name, found in witnesses.items():
+            conditions[name] = {
+                "passed": failed[name] == 0 and checked[name] > 0,
+                "checked": checked[name],
+                "failures": failed[name],
+            }
+            if found:
+                conditions[name]["witnesses"] = found[:5]
+        conditions["signature"] = {
+            "passed": qualifying > 0,
+            "checked": checked["signature"],
+            "failures": checked["signature"] - qualifying,
+            "detail": f"{qualifying} samples on the unit shell carry the required signature",
+        }
+        return {
+            "dimension": n,
+            "homogeneity_degree": r,
+            "family": self.family,
+            "samples": count,
+            "seed": seed,
+            "all_passed": all(c["passed"] for c in conditions.values()),
+            "conditions": conditions,
+            "signature_tally": dict(sorted(signature_tally.items())),
+        }
 
 
 def _witness(p: TangentBundlePoint, detail: str) -> dict:
     return {"x": [float(v) for v in p.x], "y": [float(v) for v in p.y], "detail": detail}
-
-
-@dataclass
-class ConditionOutcome:
-    passed: bool
-    checked: int
-    failures: int
-    witnesses: list
-    detail: str = ""
-
-    def as_dict(self):
-        out = {"passed": self.passed, "checked": self.checked, "failures": self.failures}
-        if self.witnesses:
-            out["witnesses"] = self.witnesses
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-
-@dataclass
-class ValidationReport:
-    dimension: int
-    homogeneity_degree: int
-    family: str
-    samples: int
-    seed: int
-    conditions: dict
-    signature_tally: dict
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.conditions.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "homogeneity_degree": self.homogeneity_degree,
-            "family": self.family,
-            "samples": self.samples,
-            "seed": self.seed,
-            "all_passed": self.all_passed,
-            "conditions": {k: v.as_dict() for k, v in self.conditions.items()},
-            "signature_tally": self.signature_tally,
-        }
-
-
-@dataclass
-class SampleSpec:
-    """Deterministic sampling recipe for validation and identity sweeps."""
-
-    count: int = 200
-    seed: int = 0
-    x_min: np.ndarray | None = None
-    x_max: np.ndarray | None = None
-    y_norm: tuple = (0.5, 2.0)
-
-    def draw(self, rng: np.random.Generator, n: int) -> TangentBundlePoint:
-        lo = np.full(n, -1.0) if self.x_min is None else np.asarray(self.x_min, float)
-        hi = np.full(n, 1.0) if self.x_max is None else np.asarray(self.x_max, float)
-        x = lo + (hi - lo) * rng.random(n)
-        direction = rng.standard_normal(n)
-        norm = np.linalg.norm(direction)
-        while norm < 1e-8:
-            direction = rng.standard_normal(n)
-            norm = np.linalg.norm(direction)
-        radius = self.y_norm[0] + (self.y_norm[1] - self.y_norm[0]) * rng.random()
-        return bundle_point(x, direction / norm * radius)
-
-    @classmethod
-    def for_model(cls, model: FinslerLagrangian, count: int = 200, seed: int = 0):
-        lo, hi = model.domain_box()
-        return cls(
-            count=count,
-            seed=seed,
-            x_min=lo,
-            x_max=hi,
-            y_norm=model._y_norm,
-        )

@@ -36,8 +36,8 @@ from .dynamics import (
     integrate_autoparallel,
     integrate_horizontal_autoparallel,
 )
-from .jets import JetSpace, unit_index
-from .lagrangian import FinslerLagrangian, SampleSpec
+from .jets import JetSpace
+from .lagrangian import FinslerLagrangian
 from .models import load_model
 
 SCHEMA_VERSION = 1
@@ -47,42 +47,18 @@ SCHEMA_VERSION = 1
 _FLATNESS_PROBE_TOL = 1e-12
 
 
-@dataclass
-class CheckResult:
-    id: str
-    claim: str
-    model: str
-    seed: int
-    samples: int
-    max_residual: float
-    tolerance: float
-    passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "claim": self.claim,
-            "model": self.model,
-            "seed": self.seed,
-            "samples": self.samples,
-            "max_residual": float(self.max_residual),
-            "tolerance": float(self.tolerance),
-            "passed": bool(self.passed),
-        }
-
-
-def _row(ctx, id, claim, samples, residual, tolerance) -> CheckResult:
+def _row(ctx, id, claim, samples, residual, tolerance) -> dict:
     residual = float(residual)
-    return CheckResult(
-        id=id,
-        claim=claim,
-        model=ctx.name,
-        seed=ctx.seed,
-        samples=int(samples),
-        max_residual=residual,
-        tolerance=float(tolerance),
-        passed=residual <= tolerance,
-    )
+    return {
+        "id": id,
+        "claim": claim,
+        "model": ctx.name,
+        "seed": ctx.seed,
+        "samples": int(samples),
+        "max_residual": residual,
+        "tolerance": float(tolerance),
+        "passed": residual <= tolerance,
+    }
 
 
 @dataclass
@@ -101,21 +77,8 @@ class _Ctx:
     def rng(self, slot: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, slot])
 
-    def base_point(self) -> np.ndarray:
-        lo, hi = self.model.domain_box()
-        return 0.5 * (lo + hi)
-
-    def draw_fiber(self, rng, lo=0.5, hi=2.0) -> np.ndarray:
-        v = rng.standard_normal(self.dimension)
-        v /= np.linalg.norm(v)
-        return v * (lo + (hi - lo) * rng.random())
-
-    def draw_inner_x(self, rng) -> np.ndarray:
-        lo, hi = self.model.domain_box()
-        return lo + (0.25 + 0.5 * rng.random(self.dimension)) * (hi - lo)
-
     def chart(self, kind: str) -> AutoparallelChart:
-        return AutoparallelChart(self.conn, self.base_point(), kind=kind, radius_hint=1.5)
+        return AutoparallelChart(self.conn, self.model.center(), kind=kind, radius_hint=1.5)
 
 
 def _counts(budget: str) -> dict:
@@ -154,7 +117,7 @@ def _taylor_terms(space: JetSpace, c: np.ndarray, point: np.ndarray, degrees) ->
 
 # -- check implementations ------------------------------------------------------
 #
-# Each function returns a list of CheckResult rows (empty when the check does
+# Each function returns a list of report rows (empty when the check does
 # not apply to the model).  The slot number passed to ctx.rng pins the sample
 # stream per check, so report content is independent of execution order.
 
@@ -163,17 +126,16 @@ def _check_identities(ctx: _Ctx) -> list:
     n = ctx.dimension
     r = ctx.model.homogeneity_degree
     rng = ctx.rng(0)
-    spec = SampleSpec.for_model(ctx.model, count=ctx.counts["identity"], seed=ctx.seed)
+    count = ctx.counts["identity"]
     worst = dict.fromkeys(
         ("euler", "constancy", "symmetry", "homogeneity", "spray", "annihilation", "cyclic"),
         0.0,
     )
-    for _ in range(spec.count):
-        p = spec.draw(rng, n)
+    for _ in range(count):
+        p = ctx.model.draw_point(rng)
         ev = ctx.conn.evaluate(p)
         jet = ctx.model.taylor(p, 1)
-        gx = np.array([jet.partial(unit_index(2 * n, a)) for a in range(n)])
-        gy = np.array([jet.partial(unit_index(2 * n, n + a)) for a in range(n)])
+        gx, gy = jet.partials(range(n)), jet.partials(range(n, 2 * n))
         value = ctx.model.evaluate(p)
 
         euler = abs(float(gy @ p.y) - r * value) / (1.0 + abs(r * value))
@@ -207,7 +169,6 @@ def _check_identities(ctx: _Ctx) -> list:
         cyclic = R_low + np.transpose(R_low, (1, 2, 0)) + np.transpose(R_low, (2, 0, 1))
         worst["cyclic"] = max(worst["cyclic"], np.abs(cyclic).max() / (1.0 + np.abs(R_low).max()))
 
-    count = spec.count
     return [
         _row(ctx, "euler-degree",
              "fiber scaling acts on L with its homogeneity degree: y^a dL/dy^a = r L",
@@ -238,9 +199,9 @@ def _check_velocity_rescaling(ctx: _Ctx) -> list:
     worst = 0.0
     count = ctx.counts["rescale"]
     for _ in range(count):
-        x0 = ctx.draw_inner_x(rng)
-        u = ctx.draw_fiber(rng, 0.2, 0.35)
-        v = ctx.draw_fiber(rng)
+        x0 = ctx.model.draw_inner_x(rng)
+        u = ctx.model.draw_fiber(rng, (0.2, 0.35))
+        v = ctx.model.draw_fiber(rng)
         ref = integrate_horizontal_autoparallel(ctx.conn, x0, u, v, 2.0, TIGHT)
         for alpha in (0.25, 0.5, 2.0):
             end = integrate_horizontal_autoparallel(
@@ -262,8 +223,8 @@ def _check_exp_zero_velocity(ctx: _Ctx) -> list:
     count = ctx.counts["exp_zero"]
     n = ctx.dimension
     for _ in range(count):
-        x0 = ctx.draw_inner_x(rng)
-        v = ctx.draw_fiber(rng)
+        x0 = ctx.model.draw_inner_x(rng)
+        v = ctx.model.draw_fiber(rng)
         end = exp_map(ctx.conn, x0, np.zeros(n), v, TIGHT)
         worst = max(worst, np.abs(end.x - x0).max(), np.abs(end.y - v).max())
     return [
@@ -281,8 +242,8 @@ def _check_exp_derivative_blocks(ctx: _Ctx) -> list:
     worst = 0.0
     count = ctx.counts["exp_blocks"]
     for _ in range(count):
-        x0 = ctx.draw_inner_x(rng)
-        v = ctx.draw_fiber(rng)
+        x0 = ctx.model.draw_inner_x(rng)
+        v = ctx.model.draw_fiber(rng)
         w = rng.standard_normal(n)
         w /= np.linalg.norm(w)
         blocks = exp_derivatives(ctx.conn, x0, v)
@@ -324,7 +285,7 @@ def _levi_civita(model: FinslerLagrangian, xv: np.ndarray) -> np.ndarray:
 
     def value_and_dx(y):
         jet = model.taylor(bundle_point(xv, y), 1)
-        return np.array([jet.value] + [jet.partial(unit_index(2 * n, c)) for c in range(n)])
+        return np.concatenate([[jet.value], jet.partials(range(n))])
 
     single = [value_and_dx(eye[a]) for a in range(n)]
     polar = np.array([
@@ -348,8 +309,8 @@ def _check_levi_civita(ctx: _Ctx) -> list:
     worst = 0.0
     count = ctx.counts["levi_civita"]
     for _ in range(count):
-        x0 = ctx.draw_inner_x(rng)
-        y = ctx.draw_fiber(rng)
+        x0 = ctx.model.draw_inner_x(rng)
+        y = ctx.model.draw_fiber(rng)
         gamma = _levi_civita(ctx.model, x0)
         N = ctx.conn.coefficients(bundle_point(x0, y))
         worst = max(worst, _gap(np.einsum("abc,c->ab", gamma, y), N))
@@ -368,10 +329,10 @@ def _check_berwald_y_independence(ctx: _Ctx) -> list:
     bases = ctx.counts["berwald_bases"]
     fibers = ctx.counts["berwald_fibers"]
     for _ in range(bases):
-        x0 = ctx.draw_inner_x(rng)
+        x0 = ctx.model.draw_inner_x(rng)
         ref_D = ref_G = None
         for _ in range(fibers):
-            p = bundle_point(x0, ctx.draw_fiber(rng))
+            p = bundle_point(x0, ctx.model.draw_fiber(rng))
             D = ctx.conn.berwald(p)
             G = cartan_linear_delta(ctx.model, p)
             if ref_D is None:
@@ -389,11 +350,10 @@ def _check_flat_exactness(ctx: _Ctx) -> list:
     if not ctx.flat:
         return []
     rng = ctx.rng(6)
-    n = ctx.dimension
-    spec = SampleSpec.for_model(ctx.model, count=ctx.counts["flat_probe"], seed=ctx.seed)
+    count = ctx.counts["flat_probe"]
     tensor_worst = 0.0
-    for _ in range(spec.count):
-        p = spec.draw(rng, n)
+    for _ in range(count):
+        p = ctx.model.draw_point(rng)
         ev = ctx.conn.evaluate(p)
         tensor_worst = max(
             tensor_worst,
@@ -404,11 +364,11 @@ def _check_flat_exactness(ctx: _Ctx) -> list:
         )
 
     map_worst = 0.0
-    x0 = ctx.base_point()
+    x0 = ctx.model.center()
     charts = [ctx.chart("extended"), ctx.chart("standard")]
     for _ in range(3):
-        u = ctx.draw_fiber(rng, 0.2, 0.4)
-        v = ctx.draw_fiber(rng)
+        u = ctx.model.draw_fiber(rng, (0.2, 0.4))
+        v = ctx.model.draw_fiber(rng)
         end = exp_map(ctx.conn, x0, u, v, TIGHT)
         map_worst = max(map_worst, np.abs(end.x - (x0 + u)).max(), np.abs(end.y - v).max())
         for chart in charts:
@@ -417,7 +377,7 @@ def _check_flat_exactness(ctx: _Ctx) -> list:
     return [
         _row(ctx, "flat-connection-tensors",
              "a flat model has vanishing connection, Berwald, delta-Christoffel and curvature tensors",
-             spec.count, tensor_worst, 1e-13),
+             count, tensor_worst, 1e-13),
         _row(ctx, "flat-shift-maps",
              "on a flat model the exponential map and both charts act as coordinate shifts",
              3, map_worst, 1e-10),
@@ -433,7 +393,7 @@ def _check_chart_center_connection(ctx: _Ctx) -> list:
         chart = ctx.chart(kind)
         worst = 0.0
         for _ in range(count):
-            yt = ctx.draw_fiber(rng)
+            yt = ctx.model.draw_fiber(rng)
             coeff = chart.connection_in_chart(np.zeros(n), yt)
             ambient = ctx.conn.coefficients(bundle_point(chart.base, yt))
             worst = max(worst, np.abs(coeff).max() / (1.0 + np.abs(ambient).max()))
@@ -451,7 +411,7 @@ def _check_chart_lagrangian_flatness(ctx: _Ctx) -> list:
     worst = 0.0
     count = ctx.counts["chart_flat"]
     for _ in range(count):
-        yt = ctx.draw_fiber(rng)
+        yt = ctx.model.draw_fiber(rng)
         lag = chart.lagrangian_in_chart(yt)
         scale = 1.0 + abs(lag.value)
         worst = max(worst, np.abs(lag.grad_xt).max() / scale, np.abs(lag.hess_xt).max() / scale)
@@ -468,7 +428,7 @@ def _check_chart_hessian_curvature(ctx: _Ctx) -> list:
     worst = 0.0
     count = ctx.counts["chart_hess"]
     for _ in range(count):
-        yt = ctx.draw_fiber(rng)
+        yt = ctx.model.draw_fiber(rng)
         hess = chart.lagrangian_in_chart(yt).hess_xt
         p = bundle_point(chart.base, yt)
         g = ctx.model.l_metric(p)
@@ -493,7 +453,7 @@ def _check_chart_round_trip(ctx: _Ctx) -> list:
         for _ in range(count):
             dx = rng.standard_normal(n)
             dx *= 0.3 * rng.random() / np.linalg.norm(dx)
-            p = bundle_point(chart.base + dx, ctx.draw_fiber(rng))
+            p = bundle_point(chart.base + dx, ctx.model.draw_fiber(rng))
             xt, yt = chart.from_manifold(p)
             q = chart.to_manifold(xt, yt)
             worst = max(worst, np.abs(q.x - p.x).max(), np.abs(q.y - p.y).max())
@@ -513,7 +473,7 @@ def _check_straight_geodesics(ctx: _Ctx) -> list:
     worst = 0.0
     count = ctx.counts["geodesics"]
     for _ in range(count):
-        u0 = ctx.draw_fiber(rng, 0.25, 0.4)
+        u0 = ctx.model.draw_fiber(rng, (0.25, 0.4))
         traj = integrate_autoparallel(ctx.conn, chart.base, u0, 0.75, TIGHT)
         ray = None
         for t in (0.25, 0.5, 0.75):
@@ -535,7 +495,7 @@ def _check_curvature_invariance(ctx: _Ctx) -> list:
     worst = 0.0
     count = ctx.counts["curv_invariance"]
     for _ in range(count):
-        yt = ctx.draw_fiber(rng)
+        yt = ctx.model.draw_fiber(rng)
         in_chart = chart.curvature_in_chart(yt)
         ambient = ctx.conn.evaluate(bundle_point(chart.base, yt)).R
         worst = max(worst, _gap(in_chart, ambient))
@@ -557,10 +517,10 @@ def _check_series_orders(ctx: _Ctx) -> list:
     for _ in range(count):
         # a generic base point per sample: symmetry points of a model (e.g.
         # the equator of a sphere) can null the leading series coefficients
-        base = ctx.draw_inner_x(rng)
+        base = ctx.model.draw_inner_x(rng)
         w = rng.standard_normal(n)
         w /= np.linalg.norm(w)
-        yt = ctx.draw_fiber(rng, 0.5, 1.0)
+        yt = ctx.model.draw_fiber(rng, (0.5, 1.0))
         ext, std = (
             AutoparallelChart(ctx.conn, base, kind=kind, radius_hint=1.5)
             for kind in ("extended", "standard")
@@ -607,10 +567,9 @@ _REGISTRY = [
 
 
 def _is_flat(model: FinslerLagrangian, conn: GeneralConnection) -> bool:
-    spec = SampleSpec.for_model(model, count=3, seed=2)
     rng = np.random.default_rng(2)
     return all(
-        np.abs(conn.coefficients(spec.draw(rng, model.dimension))).max() < _FLATNESS_PROBE_TOL
+        np.abs(conn.coefficients(model.draw_point(rng))).max() < _FLATNESS_PROBE_TOL
         for _ in range(3)
     )
 
@@ -637,8 +596,8 @@ def run_verification(model_source, seed: int = 0, budget: str = "quick") -> dict
         "model": name,
         "seed": int(seed),
         "budget": budget,
-        "all_passed": all(row.passed for row in checks),
-        "checks": [row.as_dict() for row in checks],
+        "all_passed": all(row["passed"] for row in checks),
+        "checks": checks,
     }
 
 

@@ -24,7 +24,6 @@ from finslerkit.dynamics import (
     integrate_autoparallel,
     integrate_horizontal_autoparallel,
 )
-from finslerkit.lagrangian import SampleSpec
 from finslerkit.models import builtin_names, load_model
 from finslerkit.verify import report_to_json, run_verification
 
@@ -278,10 +277,9 @@ def test_c06_structural_identity_suite(emit):
     for mi, name in enumerate(builtin_names()):
         model, conn = model_for(name), conn_for(name)
         n, r = model.dimension, model.homogeneity_degree
-        spec = SampleSpec.for_model(model, count=200, seed=206)
         rng = np.random.default_rng([206, mi])
         for _ in range(200):
-            p = spec.draw(rng, n)
+            p = model.draw_point(rng)
             ev = conn.evaluate(p)
             jet = model.taylor(p, 1)
 
@@ -422,10 +420,9 @@ def test_c08_series_convergence_orders(emit):
 def test_c09_flat_model_is_exact(emit):
     model, conn = model_for("flat4d"), conn_for("flat4d")
     rng = np.random.default_rng([209])
-    spec = SampleSpec.for_model(model, count=25, seed=209)
     tensor_worst = 0.0
     for _ in range(25):
-        p = spec.draw(rng, 4)
+        p = model.draw_point(rng)
         ev = conn.evaluate(p)
         tensor_worst = max(
             tensor_worst,

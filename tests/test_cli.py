@@ -94,6 +94,21 @@ def test_a_real_power_of_a_negative_coordinate_fails_smoothness(tmp_path, capsys
     assert all("negative" in w["detail"] for w in smooth["witnesses"])
 
 
+def test_a_root_of_a_negative_coordinate_names_the_value(tmp_path, capsys):
+    doc = {
+        "dimension": 2, "homogeneity_degree": 2, "family": "custom",
+        "parameters": {"expression": "(y1^2+y2^2)*(2 + sqrt(x1))"},
+    }
+    path = tmp_path / "sqrt.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "validate", "--model", str(path), "--samples", "5")
+    assert code == 1
+    smooth = json.loads(out)["conditions"]["smooth"]
+    assert 0 < smooth["failures"] == len(smooth["witnesses"]) < smooth["checked"]
+    for witness in smooth["witnesses"]:
+        assert witness["detail"] == f"sqrt of negative value {witness['x'][0]:.3e}"
+
+
 @pytest.mark.parametrize("band", ["ab", 5, [0, 0]])
 def test_bad_y_norm_band_exits_two(tmp_path, capsys, band):
     doc = {
@@ -333,6 +348,46 @@ def test_validate_riemannian_surface_fails_signature(capsys):
     assert doc["all_passed"] is False
     assert doc["conditions"]["signature"]["passed"] is False
     assert doc["conditions"]["nondegenerate"]["passed"] is True
+
+
+HEADER = ["schema_version", "command", "model"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--model", "builtin:polar2d", "--samples", "3"],
+    ["connection", "--model", "builtin:polar2d", "--point", "2,0", "--direction", "1,1"],
+    ["expmap", "--model", "builtin:polar2d", "--point", "2,0", "--velocity", "0.1,0",
+     "--fiber", "1,1"],
+    ["chart", "--model", "builtin:sphere2d", "--x-tilde", "0.1,-0.05", "--y-tilde", "0.8,-0.5",
+     "--series-order", "2"],
+])
+def test_documents_open_with_the_schema_command_model_header(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (0, 1)
+    doc = json.loads(out)
+    assert list(doc)[:3] == HEADER
+    assert doc["command"] == argv[0] and doc["model"] == argv[2]
+
+
+def test_validate_document_key_order(capsys):
+    # randers2d is irreversible, so the reversible condition carries witnesses
+    code, out, _ = run_cli(
+        capsys, "validate", "--model", "builtin:randers2d", "--samples", "20", "--seed", "3",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert list(doc) == HEADER + [
+        "dimension", "homogeneity_degree", "family", "samples", "seed", "all_passed",
+        "conditions", "signature_tally",
+    ]
+    conditions = doc["conditions"]
+    assert list(conditions) == ["smooth", "homogeneous", "reversible", "nondegenerate", "signature"]
+    counts = ["passed", "checked", "failures"]
+    for name in ("smooth", "homogeneous", "nondegenerate"):
+        assert list(conditions[name]) == counts
+    assert list(conditions["reversible"]) == counts + ["witnesses"]
+    assert all(list(w) == ["x", "y", "detail"] for w in conditions["reversible"]["witnesses"])
+    assert list(conditions["signature"]) == counts + ["detail"]
 
 
 def test_verify_flat_model_all_pass(tmp_path, capsys):

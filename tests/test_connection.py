@@ -21,7 +21,7 @@ from finslerkit.connection import (
     horizontal_derivative,
 )
 from finslerkit.jets import JetSpace, TaylorJet, eval_taylor, unit_index
-from finslerkit.lagrangian import FinslerLagrangian, SampleSpec
+from finslerkit.lagrangian import FinslerLagrangian
 from finslerkit.models import load_model
 
 from fd_oracles import central_gradient, central_hessian
@@ -37,9 +37,8 @@ def load(name):
 
 
 def sample_points(model, count, seed):
-    spec = SampleSpec.for_model(model, count=count, seed=seed)
     rng = np.random.default_rng(seed)
-    return [spec.draw(rng, model.dimension) for _ in range(count)]
+    return [model.draw_point(rng) for _ in range(count)]
 
 
 # -- independent finite-difference construction of the canonical connection --

@@ -30,7 +30,6 @@ from finslerkit.errors import (
 )
 from finslerkit.integrate import solve_ode
 from finslerkit.jets import JetSpace, unit_index
-from finslerkit.lagrangian import SampleSpec
 from finslerkit.models import builtin_names, load_model
 
 from fd_oracles import richardson_hessian
@@ -533,11 +532,9 @@ def test_time_one_flows_match_a_tight_run(name, flows):
     model = load_model(str(LINE_MODEL) if name == "line1d" else f"builtin:{name}")
     conn = GeneralConnection.cartan(model)
     n = model.dimension
-    lo, hi = model.domain_box()
-    spec = SampleSpec(x_min=lo, x_max=hi)
     rng = np.random.default_rng([606, n])
     for speed in (0.05, 0.4, 2.0):
-        p = spec.draw(rng, n)
+        p = model.draw_point(rng)
         d = rng.standard_normal(n)
         u = speed * d / np.linalg.norm(d)
         ref = exp_map(conn, p.x, u, p.y, REFERENCE)

@@ -10,7 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerkit import NonFiniteField, OrderUnsupported, bundle_point
-from finslerkit.jets import JetSpace, TaylorJet, compose, eval_taylor, power, sin, sqrt, unit_index
+from finslerkit.jets import (
+    JetSpace,
+    TaylorJet,
+    compose,
+    eval_taylor,
+    log,
+    power,
+    sin,
+    sqrt,
+    unit_index,
+)
 
 from fd_oracles import central_gradient, richardson_hessian
 
@@ -198,6 +208,30 @@ def test_float_power_of_negative_base_is_typed():
         power(-2.0, 0.5)
     assert power(-2.0, 3.0) == -8.0
     assert power(-2.0, -2) == 0.25
+
+
+def test_float_root_and_log_outside_their_domain_are_typed():
+    # the float branches raise the jet branches' error and name the value
+    with pytest.raises(NonFiniteField, match=r"sqrt of negative value -5\.000e-01"):
+        sqrt(-0.5)
+    with pytest.raises(NonFiniteField, match=r"log of non-positive value -5\.000e-01"):
+        log(-0.5)
+    with pytest.raises(NonFiniteField, match=r"log of non-positive value 0\.000e\+00"):
+        log(0.0)
+    assert sqrt(0.0) == 0.0 and sqrt(2.25) == 1.5 and log(1.0) == 0.0
+
+
+def test_partials_are_the_mixed_partials_one_variable_per_axis():
+    def field(xs, ys):
+        return xs[0] * ys[1] * ys[1] * xs[1].exp() + sin(ys[0]) * ys[1] * xs[0]
+
+    jet = eval_taylor(field, bundle_point([0.3, -0.2], [0.7, 1.1]), 3)
+    for axes in ([range(4)], [[2, 3], [0, 1, 3]], [[0, 3], [1], [3, 2]]):
+        tensor = jet.partials(*axes)
+        assert tensor.shape == tuple(len(axis) for axis in axes)
+        for pos in np.ndindex(tensor.shape):
+            slots = [axis[i] for axis, i in zip(axes, pos)]
+            assert tensor[pos] == jet.partial(unit_index(4, *slots))
 
 
 @settings(max_examples=60, deadline=None)

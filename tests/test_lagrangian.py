@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerkit import ModelFormatError, NearZeroDirection, bundle_point, verify
-from finslerkit.lagrangian import FinslerLagrangian, SampleSpec
+from finslerkit import ModelFormatError, NearZeroDirection, NonFiniteField, bundle_point
+from finslerkit.lagrangian import FinslerLagrangian
 from finslerkit.models import BUILTIN_MODELS, load_model, save_model
 
 from fd_oracles import richardson_hessian
@@ -117,35 +117,43 @@ def test_finsler_function_is_one_homogeneous():
 
 def test_validation_flat_minkowski_passes_everything():
     model = load_model("builtin:flat4d")
-    report = model.validate_spacetime(SampleSpec(count=200, seed=1))
-    assert report.all_passed, report.as_dict()
-    assert report.conditions["signature"].checked > 0
-    assert "+---" in report.signature_tally
+    report = model.validate_spacetime(200, 1)
+    assert report["all_passed"], report
+    assert report["conditions"]["signature"]["checked"] > 0
+    assert "+---" in report["signature_tally"]
 
 
 def test_validation_detects_irreversibility_of_randers():
     model = load_model("builtin:randers2d")
-    report = model.validate_spacetime(SampleSpec(count=120, seed=3))
-    assert not report.conditions["reversible"].passed
-    assert report.conditions["reversible"].witnesses
-    assert report.conditions["homogeneous"].passed
-    assert report.conditions["nondegenerate"].passed
+    report = model.validate_spacetime(120, 3)
+    conditions = report["conditions"]
+    assert not conditions["reversible"]["passed"]
+    assert conditions["reversible"]["witnesses"]
+    assert conditions["homogeneous"]["passed"]
+    assert conditions["nondegenerate"]["passed"]
 
 
 def test_validation_flags_degenerate_metric():
     # L = (y1)^4 in two dimensions has det g^L = 0 everywhere
     model = FinslerLagrangian(2, 4, "pth_root", {"form": "y1^4", "p": 4})
-    report = model.validate_spacetime(SampleSpec(count=60, seed=5))
-    assert not report.conditions["nondegenerate"].passed
-    assert report.conditions["nondegenerate"].witnesses
+    report = model.validate_spacetime(60, 5)
+    assert not report["conditions"]["nondegenerate"]["passed"]
+    assert report["conditions"]["nondegenerate"]["witnesses"]
 
 
 def test_validation_signature_fails_for_riemannian_surface():
     model = load_model("builtin:sphere2d")
-    report = model.validate_spacetime(SampleSpec.for_model(model, count=80, seed=2))
-    assert report.conditions["nondegenerate"].passed
-    assert not report.conditions["signature"].passed
-    assert set(report.signature_tally) == {"++"}
+    report = model.validate_spacetime(80, 2)
+    assert report["conditions"]["nondegenerate"]["passed"]
+    assert not report["conditions"]["signature"]["passed"]
+    assert set(report["signature_tally"]) == {"++"}
+
+
+def test_a_root_of_a_negative_coordinate_is_a_non_finite_field():
+    model = FinslerLagrangian(2, 2, "custom", {"expression": "(y1^2+y2^2)*(2 + sqrt(x1))"})
+    assert model.evaluate(bundle_point([0.25, 0.0], [1.0, 0.0])) == 2.5
+    with pytest.raises(NonFiniteField, match=r"sqrt of negative value -5\.000e-01"):
+        model.evaluate(bundle_point([-0.5, 0.0], [1.0, 0.0]))
 
 
 def test_model_round_trip_through_json(tmp_path):
@@ -194,18 +202,18 @@ def test_domain_box_draws_are_bit_identical_to_the_per_site_boxes(name):
     model = load_model(f"builtin:{name}")
     n = model.dimension
     dom, lo, hi = _box_as_written_per_site(model)
+    band_lo, band_hi = dom.get("y_norm", (0.5, 2.0))
 
-    spec = SampleSpec.for_model(model, count=6, seed=9)
-    ref = SampleSpec(count=6, seed=9, x_min=dom.get("x_min"), x_max=dom.get("x_max"),
-                     y_norm=tuple(dom.get("y_norm", (0.5, 2.0))))
-    ctx = verify._Ctx(name, model, None, 9, {}, False)
     mine, theirs = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(6):
-        a, b = spec.draw(mine, n), ref.draw(theirs, n)
-        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+        p = model.draw_point(mine)
+        x = lo + (hi - lo) * theirs.random(n)
+        direction = theirs.standard_normal(n)
+        y = direction / np.linalg.norm(direction) * (band_lo + (band_hi - band_lo) * theirs.random())
+        assert p.x.tobytes() == x.tobytes() and p.y.tobytes() == y.tobytes()
         inner = lo + (0.25 + 0.5 * theirs.random(n)) * (hi - lo)
-        assert ctx.draw_inner_x(mine).tobytes() == inner.tobytes()
-    assert ctx.base_point().tobytes() == (0.5 * (lo + hi)).tobytes()
+        assert model.draw_inner_x(mine).tobytes() == inner.tobytes()
+    assert model.center().tobytes() == (0.5 * (lo + hi)).tobytes()
 
 
 def test_domain_box_is_checked_at_load():

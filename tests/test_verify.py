@@ -8,13 +8,14 @@ chart rows that 2-d models get.
 
 import functools
 
+import numpy as np
 import pytest
 
 from finslerkit import verify
 from finslerkit.bundle import bundle_point
 from finslerkit.charts import AutoparallelChart
 from finslerkit.connection import GeneralConnection
-from finslerkit.models import builtin_names, load_model
+from finslerkit.models import BUILTIN_MODELS, builtin_names, load_model
 
 ALWAYS = {
     "euler-degree", "horizontal-constancy", "fiber-symmetry", "connection-homogeneity",
@@ -40,7 +41,7 @@ def series_rows(name: str, seed: int) -> dict:
     ctx = verify._Ctx(
         name, model, conn, seed, verify._counts("quick"), verify._is_flat(model, conn)
     )
-    return {row.id: row for row in verify._check_series_orders(ctx)}
+    return {row["id"]: row for row in verify._check_series_orders(ctx)}
 
 
 def test_sphere2d_quick_report_passes_at_the_default_seed():
@@ -54,7 +55,7 @@ def test_sphere2d_quick_report_passes_at_the_default_seed():
 def test_series_rows_pass_at_every_report_seed(seed):
     rows = series_rows("sphere2d", seed)
     assert set(rows) == {"series-order-cubic", "series-order-quadratic", "series-kind-gap"}
-    assert all(row.passed and row.samples == 1 for row in rows.values()), rows
+    assert all(row["passed"] and row["samples"] == 1 for row in rows.values()), rows
 
 
 @pytest.mark.parametrize("name", ["quartic4d", "flat4d"])
@@ -102,5 +103,27 @@ def test_series_rows_catch_a_one_percent_cubic_error(monkeypatch, name, seed):
 
     monkeypatch.setattr(AutoparallelChart, "series_forward", mutant)
     rows = series_rows(name, seed)
-    assert not rows["series-order-cubic"].passed
-    assert rows["series-order-quadratic"].passed and rows["series-kind-gap"].passed
+    assert not rows["series-order-cubic"]["passed"]
+    assert rows["series-order-quadratic"]["passed"] and rows["series-kind-gap"]["passed"]
+
+
+def test_fiber_draws_take_the_model_band(monkeypatch):
+    # every chart row draws its fibers from the model's declared y_norm band
+    doc = dict(BUILTIN_MODELS["sphere2d"])
+    doc["domain"] = dict(doc["domain"], y_norm=[0.9, 1.1])
+    seen = []
+    connection_in_chart = AutoparallelChart.connection_in_chart
+    lagrangian_in_chart = AutoparallelChart.lagrangian_in_chart
+
+    def record_connection(self, xt, yt):
+        seen.append(float(np.linalg.norm(yt)))
+        return connection_in_chart(self, xt, yt)
+
+    def record_lagrangian(self, yt):
+        seen.append(float(np.linalg.norm(yt)))
+        return lagrangian_in_chart(self, yt)
+
+    monkeypatch.setattr(AutoparallelChart, "connection_in_chart", record_connection)
+    monkeypatch.setattr(AutoparallelChart, "lagrangian_in_chart", record_lagrangian)
+    verify.run_verification(doc, seed=0, budget="quick")
+    assert seen and all(0.9 <= norm <= 1.1 for norm in seen), seen

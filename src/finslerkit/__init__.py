@@ -29,6 +29,7 @@ from .errors import (
     OrderUnsupported,
     OutsideTrustRegion,
     SingularJacobian,
+    StepBudgetExceeded,
     StepSizeUnderflow,
 )
 from .lagrangian import FinslerLagrangian
@@ -61,6 +62,7 @@ __all__ = [
     "NearDegenerateMetric",
     "ExcludedSetEntered",
     "StepSizeUnderflow",
+    "StepBudgetExceeded",
     "NewtonDiverged",
     "OutsideTrustRegion",
     "SingularJacobian",

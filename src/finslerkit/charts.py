@@ -16,9 +16,10 @@ xt-Hessian of the Lagrangian and its fiber derivative) is read from one
 Taylor-mode flow of the order it needs (:func:`dynamics.exp_map_jets`), exact
 to integrator accuracy.  The truncated power series around xt = 0 serve as
 diagnostics and as Newton seeds for inversion — they are never the answer.
-The series, the Jacobian series and the Newton seed are contractions of
-EXP's derivative blocks at u = 0 (:func:`dynamics.exp_derivatives`): the
-extended chart is EXP itself, and the standard fiber is (dx/dxt) yt.
+The series, the Jacobian series and the Newton seed read the Taylor
+coefficients of the chart image at xt = 0, where :func:`dynamics.exp_map_jets`
+takes them from its exact degree recursion: the extended chart is EXP itself,
+and the standard fiber is (dx/dxt) yt.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .connection import GeneralConnection
 from .dynamics import (
     TIGHT,
     _write_csv,
-    exp_derivatives,
     exp_map,
     exp_map_jets,
     exp_map_with_jacobian,
@@ -46,7 +46,7 @@ from .errors import (
     OutsideTrustRegion,
     SingularJacobian,
 )
-from .jets import JetSpace, TaylorJet
+from .jets import JetSpace, TaylorJet, unit_index
 
 JACOBIAN_CONDITION_LIMIT = 1e12
 
@@ -159,20 +159,18 @@ class AutoparallelChart:
     # -- inverse map -----------------------------------------------------------
 
     def _newton_seed(self, p: TangentBundlePoint) -> np.ndarray:
-        """Second-order inverse of EXP's Taylor polynomial, its blocks taken
-        at (x0, y): the Newton starting point."""
-        b = exp_derivatives(self.connection, self.base, p.y)
-        d = p.x - self.base
-        dy = b.dy_du @ d
-        xt = d - 0.5 * np.einsum("qbc,b,c->q", b.d2x_duu, d, d)
-        quad = np.einsum("qa,abc->qbc", b.dy_du, b.d2x_duu) - b.d2y_duu
-        yt = (
-            p.y
-            - dy
-            + 0.5 * np.einsum("qbc,b,c->q", quad, d, d)
-            + np.einsum("qbr,r,b->q", b.d2y_duv, dy, d)
-        )
-        return np.concatenate([xt, yt])
+        """Second-order inverse of EXP's Taylor polynomial at (x0, y): the
+        Newton starting point."""
+        n = self.dimension
+        # EXP(du, y + dv) = F0 + A s + Q(s) in the seeds s = (dv, du); the
+        # target is F0 + (p.x - x0, 0), so s = A^-1 w - A^-1 Q(A^-1 w)
+        space = JetSpace.get(2 * n, 2, n, 1)
+        x, y = exp_map_jets(self.connection, self.base, np.zeros(n), p.y, space, n, 0)
+        image = np.concatenate([x, y])
+        linear = image[:, [space.index_of[unit_index(2 * n, v)] for v in range(2 * n)]]
+        s = np.linalg.solve(linear, np.concatenate([p.x - self.base, np.zeros(n)]))
+        s -= np.linalg.solve(linear, space.terms(image, s, 2))
+        return np.concatenate([s[n:], p.y + s[:n]])
 
     def _forward_with_update_matrix(self, z: np.ndarray):
         """Forward state at z = (xt, yt) plus a Newton update matrix.
@@ -241,63 +239,41 @@ class AutoparallelChart:
     def series_forward(self, xt, yt, order: int) -> TangentBundlePoint:
         """Power-series forward map around xt = 0, truncated at ``order``.
 
-        The x-part carries terms through the requested order (1, 2 or 3);
-        the y-part is a second-order series, which is where the two chart
-        kinds first differ.  Both contract EXP's derivative blocks at
-        (x0, yt): the extended kind is EXP's Taylor polynomial, the standard
-        kind's fiber (dx/dxt) yt.
+        The x-part carries terms through the requested order (1, 2 or 3) and
+        the y-part through order min(order, 2), which is where the two chart
+        kinds first differ.  Both are Taylor polynomials of the chart image's
+        jets at (0, yt): EXP's for the extended kind, (dx/dxt) yt for the
+        standard kind.
         """
         if order not in (1, 2, 3):
             raise OrderUnsupported(f"series order must be 1, 2 or 3, got {order}")
         xt = np.asarray(xt, dtype=float)
         yt = np.asarray(yt, dtype=float)
-        b = exp_derivatives(self.connection, self.base, yt)
-        x = self.base + xt
-        y = yt + b.dy_du @ xt
-        if order >= 2:
-            x = x + 0.5 * np.einsum("qbc,b,c->q", b.d2x_duu, xt, xt)
-            if self.kind == "extended":
-                y = y + 0.5 * np.einsum("qbc,b,c->q", b.d2y_duu, xt, xt)
-            else:
-                # y = J(xt) yt with J the xt-derivative series of the x-part
-                jac = (
-                    b.dx_du
-                    + np.einsum("qpc,c->qp", b.d2x_duu, xt)
-                    + 0.5 * np.einsum("qpcd,c,d->qp", b.d3x_duuu, xt, xt)
-                )
-                y = jac @ yt
-        if order == 3:
-            x = x + np.einsum("qbcd,b,c,d->q", b.d3x_duuu, xt, xt, xt) / 6.0
+        n = self.dimension
+        y_order = min(order, 2)
+        # the standard kind's fiber costs one order of x
+        space = JetSpace.get(n, max(order, y_order + (self.kind == "standard")))
+        xs, ys = self._image_jets(np.zeros(n), yt, space, 0)
+        x = space.terms(np.array([j.c for j in xs]), xt, range(order + 1))
+        y = space.terms(np.array([j.c for j in ys]), xt, range(y_order + 1))
         return bundle_point(x, y)
 
     def jacobian_series(self, yt) -> ChartJacobianSeries:
         """Zeroth- and first-order blocks of the chart Jacobian at xt = 0,
-        contracted from EXP's derivative blocks at (x0, yt)."""
+        read from the chart image's jets at (0, yt)."""
         yt = np.asarray(yt, dtype=float)
         n = self.dimension
-        b = exp_derivatives(self.connection, self.base, yt)
-        if self.kind == "extended":
-            dy_dxt, dy_dxt_lin = b.dy_du, b.d2y_duu
-            dy_dyt_lin = np.transpose(b.d2y_duv, (0, 2, 1))
-        else:
-            # y = (dx/dxt) yt, so its blocks are the x-part's contracted with yt
-            dy_dxt = np.einsum("qpb,p->qb", b.d2x_duu, yt)
-            dy_dxt_lin = np.einsum("qpbc,p->qbc", b.d3x_duuu, yt)
-            # the fiber derivative of J contracted with yt drops out for
-            # homogeneous symmetric connections, leaving J's own linear term
-            dy_dyt_lin = b.d2x_duu.copy()
-
-        return ChartJacobianSeries(
-            kind=self.kind,
-            dx_dxt=b.dx_du,
-            dx_dyt=b.dx_dv,
-            dy_dxt=dy_dxt,
-            dy_dyt=b.dy_dv,
-            dx_dxt_lin=b.d2x_duu,
-            dx_dyt_lin=np.zeros((n, n, n)),
-            dy_dxt_lin=dy_dxt_lin,
-            dy_dyt_lin=dy_dyt_lin,
-        )
+        # seeds (dyt, dxt); no block is second order in yt, so its degree is
+        # capped at 1, and the standard kind's fiber costs one order of x
+        space = JetSpace.get(2 * n, 2 if self.kind == "extended" else 3, n, 1)
+        xs, ys = self._image_jets(np.zeros(n), yt, space, n, 0)
+        xts, yts = range(n, 2 * n), range(n)
+        blocks = {}
+        for name, jets in (("x", xs), ("y", ys)):
+            for wrt, axis in (("xt", xts), ("yt", yts)):
+                blocks[f"d{name}_d{wrt}"] = np.array([j.partials(axis) for j in jets])
+                blocks[f"d{name}_d{wrt}_lin"] = np.array([j.partials(axis, xts) for j in jets])
+        return ChartJacobianSeries(kind=self.kind, **blocks)
 
     # -- geometry in chart coordinates ------------------------------------------
 

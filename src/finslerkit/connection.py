@@ -34,7 +34,7 @@ import numpy as np
 
 from .bundle import DEGENERACY_CONDITION_LIMIT, TangentBundlePoint, bundle_point
 from .errors import NearDegenerateMetric, NonFiniteField
-from .jets import JetSpace, TaylorJet, eval_taylor, unit_index
+from .jets import JetSpace, TaylorJet, unit_index
 from .lagrangian import FinslerLagrangian
 
 # entries of GeneralConnection's evaluation memo
@@ -446,14 +446,6 @@ def _partial_slots(n: int, order: int) -> dict:
         deriv = [(np.full(s.size, 1 + c), d, s, f) for c, (s, d, f) in enumerate(space._deriv[n:])]
         out["fiber"] = tuple(np.concatenate(column) for column in zip(*deriv))
     return out
-
-
-def horizontal_derivative(conn: GeneralConnection, field, point: TangentBundlePoint) -> np.ndarray:
-    """delta_a f = d_a f - N^b_a d/dy^b f for a scalar bundle field."""
-    n = conn.dimension
-    jet = eval_taylor(field, point, 1)
-    N = conn.coefficients(point)
-    return jet.partials(range(n)) - N.T @ jet.partials(range(n, 2 * n))
 
 
 def cartan_linear_delta(model: FinslerLagrangian, point: TangentBundlePoint) -> np.ndarray:

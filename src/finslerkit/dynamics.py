@@ -17,6 +17,11 @@ differentiation, Hairer, Norsett & Wanner, *Solving ODEs I*; truncated Taylor
 arithmetic, Griewank & Walther, *Evaluating Derivatives*).  The right-hand
 side composes N's (x, y)-jet at the primal point with the state's deviation
 jets; no finite differencing of the flow and no hand-built variational matrix.
+At u = 0 the jets need no integration: EXP(s du, v) is the time-s point of
+the flow, so the du-degree-k coefficients follow from the lower ones through
+the same right-hand side, one sweep per degree (:func:`_rest_jets`).  That
+recursion is the one source of EXP's Taylor coefficients at zero velocity,
+which the chart series, the Jacobian series and the Newton seed read.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 
 from .bundle import ZERO_DIRECTION_GUARD, TangentBundlePoint, bundle_point
 from .connection import GeneralConnection
+from .errors import NonFiniteField
 from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, OdeSolution, solve_ode
 from .jets import JetSpace, compose, unit_index
 
@@ -252,66 +258,6 @@ def exp_map(
     return bundle_point(z[:n].copy(), z[n : 2 * n].copy())
 
 
-@dataclass
-class ExpDerivatives:
-    """Closed-form derivative blocks of (u, v) -> EXP(u, v) at u = 0.
-
-    Layout: first-derivative blocks are (n, n) matrices; ``d2*_duu`` are
-    (n, b, c) and ``d3x_duuu`` is (n, b, c, d), symmetric in the lower slots.
-    ``d2y_duv[q, b, c]`` is d^2 y^q / du^b dv^c, that is -d/dy^c N^q_b.
-    """
-
-    dx_du: np.ndarray
-    dy_du: np.ndarray
-    dx_dv: np.ndarray
-    dy_dv: np.ndarray
-    d2x_duu: np.ndarray
-    d2y_duu: np.ndarray
-    d3x_duuu: np.ndarray
-    d2y_duv: np.ndarray
-
-
-def _sym_triple(t: np.ndarray) -> np.ndarray:
-    """Symmetrize an (n, n, n, n) tensor over its last three slots."""
-    out = np.zeros_like(t)
-    for perm in [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]:
-        out += np.transpose(t, (0,) + perm)
-    return out / 6.0
-
-
-def exp_derivatives(conn: GeneralConnection, base, v) -> ExpDerivatives:
-    """Derivative blocks of the exponential map at (0, v), from one deep eval.
-
-    Every block holds for any connection, fiber-symmetric or not.
-    """
-    n = conn.dimension
-    deep = conn.evaluate_deep(bundle_point(np.asarray(base, float), np.asarray(v, float)))
-
-    d2x = -0.5 * (deep.dN_y + np.transpose(deep.dN_y, (0, 2, 1)))
-
-    term = -deep.delta_N + np.einsum("qa,abc->qbc", deep.N, deep.dN_y)
-    d2y = 0.5 * (term + np.transpose(term, (0, 2, 1)))
-
-    # x'''^q = raw[q, b, c, d] u^b u^c u^d: x'' = -dN_y[q, b, c] u^b u^c
-    # differentiated along the flow, with u' = x'' in each of its two slots
-    raw = (
-        -deep.delta_dN
-        + np.einsum("qrc,rbd->qbcd", deep.dN_y, deep.dN_y)
-        + np.einsum("qbr,rcd->qbcd", deep.dN_y, deep.dN_y)
-    )
-
-    return ExpDerivatives(
-        dx_du=np.eye(n),
-        dy_du=-deep.N,
-        dx_dv=np.zeros((n, n)),
-        dy_dv=np.eye(n),
-        d2x_duu=d2x,
-        d2y_duu=d2y,
-        d3x_duuu=_sym_triple(raw),
-        d2y_duv=-deep.dN_y,
-    )
-
-
 # -- Taylor-mode flow -----------------------------------------------------------
 
 
@@ -361,23 +307,64 @@ def exp_map_jets(
     u's components are seeded as the variables ``u_seed`` .. ``u_seed + n - 1``
     of ``space`` and v's from ``v_seed``; ``None`` keeps that argument fixed.
     Returns (x, y), each an (n, space.size) array of jet coefficients of the
-    time-one point, valid to ``space.order``.
+    time-one point, valid to ``space.order``.  At u = 0 the jets come from
+    the degree recursion of :func:`_rest_jets`, exact to round-off, and
+    ``controls`` is not used.
     """
     n = conn.dimension
     u = np.asarray(u, float)
+    z0 = _seeded_state(space, base, u, v, u_seed, v_seed)
+    if u.any():
+        sol = _solve_time_one(_jet_rhs(conn, space, at_rest=False), z0.ravel(), controls)
+        z = sol.state_end.reshape(z0.shape)
+    else:
+        z = _rest_jets(conn, space, z0, u_seed)
+    state = z.T.copy()
+    return state[:n], state[n : 2 * n]
+
+
+def _seeded_state(space: JetSpace, base, u, v, u_seed, v_seed) -> np.ndarray:
+    """The state (base, v + dv, u + du) as (space.size, 3n) jets, the seeds
+    placed as in :func:`exp_map_jets`."""
+    n = len(base)
     z0 = np.zeros((space.size, 3 * n))
     z0[0] = np.concatenate([np.asarray(base, float), np.asarray(v, float), u])
     for seed, col in ((v_seed, n), (u_seed, 2 * n)):
         if seed is not None:
             for i in range(n):
                 z0[space.index_of[unit_index(space.nvars, seed + i)], col + i] = 1.0
-    sol = _solve_time_one(
-        _jet_rhs(conn, space, at_rest=not u.any()),
-        z0.ravel(),
-        controls,
-    )
-    state = sol.state_end.reshape(space.size, 3 * n).T.copy()
-    return state[:n], state[n : 2 * n]
+    return z0
+
+
+def _rest_jets(conn: GeneralConnection, space: JetSpace, z0: np.ndarray, u_seed) -> np.ndarray:
+    """The time-one state at u = 0 by its degree recursion in du.
+
+    EXP(s du, v) is the time-s point of the flow from du, so along the flow
+    the du-degree-k parts of x and y grow as t^k and that of u as t^(k - 1).
+    With [.]_k the du-degree-k part of the time-one state Z = (X, Y, U), the
+    flow's equations then give
+
+        X_k = U_k / k,   Y_k = [-N(X, Y) U]_k / k,   U_k = [-dN(X, Y)[U, U]]_k / (k - 1)
+
+    (k >= 2 for U; U_1 = du).  The brackets are the at-rest jet field at Z,
+    and each reads only degrees below k, so ``space.order`` sweeps of
+    Z <- Z0 + F(Z) / degree make every slot exact (Taylor coefficients of ODE
+    solutions, Jorba & Zou, Exp. Math. 14, 2005).
+    """
+    n = z0.shape[1] // 3
+    degree = np.zeros(space.size)
+    if u_seed is not None:
+        degree = space.exponents[:, u_seed : u_seed + n].sum(axis=1).astype(float)
+    weights = np.zeros(z0.shape)
+    np.divide(1.0, degree[:, None], out=weights[:, : 2 * n], where=degree[:, None] >= 1)
+    np.divide(1.0, degree[:, None] - 1, out=weights[:, 2 * n :], where=degree[:, None] >= 2)
+    rhs = _jet_rhs(conn, space, at_rest=True)
+    z = z0
+    for _ in range(space.order):
+        z = z0 + rhs(0.0, z.ravel()).reshape(z0.shape) * weights
+    if not np.isfinite(z).all():
+        raise NonFiniteField("exponential-map jets at rest are not finite")
+    return z
 
 
 def exp_map_with_jacobian(

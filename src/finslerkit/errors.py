@@ -39,6 +39,16 @@ class StepSizeUnderflow(FinslerKitError):
     """The adaptive integrator cannot shrink the step any further."""
 
 
+class StepBudgetExceeded(FinslerKitError):
+    """The adaptive integrator spent its step budget before the end time;
+    carries the time ``t`` it reached and the step ``h`` it would try next."""
+
+    def __init__(self, message, t, h):
+        super().__init__(message)
+        self.t = t
+        self.h = h
+
+
 class NewtonDiverged(FinslerKitError):
     """Damped Newton iteration failed to converge within its budget.
 

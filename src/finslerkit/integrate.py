@@ -31,7 +31,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ExcludedSetEntered, FinslerKitError, NonFiniteField, StepSizeUnderflow
+from .errors import (
+    ExcludedSetEntered,
+    FinslerKitError,
+    NonFiniteField,
+    StepBudgetExceeded,
+    StepSizeUnderflow,
+)
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -330,7 +336,8 @@ def solve_ode(
     underflows, that stage's error is raised.  The same errors at t0 or at an
     accepted step's end point are raised at once.  Raises
     :class:`StepSizeUnderflow` when error control pushes the step below the
-    round-off floor.
+    round-off floor, and :class:`StepBudgetExceeded` after ``MAX_STEPS`` step
+    attempts.
     """
     z0 = np.asarray(z0, dtype=float)
     m = z0.size
@@ -408,7 +415,9 @@ def solve_ode(
             just_rejected = True
             h *= max(MIN_FACTOR, SAFETY * err ** -0.125)
     else:
-        raise FinslerKitError(f"integration exceeded {MAX_STEPS} steps")
+        raise StepBudgetExceeded(
+            f"integration exceeded {MAX_STEPS} steps at t = {float(t)!r}", t=float(t), h=h
+        )
 
     sol.ts = np.array(ts)
     sol.states = np.array(states)

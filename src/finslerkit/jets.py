@@ -43,9 +43,10 @@ the prefix's order, so finite products are bit-identical to the full-table
 product, sign bits included.
 
 A reciprocal of a jet with zero constant term, a float power of zero with a
-negative exponent, and a square root or logarithm outside its domain (float
-or jet) raise :class:`NonFiniteField`, the error of every other point where
-a field has no finite Taylor expansion.
+negative exponent, a square root or logarithm outside its domain, and an
+exponential or real power that overflows (float or jet) raise
+:class:`NonFiniteField`, the error of every other point where a field has no
+finite Taylor expansion.
 """
 
 from __future__ import annotations
@@ -128,8 +129,9 @@ class JetSpace:
         self.size = len(self.indices)
         self.index_of = {alpha: i for i, alpha in enumerate(self.indices)}
         self.degrees = np.array([sum(a) for a in self.indices], dtype=np.int64)
-        # slot_vars[i, v]: slot i's multi-index involves variable v
-        self.slot_vars = np.array(self.indices, dtype=np.int64).reshape(self.size, nvars) > 0
+        # exponents[i, v]: the power of variable v in slot i's monomial
+        self.exponents = np.array(self.indices, dtype=np.int64).reshape(self.size, nvars)
+        self.slot_vars = self.exponents > 0
         self.full_support = (1 << nvars) - 1
 
         # factorial(alpha) per slot, for converting Taylor coefficients into
@@ -273,6 +275,14 @@ class JetSpace:
         out = np.bincount(flat, weights=w.ravel(), minlength=rows * self.size)
         return out.reshape(w.shape[:-1] + (self.size,))
 
+    def terms(self, c: np.ndarray, point: np.ndarray, degrees) -> np.ndarray:
+        """Sum of the terms of the jets ``c`` (last axis over slots) whose
+        degree is in ``degrees``, evaluated at ``point`` (one value per
+        variable)."""
+        monomials = np.prod(point**self.exponents, axis=1)
+        keep = np.isin(self.degrees, degrees)
+        return c[..., keep] @ monomials[keep]
+
     def derivative(self, c: np.ndarray, v: int) -> np.ndarray:
         """Partial derivative in variable ``v`` of every jet in the stack ``c``."""
         src, dst, fac = self._deriv[v]
@@ -321,11 +331,6 @@ class TaylorJet:
     @property
     def value(self) -> float:
         return float(self.c[0])
-
-    def partial(self, alpha) -> float:
-        """True mixed partial for exponent tuple ``alpha`` (Taylor coeff * alpha!)."""
-        i = self.space.index_of[tuple(alpha)]
-        return float(self.c[i] * self.space.factorials[i])
 
     def partials(self, *axes) -> np.ndarray:
         """Tensor of the true mixed partials taking one variable from each of
@@ -457,7 +462,7 @@ class TaylorJet:
 
     def exp(self):
         u0, m = self.c[0], self.order
-        e = math.exp(u0)
+        e = _float_exp(u0)
         series = np.array([e / math.factorial(k) for k in range(m + 1)])
         return self._compose(series)
 
@@ -478,7 +483,7 @@ class TaylorJet:
             )
         series, coeff = [], 1.0
         for k in range(m + 1):
-            series.append(coeff * u0 ** (p - k))
+            series.append(coeff * _float_pow(u0, p - k))
             coeff *= (p - k) / (k + 1.0)
         return self._compose(np.array(series))
 
@@ -510,6 +515,20 @@ def _shim(jet_method, float_fn):
     return fn
 
 
+def _float_exp(v):
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise NonFiniteField(f"exp of {v:.3e} overflows") from None
+
+
+def _float_pow(base, exponent):
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        raise NonFiniteField(f"power {exponent} of {base:.3e} overflows") from None
+
+
 def _float_log(v):
     if v <= 0.0:
         raise NonFiniteField(f"log of non-positive value {v:.3e}")
@@ -524,7 +543,7 @@ def _float_sqrt(v):
 
 sin = _shim(TaylorJet.sin, math.sin)
 cos = _shim(TaylorJet.cos, math.cos)
-exp = _shim(TaylorJet.exp, math.exp)
+exp = _shim(TaylorJet.exp, _float_exp)
 log = _shim(TaylorJet.log, _float_log)
 sqrt = _shim(TaylorJet.sqrt, _float_sqrt)
 absolute = _shim(TaylorJet.absolute, abs)
@@ -539,14 +558,14 @@ def power(base, exponent):
         raise NonFiniteField(f"power {exponent} of zero")
     if base < 0.0 and not exponent.is_integer():
         raise NonFiniteField(f"non-integer power {exponent} of negative value {base:.3e}")
-    return base**exponent
+    return _float_pow(base, exponent)
 
 
 def eval_taylor(
     field, point: TangentBundlePoint, order: int, x_order: int | None = None
 ) -> TaylorJet:
     """Jet of ``field(x_vars, y_vars)`` at ``point``: every mixed partial up to
-    ``order``, read with :meth:`TaylorJet.partial`.
+    ``order``, read with :meth:`TaylorJet.partials`.
 
     Exact for polynomial fields of degree <= order; raises
     :class:`NonFiniteField` if any coefficient fails to be finite.

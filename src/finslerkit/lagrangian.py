@@ -232,12 +232,6 @@ class FinslerLagrangian:
             doc["domain"] = self.domain
         return doc
 
-    def domain_box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate box (x_min, x_max) of the model's domain, checked at
-        load; [-1, 1]^n when the document gives none."""
-        lo, hi = self._box
-        return lo.copy(), hi.copy()
-
     # -- sampling -------------------------------------------------------------
     #
     # validate and verify draw every bundle point from the declared domain:
@@ -301,10 +295,6 @@ class FinslerLagrangian:
         if not np.isfinite(g).all():
             raise NonFiniteField("L-metric has non-finite entries")
         return g
-
-    def finsler_function(self, point: TangentBundlePoint) -> float:
-        """F = |L|^(1/r), the positively 1-homogeneous length integrand."""
-        return abs(self.evaluate(point)) ** (1.0 / self.homogeneity_degree)
 
     # -- validation ---------------------------------------------------------
 

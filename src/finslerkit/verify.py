@@ -12,10 +12,14 @@ model, and every row measures all of its samples.  Which rows a report holds
 depends only on whether a claim applies: the quadratic reductions need a
 quadratic Lagrangian and the exact-shift rows a flat connection.
 
-Claims about Taylor coefficients at a point (the exponential map's derivative
-blocks, the truncated chart series) are compared against the coefficients of
-one Taylor-mode flow at rest, which are exact to round-off; no check takes a
-finite difference or fits an observed order.
+Claims about Taylor coefficients at a point (the exponential map's jets at
+zero velocity, the truncated chart series) are compared against one unit
+DOP853 step of the Taylor-mode flow at rest (:func:`_rest_flow_jets`).  Every
+slot of that flow is a polynomial in t of degree below the method's order, so
+the step is exact to round-off.  It integrates the same jet field that the
+degree recursion of ``exp_map_jets`` sweeps at rest, so a fault in the
+recursion shows.  No check takes a finite difference or fits an observed
+order.
 """
 
 from __future__ import annotations
@@ -30,11 +34,13 @@ from .charts import AutoparallelChart
 from .connection import GeneralConnection, cartan_linear_delta
 from .dynamics import (
     TIGHT,
-    exp_derivatives,
+    _jet_rhs,
+    _seeded_state,
     exp_map,
     exp_map_jets,
     integrate_autoparallel,
     integrate_horizontal_autoparallel,
+    solve_ode,  # resolved here, as the flows resolve it, so tracers see it
 )
 from .jets import JetSpace
 from .lagrangian import FinslerLagrangian
@@ -107,12 +113,18 @@ def _gap(value: np.ndarray, reference: np.ndarray) -> float:
     return float(np.abs(value - reference).max() / (1.0 + np.abs(reference).max()))
 
 
-def _taylor_terms(space: JetSpace, c: np.ndarray, point: np.ndarray, degrees) -> np.ndarray:
-    """Sum of the terms of the jets ``c`` (one row per jet) whose degree is in
-    ``degrees``, evaluated at ``point`` (one value per variable of ``space``)."""
-    monomials = np.prod(point ** np.array(space.indices), axis=1)
-    keep = np.isin(space.degrees, degrees)
-    return c[:, keep] @ monomials[keep]
+def _rest_flow_jets(conn: GeneralConnection, base, v, space: JetSpace, u_seed, v_seed):
+    """EXP(du, v + dv) as jets, seeded as in ``exp_map_jets``, from one unit
+    DOP853 step of the Taylor-mode flow at rest: the reference for the degree
+    recursion ``exp_map_jets`` runs there."""
+    n = conn.dimension
+    z0 = _seeded_state(space, base, np.zeros(n), v, u_seed, v_seed)
+    sol = solve_ode(
+        _jet_rhs(conn, space, at_rest=True), 0.0, z0.ravel(), 1.0,
+        rtol=TIGHT.rtol, atol=TIGHT.atol, first_step=1.0,
+    )
+    state = sol.state_end.reshape(z0.shape).T
+    return state[:n], state[n : 2 * n]
 
 
 # -- check implementations ------------------------------------------------------
@@ -244,32 +256,12 @@ def _check_exp_derivative_blocks(ctx: _Ctx) -> list:
     for _ in range(count):
         x0 = ctx.model.draw_inner_x(rng)
         v = ctx.model.draw_fiber(rng)
-        w = rng.standard_normal(n)
-        w /= np.linalg.norm(w)
-        blocks = exp_derivatives(ctx.conn, x0, v)
-        # EXP(du, v + dv) is a flow at rest, so its jets are exact to round-off
-        x, y = exp_map_jets(
-            ctx.conn, x0, np.zeros(n), v, space, u_seed=n, v_seed=0, controls=TIGHT
-        )
-        du, dv = np.concatenate([np.zeros(n), w]), np.concatenate([w, np.zeros(n)])
-        # a derivative of order k along w is k! times the degree-k terms there
-        pairs = [
-            (_taylor_terms(space, x, du, 1), blocks.dx_du @ w),
-            (_taylor_terms(space, y, du, 1), blocks.dy_du @ w),
-            (_taylor_terms(space, x, dv, 1), blocks.dx_dv @ w),
-            (_taylor_terms(space, y, dv, 1), blocks.dy_dv @ w),
-            (2 * _taylor_terms(space, x, du, 2), np.einsum("qbc,b,c->q", blocks.d2x_duu, w, w)),
-            (2 * _taylor_terms(space, y, du, 2), np.einsum("qbc,b,c->q", blocks.d2y_duu, w, w)),
-            (6 * _taylor_terms(space, x, du, 3),
-             np.einsum("qbcd,b,c,d->q", blocks.d3x_duuu, w, w, w)),
-            # the du dv terms: degree 2 at du + dv less its pure du and dv parts
-            (_taylor_terms(space, y, du + dv, 2) - _taylor_terms(space, y, du, 2)
-             - _taylor_terms(space, y, dv, 2), np.einsum("qbc,b,c->q", blocks.d2y_duv, w, w)),
-        ]
-        worst = max([worst] + [_gap(closed, flow) for flow, closed in pairs])
+        jets = exp_map_jets(ctx.conn, x0, np.zeros(n), v, space, u_seed=n, v_seed=0)
+        flow = _rest_flow_jets(ctx.conn, x0, v, space, u_seed=n, v_seed=0)
+        worst = max(worst, _gap(jets[0], flow[0]), _gap(jets[1], flow[1]))
     return [
         _row(ctx, "exp-derivative-blocks",
-             "closed-form derivative blocks of the exponential map equal the flow's Taylor coefficients",
+             "the exponential map's Taylor coefficients at zero velocity from the degree recursion equal a unit Taylor-mode flow step's",
              count, worst, 1e-10),
     ]
 
@@ -525,13 +517,13 @@ def _check_series_orders(ctx: _Ctx) -> list:
             AutoparallelChart(ctx.conn, base, kind=kind, radius_hint=1.5)
             for kind in ("extended", "standard")
         )
-        # the chart maps' Taylor coefficients at xt = 0, from flows at rest
-        xs, ys = ext._image_jets(np.zeros(n), yt, space, 0)
-        ys_std = std._image_jets(np.zeros(n), yt, space, 0)[1]
-        xs, ys, ys_std = (np.array([jet.c for jet in jets]) for jets in (xs, ys, ys_std))
+        # the extended chart is EXP: its Taylor coefficients at xt = 0 from a
+        # flow step at rest, the standard fiber's from the chart itself
+        xs, ys = _rest_flow_jets(ctx.conn, base, yt, space, 0, None)
+        ys_std = np.array([jet.c for jet in std._image_jets(np.zeros(n), yt, space, 0)[1]])
         for key, value, reference in (
-            ("cubic", ext.series_forward(w, yt, 3).x, _taylor_terms(space, xs, w, range(4))),
-            ("quadratic", ext.series_forward(w, yt, 2).y, _taylor_terms(space, ys, w, range(3))),
+            ("cubic", ext.series_forward(w, yt, 3).x, space.terms(xs, w, range(4))),
+            ("quadratic", ext.series_forward(w, yt, 2).y, space.terms(ys, w, range(3))),
             ("kinds", ys_std[:, space.degrees <= 1], ys[:, space.degrees <= 1]),
         ):
             worst[key] = max(worst[key], _gap(value, reference))

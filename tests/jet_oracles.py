@@ -1,12 +1,87 @@
-"""Jet-level oracles: reference algorithms over nested lists of scalar jets.
+"""Jet-level oracles and readers for the tests.
 
-They use only ``TaylorJet`` arithmetic, so they serve the tests as independent
-checks of the array kernels the library runs on stacked coefficient arrays.
+The oracles are reference algorithms over nested lists of scalar jets, or
+closed forms in the connection's derivatives.  They use only ``TaylorJet``
+arithmetic and ``evaluate_deep``, so they serve the tests as independent
+checks of the array kernels the library runs on stacked coefficient arrays
+and of the degree recursion behind ``exp_map_jets`` at rest.  The readers
+take single partials and derivative blocks out of the library's jets.
 """
+
+from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 
+from finslerkit.bundle import bundle_point
+from finslerkit.dynamics import exp_map_jets
 from finslerkit.errors import NearDegenerateMetric
+from finslerkit.jets import JetSpace, TaylorJet, eval_taylor
+
+
+def jet_partial(jet, alpha) -> float:
+    """True mixed partial of ``jet`` for exponent tuple ``alpha`` (its Taylor
+    coefficient times alpha!)."""
+    i = jet.space.index_of[tuple(alpha)]
+    return float(jet.c[i] * jet.space.factorials[i])
+
+
+def horizontal_derivative(conn, field, point) -> np.ndarray:
+    """delta_a f = d_a f - N^b_a d/dy^b f for a scalar bundle field."""
+    n = conn.dimension
+    jet = eval_taylor(field, point, 1)
+    N = conn.coefficients(point)
+    return jet.partials(range(n)) - N.T @ jet.partials(range(n, 2 * n))
+
+
+def rest_blocks(conn, base, v):
+    """EXP's derivative blocks at (0, v), read from ``exp_map_jets`` at rest.
+
+    First-derivative blocks are (n, n); ``d2*_duu`` are (n, b, c) and
+    ``d3x_duuu`` is (n, b, c, d); ``d2y_duv[q, b, c]`` is d^2 y^q / du^b dv^c.
+    """
+    n = conn.dimension
+    # seeds (dv, du); no block is second order in v, so v's degree is capped at 1
+    space = JetSpace.get(2 * n, 3, n, 1)
+    x, y = exp_map_jets(conn, base, np.zeros(n), v, space, u_seed=n, v_seed=0)
+    us, vs = range(n, 2 * n), range(n)
+
+    def block(rows, *axes):
+        return np.array([TaylorJet(space, space.order, c).partials(*axes) for c in rows])
+
+    return SimpleNamespace(
+        dx_du=block(x, us), dy_du=block(y, us), dx_dv=block(x, vs), dy_dv=block(y, vs),
+        d2x_duu=block(x, us, us), d2y_duu=block(y, us, us),
+        d3x_duuu=block(x, us, us, us), d2y_duv=block(y, us, vs),
+    )
+
+
+def _sym(t):
+    """Symmetrize a tensor over every slot after the first."""
+    perms = list(permutations(range(1, t.ndim)))
+    return sum(np.transpose(t, (0,) + p) for p in perms) / len(perms)
+
+
+def closed_form_blocks(conn, base, v):
+    """EXP's second and third u-derivative blocks and its du dv block at
+    (0, v) in closed form, from one deep evaluation of the connection; they
+    hold for any connection, fiber-symmetric or not.  Layout as in
+    :func:`rest_blocks`."""
+    deep = conn.evaluate_deep(bundle_point(np.asarray(base, float), np.asarray(v, float)))
+    dN_y = deep.dN_y
+    # x'''^q = raw[q, b, c, d] u^b u^c u^d: x'' = -dN_y[q, b, c] u^b u^c
+    # differentiated along the flow, with u' = x'' in each of its two slots
+    raw = (
+        -deep.delta_dN
+        + np.einsum("qrc,rbd->qbcd", dN_y, dN_y)
+        + np.einsum("qbr,rcd->qbcd", dN_y, dN_y)
+    )
+    return SimpleNamespace(
+        d2x_duu=-_sym(dN_y),
+        d2y_duu=_sym(-deep.delta_N + np.einsum("qa,abc->qbc", deep.N, dN_y)),
+        d3x_duuu=_sym(raw),
+        d2y_duv=-dN_y,
+    )
 
 
 def jet_solve(matrix, rhs):

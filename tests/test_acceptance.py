@@ -19,7 +19,6 @@ from finslerkit.charts import AutoparallelChart
 from finslerkit.connection import GeneralConnection, cartan_linear_delta
 from finslerkit.dynamics import (
     IntegrationControls,
-    exp_derivatives,
     exp_map,
     integrate_autoparallel,
     integrate_horizontal_autoparallel,
@@ -28,6 +27,7 @@ from finslerkit.models import builtin_names, load_model
 from finslerkit.verify import report_to_json, run_verification
 
 from fd_oracles import fd_levi_civita
+from jet_oracles import jet_partial, rest_blocks
 
 TIGHT = IntegrationControls(rtol=1e-12, atol=1e-14)
 
@@ -50,16 +50,6 @@ def conn_for(name):
     if name not in _CONNECTIONS:
         _CONNECTIONS[name] = GeneralConnection.cartan(model_for(name))
     return _CONNECTIONS[name]
-
-
-def midpoint(model):
-    lo, hi = model.domain_box()
-    return 0.5 * (lo + hi)
-
-
-def inner_point(model, rng):
-    lo, hi = model.domain_box()
-    return lo + (0.25 + 0.5 * rng.random(model.dimension)) * (hi - lo)
 
 
 def fiber(rng, n, lo=0.5, hi=2.0):
@@ -108,7 +98,7 @@ def test_c01_connection_vanishes_at_chart_center(emit):
         rng = np.random.default_rng([201, mi])
         fibers = [fiber(rng, 2) for _ in range(100)]
         for kind in ("extended", "standard"):
-            chart = chart_at(name, midpoint(model_for(name)), kind)
+            chart = chart_at(name, model_for(name).center(), kind)
             for yt in fibers:
                 coeff = chart.connection_in_chart(np.zeros(2), yt)
                 ambient = conn.coefficients(bundle_point(chart.base, yt))
@@ -120,7 +110,7 @@ def test_c01_connection_vanishes_at_chart_center(emit):
 def test_c02_extended_chart_flattens_lagrangian(emit):
     worst = 0.0
     for mi, name in enumerate(("sphere2d", "randers2d")):
-        chart = chart_at(name, midpoint(model_for(name)), "extended")
+        chart = chart_at(name, model_for(name).center(), "extended")
         rng = np.random.default_rng([202, mi])
         for _ in range(20):
             lag = chart.lagrangian_in_chart(fiber(rng, 2))
@@ -135,7 +125,7 @@ def test_c03_standard_chart_hessian_is_curvature_term(emit):
     # curved model: the center Hessian equals 2/3 of the fiber-contracted
     # lowered curvature, relatively
     model, conn = model_for("sphere2d"), conn_for("sphere2d")
-    chart = chart_at("sphere2d", midpoint(model), "standard")
+    chart = chart_at("sphere2d", model.center(), "standard")
     rng = np.random.default_rng([203, 0])
     worst_rel = 0.0
     for _ in range(10):
@@ -149,7 +139,7 @@ def test_c03_standard_chart_hessian_is_curvature_term(emit):
         worst_rel = max(worst_rel, np.abs(hess - target).max() / den)
 
     # flat model in curved coordinates: the Hessian is absolutely zero
-    chart = chart_at("polar2d", midpoint(model_for("polar2d")), "standard")
+    chart = chart_at("polar2d", model_for("polar2d").center(), "standard")
     rng = np.random.default_rng([203, 1])
     worst_abs = 0.0
     for _ in range(10):
@@ -170,7 +160,7 @@ def test_c04_velocity_rescaling_reparametrizes(emit):
     rng = np.random.default_rng([204])
     worst = 0.0
     for _ in range(20):
-        x0 = inner_point(model, rng)
+        x0 = model.draw_inner_x(rng)
         u = fiber(rng, 2, 0.2, 0.35)
         v = fiber(rng, 2)
         ref = integrate_horizontal_autoparallel(conn, x0, u, v, 2.0, TIGHT)
@@ -196,9 +186,9 @@ def test_c05_exp_map_derivative_blocks(emit):
         model, conn = model_for(name), conn_for(name)
         n = model.dimension
         rng = np.random.default_rng([205, mi])
-        x0 = midpoint(model)
+        x0 = model.center()
         v = fiber(rng, n, 0.8, 1.2)
-        d = exp_derivatives(conn, x0, v)
+        d = rest_blocks(conn, x0, v)
         base = exp_map(conn, x0, np.zeros(n), v, TIGHT)
         zero_worst = max(zero_worst, np.abs(base.x - x0).max(), np.abs(base.y - v).max())
 
@@ -288,8 +278,8 @@ def test_c06_structural_identity_suite(emit):
                 e[v] = 1
                 return tuple(e)
 
-            gx = np.array([jet.partial(unit(a)) for a in range(n)])
-            gy = np.array([jet.partial(unit(n + a)) for a in range(n)])
+            gx = np.array([jet_partial(jet, unit(a)) for a in range(n)])
+            gy = np.array([jet_partial(jet, unit(n + a)) for a in range(n)])
             value = model.evaluate(p)
 
             euler = abs(float(gy @ p.y) - r * value) / (1.0 + abs(r * value))
@@ -351,14 +341,14 @@ def test_c07_quadratic_models_reduce_to_levi_civita(emit):
         rng = np.random.default_rng([207, mi])
 
         for _ in range(20):
-            x = inner_point(model, rng)
+            x = model.draw_inner_x(rng)
             y = fiber(rng, 2)
             N = conn.coefficients(bundle_point(x, y))
             N_lc = np.einsum("abc,c->ab", fd_levi_civita(model, x), y)
             lc_worst = max(lc_worst, np.abs(N - N_lc).max() / (1.0 + np.abs(N).max()))
 
         for _ in range(5):
-            x = inner_point(model, rng)
+            x = model.draw_inner_x(rng)
             ref_D = conn.berwald(bundle_point(x, fiber(rng, 2)))
             ref_G = cartan_linear_delta(model, bundle_point(x, fiber(rng, 2)))
             for _ in range(9):
@@ -432,7 +422,7 @@ def test_c09_flat_model_is_exact(emit):
             np.abs(cartan_linear_delta(model, p)).max(),
         )
 
-    x0 = midpoint(model)
+    x0 = model.center()
     charts = [chart_at("flat4d", x0, kind) for kind in ("extended", "standard")]
     map_worst = 0.0
     for _ in range(5):
@@ -457,7 +447,7 @@ def test_c09_flat_model_is_exact(emit):
 def test_c10_chart_round_trip(emit):
     worst = 0.0
     for mi, name in enumerate(("sphere2d", "randers2d")):
-        base = midpoint(model_for(name))
+        base = model_for(name).center()
         for kind in ("extended", "standard"):
             chart = chart_at(name, base, kind)
             rng = np.random.default_rng([210, mi])

@@ -2,20 +2,20 @@
 
 import ast
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import finslerkit
-from finslerkit import charts
+from finslerkit import charts, dynamics, integrate
 from finslerkit.bundle import bundle_point
 from finslerkit.charts import AutoparallelChart, export_grid_csv
 from finslerkit.connection import GeneralConnection
 from finslerkit.dynamics import (
     TIGHT,
     IntegrationControls,
-    exp_derivatives,
     exp_map,
     exp_map_jets,
     exp_map_with_jacobian,
@@ -29,9 +29,10 @@ from finslerkit.errors import (
     SingularJacobian,
 )
 from finslerkit.jets import JetSpace, unit_index
-from finslerkit.models import load_model
+from finslerkit.models import builtin_names, load_model
 
 from fd_oracles import richardson_gradient
+from jet_oracles import closed_form_blocks, rest_blocks
 
 
 def chart_for(name, base, kind="extended", **kw):
@@ -235,16 +236,79 @@ def test_cubic_series_is_fourth_order_accurate_without_fiber_symmetry():
     ratio = gap(0.1) / gap(0.05)
     assert 13.0 <= ratio <= 20.0  # 16 for an O(|xt|^4) remainder
 
-    # the closed form against the third-order slots of an at-rest Taylor-mode flow
+    # the closed form against the third-order slots of EXP's jets at rest
     space = JetSpace.get(2, 3)
     x, _ = exp_map_jets(conn, ch.base, np.zeros(2), yt, space, u_seed=0)
-    d3 = exp_derivatives(conn, ch.base, yt).d3x_duuu
+    d3 = closed_form_blocks(conn, ch.base, yt).d3x_duuu
     for b in range(2):
         for c in range(2):
             for d in range(2):
                 i = space.index_of[unit_index(2, b, c, d)]
                 flow = x[:, i] * space.factorials[i]
                 assert np.abs(d3[:, b, c, d] - flow).max() <= 1e-10 * (1.0 + np.abs(flow).max())
+
+
+@pytest.mark.parametrize("name", builtin_names() + ["skew"])
+def test_exp_jets_at_rest_are_a_recursion_equal_to_a_unit_flow_step(monkeypatch, name):
+    if name == "skew":
+        conn = GeneralConnection.explicit(_skew_fiber, 2)
+        base, v = np.array([0.2, -0.1]), np.array([0.6, 0.8])
+    else:
+        model = load_model(f"builtin:{name}")
+        conn = GeneralConnection.cartan(model)
+        rng = np.random.default_rng(5)
+        base, v = model.draw_inner_x(rng), model.draw_fiber(rng)
+    n = conn.dimension
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("exp_map_jets integrated a flow at rest")
+
+    monkeypatch.setattr(dynamics, "solve_ode", no_flow)
+    for order in (2, 3, 4):
+        # seeds du alone, and (dv, du) with v's degree capped at 1
+        for space, u_seed, v_seed in (
+            (JetSpace.get(n, order), 0, None),
+            (JetSpace.get(2 * n, order, n, 1), n, 0),
+        ):
+            x, y = exp_map_jets(conn, base, np.zeros(n), v, space, u_seed, v_seed)
+            # the reference: one unit DOP853 step of the same jet field, exact
+            # to round-off since every slot is a polynomial in t of low degree
+            z0 = dynamics._seeded_state(space, base, np.zeros(n), v, u_seed, v_seed)
+            step = integrate.solve_ode(
+                dynamics._jet_rhs(conn, space, at_rest=True), 0.0, z0.ravel(), 1.0,
+                rtol=1e-12, atol=1e-14, first_step=1.0,
+            )
+            assert (step.naccepted, step.nrejected) == (1, 0)
+            ref = step.state_end.reshape(z0.shape).T[: 2 * n]
+            gap = np.abs(np.concatenate([x, y]) - ref).max()
+            assert gap <= 1e-13 * (1.0 + np.abs(ref).max()), (order, space.size, gap)
+
+
+def test_sphere_standard_chart_lagrangian_is_the_normal_coordinate_expansion():
+    # The standard chart's x-part is the Riemann normal chart.  In
+    # g0-orthonormal normal coordinates the unit sphere's metric is exactly
+    # delta + (sin^2 r / r^2 - 1)(delta - xhat xhat^T), so with
+    # sin^2 r / r^2 - 1 = sum_k c_k r^(2k), c = (-1/3, 2/45, -1/315, ...),
+    #     L = |yt|^2 + sum_k c_k r^(2k - 2) (r^2 |yt|^2 - (xt . yt)^2)
+    # with every product taken in g0.
+    ch = chart_for("sphere2d", SPHERE_BASE, "standard")
+    yt = SPHERE_YT
+    order = 6
+    space = JetSpace.get(2, order + 1)  # the standard fiber costs one order
+    jet = ch._lagrangian_jet(yt, space, 0)
+    g0 = ch.connection.lagrangian.l_metric(bundle_point(ch.base, yt))
+    xt = [space.variable(i, 0.0) for i in range(2)]
+
+    def inner(a, b):
+        return sum(float(g0[i, j]) * a[i] * b[j] for i in range(2) for j in range(2))
+
+    r2, xy, yy = inner(xt, xt), inner(xt, yt), inner(yt, yt)
+    expected = space.constant(yy)
+    for k in range(1, order // 2 + 1):
+        c = (-1) ** k * 2 ** (2 * k + 1) / math.factorial(2 * k + 2)
+        expected = expected + c * r2 ** (k - 1) * (r2 * yy - xy * xy)
+    keep = space.degrees <= order
+    assert np.abs(jet.c[keep] - expected.c[keep]).max() <= 1e-10
 
 
 def test_newton_divergence_reports_last_iterate(monkeypatch):
@@ -328,7 +392,7 @@ def test_standard_series_quadratic_weight_is_half():
     # accuracy; the integrated map settles the choice.
     ch = chart_for("sphere2d", SPHERE_BASE, "standard")
     yt = SPHERE_YT
-    blocks = exp_derivatives(ch.connection, ch.base, yt)
+    blocks = rest_blocks(ch.connection, ch.base, yt)
     amat, smat = -blocks.d2x_duu, -blocks.d3x_duuu
 
     def gap(s, weight):

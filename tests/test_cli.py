@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from finslerkit import integrate
 from finslerkit.cli import RunConfig, build_parser, config_from_args, main
 from finslerkit.connection import GeneralConnection
 from finslerkit.dynamics import IntegrationControls, exp_map_with_jacobian
@@ -76,6 +77,30 @@ def test_a_pole_at_the_point_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "NonFiniteField" in err
+
+
+def test_an_overflowing_exponential_exits_two(tmp_path, capsys):
+    doc = {
+        "dimension": 2, "homogeneity_degree": 2, "family": "custom",
+        "parameters": {"expression": "(y1^2 + y2^2) * exp(x1)"},
+    }
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        capsys, "connection", "--model", str(path), "--point", "800,0", "--direction", "1,0",
+    )
+    assert code == 2
+    assert "NonFiniteField: exp of 8.000e+02 overflows" in err
+
+
+def test_a_spent_step_budget_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(integrate, "MAX_STEPS", 3)
+    code, _, err = run_cli(
+        capsys, "geodesic", "--model", "builtin:sphere2d", "--point", "1.1,0.3",
+        "--direction", "0.4,-0.2", "--t-end", "2",
+    )
+    assert code == 2
+    assert "StepBudgetExceeded" in err
 
 
 def test_a_real_power_of_a_negative_coordinate_fails_smoothness(tmp_path, capsys):

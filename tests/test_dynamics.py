@@ -14,7 +14,6 @@ from finslerkit.bundle import bundle_point
 from finslerkit.connection import GeneralConnection
 from finslerkit.dynamics import (
     IntegrationControls,
-    exp_derivatives,
     exp_map,
     exp_map_jets,
     exp_map_with_jacobian,
@@ -23,9 +22,11 @@ from finslerkit.dynamics import (
 )
 from finslerkit.errors import (
     ExcludedSetEntered,
+    FinslerKitError,
     NearDegenerateMetric,
     NearZeroDirection,
     NonFiniteField,
+    StepBudgetExceeded,
     StepSizeUnderflow,
 )
 from finslerkit.integrate import solve_ode
@@ -33,6 +34,7 @@ from finslerkit.jets import JetSpace, unit_index
 from finslerkit.models import builtin_names, load_model
 
 from fd_oracles import richardson_hessian
+from jet_oracles import closed_form_blocks, rest_blocks
 
 TIGHT = IntegrationControls(rtol=1e-12, atol=1e-13)
 LINE_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "line1d.json"
@@ -226,6 +228,34 @@ def test_a_trial_stage_on_a_pole_is_a_rejected_step():
     assert np.abs(sol.states[:, 0] / exact - 1.0).max() <= integrate.DEFAULT_RTOL
 
 
+def test_an_overflowing_trial_stage_is_a_rejected_step():
+    # exp(z) overflows for z > 709.78; the unit trial's stages of z' = -50 z
+    # swing far past that, and the overflow rejects the step
+    field = expressions.parse("0 * exp(z) - 50 * z")
+    overflows = []
+
+    def f(t, z):
+        try:
+            return np.array([expressions.evaluate(field, {"t": t, "z": z[0]})])
+        except NonFiniteField as err:
+            overflows.append(str(err))
+            raise
+
+    sol = solve_ode(f, 0.0, np.array([1.0]), 1.0, first_step=1.0)
+    assert overflows and all(re.fullmatch(r"exp of \S+ overflows", e) for e in overflows)
+    assert sol.nrejected >= len(overflows)
+    assert np.abs(sol.states[:, 0] - np.exp(-50.0 * sol.ts)).max() <= 1e-10
+
+
+def test_a_spent_step_budget_is_typed_and_carries_t_and_h(monkeypatch):
+    monkeypatch.setattr(integrate, "MAX_STEPS", 3)
+    with pytest.raises(StepBudgetExceeded) as info:
+        solve_ode(lambda t, z: -z, 0.0, np.array([1.0]), 100.0, first_step=0.1)
+    assert isinstance(info.value, FinslerKitError)
+    assert 0.0 < info.value.t < 100.0 and info.value.h > 0.0
+    assert f"t = {info.value.t!r}" in str(info.value)
+
+
 def test_a_field_that_fails_past_a_time_raises_its_error_there():
     # every step past t* = 0.3 is rejected until the step underflows; the
     # error raised is the failing stage's, at a time just past t*
@@ -409,7 +439,7 @@ def test_polar_exp_closed_form():
 def test_exp_first_derivative_blocks():
     conn = conn_for("randers2d")
     x0, v = np.array([0.2, -0.3]), np.array([1.0, 0.4])
-    d = exp_derivatives(conn, x0, v)
+    d = rest_blocks(conn, x0, v)
     N = conn.coefficients(bundle_point(x0, v))
     assert np.abs(d.dx_du - np.eye(2)).max() == 0.0
     assert np.abs(d.dx_dv).max() == 0.0
@@ -442,7 +472,7 @@ def test_exp_higher_derivative_blocks_match_finite_differences(name, x0, v):
     conn = conn_for(name)
     x0, v = np.asarray(x0, float), np.asarray(v, float)
     n = conn.dimension
-    d = exp_derivatives(conn, x0, v)
+    d = rest_blocks(conn, x0, v)
     base = exp_map(conn, x0, np.zeros(n), v, TIGHT)
     rng = np.random.default_rng(41)
 
@@ -478,7 +508,7 @@ def test_exp_higher_derivative_blocks_match_finite_differences(name, x0, v):
 
 def test_exp_derivative_blocks_are_symmetric():
     conn = conn_for("randers2d")
-    d = exp_derivatives(conn, [0.1, 0.4], [0.7, -0.6])
+    d = rest_blocks(conn, [0.1, 0.4], [0.7, -0.6])
     assert np.abs(d.d2x_duu - np.transpose(d.d2x_duu, (0, 2, 1))).max() < 1e-14
     assert np.abs(d.d2y_duu - np.transpose(d.d2y_duu, (0, 2, 1))).max() < 1e-14
     for perm in [(0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)]:
@@ -679,7 +709,7 @@ def test_order_one_flow_matches_the_variational_system(name):
     model = load_model(f"builtin:{name}")
     conn = GeneralConnection.cartan(model)
     n = model.dimension
-    lo, hi = model.domain_box()
+    lo, hi = (np.asarray(model.domain[k], float) for k in ("x_min", "x_max"))
     rng = np.random.default_rng(41)
     x0 = lo + (0.3 + 0.4 * rng.random(n)) * (hi - lo)
     u = 0.3 * rng.standard_normal(n) / np.sqrt(n)
@@ -754,7 +784,7 @@ def test_order_three_jets_at_zero_velocity_match_the_closed_form_blocks(name, x0
     n = 2
     space = JetSpace.get(n, 3)
     x, y = exp_map_jets(conn, x0, np.zeros(n), v, space, u_seed=0, controls=TIGHT)
-    d = exp_derivatives(conn, x0, v)
+    d = closed_form_blocks(conn, x0, v)
 
     def partials(comp, k):
         shape = (n,) * k
@@ -781,7 +811,7 @@ def test_mixed_jets_at_zero_velocity_match_the_du_dv_block(name, x0, v):
     n = len(x0)
     space = JetSpace.get(2 * n, 2)
     y = exp_map_jets(conn, x0, np.zeros(n), v, space, u_seed=0, v_seed=n, controls=TIGHT)[1]
-    d = exp_derivatives(conn, x0, v)
+    d = closed_form_blocks(conn, x0, v)
     # the slot of du^b dv^c holds d^2 y / du^b dv^c itself (factorial 1)
     slots = [[space.index_of[unit_index(2 * n, b, n + c)] for c in range(n)] for b in range(n)]
     got = y[:, slots]

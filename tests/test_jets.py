@@ -15,6 +15,7 @@ from finslerkit.jets import (
     TaylorJet,
     compose,
     eval_taylor,
+    exp,
     log,
     power,
     sin,
@@ -23,6 +24,7 @@ from finslerkit.jets import (
 )
 
 from fd_oracles import central_gradient, richardson_hessian
+from jet_oracles import jet_partial
 
 
 def quadratic_fiber(xs, ys):
@@ -35,7 +37,7 @@ def partial(jet, x=(), y=()):
     fiber indices ``y``, with multiplicity: ``partial(jet, x=(0,), y=(1, 1))``
     is d/dx0 d/dy1 d/dy1 of the field."""
     n = jet.space.nvars // 2
-    return jet.partial(unit_index(2 * n, *x, *(n + i for i in y)))
+    return jet_partial(jet, unit_index(2 * n, *x, *(n + i for i in y)))
 
 
 def test_polynomial_fiber_square_is_exact():
@@ -147,7 +149,7 @@ def test_empty_multi_index_is_plain_value():
 
     p = bundle_point([1.0, 2.0], [3.0, 4.0])
     jet = eval_taylor(f, p, 2)
-    assert jet.partial((0, 0, 0, 0)) == 3.5
+    assert jet_partial(jet, (0, 0, 0, 0)) == 3.5
     assert jet.value == 3.5
 
 
@@ -210,6 +212,21 @@ def test_float_power_of_negative_base_is_typed():
     assert power(-2.0, -2) == 0.25
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: exp(800.0), "exp of 8.000e+02 overflows"),
+    (lambda: exp(JetSpace.get(2, 2).variable(0, 800.0)), "exp of 8.000e+02 overflows"),
+    (lambda: power(1e200, 2.5), "power 2.5 of 1.000e+200 overflows"),
+    (lambda: JetSpace.get(2, 2).variable(0, 1e200) ** 2.5, "power 2.5 of 1.000e+200 overflows"),
+    (lambda: JetSpace.get(2, 2).variable(0, 1e-200) ** -2.5, "power -2.5 of 1.000e-200 overflows"),
+])
+def test_overflowing_exponentials_and_powers_are_typed(call, message):
+    # float and jet branches alike: a typed error naming the value, not
+    # Python's OverflowError or numpy's inf
+    with pytest.raises(NonFiniteField) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_float_root_and_log_outside_their_domain_are_typed():
     # the float branches raise the jet branches' error and name the value
     with pytest.raises(NonFiniteField, match=r"sqrt of negative value -5\.000e-01"):
@@ -231,7 +248,7 @@ def test_partials_are_the_mixed_partials_one_variable_per_axis():
         assert tensor.shape == tuple(len(axis) for axis in axes)
         for pos in np.ndindex(tensor.shape):
             slots = [axis[i] for axis, i in zip(axes, pos)]
-            assert tensor[pos] == jet.partial(unit_index(4, *slots))
+            assert tensor[pos] == jet_partial(jet, unit_index(4, *slots))
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,7 +299,7 @@ def test_derivative_drops_order_and_matches_shift():
     d = f.deriv(0)
     assert d.order == 2
     assert d.value == pytest.approx(2 * 0.4 * 1.2, rel=1e-15)
-    assert d.partial((0, 1)) == pytest.approx(2 * 0.4, rel=1e-15)
+    assert jet_partial(d, (0, 1)) == pytest.approx(2 * 0.4, rel=1e-15)
     with pytest.raises(OrderUnsupported):
         f.deriv(0).deriv(1).deriv(0).deriv(1)
 

@@ -1,5 +1,6 @@
 """Points of the tangent bundle and the numerical guards applied to them."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,13 +30,16 @@ class TangentBundlePoint:
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise NonFiniteField("tangent bundle point has non-finite coordinates")
 
+    def __str__(self):
+        return f"x = {self.x.tolist()}, y = {self.y.tolist()}"
+
     @property
     def dim(self) -> int:
         return self.x.size
 
     def require_nonzero_direction(self):
         """Raise :class:`NearZeroDirection` if y is numerically on the zero section."""
-        norm = float(np.linalg.norm(self.y))
+        norm = math.sqrt(self.y.dot(self.y))  # np.linalg.norm's formula, without its overhead
         if norm < ZERO_DIRECTION_GUARD:
             raise NearZeroDirection(
                 f"fiber direction norm {norm:.3e} below guard {ZERO_DIRECTION_GUARD:.1e}"

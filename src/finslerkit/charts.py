@@ -319,7 +319,9 @@ class AutoparallelChart:
         xs, ys = self._image_jets(np.zeros(self.dimension), yt, space, u_seed, v_seed)
         jet = self._require_lagrangian()(xs, ys)
         if not np.isfinite(jet.c).all():
-            raise NonFiniteField("Lagrangian jet in the chart is not finite")
+            raise NonFiniteField(
+                f"Lagrangian jet in the chart is not finite at {bundle_point(self.base, yt)}"
+            )
         return jet
 
     def _xt_jet(self, yt: np.ndarray):

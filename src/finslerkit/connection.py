@@ -149,9 +149,10 @@ def _degree_blocks(space: JetSpace, n: int) -> list:
     return blocks
 
 
-def _series_solve(space: JetSpace, g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _series_solve(space: JetSpace, g: np.ndarray, rhs: np.ndarray, point) -> np.ndarray:
     """Solve g s = rhs for an (n, n, size) stack g and an (n, size) stack rhs
-    of coefficient arrays in ``space``; s is valid to the space order.
+    of coefficient arrays in ``space``; s is valid to the space order.  An
+    error names the bundle ``point``.
 
     With h = g0^{-1} g and r = g0^{-1} rhs (g0 = g's constant term), the
     degree-d slots of s are those of r minus the degree-d part of
@@ -161,7 +162,7 @@ def _series_solve(space: JetSpace, g: np.ndarray, rhs: np.ndarray) -> np.ndarray
     n = g.shape[0]
     g0 = g[:, :, 0]
     if not np.isfinite(g0).all():
-        raise NonFiniteField("L-metric is not finite at the requested point")
+        raise NonFiniteField(f"L-metric is not finite at the requested point {point}")
     # one SVD gives the condition number and, once that passes, the inverse
     left, sv, right = np.linalg.svd(g0)
     cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
@@ -186,8 +187,8 @@ def _series_solve(space: JetSpace, g: np.ndarray, rhs: np.ndarray) -> np.ndarray
     return s
 
 
-def _spray(L: TaylorJet, y: np.ndarray, order: int):
-    """The L-metric g and N's jet from L's jet at (x, y).
+def _spray(L: TaylorJet, point: TangentBundlePoint, order: int):
+    """The L-metric g and N's jet from L's jet at ``point`` (x, y).
 
     Returns g as an (n, n, work.size) array on the slots of the kernel's
     working space, N as an (n, n, size) array on those of
@@ -195,6 +196,7 @@ def _spray(L: TaylorJet, y: np.ndarray, order: int):
     to ``order + 1`` and N, its fiber derivative, to ``order``, on the
     x-degrees :func:`_x_cap` names.
     """
+    y = point.y
     n = y.size
     work, src, fac, rhs_bins, shape, kept, nsrc, nfac = _spray_tables(L.space, order)
     d = np.append(L.c, 0.0)[src] * fac
@@ -202,7 +204,7 @@ def _spray(L: TaylorJet, y: np.ndarray, order: int):
     weights = np.concatenate([y, np.ones(n), [-1.0]])
     terms = weights[:, None] * d[n * n :].reshape(2 * n + 1, n * work.size)
     rhs = np.bincount(rhs_bins, weights=terms.ravel(), minlength=n * work.size)
-    s = _series_solve(work, g, rhs.reshape(n, work.size))
+    s = _series_solve(work, g, rhs.reshape(n, work.size), point)
     njets = np.zeros(shape)
     njets[:, :, kept] = s.ravel()[nsrc] * nfac
     return g, njets, work
@@ -364,9 +366,9 @@ class GeneralConnection:
                     out[a, b] = entry.c
             return out
 
-        _, njets, _ = _spray(_lagrangian_jet(self.lagrangian, point, order), point.y, order)
+        _, njets, _ = _spray(_lagrangian_jet(self.lagrangian, point, order), point, order)
         if not np.isfinite(njets).all():
-            raise NonFiniteField("connection coefficients are not finite")
+            raise NonFiniteField(f"connection coefficients are not finite at {point}")
         return njets
 
     # -- extraction ----------------------------------------------------------
@@ -458,7 +460,7 @@ def cartan_linear_delta(model: FinslerLagrangian, point: TangentBundlePoint) -> 
     n = model.dimension
     # order 0 reads N at x-degree 0, and L's jet is exact on x-degree <= 1
     L = _lagrangian_jet(model, point, 0)
-    g, njets, _ = _spray(L, point.y, 0)
+    g, njets, _ = _spray(L, point, 0)
 
     # d/dv g_qc = (1/2) d^3L / dy^q dy^c dv for v = x^b and v = y^m
     fibers = range(n, 2 * n)

@@ -24,9 +24,13 @@ pairs a product of order-o jets needs (output degree <= o) are a prefix of it
 (truncated Taylor arithmetic, Griewank & Walther, *Evaluating Derivatives*,
 2nd ed., SIAM 2008).  Division goes through a Newton iteration for the
 reciprocal; analytic functions (sin, exp, sqrt, ...) compose their univariate
-Taylor series with the nilpotent part via Horner's rule; :func:`compose`
-applies a multivariate jet to other jets (how Taylor-mode flows push N's jet
-through their state).
+Taylor series, one helper per function in :data:`SERIES`, with the nilpotent
+part via Horner's rule; :func:`compose` applies a multivariate jet to other
+jets (how Taylor-mode flows push N's jet through their state).  A model's
+Lagrangian runs the same operations from its compiled expression tape
+(``expressions.Tape``): the products of each wave are one
+:func:`wave_products` over a register file, their terms read from
+:meth:`JetSpace.pairs`.
 
 Every jet also carries a ``support``: a bitmask of the variables its non-zero
 coefficients may involve.  The invariant is that each slot whose multi-index
@@ -52,6 +56,7 @@ finite Taylor expansion.
 from __future__ import annotations
 
 import math
+from functools import partialmethod
 from itertools import combinations_with_replacement
 from itertools import product as cartesian
 
@@ -392,14 +397,9 @@ class TaylorJet:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "TaylorJet":
-        c0 = self.c[0]
-        if c0 == 0.0:
-            raise NonFiniteField("reciprocal of a jet with zero constant term")
-        inv = self.space.constant(1.0 / c0)
+        inv = self.space.constant(reciprocal_start(self.c[0]))
         inv.order, inv.support = self.order, self.support
-        # Newton doubles the number of correct orders each sweep
-        sweeps = max(1, math.ceil(math.log2(self.order + 1))) if self.order else 0
-        for _ in range(sweeps):
+        for _ in range(newton_sweeps(self.order)):
             inv = inv * (2.0 - self * inv)
         return inv
 
@@ -428,11 +428,11 @@ class TaylorJet:
                 if k:
                     base = base * base
             return result.copy() if result is self else result
-        return self._pow_real(float(p))
+        return self._series("power", float(p))
 
     # -- analytic functions -------------------------------------------------
 
-    def _compose(self, series: np.ndarray) -> "TaylorJet":
+    def _compose(self, series) -> "TaylorJet":
         """Horner evaluation of sum_k series[k] * (self - value)^k."""
         w = self.copy()
         w.c[0] = 0.0
@@ -446,55 +446,17 @@ class TaylorJet:
             r.c[0] += series[k]
         return r
 
-    def sin(self):
-        u0, m = self.c[0], self.order
-        series = np.array(
-            [math.sin(u0 + k * math.pi / 2.0) / math.factorial(k) for k in range(m + 1)]
-        )
-        return self._compose(series)
+    def _series(self, name: str, p) -> "TaylorJet":
+        return self._compose(SERIES[name](self.c[0], self.order, p))
 
-    def cos(self):
-        u0, m = self.c[0], self.order
-        series = np.array(
-            [math.cos(u0 + k * math.pi / 2.0) / math.factorial(k) for k in range(m + 1)]
-        )
-        return self._compose(series)
-
-    def exp(self):
-        u0, m = self.c[0], self.order
-        e = _float_exp(u0)
-        series = np.array([e / math.factorial(k) for k in range(m + 1)])
-        return self._compose(series)
-
-    def log(self):
-        u0, m = self.c[0], self.order
-        if u0 <= 0.0:
-            raise NonFiniteField(f"log of jet with non-positive value {u0:.3e}")
-        series = [math.log(u0)]
-        for k in range(1, m + 1):
-            series.append(((-1.0) ** (k + 1)) / (k * u0**k))
-        return self._compose(np.array(series))
-
-    def _pow_real(self, p: float):
-        u0, m = self.c[0], self.order
-        if u0 <= 0.0:
-            raise NonFiniteField(
-                f"non-integer power {p} of jet with non-positive value {u0:.3e}"
-            )
-        series, coeff = [], 1.0
-        for k in range(m + 1):
-            series.append(coeff * _float_pow(u0, p - k))
-            coeff *= (p - k) / (k + 1.0)
-        return self._compose(np.array(series))
-
-    def sqrt(self):
-        return self._pow_real(0.5)
+    sin = partialmethod(_series, "sin", None)
+    cos = partialmethod(_series, "cos", None)
+    exp = partialmethod(_series, "exp", None)
+    log = partialmethod(_series, "log", None)
+    sqrt = partialmethod(_series, "power", 0.5)
 
     def absolute(self):
-        u0 = self.c[0]
-        if u0 == 0.0:
-            raise NonFiniteField("abs of a jet centered exactly on its kink")
-        return self if u0 > 0.0 else -self
+        return self if abs_sign(self.c[0]) > 0.0 else -self
 
     def __repr__(self):
         return f"TaylorJet(order={self.order}, value={self.value:.6g})"
@@ -561,6 +523,75 @@ def power(base, exponent):
     return _float_pow(base, exponent)
 
 
+# -- one source per function --------------------------------------------------
+#
+# The Taylor coefficients of f(u0 + t) in t to degree m, and the scalar steps
+# of abs and the reciprocal: TaylorJet's methods and the compiled expression
+# tape (``expressions.Tape``) both call these, so the two agree bit for bit.
+
+
+def _log_series(u0, m, p):
+    if u0 <= 0.0:
+        raise NonFiniteField(f"log of jet with non-positive value {u0:.3e}")
+    series = [math.log(u0)]
+    for k in range(1, m + 1):
+        try:  # Python floats: an overflow raises instead of reading 0
+            series.append(((-1.0) ** (k + 1)) / (k * float(u0) ** k))
+        except OverflowError:  # u0^k is above the float range, so the term is below it
+            series.append(((-1.0) ** (k + 1)) * (1.0 / u0) ** k / k)
+        except ZeroDivisionError:
+            raise NonFiniteField(f"log of {u0:.3e}: Taylor coefficient {k} overflows") from None
+    return series
+
+
+def _power_series(u0, m, p):
+    if u0 <= 0.0:
+        raise NonFiniteField(f"non-integer power {p} of jet with non-positive value {u0:.3e}")
+    series, coeff = [], 1.0
+    for k in range(m + 1):
+        series.append(coeff * _float_pow(u0, p - k))
+        coeff *= (p - k) / (k + 1.0)
+    return series
+
+
+def _exp_series(u0, m, p):
+    e = _float_exp(u0)
+    return [e / math.factorial(k) for k in range(m + 1)]
+
+
+def _trig_series(fn):
+    return lambda u0, m, p: [fn(u0 + k * math.pi / 2.0) / math.factorial(k) for k in range(m + 1)]
+
+
+SERIES = {
+    "sin": _trig_series(math.sin),
+    "cos": _trig_series(math.cos),
+    "exp": _exp_series,
+    "log": _log_series,
+    "power": _power_series,  # sqrt is the power 1/2
+}
+
+
+def abs_sign(u0) -> float:
+    """The factor, 1 or -1, that abs multiplies a jet of value ``u0`` by."""
+    if u0 == 0.0:
+        raise NonFiniteField("abs of a jet centered exactly on its kink")
+    return 1.0 if u0 > 0.0 else -1.0
+
+
+def reciprocal_start(c0) -> float:
+    """The reciprocal's Newton start 1/c0."""
+    if c0 == 0.0:
+        raise NonFiniteField("reciprocal of a jet with zero constant term")
+    return 1.0 / c0
+
+
+def newton_sweeps(order: int) -> int:
+    """Newton sweeps a reciprocal of ``order`` needs: each doubles the number
+    of correct orders."""
+    return max(1, math.ceil(math.log2(order + 1))) if order else 0
+
+
 def eval_taylor(
     field, point: TangentBundlePoint, order: int, x_order: int | None = None
 ) -> TaylorJet:
@@ -576,12 +607,35 @@ def eval_taylor(
     space = JetSpace.get(2 * n, order, n, x_order)
     xs = [space.variable(i, point.x[i]) for i in range(n)]
     ys = [space.variable(n + i, point.y[i]) for i in range(n)]
-    out = field(xs, ys)
+    return finite_jet(field(xs, ys), space, point)
+
+
+def finite_jet(out, space: JetSpace, point: TangentBundlePoint) -> TaylorJet:
+    """``out`` as a jet in ``space`` (a float is a constant); raises
+    :class:`NonFiniteField` naming ``point`` if a coefficient is not finite."""
     if not isinstance(out, TaylorJet):
         out = space.constant(float(out))
     if not np.isfinite(out.c).all():
-        raise NonFiniteField("field evaluation produced non-finite derivatives")
+        raise NonFiniteField(f"field evaluation produced non-finite derivatives at {point}")
     return out
+
+
+def wave_products(flat: np.ndarray, out: slice, factors, bins) -> None:
+    """One wave of jet products and sums on the register file ``flat``: with
+    the first half of ``factors`` the left cells of the terms and the second
+    half the right ones, cell ``out.start + i`` becomes the sum of the term
+    products over the terms t with ``bins[t] == i``, added in term order from
+    +0.0.
+
+    Each product's terms are its :meth:`JetSpace.pairs` table mapped to cells,
+    its bins offset to its own output cells, so every output gets its summands in
+    its own product's order and each product is bit-identical to
+    :meth:`JetSpace.product`.
+    """
+    values = flat[factors]
+    half = len(bins)
+    weights = values[:half] * values[half:]
+    flat[out] = np.bincount(bins, weights=weights, minlength=out.stop - out.start)
 
 
 # -- composition -------------------------------------------------------------

@@ -10,6 +10,13 @@ determines the geometry:
 * ``pth_root``   — L given directly as a degree-p form (r = p)
 * ``custom``     — arbitrary expression with a declared degree
 
+At load each family is lowered to one expression tree that keeps its
+operations in their order (see ``FinslerLagrangian._lower``).  That tree is
+the one source of L: floats walk it with ``expressions.evaluate``, and jets
+run its compiled tape (``expressions.compiled``), one per jet space and kind
+of input, shared by every model loaded from the same document.  A python
+callable (:meth:`FinslerLagrangian.from_callable`) is the one other evaluator.
+
 The fiber Hessian g^L_ab = (1/2) d/dy^a d/dy^b L (the "L-metric") is the
 fundamental tensor everything downstream consumes.
 """
@@ -26,8 +33,7 @@ from .bundle import (
     bundle_point,
 )
 from .errors import ModelFormatError, NonFiniteField
-from .jets import TaylorJet, eval_taylor
-from .jets import sqrt as generic_sqrt
+from .jets import JetSpace, TaylorJet, eval_taylor, finite_jet
 
 _FAMILIES = ("quadratic", "randers", "pth_root", "custom")
 
@@ -124,33 +130,35 @@ class FinslerLagrangian:
         self.domain = domain
         lo, hi, self._y_norm = _parse_box(domain, dimension)
         self._box = (lo, hi)
+        # L is one expression tree (floats walk it, jets run its compiled
+        # tape), or a python callable from from_callable
         self._evaluator = evaluator
-        if evaluator is None:
-            self._build_evaluator()
+        self._tree = None if evaluator is not None else self._lower()
+        self._key = repr(self._tree)
 
     # -- construction ------------------------------------------------------
 
-    def _build_evaluator(self):
+    def _lower(self):
+        """The family as one expression tree, in the order of its operations:
+        quadratic 0 + g_ab y^a y^b over the non-zero entries, Randers
+        (sqrt(0 + a_ab y^a y^b) + 0 + b_a y^a)^exponent over every entry."""
         n, params = self.dimension, self.parameters
+        ys = [ex.Var(f"y{a + 1}") for a in range(n)]
+
+        def form(matrix, skip_zero):
+            total = ex.Num(0.0)
+            for a in range(n):
+                for b in range(n):
+                    if not (skip_zero and matrix[a][b] == ex.Num(0.0)):
+                        term = ex.BinOp("*", ex.BinOp("*", matrix[a][b], ys[a]), ys[b])
+                        total = ex.BinOp("+", total, term)
+            return total
+
         if self.family == "quadratic":
             metric = _parse_matrix(params.get("metric"), n, "quadratic metric")
             _check_variables([t for row in metric for t in row], n, "quadratic metric")
-            terms = [
-                (a, b, metric[a][b])
-                for a in range(n)
-                for b in range(n)
-                if not (isinstance(metric[a][b], ex.Num) and metric[a][b].value == 0.0)
-            ]
-
-            def evaluator(x, y):
-                env = ex.coordinate_env(n, x, y)
-                total = 0.0
-                for a, b, tree in terms:
-                    total = total + ex.evaluate(tree, env) * y[a] * y[b]
-                return total
-
-            self._metric_trees = metric
-        elif self.family == "randers":
+            return form(metric, True)
+        if self.family == "randers":
             metric = _parse_matrix(params.get("metric"), n, "randers metric")
             one_form = _parse_vector(params.get("one_form"), n, "randers one_form")
             exponent = _whole_number(params.get("exponent", 2), "randers exponent")
@@ -159,39 +167,21 @@ class FinslerLagrangian:
             _check_variables(
                 [t for row in metric for t in row] + one_form, n, "randers data"
             )
-
-            def evaluator(x, y):
-                env = ex.coordinate_env(n, x, y)
-                quad = 0.0
-                for a in range(n):
-                    for b in range(n):
-                        coeff = ex.evaluate(metric[a][b], env)
-                        quad = quad + coeff * y[a] * y[b]
-                root = generic_sqrt(quad)
-                lin = 0.0
-                for a in range(n):
-                    lin = lin + ex.evaluate(one_form[a], env) * y[a]
-                base = root + lin
-                return base**exponent
-
-        elif self.family == "pth_root":
-            form = ex.parse(str(params.get("form", "")))
+            lin = ex.Num(0.0)
+            for a in range(n):
+                lin = ex.BinOp("+", lin, ex.BinOp("*", one_form[a], ys[a]))
+            base = ex.BinOp("+", ex.Call("sqrt", form(metric, False)), lin)
+            return ex.BinOp("^", base, ex.Num(float(exponent)))
+        if self.family == "pth_root":
+            tree = ex.parse(str(params.get("form", "")))
             p = _whole_number(params.get("p"), "pth_root degree p")
             if p != self.homogeneity_degree:
                 raise ModelFormatError("pth_root degree p must equal homogeneity_degree")
-            _check_variables([form], n, "pth_root form")
-
-            def evaluator(x, y):
-                return ex.evaluate(form, ex.coordinate_env(n, x, y))
-
-        else:  # custom
-            tree = ex.parse(str(params.get("expression", "")))
-            _check_variables([tree], n, "custom expression")
-
-            def evaluator(x, y):
-                return ex.evaluate(tree, ex.coordinate_env(n, x, y))
-
-        self._evaluator = evaluator
+            _check_variables([tree], n, "pth_root form")
+            return tree
+        tree = ex.parse(str(params.get("expression", "")))  # custom
+        _check_variables([tree], n, "custom expression")
+        return tree
 
     @classmethod
     def from_callable(cls, fn, dimension: int, homogeneity_degree: int):
@@ -268,13 +258,20 @@ class FinslerLagrangian:
 
     def __call__(self, x, y):
         """Raw evaluation, generic over floats and jets."""
-        return self._evaluator(x, y)
+        if self._tree is None:
+            return self._evaluator(x, y)
+        if isinstance(x[0], TaylorJet):
+            inputs = list(x) + list(y)
+            key = tuple((jet.order, jet.support) for jet in inputs)
+            tape = ex.compiled(self._tree, self._key, inputs[0].space, key)
+            return tape.run(*[jet.c for jet in inputs])
+        return ex.evaluate(self._tree, ex.coordinate_env(self.dimension, x, y))
 
     def evaluate(self, point: TangentBundlePoint) -> float:
-        value = self._evaluator(list(point.x), list(point.y))
+        value = self(list(point.x), list(point.y))
         value = value.value if isinstance(value, TaylorJet) else float(value)
         if not np.isfinite(value):
-            raise NonFiniteField("Lagrangian value is not finite")
+            raise NonFiniteField(f"Lagrangian value is not finite at {point}")
         return value
 
     def taylor(
@@ -286,14 +283,19 @@ class FinslerLagrangian:
         """
         if self.family != "quadratic":
             point.require_nonzero_direction()
-        return eval_taylor(self._evaluator, point, order, x_order)
+        if self._tree is None:
+            return eval_taylor(self._evaluator, point, order, x_order)
+        n = self.dimension
+        space = JetSpace.get(2 * n, order, n, x_order)
+        jet = ex.compiled(self._tree, self._key, space, None).run(point.x, point.y)
+        return finite_jet(jet, space, point)
 
     def l_metric(self, point: TangentBundlePoint) -> np.ndarray:
         """Fiber Hessian g^L_ab = (1/2) d_a d_b L over y."""
         fibers = range(point.dim, 2 * point.dim)
         g = 0.5 * self.taylor(point, 2).partials(fibers, fibers)
         if not np.isfinite(g).all():
-            raise NonFiniteField("L-metric has non-finite entries")
+            raise NonFiniteField(f"L-metric has non-finite entries at {point}")
         return g
 
     # -- validation ---------------------------------------------------------

@@ -1,7 +1,10 @@
 """Jet-level oracles and readers for the tests.
 
 The oracles are reference algorithms over nested lists of scalar jets, or
-closed forms in the connection's derivatives.  They use only ``TaylorJet``
+closed forms in the connection's derivatives.  :func:`family_walk` is L as
+the library evaluated it before its compiled tape: one closure per family
+walking the parsed coefficient trees over any scalars, so over TaylorJets it
+is the oracle the tape must match bit for bit.  They use only ``TaylorJet``
 arithmetic and ``evaluate_deep``, so they serve the tests as independent
 checks of the array kernels the library runs on stacked coefficient arrays
 and of the degree recursion behind ``exp_map_jets`` at rest.  The readers
@@ -13,9 +16,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from finslerkit import jets
 from finslerkit.bundle import bundle_point
 from finslerkit.dynamics import exp_map_jets
 from finslerkit.errors import NearDegenerateMetric
+from finslerkit.expressions import coordinate_env, evaluate, parse
 from finslerkit.jets import JetSpace, TaylorJet, eval_taylor
 
 
@@ -130,3 +135,52 @@ def jet_level_n(L, y, order):
         rhs.append(acc)
     spray = jet_solve(g, rhs)
     return [[0.25 * spray[a].deriv(n + b) for b in range(n)] for a in range(n)]
+
+
+def family_walk(model):
+    """L of a model document as a python callable ``f(xs, ys)`` over floats or
+    jets: the family's own sum, root and power around ``evaluate`` walks of
+    its parsed coefficient trees."""
+    n, params = model.dimension, model.parameters
+
+    def trees(rows):
+        return [[parse(str(entry)) for entry in row] for row in rows]
+
+    if model.family == "quadratic":
+        metric = trees(params["metric"])
+        terms = [
+            (a, b, metric[a][b]) for a in range(n) for b in range(n)
+            if metric[a][b] != parse("0")
+        ]
+
+        def quadratic(x, y):
+            env = coordinate_env(n, x, y)
+            total = 0.0
+            for a, b, tree in terms:
+                total = total + evaluate(tree, env) * y[a] * y[b]
+            return total
+
+        return quadratic
+    if model.family == "randers":
+        metric, (one_form,) = trees(params["metric"]), trees([params["one_form"]])
+        exponent = int(params.get("exponent", 2))
+
+        def randers(x, y):
+            env = coordinate_env(n, x, y)
+            quad = 0.0
+            for a in range(n):
+                for b in range(n):
+                    quad = quad + evaluate(metric[a][b], env) * y[a] * y[b]
+            lin = 0.0
+            for a in range(n):
+                lin = lin + evaluate(one_form[a], env) * y[a]
+            return (jets.sqrt(quad) + lin) ** exponent
+
+        return randers
+    tree = parse(str(params["form" if model.family == "pth_root" else "expression"]))
+    return lambda x, y: evaluate(tree, coordinate_env(n, x, y))
+
+
+def walk_taylor(model, point, order, x_order=None):
+    """L's jet at ``point`` from :func:`family_walk` over TaylorJets."""
+    return eval_taylor(family_walk(model), point, order, x_order)

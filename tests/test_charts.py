@@ -25,10 +25,12 @@ from finslerkit.errors import (
     ExcludedSetEntered,
     FinslerKitError,
     NewtonDiverged,
+    NonFiniteField,
     OutsideTrustRegion,
     SingularJacobian,
 )
-from finslerkit.jets import JetSpace, unit_index
+from finslerkit.jets import JetSpace, TaylorJet, unit_index
+from finslerkit.lagrangian import FinslerLagrangian
 from finslerkit.models import builtin_names, load_model
 
 from fd_oracles import richardson_gradient
@@ -668,3 +670,17 @@ def test_record_round_trip_residuals(tmp_path):
     # first row is the center: x = base, y = yt
     assert float(table[1][2]) == pytest.approx(1.0, abs=1e-12)
     assert float(table[1][4]) == pytest.approx(0.3, abs=1e-12)
+
+
+def test_chart_lagrangian_jet_error_names_its_point():
+    def field(xs, ys):
+        value = ys[0] * ys[0] + ys[1] * ys[1]
+        if isinstance(value, TaylorJet) and value.space.nvars == 2:  # the chart's own jets
+            return TaylorJet(value.space, value.order, np.full(value.space.size, np.inf))
+        return value
+
+    model = FinslerLagrangian.from_callable(field, 2, 2)
+    chart = AutoparallelChart(GeneralConnection.cartan(model), np.array([0.1, 0.2]))
+    at = r"at x = \[0.1, 0.2\], y = \[1.0, 0.5\]"
+    with pytest.raises(NonFiniteField, match="Lagrangian jet in the chart is not finite " + at):
+        chart.lagrangian_in_chart([1.0, 0.5])

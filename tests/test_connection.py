@@ -19,12 +19,13 @@ from finslerkit.connection import (
     _x_cap,
     cartan_linear_delta,
 )
+from finslerkit import expressions, jets
 from finslerkit.jets import JetSpace, TaylorJet, eval_taylor, unit_index
 from finslerkit.lagrangian import FinslerLagrangian
 from finslerkit.models import load_model
 
 from fd_oracles import central_gradient, central_hessian
-from jet_oracles import horizontal_derivative, jet_level_n, jet_partial, jet_solve
+from jet_oracles import family_walk, horizontal_derivative, jet_level_n, jet_partial, jet_solve
 
 MODELS = ["flat4d", "polar2d", "sphere2d", "randers2d", "quartic4d"]
 LINE_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "line1d.json"
@@ -204,7 +205,7 @@ def test_structural_identities_per_model(name):
             ) * max(1.0, lam)
 
         # horizontal constancy of L
-        delta_L = horizontal_derivative(conn, model._evaluator, p)
+        delta_L = horizontal_derivative(conn, model, p)
         jet = model.taylor(p, 1)
         gy = np.array([jet_partial(jet, _unit(n, n + a)) for a in range(n)])
         gx = np.array([jet_partial(jet, _unit(n, a)) for a in range(n)])
@@ -314,7 +315,7 @@ def test_transformation_law_under_linear_change():
     def transformed(xs, ys):
         xb = [Ainv[0, 0] * xs[0] + Ainv[0, 1] * xs[1], Ainv[1, 0] * xs[0] + Ainv[1, 1] * xs[1]]
         yb = [Ainv[0, 0] * ys[0] + Ainv[0, 1] * ys[1], Ainv[1, 0] * ys[0] + Ainv[1, 1] * ys[1]]
-        return base._evaluator(xb, yb)
+        return base(xb, yb)
 
     tilde = FinslerLagrangian.from_callable(transformed, 2, 2)
     p = bundle_point([0.4, -0.2], [1.0, 0.6])
@@ -407,7 +408,7 @@ def test_jet_solve_takes_one_reciprocal_per_pivot(monkeypatch):
 def _full_space_n_jets(model, p, order):
     """Reference N jets: the same kernel on a full-space L jet of total
     degree order + 3."""
-    return _spray(eval_taylor(model._evaluator, p, order + 3), p.y, order)[1]
+    return _spray(eval_taylor(model, p, order + 3), p, order)[1]
 
 
 @pytest.mark.parametrize("name", MODELS + ["line1d"])
@@ -566,7 +567,7 @@ def test_series_solve_matches_jet_elimination(n):
             g = rng.standard_normal((n, n, space.size))
             g[:, :, 0] = g0
             rhs = rng.standard_normal((n, space.size))
-            s = _series_solve(space, g, rhs)
+            s = _series_solve(space, g, rhs, None)
             ref = jet_solve([_jet_stack(space, row) for row in g], _jet_stack(space, rhs))
             ref = np.array([jet.c for jet in ref])
             assert np.abs(s - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max()), (n, order)
@@ -577,12 +578,13 @@ def test_series_solve_refuses_a_degenerate_metric():
     rng = np.random.default_rng(3)
     g = rng.standard_normal((2, 2, space.size))
     rhs = rng.standard_normal((2, space.size))
+    p = bundle_point([0.25], [1.5])
     g[:, :, 0] = [[1.0, 0.0], [0.0, 1e-9]]
     with pytest.raises(NearDegenerateMetric):
-        _series_solve(space, g, rhs)
+        _series_solve(space, g, rhs, p)
     g[:, :, 0] = [[1.0, np.nan], [0.0, 1.0]]
-    with pytest.raises(NonFiniteField):
-        _series_solve(space, g, rhs)
+    with pytest.raises(NonFiniteField, match=r"not finite at the requested point x = \[0.25\], y = \[1.5\]"):
+        _series_solve(space, g, rhs, p)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -627,6 +629,8 @@ def test_n_jets_take_no_jet_products_outside_the_lagrangian(monkeypatch):
     monkeypatch.setattr(FinslerLagrangian, "taylor", traced_taylor)
     for attr in ("__mul__", "__rmul__", "reciprocal"):
         monkeypatch.setattr(TaylorJet, attr, counted(TaylorJet.__dict__[attr]))
+    # L's own products run as waves of its compiled tape
+    monkeypatch.setattr(jets, "wave_products", counted(jets.wave_products))
     for name in MODELS:
         model = load_model(f"builtin:{name}")
         conn = GeneralConnection.cartan(model)
@@ -635,3 +639,57 @@ def test_n_jets_take_no_jet_products_outside_the_lagrangian(monkeypatch):
                 conn.n_jets(p, order)
     assert calls["outside"] == 0
     assert calls["inside"] > 0  # the counters see L's own products
+
+
+# -- L's compiled tape against the family walk ---------------------------------
+
+CUSTOM3D = {
+    "dimension": 3,
+    "homogeneity_degree": 2,
+    "family": "custom",
+    "parameters": {
+        "expression": "exp(0.2 * x1) * y1^2 - (1 + 0.1 * sin(x2) * cos(x3)) * (y2^2 + y3^2)"
+        " + 0.05 * log(2 + x2) * y1 * y2 + 0.02 * abs(x1 - 2) * (y1^4 + y2^4) / (y1^2 + y2^2 + y3^2)"
+        " - 0.02 * sqrt(y2^4 + y3^4)"
+    },
+}
+SEXTIC = {
+    "dimension": 2,
+    "homogeneity_degree": 6,
+    "family": "pth_root",
+    "parameters": {"form": "(1 + 0.3 * sin(x1)) * y1^6 + y1^2 * y2^4 + exp(0.1 * x2) * y2^6", "p": 6},
+}
+
+
+@pytest.mark.parametrize(
+    "source", [f"builtin:{name}" for name in MODELS] + [str(LINE_MODEL), CUSTOM3D, SEXTIC],
+    ids=MODELS + ["line1d", "custom3d", "sextic"],
+)
+def test_n_jets_from_the_tape_are_the_family_walks_bit_for_bit(source):
+    model = load_model(source)
+    walk = FinslerLagrangian.from_callable(
+        family_walk(model), model.dimension, model.homogeneity_degree
+    )
+    conn, ref = GeneralConnection.cartan(model), GeneralConnection.cartan(walk)
+    for p in sample_points(model, 2, seed=23):
+        for order in (0, 1, 2, 3):
+            assert conn.n_jets(p, order).tobytes() == ref.n_jets(p, order).tobytes()
+    # a second load of the same document compiles no new tape
+    compiled = len(expressions._TAPES)
+    conn = GeneralConnection.cartan(load_model(source))
+    for p in sample_points(model, 2, seed=23):
+        for order in (0, 1, 2, 3):
+            conn.n_jets(p, order)
+    assert len(expressions._TAPES) == compiled
+
+
+def test_non_finite_connection_coefficients_name_their_point():
+    # a finite L jet whose x-degree-2 coefficients (1e307) overflow the spray solve
+    model = load_model({
+        "dimension": 2, "homogeneity_degree": 2, "family": "custom",
+        "parameters": {"expression": "y1^2 + y2^2 + 1e307 * x1^2 * (y1^2 + y2^2)"},
+    })
+    p = bundle_point([1e-160, 0.0], [1.0, 0.5])
+    at = r"at x = \[1e-160, 0.0\], y = \[1.0, 0.5\]"
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteField, match="coefficients are not finite " + at):
+        GeneralConnection.cartan(model).n_jets(p, 3)

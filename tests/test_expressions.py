@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerkit import ExpressionError, NonFiniteField, bundle_point
+from finslerkit import ExpressionError, FinslerKitError, NonFiniteField, bundle_point, expressions
 from finslerkit.expressions import (
     BinOp,
     Call,
@@ -19,7 +20,7 @@ from finslerkit.expressions import (
     to_string,
     variables_of,
 )
-from finslerkit.jets import eval_taylor
+from finslerkit.jets import JetSpace, TaylorJet, eval_taylor, finite_jet
 
 from jet_oracles import jet_partial
 
@@ -134,3 +135,69 @@ def test_printed_form_evaluates_identically(tree):
 
 def test_variables_of():
     assert variables_of(parse("x1 * sin(y2) - 3")) == {"x1", "y2"}
+
+
+# -- the compiled tape against the walk over TaylorJets ------------------------
+
+def _jet_trees(depth):
+    """``_trees`` plus log, sqrt, abs, integer powers and division by jets."""
+    if depth == 0:
+        return _leaf
+    sub = _jet_trees(depth - 1)
+    return st.one_of(
+        _leaf,
+        st.tuples(st.sampled_from("+-*/"), sub, sub).map(lambda t: BinOp(*t)),
+        sub.map(Neg),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "sqrt", "abs"]), sub).map(
+            lambda t: Call(t[0], t[1])
+        ),
+        st.tuples(sub, st.integers(-2, 4)).map(lambda t: BinOp("^", t[0], Num(float(t[1])))),
+    )
+
+
+# coordinates in [-2, 2] with exact zeros and repeats, so that poles, zero
+# reciprocals, roots of negatives and the abs kink all occur
+_coordinate = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1.0, -1.0, 0.5]))
+
+
+def _outcome(compute):
+    """The jet's bytes, order and support, a float, or the error's type and
+    message; numpy's own warnings are off, so every failure is the library's.
+    A NaN's sign bit is not compared: every user of a jet rejects NaN."""
+    try:
+        with np.errstate(all="ignore"):
+            out = compute()
+    except (FinslerKitError, ValueError, OverflowError, ZeroDivisionError) as err:
+        return type(err), str(err)
+    if isinstance(out, TaylorJet):
+        return np.where(np.isnan(out.c), np.nan, out.c).tobytes(), out.order, out.support
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_jet_trees(3), coords=st.lists(_coordinate, min_size=4, max_size=4),
+       order=st.integers(0, 3))
+def test_tape_is_the_walk_over_taylor_jets_bit_for_bit(tree, coords, order):
+    # seeded variables, as in FinslerLagrangian.taylor
+    p = bundle_point(coords[:2], coords[2:])
+    space = JetSpace.get(4, order, 2, 1)
+
+    def walk(xs, ys):
+        return evaluate(tree, coordinate_env(2, xs, ys))
+
+    tape = expressions.compiled(tree, repr(tree), space, None)
+    assert _outcome(lambda: finite_jet(tape.run(p.x, p.y), space, p)) == _outcome(
+        lambda: eval_taylor(walk, p, order, 1)
+    )
+    # chart-style inputs: full support, the fiber one order below the base
+    rng = np.random.default_rng([len(repr(tree)), order])
+    jets = [TaylorJet(space, order, np.append(v, rng.standard_normal(space.size - 1)))
+            for v in coords]
+    for jet in jets[2:]:
+        jet.order = max(order - 1, 0)
+        jet._mask()
+    inputs = tuple((jet.order, jet.support) for jet in jets)
+    tape = expressions.compiled(tree, repr(tree), space, inputs)
+    assert _outcome(lambda: tape.run(*[jet.c for jet in jets])) == _outcome(
+        lambda: walk(jets[:2], jets[2:])
+    )

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerkit import NonFiniteField, OrderUnsupported, bundle_point
+from finslerkit import NonFiniteField, OrderUnsupported, bundle_point, expressions
 from finslerkit.jets import (
+    SERIES,
     JetSpace,
     TaylorJet,
     compose,
@@ -22,6 +23,8 @@ from finslerkit.jets import (
     sqrt,
     unit_index,
 )
+
+from finslerkit.lagrangian import FinslerLagrangian
 
 from fd_oracles import central_gradient, richardson_hessian
 from jet_oracles import jet_partial
@@ -637,22 +640,69 @@ def test_non_finite_coefficient_still_raises_with_sparse_factors():
 
 
 def test_quartic_lagrangian_jet_touches_under_one_percent_of_the_pairs(monkeypatch):
-    from finslerkit.connection import _lagrangian_jet
+    """TaylorJet arithmetic on quartic4d's L runs under 1% of the full-support
+    pairs, and the compiled tape, whose products are hash-consed, runs no more
+    pairs than that walk."""
+    from finslerkit.connection import _lagrangian_jet, _x_cap
     from finslerkit.models import load_model
+
+    from jet_oracles import walk_taylor
 
     model = load_model("builtin:quartic4d")
     p = bundle_point([0.1, -0.2, 0.3, 0.05], [0.7, -0.4, 0.5, 0.9])
-    run = prefix = 0
+    counts = {"run": 0, "prefix": 0}
     pairs = JetSpace.pairs
 
     def counted(space, order, support_a, support_b):
-        nonlocal run, prefix
         table = pairs(space, order, support_a, support_b)
-        run += table[0].size
-        prefix += space._mul_prefix[order][0].size
+        counts["run"] += table[0].size
+        counts["prefix"] += space._mul_prefix[order][0].size
         return table
 
     monkeypatch.setattr(JetSpace, "pairs", counted)
-    _lagrangian_jet(model, p, 2)
+    walk_taylor(model, p, 5, _x_cap(2))
+    run, prefix = counts["run"], counts["prefix"]
     assert prefix > 0
     assert run <= 0.01 * prefix
+    counts["run"] = 0
+    monkeypatch.setattr(expressions, "_TAPES", {})  # the tape reads its pairs as it compiles
+    _lagrangian_jet(model, p, 2)
+    assert 0 < counts["run"] <= run
+
+
+def test_log_of_a_huge_value_has_finite_coefficients_and_no_warning():
+    # under the suite's error::RuntimeWarning filter a numpy overflow would raise
+    jet = log(JetSpace.get(1, 4).variable(0, 1e100))
+    assert np.isfinite(jet.c).all()
+    assert jet.c[0] == math.log(1e100)
+    assert jet.c[1] == 1e-100 and jet.c[2] == -0.5e-200
+
+
+def test_log_series_is_bitwise_the_numpy_float_formula_on_ordinary_values():
+    for u0 in np.geomspace(1e-3, 1e3, 2001):
+        series = SERIES["log"](u0, 8, None)
+        for k in range(1, 9):
+            assert series[k] == ((-1.0) ** (k + 1)) / (k * u0**k)
+
+
+def test_log_series_of_a_tiny_value_names_the_overflow():
+    with pytest.raises(NonFiniteField, match="Taylor coefficient 4 overflows"):
+        SERIES["log"](1e-100, 4, None)
+
+
+def test_non_finite_field_jets_name_their_point():
+    p = bundle_point([0.5, -0.25], [1.0, 2.0])
+
+    def infinite(xs, ys):
+        return TaylorJet(xs[0].space, xs[0].order, np.full(xs[0].space.size, np.inf))
+
+    at = r"at x = \[0.5, -0.25\], y = \[1.0, 2.0\]"
+    with pytest.raises(NonFiniteField, match="non-finite derivatives " + at):
+        eval_taylor(infinite, p, 2)
+    # the compiled tape's check: an infinite literal
+    model = FinslerLagrangian.from_dict(
+        {"dimension": 2, "homogeneity_degree": 2, "family": "custom",
+         "parameters": {"expression": "1e999 * y1^2 + y2^2"}}
+    )
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteField, match="non-finite derivatives " + at):
+        model.taylor(p, 2)

@@ -245,3 +245,20 @@ def test_callable_backed_model():
     assert model.evaluate(bundle_point([0.5, 0.5], [3.0, 1.0])) == 9.0
     with pytest.raises(ModelFormatError):
         model.to_dict()
+
+
+def test_lagrangian_errors_name_their_point():
+    p = bundle_point([0.5, -0.25], [0.25, 2.0])
+    at = r"at x = \[0.5, -0.25\], y = \[0.25, 2.0\]"
+
+    def custom(expression):
+        return FinslerLagrangian.from_dict(
+            {"dimension": 2, "homogeneity_degree": 2, "family": "custom",
+             "parameters": {"expression": expression}}
+        )
+
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteField, match="Lagrangian value is not finite " + at):
+        custom("1e200 * y2^2 * 1e200").evaluate(p)
+    # finite coefficients whose Hessian entry 2 * 1e308 is not
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteField, match="L-metric has non-finite entries " + at):
+        custom("1e308 * y1^2 + y2^2").l_metric(p)

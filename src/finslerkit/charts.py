@@ -46,7 +46,7 @@ from .errors import (
     OutsideTrustRegion,
     SingularJacobian,
 )
-from .jets import JetSpace, TaylorJet, unit_index
+from .jets import JetSpace, TaylorJet
 
 JACOBIAN_CONDITION_LIMIT = 1e12
 
@@ -167,7 +167,7 @@ class AutoparallelChart:
         space = JetSpace.get(2 * n, 2, n, 1)
         x, y = exp_map_jets(self.connection, self.base, np.zeros(n), p.y, space, n, 0)
         image = np.concatenate([x, y])
-        linear = image[:, [space.index_of[unit_index(2 * n, v)] for v in range(2 * n)]]
+        linear = image[:, space.partial_slots(range(2 * n))[0]]
         s = np.linalg.solve(linear, np.concatenate([p.x - self.base, np.zeros(n)]))
         s -= np.linalg.solve(linear, space.terms(image, s, 2))
         return np.concatenate([s[n:], p.y + s[:n]])

@@ -34,7 +34,7 @@ import numpy as np
 
 from .bundle import DEGENERACY_CONDITION_LIMIT, TangentBundlePoint, bundle_point
 from .errors import NearDegenerateMetric, NonFiniteField
-from .jets import JetSpace, TaylorJet, unit_index
+from .jets import JetSpace, TaylorJet
 from .lagrangian import FinslerLagrangian
 
 # entries of GeneralConnection's evaluation memo
@@ -105,7 +105,7 @@ def _spray_tables(lspace: JetSpace, order: int):
             k, f = up[v, k], f * rise[v, k]
         return k, f
 
-    base = np.array([lspace.index_of[alpha] for alpha in work.indices])
+    base = lspace.slots(work.exponents)
     rows = [gather(base, n + b, n + a) for a in range(n) for b in range(n)]
     rows += [gather(base, n + q, p) for p in range(n) for q in range(n)]
     rows += [gather(down[n + p, base], n + q, p) for p in range(n) for q in range(n)]
@@ -116,8 +116,9 @@ def _spray_tables(lspace: JetSpace, order: int):
     rhs_bins = np.tile(np.arange(n * work.size), 2 * n + 1)
 
     up, rise, _ = _shift_maps(work)
-    kept = np.array([i for i, alpha in enumerate(out.indices) if alpha in work.index_of])
-    at = np.array([work.index_of[out.indices[i]] for i in kept])
+    at = work.slots(out.exponents)
+    kept = np.flatnonzero(at >= 0)
+    at = at[kept]
     # C order, so that N's jet is laid out as the (n, n, size) array it reads as
     nsrc = np.ascontiguousarray(np.arange(n)[:, None, None] * work.size + up[n:, at])
     nfac = np.ascontiguousarray(0.25 * rise[n:, at])
@@ -229,8 +230,8 @@ class ConnectionEval:
         self.order = order
         self.n = jet.shape[0]
 
-    def _partials(self, kind):
-        idx, factorials = _partial_slots(self.n, self.order)[kind]
+    def _partials(self, *axes):
+        idx, factorials = JetSpace.get(2 * self.n, self.order).partial_slots(*axes)
         return self.jet[:, :, idx] * factorials
 
     @functools.cached_property
@@ -239,11 +240,11 @@ class ConnectionEval:
 
     @functools.cached_property
     def dN_x(self) -> np.ndarray:
-        return self._partials("x")
+        return self._partials(range(self.n))
 
     @functools.cached_property
     def dN_y(self) -> np.ndarray:
-        return self._partials("y")
+        return self._partials(range(self.n, 2 * self.n))
 
     @functools.cached_property
     def delta_N(self) -> np.ndarray:
@@ -266,11 +267,12 @@ class DeepConnectionEval(ConnectionEval):
 
     @functools.cached_property
     def ddN_xy(self) -> np.ndarray:
-        return self._partials("xy").reshape((self.n,) * 4)
+        return self._partials(range(self.n, 2 * self.n), range(self.n))
 
     @functools.cached_property
     def ddN_yy(self) -> np.ndarray:
-        return self._partials("yy").reshape((self.n,) * 4)
+        fibers = range(self.n, 2 * self.n)
+        return self._partials(fibers, fibers)
 
     @functools.cached_property
     def delta_dN(self) -> np.ndarray:
@@ -278,7 +280,7 @@ class DeepConnectionEval(ConnectionEval):
 
     @functools.cached_property
     def taylor(self) -> np.ndarray:
-        row, slot, src, fac = _partial_slots(self.n, self.order)["fiber"]
+        row, slot, src, fac = _fiber_rows(self.n, self.order)
         stack = np.zeros((self.n, self.n, self.n + 1, self.jet.shape[2]))
         stack[:, :, 0] = self.jet
         stack[:, :, row, slot] = self.jet[:, :, src] * fac
@@ -429,25 +431,13 @@ class GeneralConnection:
 
 
 @functools.lru_cache(maxsize=None)
-def _partial_slots(n: int, order: int) -> dict:
-    """Slot indices in ``JetSpace.get(2n, order)`` and their factorials for
-    the partials of N that an evaluation of ``order`` reads; at order >= 2
-    also the gather of ``DeepConnectionEval.taylor``'s fiber rows."""
-    space = JetSpace.get(2 * n, order)
-
-    def slots(*slot_lists):
-        idx = np.array([space.index_of[unit_index(2 * n, *sl)] for sl in slot_lists])
-        return idx, space.factorials[idx]
-
-    out = {"x": slots(*((c,) for c in range(n))), "y": slots(*((n + c,) for c in range(n)))}
-    if order >= 2:
-        cd = [(c, d) for c in range(n) for d in range(n)]
-        out["xy"] = slots(*((n + c, d) for c, d in cd))
-        out["yy"] = slots(*((n + c, n + d) for c, d in cd))
-        # row 1 + c holds d/dy^c of every slot: (rows, slots, sources, factors)
-        deriv = [(np.full(s.size, 1 + c), d, s, f) for c, (s, d, f) in enumerate(space._deriv[n:])]
-        out["fiber"] = tuple(np.concatenate(column) for column in zip(*deriv))
-    return out
+def _fiber_rows(n: int, order: int) -> tuple:
+    """The gather of ``DeepConnectionEval.taylor``'s fiber rows in
+    ``JetSpace.get(2n, order)``: row 1 + c holds d/dy^c of every slot, as
+    (rows, slots, sources, factors)."""
+    deriv = JetSpace.get(2 * n, order)._deriv[n:]
+    deriv = [(np.full(s.size, 1 + c), d, s, f) for c, (s, d, f) in enumerate(deriv)]
+    return tuple(np.concatenate(column) for column in zip(*deriv))
 
 
 def cartan_linear_delta(model: FinslerLagrangian, point: TangentBundlePoint) -> np.ndarray:

@@ -35,7 +35,7 @@ from .bundle import ZERO_DIRECTION_GUARD, TangentBundlePoint, bundle_point
 from .connection import GeneralConnection
 from .errors import NonFiniteField
 from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, OdeSolution, solve_ode
-from .jets import JetSpace, compose, unit_index
+from .jets import JetSpace, compose
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ class TrajectoryDiagnostics:
     accepted: int
     rejected: int
     field_evals: int
-    max_step_error: float
     max_horizontality_residual: float | None = None
 
 
@@ -69,7 +68,6 @@ class TrajectoryDiagnostics:
 class Trajectory:
     """Sampled integral curve on TM with dense access to the full state."""
 
-    kind: str  # "lift" or "horizontal"
     dimension: int
     ts: np.ndarray
     xs: np.ndarray
@@ -136,14 +134,11 @@ def integrate_autoparallel(
         first_step=controls.first_step,
     )
     return Trajectory(
-        kind="lift",
         dimension=n,
         ts=sol.ts,
         xs=sol.states[:, :n],
         ys=sol.states[:, n:],
-        diagnostics=TrajectoryDiagnostics(
-            sol.naccepted, sol.nrejected, sol.nfev, sol.max_error_norm
-        ),
+        diagnostics=TrajectoryDiagnostics(sol.naccepted, sol.nrejected, sol.nfev),
         solution=sol,
     )
 
@@ -205,18 +200,11 @@ def integrate_horizontal_autoparallel(
         max_resid = max(max_resid, float(np.abs(resid).max()) / scale)
 
     return Trajectory(
-        kind="horizontal",
         dimension=n,
         ts=sol.ts,
         xs=sol.states[:, :n],
         ys=sol.states[:, n : 2 * n],
-        diagnostics=TrajectoryDiagnostics(
-            sol.naccepted,
-            sol.nrejected,
-            sol.nfev,
-            sol.max_error_norm,
-            max_horizontality_residual=max_resid,
-        ),
+        diagnostics=TrajectoryDiagnostics(sol.naccepted, sol.nrejected, sol.nfev, max_resid),
         solution=sol,
     )
 
@@ -331,8 +319,7 @@ def _seeded_state(space: JetSpace, base, u, v, u_seed, v_seed) -> np.ndarray:
     z0[0] = np.concatenate([np.asarray(base, float), np.asarray(v, float), u])
     for seed, col in ((v_seed, n), (u_seed, 2 * n)):
         if seed is not None:
-            for i in range(n):
-                z0[space.index_of[unit_index(space.nvars, seed + i)], col + i] = 1.0
+            z0[space.partial_slots(range(seed, seed + n))[0], range(col, col + n)] = 1.0
     return z0
 
 
@@ -391,7 +378,7 @@ def exp_map_with_jacobian(
     def blocks(seed):
         if seed is None:
             return None, None
-        slots = [space.index_of[unit_index(space.nvars, seed + i)] for i in range(n)]
+        slots = space.partial_slots(range(seed, seed + n))[0]
         return x[:, slots], y[:, slots]
 
     (dxdu, dydu), (dxdv, dydv) = blocks(u_seed), blocks(v_seed)

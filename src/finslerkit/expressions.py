@@ -221,9 +221,9 @@ def to_string(node) -> str:
 
     def render(n, parent_prec, is_right):
         if isinstance(n, Num):
-            if n.value == int(n.value) and abs(n.value) < 1e15:
+            if abs(n.value) < 1e15 and n.value == int(n.value):
                 return str(int(n.value))
-            return repr(n.value)
+            return repr(n.value).replace("inf", "1e999")  # 1e999 parses to inf
         if isinstance(n, Var):
             return n.name
         if isinstance(n, Call):
@@ -392,9 +392,10 @@ class _Compiler:
         self.zero, self.one = self.const(0.0), self.const(1.0)
         if inputs is None:  # variable v: its value cell, and 1 at its unit slot
             self.seed, regs = self._block(space.nvars), []
+            units = space.slots(np.eye(space.nvars, dtype=np.int64))
             for v, cell in enumerate(self.seed):
                 cells = np.full(size, self.zero)
-                cells[space.index_of.get(jets.unit_index(space.nvars, v), 0)] = self.one
+                cells[max(units[v], 0)] = self.one  # no unit slot at order 0 or cap 0
                 cells[0] = cell
                 regs.append(_Reg(cells, space.order, 1 << v, -1, None))
         else:

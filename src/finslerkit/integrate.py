@@ -238,11 +238,6 @@ class OdeSolution:
     naccepted: int = 0
     nrejected: int = 0
     nfev: int = 0
-    max_error_norm: float = 0.0
-
-    @property
-    def t_end(self) -> float:
-        return float(self.ts[-1])
 
     @property
     def state_end(self) -> np.ndarray:
@@ -360,7 +355,6 @@ def solve_ode(
     states = [z0.copy()]
     t, z = t0, z0.copy()
     naccepted = nrejected = 0
-    max_err = 0.0
     just_rejected = False
     stage_failure = None  # the last trial stage's error since an accepted step
 
@@ -400,7 +394,6 @@ def solve_ode(
             ts.append(t)
             states.append(z)
             naccepted += 1
-            max_err = max(max_err, err)
             k[0] = k[12]  # FSAL
             stage_failure = None
             factor = MAX_FACTOR if err == 0.0 else min(
@@ -421,5 +414,5 @@ def solve_ode(
 
     sol.ts = np.array(ts)
     sol.states = np.array(states)
-    sol.naccepted, sol.nrejected, sol.max_error_norm = naccepted, nrejected, max_err
+    sol.naccepted, sol.nrejected = naccepted, nrejected
     return sol

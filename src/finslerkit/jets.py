@@ -14,6 +14,11 @@ the cap form an ideal, so a product in the capped space is bit-identical to
 the full-space product on every kept slot; a quantity that needs only a few
 x-derivatives skips the slots it never reads.
 
+Each multi-index has one integer code (see :class:`JetSpace`).  Codes add
+without carry, so a space builds its tables as array arithmetic on codes, and
+:meth:`JetSpace.slots` and :meth:`JetSpace.partial_slots` are the one way any
+module finds a slot.
+
 There is one product and one derivative, both on coefficient arrays:
 :meth:`JetSpace.product` and :meth:`JetSpace.derivative`.  A
 :class:`TaylorJet` is one such array with an order and a support, and its
@@ -57,38 +62,11 @@ from __future__ import annotations
 
 import math
 from functools import partialmethod
-from itertools import combinations_with_replacement
-from itertools import product as cartesian
 
 import numpy as np
 
 from .bundle import TangentBundlePoint
 from .errors import NonFiniteField, OrderUnsupported
-
-
-def unit_index(nvars: int, *slots: int) -> tuple:
-    """Exponent tuple over ``nvars`` variables with one count per listed slot.
-
-    ``unit_index(4, 1)`` is (0, 1, 0, 0); repeats add up, so
-    ``unit_index(4, 1, 3, 3)`` is (0, 1, 0, 2).
-    """
-    alpha = [0] * nvars
-    for v in slots:
-        alpha[v] += 1
-    return tuple(alpha)
-
-
-def _multi_indices(nvars: int, order: int, capped: int, cap: int):
-    """Exponent tuples of total degree <= order and joint degree <= cap in the
-    first ``capped`` variables, sorted by (degree, lex)."""
-    out = []
-    for deg in range(order + 1):
-        block = {
-            unit_index(nvars, *combo)
-            for combo in combinations_with_replacement(range(nvars), deg)
-        }
-        out.extend(a for a in sorted(block) if sum(a[:capped]) <= cap)
-    return out
 
 
 class JetSpace:
@@ -108,6 +86,18 @@ class JetSpace:
       where its full-space source lies outside the space.  A value built with
       k nested x-derivatives is therefore exact on x-degree <= ``cap - k``.
 
+    Each slot's multi-index alpha has one integer code, ``codes[slot]``: the
+    digits (|alpha|, alpha_1, ..., alpha_nvars) in base ``order + 1`` (int64,
+    or Python integers past its range).  No digit of a sum of two
+    multi-indices within the order exceeds the order, so codes add without
+    carry, code(alpha + beta) = code(alpha) + code(beta), and they increase
+    with the slot.  Every table is built from them with
+    array operations: a product pair's output slot, a derivative's source and
+    a monomial's parent are binary searches of a sum or difference of codes.
+    :meth:`slots` is the one lookup of a multi-index's slot, and
+    :meth:`partial_slots` gives the slots and factorials of a tensor of mixed
+    partials.
+
     The space owns the jet arithmetic's two kernels, on coefficient arrays
     whose last axis runs over its slots: :meth:`product` and
     :meth:`derivative`.  A product of factors with partial supports (see
@@ -126,24 +116,39 @@ class JetSpace:
             raise ValueError("need nvars >= 1 and order >= 0")
         if not 0 <= capped <= nvars or (cap is not None and cap < 0):
             raise ValueError("need 0 <= capped <= nvars and cap >= 0")
+        base = order + 1
         self.nvars = nvars
         self.order = order
         self.capped = capped
         self.cap = order if cap is None else cap
-        self.indices = _multi_indices(nvars, order, capped, self.cap)
-        self.size = len(self.indices)
-        self.index_of = {alpha: i for i, alpha in enumerate(self.indices)}
-        self.degrees = np.array([sum(a) for a in self.indices], dtype=np.int64)
+        # place: the weights of the digits (degree, alpha_1, ..., alpha_nvars),
+        # Python integers where a code can pass the int64 range
+        wide = base ** (nvars + 1) > np.iinfo(np.int64).max
+        self._place = base ** np.arange(nvars, -1, -1, dtype=object if wide else np.int64)
+        unit = self._place[0] + self._place[1:]  # the code of each e_v
+
+        # degree d's codes are the sums of degree d - 1's with each e_v, sorted
+        # (hence lex within the degree); the x-degrees above a cap form an
+        # ideal, so every kept multi-index has a kept parent
+        blocks = [np.zeros(1, dtype=self._place.dtype)]
+        for _ in range(order):
+            block = np.sort((blocks[-1][:, None] + unit).ravel())
+            block = block[np.diff(block, prepend=-1) > 0]  # each sum once
+            x_degree = (block[:, None] // self._place[1 : capped + 1] % base).sum(axis=1)
+            blocks.append(block[x_degree <= self.cap])
+        self.codes = np.concatenate(blocks)
+        self.size = self.codes.size
+        self.degrees = (self.codes // self._place[0]).astype(np.int64, copy=False)
         # exponents[i, v]: the power of variable v in slot i's monomial
-        self.exponents = np.array(self.indices, dtype=np.int64).reshape(self.size, nvars)
+        self.exponents = (self.codes[:, None] // self._place[1:] % base).astype(np.int64, copy=False)
         self.slot_vars = self.exponents > 0
         self.full_support = (1 << nvars) - 1
+        self._partial_tables: dict[tuple, tuple] = {}
 
         # factorial(alpha) per slot, for converting Taylor coefficients into
         # true mixed partials
-        self.factorials = np.array(
-            [float(np.prod([math.factorial(k) for k in a])) for a in self.indices]
-        )
+        factorial = np.array([math.factorial(k) for k in range(base)])
+        self.factorials = factorial[self.exponents].prod(axis=1).astype(float)
 
         # masks[o] zeroes every coefficient of degree > o
         self.masks = [
@@ -158,27 +163,21 @@ class JetSpace:
         # ascending i, the order of an i-major table, and since np.bincount
         # adds its weights in array order every product is bit-identical to a
         # full i-major product masked to the result order.
-        by_degree: dict[int, list[int]] = {d: [] for d in range(order + 1)}
-        for i, alpha in enumerate(self.indices):
-            by_degree[sum(alpha)].append(i)
-        ia, ib, ic = [], [], []
-        ends = []  # ends[o]: number of pairs of output degree <= o
+        lo = np.searchsorted(self.degrees, np.arange(order + 2))  # degree d: lo[d]:lo[d + 1]
+        ia, ib, ic, ends = [], [], [], []  # ends[o]: number of pairs of output degree <= o
         for d in range(order + 1):
             for da in range(d + 1):
-                for i in by_degree[da]:
-                    alpha = self.indices[i]
-                    for j in by_degree[d - da]:
-                        beta = self.indices[j]
-                        k = self.index_of.get(tuple(a + b for a, b in zip(alpha, beta)))
-                        if k is None:  # x-degree above the cap
-                            continue
-                        ia.append(i)
-                        ib.append(j)
-                        ic.append(k)
-            ends.append(len(ia))
-        self._mul_ia = np.array(ia, dtype=np.intp)
-        self._mul_ib = np.array(ib, dtype=np.intp)
-        self._mul_ic = np.array(ic, dtype=np.intp)
+                i = np.arange(lo[da], lo[da + 1])[:, None]
+                j = np.arange(lo[d - da], lo[d - da + 1])
+                k = self._find(self.codes[i] + self.codes[j])
+                kept = k >= 0  # False: x-degree above the cap
+                ia.append(np.broadcast_to(i, k.shape)[kept])
+                ib.append(np.broadcast_to(j, k.shape)[kept])
+                ic.append(k[kept])
+            ends.append(sum(map(len, ic)))
+        self._mul_ia = np.concatenate(ia)
+        self._mul_ib = np.concatenate(ib)
+        self._mul_ic = np.concatenate(ic)
         # _mul_prefix[o]: views of the pairs a product of order-o jets needs;
         # its slots above degree o get no summand and stay exactly zero
         self._mul_prefix = [
@@ -188,37 +187,20 @@ class JetSpace:
 
         # derivative tables: one (src, dst, factor) triple set per variable;
         # a source of degree > order or above the cap is not in the space,
-        # and its target stays zero
+        # and its target stays zero (only slots below the order shift, so no
+        # sum of codes carries)
+        inner = np.flatnonzero(self.degrees < order)
         self._deriv = []
         for v in range(nvars):
-            src, dst, fac = [], [], []
-            for j, beta in enumerate(self.indices):
-                shifted = list(beta)
-                shifted[v] += 1
-                k = self.index_of.get(tuple(shifted))
-                if k is None:
-                    continue
-                src.append(k)
-                dst.append(j)
-                fac.append(beta[v] + 1.0)
-            self._deriv.append(
-                (
-                    np.array(src, dtype=np.intp),
-                    np.array(dst, dtype=np.intp),
-                    np.array(fac),
-                )
-            )
+            src = self._find(self.codes[inner] + unit[v])
+            dst = inner[src >= 0]
+            self._deriv.append((src[src >= 0], dst, self.exponents[dst, v] + 1.0))
 
         # monomial recursion for compose(): the slot of alpha (degree >= 1) is
         # the slot of alpha minus its first variable v, times variable v
-        self._mono_var = np.zeros(self.size, dtype=np.intp)
-        self._mono_parent = np.zeros(self.size, dtype=np.intp)
-        for i, alpha in enumerate(self.indices[1:], start=1):
-            v = next(k for k, a in enumerate(alpha) if a)
-            self._mono_var[i] = v
-            self._mono_parent[i] = self.index_of[
-                tuple(a - (k == v) for k, a in enumerate(alpha))
-            ]
+        self._mono_var = np.argmax(self.slot_vars, axis=1)
+        self._mono_parent = self._find(self.codes - unit[self._mono_var])
+        self._mono_parent[0] = 0
 
     @classmethod
     def get(cls, nvars: int, order: int, capped: int = 0, cap: int | None = None) -> "JetSpace":
@@ -230,6 +212,37 @@ class JetSpace:
             space = cls(nvars, order, capped, cap)
             cls._cache[key] = space
         return space
+
+    def slots(self, exponents) -> np.ndarray:
+        """The slot of each multi-index in ``exponents`` (its last axis runs
+        over the variables), or -1 where the space does not hold it: a
+        negative exponent, a degree above the order or an x-degree above the
+        cap."""
+        exponents = np.asarray(exponents, dtype=np.int64)
+        digits = np.concatenate([exponents.sum(axis=-1, keepdims=True), exponents], axis=-1)
+        found = self._find(digits.astype(self._place.dtype, copy=False) @ self._place)
+        # within the order no digit carries, so the code is alpha's own
+        return np.where((digits[..., 0] <= self.order) & (exponents >= 0).all(axis=-1), found, -1)
+
+    def partial_slots(self, *axes) -> tuple:
+        """Slots and factorials of the mixed partials taking one variable from
+        each of ``axes`` (sequences of variable numbers), as two arrays of
+        shape ``[len(axis) for axis in axes]``; cached per axes."""
+        key = tuple(map(tuple, axes))
+        table = self._partial_tables.get(key)
+        if table is None:
+            unit = np.eye(self.nvars, dtype=np.int64)
+            counts = sum((unit[g] for g in np.ix_(*key)), np.zeros(self.nvars, dtype=np.int64))
+            idx = self.slots(counts)
+            if (idx < 0).any():
+                raise OrderUnsupported(f"partials {key} lie outside the jet space")
+            table = self._partial_tables[key] = (idx, self.factorials[idx])
+        return table
+
+    def _find(self, codes: np.ndarray) -> np.ndarray:
+        """The slot of each code, or -1 where no slot has it."""
+        at = np.minimum(np.searchsorted(self.codes, codes), self.size - 1)
+        return np.where(self.codes[at] == codes, at, -1)
 
     def pairs(self, order: int, support_a: int, support_b: int) -> tuple:
         """The pairs of ``_mul_prefix[order]``, in its order, whose left slot
@@ -306,8 +319,8 @@ class JetSpace:
         """The coordinate function of variable ``v`` expanded at ``value``."""
         c = np.zeros(self.size)
         c[0] = float(value)
-        i = self.index_of.get(unit_index(self.nvars, v))
-        if i is not None:  # absent at order 0 or cap 0
+        i = self.slots(np.eye(self.nvars, dtype=np.int64)[v])
+        if i >= 0:  # absent at order 0 or cap 0
             c[i] = 1.0
         return TaylorJet(self, self.order, c, 1 << v)
 
@@ -341,10 +354,8 @@ class TaylorJet:
         """Tensor of the true mixed partials taking one variable from each of
         ``axes`` (sequences of variable numbers); one axis gives a gradient,
         two a Hessian block."""
-        at, nv = self.space.index_of, self.space.nvars
-        idx = np.array([at[unit_index(nv, *vs)] for vs in cartesian(*axes)], dtype=np.intp)
-        values = self.c[idx] * self.space.factorials[idx]
-        return values.reshape([len(axis) for axis in axes])
+        idx, factorials = self.space.partial_slots(*axes)
+        return self.c[idx] * factorials
 
     def deriv(self, v: int) -> "TaylorJet":
         """Partial derivative with respect to variable ``v``; drops one order."""
@@ -644,7 +655,7 @@ def wave_products(flat: np.ndarray, out: slice, factors, bins) -> None:
 def compose(coef: np.ndarray, space: JetSpace, inner: np.ndarray, out: JetSpace) -> np.ndarray:
     """Coefficients in ``out`` of f(w0 + inner), to the order of ``out``.
 
-    ``coef[..., i]`` is the Taylor coefficient of f at ``space.indices[i]``
+    ``coef[..., i]`` is the Taylor coefficient of f at ``space.exponents[i]``
     around w0 (the slots of degree <= ``out.order`` are read), and ``inner``
     holds the ``space.nvars`` deviation jets as an (nvars, out.size) array with
     zero constant terms.  The result is the coefficient matrix times the

@@ -9,9 +9,13 @@ arithmetic and ``evaluate_deep``, so they serve the tests as independent
 checks of the array kernels the library runs on stacked coefficient arrays
 and of the degree recursion behind ``exp_map_jets`` at rest.  The readers
 take single partials and derivative blocks out of the library's jets.
+:func:`loop_tables` builds a space's tables the way ``JetSpace`` built them
+before its slot codes, one Python loop over the pairs and slots, as the
+reference the array build must reproduce.
 """
 
-from itertools import permutations
+import math
+from itertools import combinations_with_replacement, permutations
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,11 +28,105 @@ from finslerkit.expressions import coordinate_env, evaluate, parse
 from finslerkit.jets import JetSpace, TaylorJet, eval_taylor
 
 
+def unit_index(nvars: int, *slots: int) -> tuple:
+    """Exponent tuple over ``nvars`` variables with one count per listed slot.
+
+    ``unit_index(4, 1)`` is (0, 1, 0, 0); repeats add up, so
+    ``unit_index(4, 1, 3, 3)`` is (0, 1, 0, 2).
+    """
+    alpha = [0] * nvars
+    for v in slots:
+        alpha[v] += 1
+    return tuple(alpha)
+
+
+def multi_indices(space) -> list:
+    """The exponent tuples of ``space``'s slots, in slot order."""
+    return [tuple(alpha) for alpha in space.exponents.tolist()]
+
+
+def slot(space, alpha) -> int:
+    """The slot of exponent tuple ``alpha``; KeyError where ``space`` lacks it."""
+    i = int(space.slots(alpha))
+    if i < 0:
+        raise KeyError(tuple(alpha))
+    return i
+
+
 def jet_partial(jet, alpha) -> float:
     """True mixed partial of ``jet`` for exponent tuple ``alpha`` (its Taylor
     coefficient times alpha!)."""
-    i = jet.space.index_of[tuple(alpha)]
+    i = slot(jet.space, alpha)
     return float(jet.c[i] * jet.space.factorials[i])
+
+
+def loop_tables(nvars, order, capped=0, cap=None):
+    """The tables of ``JetSpace(nvars, order, capped, cap)`` built by loops
+    over tuples: the multi-indices sorted by (degree, lex), the pair table
+    i-major within each output degree, one shifted lookup per slot and
+    variable for the derivatives, and the first variable's parent for the
+    monomial recursion."""
+    cap = order if cap is None else cap
+    indices = []
+    for deg in range(order + 1):
+        block = {
+            unit_index(nvars, *combo)
+            for combo in combinations_with_replacement(range(nvars), deg)
+        }
+        indices.extend(a for a in sorted(block) if sum(a[:capped]) <= cap)
+    index_of = {alpha: i for i, alpha in enumerate(indices)}
+    size = len(indices)
+    degrees = np.array([sum(a) for a in indices], dtype=np.int64)
+
+    by_degree = {d: [] for d in range(order + 1)}
+    for i, alpha in enumerate(indices):
+        by_degree[sum(alpha)].append(i)
+    ia, ib, ic, ends = [], [], [], []
+    for d in range(order + 1):
+        for da in range(d + 1):
+            for i in by_degree[da]:
+                for j in by_degree[d - da]:
+                    gamma = tuple(a + b for a, b in zip(indices[i], indices[j]))
+                    k = index_of.get(gamma)
+                    if k is not None:
+                        ia.append(i)
+                        ib.append(j)
+                        ic.append(k)
+        ends.append(len(ia))
+
+    deriv = []
+    for v in range(nvars):
+        src, dst, fac = [], [], []
+        for j, beta in enumerate(indices):
+            k = index_of.get(tuple(b + (w == v) for w, b in enumerate(beta)))
+            if k is not None:
+                src.append(k)
+                dst.append(j)
+                fac.append(beta[v] + 1.0)
+        deriv.append((np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(fac)))
+
+    mono_var = np.zeros(size, dtype=np.intp)
+    mono_parent = np.zeros(size, dtype=np.intp)
+    for i, alpha in enumerate(indices[1:], start=1):
+        v = next(k for k, a in enumerate(alpha) if a)
+        mono_var[i] = v
+        mono_parent[i] = index_of[tuple(a - (k == v) for k, a in enumerate(alpha))]
+
+    return SimpleNamespace(
+        indices=indices,
+        size=size,
+        degrees=degrees,
+        exponents=np.array(indices, dtype=np.int64).reshape(size, nvars),
+        factorials=np.array([float(np.prod([math.factorial(k) for k in a])) for a in indices]),
+        masks=[(degrees <= o).astype(float) for o in range(order + 1)],
+        _mul_ia=np.array(ia, dtype=np.intp),
+        _mul_ib=np.array(ib, dtype=np.intp),
+        _mul_ic=np.array(ic, dtype=np.intp),
+        ends=ends,
+        _deriv=deriv,
+        _mono_var=mono_var,
+        _mono_parent=mono_parent,
+    )
 
 
 def horizontal_derivative(conn, field, point) -> np.ndarray:

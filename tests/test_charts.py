@@ -24,17 +24,18 @@ from finslerkit.dynamics import (
 from finslerkit.errors import (
     ExcludedSetEntered,
     FinslerKitError,
+    NearZeroDirection,
     NewtonDiverged,
     NonFiniteField,
     OutsideTrustRegion,
     SingularJacobian,
 )
-from finslerkit.jets import JetSpace, TaylorJet, unit_index
+from finslerkit.jets import JetSpace, TaylorJet
 from finslerkit.lagrangian import FinslerLagrangian
 from finslerkit.models import builtin_names, load_model
 
 from fd_oracles import richardson_gradient
-from jet_oracles import closed_form_blocks, rest_blocks
+from jet_oracles import closed_form_blocks, rest_blocks, slot, unit_index
 
 
 def chart_for(name, base, kind="extended", **kw):
@@ -245,7 +246,7 @@ def test_cubic_series_is_fourth_order_accurate_without_fiber_symmetry():
     for b in range(2):
         for c in range(2):
             for d in range(2):
-                i = space.index_of[unit_index(2, b, c, d)]
+                i = slot(space, unit_index(2, b, c, d))
                 flow = x[:, i] * space.factorials[i]
                 assert np.abs(d3[:, b, c, d] - flow).max() <= 1e-10 * (1.0 + np.abs(flow).max())
 
@@ -321,6 +322,70 @@ def test_newton_divergence_reports_last_iterate(monkeypatch):
         ch.from_manifold(far)
     assert err.value.residual > 0
     assert err.value.last_iterate.shape == (4,)
+
+
+# The damped Newton loop on a scripted forward map: the state and update
+# matrix of each call come from ``forward``, and the seed is the origin, so
+# each test drives one path of the loop.  Every value is dyadic, so each
+# residual below is exact.
+_TARGET = np.array([0.5, 0.25, 1.0, -0.5])
+
+
+def _scripted_newton(monkeypatch, forward):
+    ch = chart_for("polar2d", [1.0, 0.0])
+    trials = []
+
+    def scripted(z):
+        trials.append(z.copy())
+        return forward(z, len(trials) - 1)
+
+    monkeypatch.setattr(ch, "_newton_seed", lambda p: np.zeros(4))
+    monkeypatch.setattr(ch, "_forward_with_update_matrix", scripted)
+    return ch, bundle_point(_TARGET[:2], _TARGET[2:]), trials
+
+
+def test_newton_halves_a_step_that_overshoots(monkeypatch):
+    # the identity map with half its Jacobian: the full step lands at
+    # 2 * target, where the residual does not drop, and one halving hits it
+    ch, p, trials = _scripted_newton(monkeypatch, lambda z, call: (z, 0.5 * np.eye(4)))
+    xt, yt = ch.from_manifold(p)
+    assert np.concatenate([xt, yt]).tolist() == _TARGET.tolist()
+    assert [t.tolist() for t in trials] == [[0.0] * 4, (2 * _TARGET).tolist(), _TARGET.tolist()]
+
+
+def test_newton_halves_a_step_into_the_excluded_set(monkeypatch):
+    # the first trial raises: it counts as no progress, and the half step
+    # is taken; the exact Jacobian then reaches the target in one step
+    def forward(z, call):
+        if call == 1:
+            raise NearZeroDirection("scripted excluded set")
+        return z, np.eye(4)
+
+    ch, p, trials = _scripted_newton(monkeypatch, forward)
+    xt, yt = ch.from_manifold(p)
+    assert np.concatenate([xt, yt]).tolist() == _TARGET.tolist()
+    want = [np.zeros(4), _TARGET, 0.5 * _TARGET, _TARGET]
+    assert [t.tolist() for t in trials] == [w.tolist() for w in want]
+
+
+def test_newton_without_progress_reports_its_last_iterate(monkeypatch):
+    # a constant map: no trial lowers the residual, and every backtrack is spent
+    ch, p, trials = _scripted_newton(monkeypatch, lambda z, call: (np.ones(4), np.eye(4)))
+    with pytest.raises(NewtonDiverged, match="^damped Newton made no progress$") as err:
+        ch.from_manifold(p)
+    assert err.value.last_iterate.tolist() == [0.0] * 4
+    assert err.value.residual == 1.5  # |1 - (-0.5)|
+    assert len(trials) == 1 + charts._MAX_BACKTRACKS
+    assert trials[-1].tolist() == (charts._DAMPING ** (charts._MAX_BACKTRACKS - 1) * (_TARGET - 1.0)).tolist()
+
+
+def test_newton_refuses_a_singular_update_matrix(monkeypatch):
+    ch, p, _ = _scripted_newton(monkeypatch, lambda z, call: (z, np.zeros((4, 4))))
+    with pytest.raises(NewtonDiverged, match="^singular Newton update: Singular matrix$") as err:
+        ch.from_manifold(p)
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+    assert err.value.last_iterate.tolist() == [0.0] * 4
+    assert err.value.residual == 1.0
 
 
 def test_inversion_refuses_collapsed_directions():

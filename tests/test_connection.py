@@ -13,19 +13,27 @@ from finslerkit import (
 )
 from finslerkit.connection import (
     GeneralConnection,
-    _partial_slots,
     _series_solve,
     _spray,
     _x_cap,
     cartan_linear_delta,
 )
 from finslerkit import expressions, jets
-from finslerkit.jets import JetSpace, TaylorJet, eval_taylor, unit_index
+from finslerkit.jets import JetSpace, TaylorJet, eval_taylor
 from finslerkit.lagrangian import FinslerLagrangian
 from finslerkit.models import load_model
 
 from fd_oracles import central_gradient, central_hessian
-from jet_oracles import family_walk, horizontal_derivative, jet_level_n, jet_partial, jet_solve
+from jet_oracles import (
+    family_walk,
+    horizontal_derivative,
+    jet_level_n,
+    jet_partial,
+    jet_solve,
+    multi_indices,
+    slot,
+    unit_index,
+)
 
 MODELS = ["flat4d", "polar2d", "sphere2d", "randers2d", "quartic4d"]
 LINE_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "line1d.json"
@@ -427,7 +435,7 @@ def test_n_jets_match_full_space_on_the_slots_callers_read(name):
             space = JetSpace.get(2 * n, order)
             assert capped.shape == full.shape == (n, n, space.size)
             assert capped.flags.c_contiguous
-            x_degree = np.array([sum(alpha[:n]) for alpha in space.indices])
+            x_degree = np.array([sum(alpha[:n]) for alpha in multi_indices(space)])
             solved = x_degree <= _x_cap(order) - 1
             assert solved.sum() >= (x_degree <= min(order, 1)).sum()
             assert capped[:, :, solved].tobytes() == full[:, :, solved].tobytes(), (name, order)
@@ -448,15 +456,15 @@ def test_cartan_linear_delta_matches_the_metric_jet_gather(name):
         g = np.empty((n, n, work.size))
         for q in range(n):
             for c in range(n):
-                for i, alpha in enumerate(work.indices):
+                for i, alpha in enumerate(multi_indices(work)):
                     beta = list(alpha)
                     beta[n + c] += 1
                     rise_c = beta[n + c]
                     beta[n + q] += 1
                     fac = 1.0 * rise_c * beta[n + q] * 0.5
-                    g[q, c, i] = L.c[L.space.index_of[tuple(beta)]] * fac
-        x_slots = [work.index_of[unit_index(2 * n, b)] for b in range(n)]
-        y_slots = [work.index_of[unit_index(2 * n, n + b)] for b in range(n)]
+                    g[q, c, i] = L.c[slot(L.space, beta)] * fac
+        x_slots = [slot(work, unit_index(2 * n, b)) for b in range(n)]
+        y_slots = [slot(work, unit_index(2 * n, n + b)) for b in range(n)]
         N = conn.n_jets(p, 0)[:, :, 0]
         delta_g = g[:, :, x_slots] - np.einsum("mb,qcm->qcb", N, g[:, :, y_slots])
         term = np.transpose(delta_g, (0, 2, 1)) + delta_g - np.transpose(delta_g, (2, 0, 1))
@@ -479,23 +487,27 @@ def _eager_tensors(conn, p, order):
     first access."""
     n = conn.dimension
     taylor = conn.n_jets(p, order)
+    space = JetSpace.get(2 * n, order)
     if order >= 2:
-        space = JetSpace.get(2 * n, order)
         fiber = [space.derivative(taylor, n + c) for c in range(n)]
         stack = np.stack([taylor] + fiber, axis=2)
         taylor = stack[:, :, 0]
-    slots = _partial_slots(n, order)
 
-    def partials(kind):
-        idx, factorials = slots[kind]
-        return taylor[:, :, idx] * factorials
+    def partials(*slot_lists):
+        idx = np.array([slot(space, unit_index(2 * n, *sl)) for sl in slot_lists])
+        return taylor[:, :, idx] * space.factorials[idx]
 
-    out = {"N": taylor[:, :, 0], "dN_x": partials("x"), "dN_y": partials("y")}
+    out = {
+        "N": taylor[:, :, 0],
+        "dN_x": partials(*((c,) for c in range(n))),
+        "dN_y": partials(*((n + c,) for c in range(n))),
+    }
     out["delta_N"] = out["dN_x"] - np.einsum("mc,abm->abc", out["N"], out["dN_y"])
     out["R"] = out["delta_N"] - np.transpose(out["delta_N"], (0, 2, 1))
     if order >= 2:
-        out["ddN_xy"] = partials("xy").reshape(n, n, n, n)
-        out["ddN_yy"] = partials("yy").reshape(n, n, n, n)
+        cd = [(c, d) for c in range(n) for d in range(n)]
+        out["ddN_xy"] = partials(*((n + c, d) for c, d in cd)).reshape(n, n, n, n)
+        out["ddN_yy"] = partials(*((n + c, n + d) for c, d in cd)).reshape(n, n, n, n)
         out["delta_dN"] = out["ddN_xy"] - np.einsum("md,abcm->abcd", out["N"], out["ddN_yy"])
         out["taylor"] = stack
     return out
@@ -539,7 +551,7 @@ def test_evaluation_tensors_are_the_jet_partials(name):
     space = JetSpace.get(2 * n, 2)
 
     def partial(a, b, *slots):
-        i = space.index_of[unit_index(2 * n, *slots)]
+        i = slot(space, unit_index(2 * n, *slots))
         return float(njets[a, b, i] * space.factorials[i])
 
     for a in range(n):
@@ -598,10 +610,10 @@ def test_n_jets_match_jet_level_elimination(name):
             L = model.taylor(p, order + 3)
             ref = jet_level_n(L, p.y, order)
             space = JetSpace.get(2 * n, order)
-            read = [al for al in space.indices if sum(al[:n]) <= max(min(order, 1), order - 1)]
-            got = np.array([[[mine[a, b, space.index_of[al]] for al in read]
+            read = [al for al in multi_indices(space) if sum(al[:n]) <= max(min(order, 1), order - 1)]
+            got = np.array([[[mine[a, b, slot(space, al)] for al in read]
                              for b in range(n)] for a in range(n)])
-            want = np.array([[[ref[a][b].c[L.space.index_of[al]] for al in read]
+            want = np.array([[[ref[a][b].c[slot(L.space, al)] for al in read]
                               for b in range(n)] for a in range(n)])
             assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max()), (name, order)
 

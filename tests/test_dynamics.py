@@ -30,11 +30,11 @@ from finslerkit.errors import (
     StepSizeUnderflow,
 )
 from finslerkit.integrate import solve_ode
-from finslerkit.jets import JetSpace, unit_index
+from finslerkit.jets import JetSpace
 from finslerkit.models import builtin_names, load_model
 
 from fd_oracles import richardson_hessian
-from jet_oracles import closed_form_blocks, rest_blocks
+from jet_oracles import closed_form_blocks, multi_indices, rest_blocks, slot, unit_index
 
 TIGHT = IntegrationControls(rtol=1e-12, atol=1e-13)
 LINE_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "line1d.json"
@@ -753,7 +753,7 @@ def test_order_two_and_three_flow_jets_match_differences_of_exp_map(name, x0, u,
     for row, comp in enumerate(np.vstack([x, y])):
         fd = richardson_hessian(lambda z: flow(z)[row], z0, 2e-2, 1e-2)
         jet = np.array(
-            [[comp[space.index_of[unit_index(2 * n, a, b)]] * (1.0 + (a == b))
+            [[comp[slot(space, unit_index(2 * n, a, b))] * (1.0 + (a == b))
               for b in range(2 * n)] for a in range(2 * n)]
         )
         assert np.abs(jet - fd).max() <= 1e-6 * (1.0 + np.abs(fd).max())
@@ -762,8 +762,9 @@ def test_order_two_and_three_flow_jets_match_differences_of_exp_map(name, x0, u,
     space = JetSpace.get(n, 3)
     x, y = exp_map_jets(conn, x0, u, v, space, u_seed=0, controls=TIGHT)
     w = np.array([0.6, 0.8])
-    cubic = [i for i, alpha in enumerate(space.indices) if sum(alpha) == 3]
-    weights = np.array([6.0 * np.prod(w ** np.array(space.indices[i])) for i in cubic])
+    indices = multi_indices(space)
+    cubic = [i for i, alpha in enumerate(indices) if sum(alpha) == 3]
+    weights = np.array([6.0 * np.prod(w ** np.array(indices[i])) for i in cubic])
 
     def third(h):
         p = [exp_map(conn, x0, u + k * h * w, v, TIGHT).as_state() for k in (2, 1, -1, -2)]
@@ -790,7 +791,7 @@ def test_order_three_jets_at_zero_velocity_match_the_closed_form_blocks(name, x0
         shape = (n,) * k
         out = np.empty(shape)
         for idx in np.ndindex(*shape):
-            i = space.index_of[unit_index(n, *idx)]
+            i = slot(space, unit_index(n, *idx))
             out[idx] = comp[i] * space.factorials[i]
         return out
 
@@ -813,7 +814,7 @@ def test_mixed_jets_at_zero_velocity_match_the_du_dv_block(name, x0, v):
     y = exp_map_jets(conn, x0, np.zeros(n), v, space, u_seed=0, v_seed=n, controls=TIGHT)[1]
     d = closed_form_blocks(conn, x0, v)
     # the slot of du^b dv^c holds d^2 y / du^b dv^c itself (factorial 1)
-    slots = [[space.index_of[unit_index(2 * n, b, n + c)] for c in range(n)] for b in range(n)]
+    slots = [[slot(space, unit_index(2 * n, b, n + c)) for c in range(n)] for b in range(n)]
     got = y[:, slots]
     assert np.abs(got - d.d2y_duv).max() <= 1e-10 * (1.0 + np.abs(d.d2y_duv).max())
 

@@ -174,21 +174,32 @@ def _outcome(compute):
     return out
 
 
-@settings(max_examples=150, deadline=None)
-@given(tree=_jet_trees(3), coords=st.lists(_coordinate, min_size=4, max_size=4),
-       order=st.integers(0, 3))
-def test_tape_is_the_walk_over_taylor_jets_bit_for_bit(tree, coords, order):
-    # seeded variables, as in FinslerLagrangian.taylor
-    p = bundle_point(coords[:2], coords[2:])
+def _seeded_outcomes(tree, p, order):
+    """The tape's and the walk's outcomes on the variables seeded at ``p``,
+    as in FinslerLagrangian.taylor."""
     space = JetSpace.get(4, order, 2, 1)
 
     def walk(xs, ys):
         return evaluate(tree, coordinate_env(2, xs, ys))
 
     tape = expressions.compiled(tree, repr(tree), space, None)
-    assert _outcome(lambda: finite_jet(tape.run(p.x, p.y), space, p)) == _outcome(
-        lambda: eval_taylor(walk, p, order, 1)
+    return (
+        _outcome(lambda: finite_jet(tape.run(p.x, p.y), space, p)),
+        _outcome(lambda: eval_taylor(walk, p, order, 1)),
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_jet_trees(3), coords=st.lists(_coordinate, min_size=4, max_size=4),
+       order=st.integers(0, 3))
+def test_tape_is_the_walk_over_taylor_jets_bit_for_bit(tree, coords, order):
+    seeded_tape, seeded_walk = _seeded_outcomes(tree, bundle_point(coords[:2], coords[2:]), order)
+    assert seeded_tape == seeded_walk
+
+    def walk(xs, ys):
+        return evaluate(tree, coordinate_env(2, xs, ys))
+
+    space = JetSpace.get(4, order, 2, 1)
     # chart-style inputs: full support, the fiber one order below the base
     rng = np.random.default_rng([len(repr(tree)), order])
     jets = [TaylorJet(space, order, np.append(v, rng.standard_normal(space.size - 1)))
@@ -201,3 +212,36 @@ def test_tape_is_the_walk_over_taylor_jets_bit_for_bit(tree, coords, order):
     assert _outcome(lambda: tape.run(*[jet.c for jet in jets])) == _outcome(
         lambda: walk(jets[:2], jets[2:])
     )
+
+
+@pytest.mark.parametrize("text, y1, expected", [
+    # errors the compiler defers to where the walk raises them
+    ("y1 * z9", 1.0, (ExpressionError, "unknown variable 'z9'")),
+    ("y1 + log(0 - 1)", 1.0, (NonFiniteField, "log of non-positive value -1.000e+00")),
+    ("y1 ^ x1", 1.0, (ExpressionError, "exponent must be a constant")),
+    ("y1 / (0.5 - 0.5)", 1.0, (NonFiniteField, "division by zero in 'y1/(0.5 - 0.5)'")),
+    ("y1 * 1e999 / 0", 1.0, (NonFiniteField, "division by zero in 'y1*1e999/0'")),
+    # the first error the walk meets is the one raised
+    ("log(y1) * (1 / (0.5 - 0.5))", -0.5,
+     (NonFiniteField, "log of jet with non-positive value -5.000e-01")),
+    ("log(y1) * (1 / (0.5 - 0.5))", 0.5, (NonFiniteField, "division by zero in '1/(0.5 - 0.5)'")),
+    # negative integer powers of jets: the reciprocal's powers
+    ("(y1 + 2) ^ -2", 0.5, None),
+    ("x1 * y1 ^ -3 - y2 ^ -1", 0.5, None),
+    ("y1 ^ -1", 0.0, (NonFiniteField, "reciprocal of a jet with zero constant term")),
+])
+def test_tape_defers_errors_and_takes_negative_powers_as_the_walk(text, y1, expected):
+    p = bundle_point([0.3, -0.2], [y1, 0.7])
+    for order in (0, 1, 3):
+        tape, walk = _seeded_outcomes(parse(text), p, order)
+        assert tape == walk, (text, order)
+        if expected is None:
+            assert isinstance(tape[0], bytes), (text, order)
+        else:
+            assert tape == expected, (text, order)
+
+
+def test_infinite_literals_print_and_divide_by_zero_typed():
+    assert parse(to_string(parse("1e999"))) == Num(math.inf)
+    with pytest.raises(NonFiniteField, match=r"^division by zero in 'y1\*1e999/0'$"):
+        evaluate(parse("y1 * 1e999 / 0"), {"y1": 1.0})

@@ -21,13 +21,12 @@ from finslerkit.jets import (
     power,
     sin,
     sqrt,
-    unit_index,
 )
 
 from finslerkit.lagrangian import FinslerLagrangian
 
 from fd_oracles import central_gradient, richardson_hessian
-from jet_oracles import jet_partial
+from jet_oracles import jet_partial, loop_tables, multi_indices, slot, unit_index
 
 
 def quadratic_fiber(xs, ys):
@@ -311,13 +310,15 @@ def _full_table_product(space, a, b):
     """Reference product: every pair of the order-``space.order`` table, in
     i-major order, folded with bincount, then masked to the result order."""
     ia, ib, ic = [], [], []
-    for i, alpha in enumerate(space.indices):
-        for j, beta in enumerate(space.indices):
+    indices = multi_indices(space)
+    slot_of = {alpha: i for i, alpha in enumerate(indices)}
+    for i, alpha in enumerate(indices):
+        for j, beta in enumerate(indices):
             gamma = tuple(p + q for p, q in zip(alpha, beta))
             if sum(gamma) <= space.order:
                 ia.append(i)
                 ib.append(j)
-                ic.append(space.index_of[gamma])
+                ic.append(slot_of[gamma])
     full = np.bincount(ic, weights=a.c[ia] * b.c[ib], minlength=space.size)
     order = min(a.order, b.order)
     return np.where(space.degrees <= order, full, 0.0)
@@ -326,12 +327,13 @@ def _full_table_product(space, a, b):
 def _dict_convolution(space, a, b):
     order = min(a.order, b.order)
     acc = {}
-    for i, alpha in enumerate(space.indices):
-        for j, beta in enumerate(space.indices):
+    indices = multi_indices(space)
+    for i, alpha in enumerate(indices):
+        for j, beta in enumerate(indices):
             gamma = tuple(p + q for p, q in zip(alpha, beta))
             if sum(gamma) <= order:
                 acc[gamma] = acc.get(gamma, 0.0) + a.c[i] * b.c[j]
-    return np.array([acc.get(alpha, 0.0) for alpha in space.indices])
+    return np.array([acc.get(alpha, 0.0) for alpha in indices])
 
 
 @st.composite
@@ -391,10 +393,11 @@ def test_capped_space_is_exact_on_its_slots(case):
     space, a, b = case
     full = a.space
     x_degree = lambda alpha: sum(alpha[: space.capped])
-    assert space.indices == [
-        alpha for alpha in full.indices if x_degree(alpha) <= space.cap
+    assert multi_indices(space) == [
+        alpha for alpha in multi_indices(full) if x_degree(alpha) <= space.cap
     ]
-    kept = np.array([full.index_of[alpha] for alpha in space.indices], dtype=np.intp)
+    slot_of = {alpha: i for i, alpha in enumerate(multi_indices(full))}
+    kept = np.array([slot_of[alpha] for alpha in multi_indices(space)], dtype=np.intp)
 
     def restrict(jet):
         return TaylorJet(space, jet.order, jet.c[kept])
@@ -410,7 +413,7 @@ def test_capped_space_is_exact_on_its_slots(case):
         if v >= space.capped:  # uncapped: exact on every slot
             assert d.c.tobytes() == ref.tobytes()
         else:  # capped: exact below the cap, zero on it
-            below = np.array([x_degree(alpha) < space.cap for alpha in space.indices])
+            below = np.array([x_degree(alpha) < space.cap for alpha in multi_indices(space)])
             assert d.c[below].tobytes() == ref[below].tobytes()
             assert (d.c[~below] == 0.0).all()
 
@@ -423,6 +426,76 @@ def test_capped_space_sizes_and_full_space_identity():
     assert JetSpace.get(3, 2, 0, 1) is JetSpace.get(3, 2)
     with pytest.raises(ValueError):
         JetSpace(2, 3, 3, 1)
+
+
+def _same_array(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+@pytest.mark.parametrize("nvars", range(1, 9))
+def test_tables_match_the_loop_builder(nvars):
+    # every table of the array build against the loop over tuples, on the
+    # full spaces and with capped = nvars // 2 at caps 0-3, orders 0-6
+    for order in range(7):
+        for capped, cap in [(0, None)] + [(nvars // 2, c) for c in range(4)]:
+            _assert_tables_match(nvars, order, capped, cap)
+
+
+@pytest.mark.parametrize("nvars,order,capped,cap", [
+    (2, 7, 1, 4), (4, 7, 2, 4),  # verify's chart series on 1-d and 2-d models
+    (3, 3, 3, 0), (5, 4, 5, 2),  # every variable capped: empty degree blocks at cap 0
+    (63, 1, 0, None), (40, 2, 20, 1),  # codes past int64: Python integers
+])
+def test_tables_match_the_loop_builder_beyond_the_grid(nvars, order, capped, cap):
+    wide = (order + 1) ** (nvars + 1) > np.iinfo(np.int64).max
+    assert (JetSpace(nvars, order, capped, cap).codes.dtype == object) == wide
+    _assert_tables_match(nvars, order, capped, cap)
+
+
+def _assert_tables_match(*args):
+    space, ref = JetSpace(*args), loop_tables(*args)
+    assert space.size == ref.size, args
+    for name in ("degrees", "exponents", "factorials", "_mul_ia", "_mul_ib", "_mul_ic",
+                 "_mono_var", "_mono_parent"):
+        _same_array(getattr(space, name), getattr(ref, name), args + (name,))
+    assert [ia.size for ia, _, _ in space._mul_prefix] == ref.ends, args
+    for got, want in zip(space.masks, ref.masks, strict=True):
+        _same_array(got, want, args + ("masks",))
+    for got, want in zip(space._deriv, ref._deriv, strict=True):
+        for g, w in zip(got, want, strict=True):
+            _same_array(g, w, args + ("_deriv",))
+    assert (space.slots(space.exponents) == np.arange(space.size)).all(), args
+
+
+def test_slots_returns_minus_one_outside_the_space():
+    space = JetSpace.get(4, 3, 2, 1)
+    assert space.slots([0, 0, 0, 0]) == 0
+    assert space.slots([1, 0, 0, 2]) == slot(space, (1, 0, 0, 2)) > 0
+    assert space.slots([0, 0, 2, 2]) == -1  # degree above the order
+    assert space.slots([1, 1, 0, 0]) == -1  # x-degree above the cap
+    assert space.slots([0, 1, -1, 0]) == -1  # a negative exponent
+    # alpha + e_v with alpha_v = order carries into the next digit: its code
+    # would be another slot's, so the lookup refuses it by its degree
+    full = JetSpace.get(2, 3)
+    assert (full.slots([[0, 4], [4, 0], [3, 1]]) == -1).all()
+    assert full.slots([[1, 2], [0, 3]]).tolist() == [slot(full, (1, 2)), slot(full, (0, 3))]
+    for v in range(full.nvars):  # the derivative table never reads past the order
+        src, dst, _ = full._deriv[v]
+        assert (full.degrees[dst] < full.order).all() and (full.degrees[src] == full.degrees[dst] + 1).all()
+
+
+def test_partial_slots_are_cached_tensors_of_the_unit_sums():
+    space = JetSpace.get(4, 3)
+    idx, fac = space.partial_slots(range(2), [1, 3])
+    assert idx.shape == fac.shape == (2, 2)
+    for a in range(2):
+        for b, w in enumerate([1, 3]):
+            assert idx[a, b] == slot(space, unit_index(4, a, w))
+            assert fac[a, b] == space.factorials[idx[a, b]]
+    assert space.partial_slots(range(2), (1, 3))[0] is idx
+    with pytest.raises(OrderUnsupported):
+        JetSpace.get(4, 1).partial_slots(range(4), range(4))
 
 
 @st.composite
@@ -448,7 +521,7 @@ def test_compose_is_the_polynomial_of_the_inner_jets(case):
     jets = [TaylorJet(out, out.order, c) for c in inner]
     for row, want_coef in zip(got, coef):
         want = out.constant(0.0)
-        for i, alpha in enumerate(space.indices):
+        for i, alpha in enumerate(multi_indices(space)):
             if sum(alpha) > out.order:
                 continue
             term = out.constant(want_coef[i])
@@ -570,7 +643,7 @@ def test_every_slot_outside_the_support_is_zero(case):
         _evaluate_tree(tree, space, False, seen)
     for jet in seen:
         assert 0 <= jet.support <= space.full_support
-        for alpha, coefficient in zip(space.indices, jet.c):
+        for alpha, coefficient in zip(multi_indices(space), jet.c):
             if any(k and not jet.support >> v & 1 for v, k in enumerate(alpha)):
                 assert coefficient == 0.0  # +0.0, or -0.0 after a negation
 

@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Print the sha256 of the reports a refactor should leave byte-identical.
+
+Covers, one line each (the hash, then the command's arguments):
+
+- the quick verify report (``verify --format json``) at seeds 0 and 7 for
+  every builtin model and for ``perfbench/line1d.json``;
+- the full-budget quartic4d verify report at seed 7;
+- the ``connection`` and ``chart`` commands of the CI workflow.
+
+Each command runs through ``finslerkit.cli.main`` in this process, from the
+repository root (a report names its model as given, so the line model is
+named by its relative path), its standard output captured.  Two checkouts
+print the same lines exactly when none of these reports moved by a byte.
+Run from the repository root:
+
+    PYTHONPATH=src python scripts/report_hashes.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+from pathlib import Path
+
+from finslerkit import cli
+from finslerkit.models import builtin_names
+
+ROOT = Path(__file__).resolve().parent.parent
+LINE_MODEL = "perfbench/line1d.json"
+
+CI_COMMANDS = [
+    "chart --model builtin:sphere2d --kind standard --x-tilde 0.1,-0.05 --y-tilde 0.8,-0.5 "
+    "--series-order 3",
+    "chart --model builtin:sphere2d --kind extended --x-tilde 0.1,-0.05 --y-tilde 0.8,-0.5 "
+    "--series-order 3",
+    "connection --model builtin:quartic4d --point 0.1,0.2,-0.1,0.3 --direction 0.5,0.5,-0.5,0.5",
+    "connection --model builtin:sphere2d --point 1.1,0.3 --direction 0.4,-0.2",
+]
+
+
+def commands() -> list[list[str]]:
+    models = [f"builtin:{name}" for name in builtin_names()] + [LINE_MODEL]
+    runs = [
+        ["verify", "--model", model, "--seed", str(seed), "--format", "json"]
+        for seed in (0, 7)
+        for model in models
+    ]
+    runs.append(["verify", "--model", "builtin:quartic4d", "--seed", "7", "--budget", "full",
+                 "--format", "json"])
+    return runs + [line.split() for line in CI_COMMANDS]
+
+
+def main() -> int:
+    os.chdir(ROOT)
+    for argv in commands():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(argv)
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        print(digest, " ".join(argv), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

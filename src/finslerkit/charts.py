@@ -341,13 +341,6 @@ class AutoparallelChart:
             value=value, grad_xt=jet.partials(xts), hess_xt=jet.partials(xts, xts)
         )
 
-    def _w_matrix(self, yv: np.ndarray) -> np.ndarray:
-        """Inverse fiber metric contracted with the xt-Hessian at (0, yv)."""
-        model = self._require_lagrangian()
-        g = model.l_metric(bundle_point(self.base, yv))
-        xts = range(self.dimension)
-        return np.linalg.solve(g, self._xt_jet(yv).partials(xts, xts))
-
     def curvature_in_chart(self, yt) -> np.ndarray:
         """Curvature tensor at the chart center from in-chart data only.
 

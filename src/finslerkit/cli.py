@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,46 +28,21 @@ from .models import load_model
 from .verify import SCHEMA_VERSION, format_table, report_to_json, run_verification
 
 
-@dataclass
-class RunConfig:
-    """One CLI invocation, fully determined (with the seed) before any work.
+def _check(args: argparse.Namespace) -> None:
+    """The option values argparse's types admit that no command can use."""
+    given = vars(args)
+    if "rtol" in given and min(args.rtol, args.atol) <= 0:
+        raise ValueError("integration tolerances must be positive")
+    if "radius" in given and args.radius <= 0:
+        raise ValueError("chart radius must be positive")
+    if "t_end" in given and args.t_end == 0:
+        raise ValueError("t-end must be nonzero")
+    if "samples" in given and args.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {args.samples}")
 
-    The field defaults are the CLI's: the parser passes only the flags given.
-    """
 
-    command: str
-    model: str
-    point: np.ndarray | None = None
-    direction: np.ndarray | None = None
-    velocity: np.ndarray | None = None
-    fiber: np.ndarray | None = None
-    base: np.ndarray | None = None
-    x_tilde: np.ndarray | None = None
-    y_tilde: np.ndarray | None = None
-    kind: str = "extended"
-    t_end: float = 1.0
-    rtol: float = DEFAULT_RTOL
-    atol: float = DEFAULT_ATOL
-    radius: float = 0.5
-    samples: int = 200
-    budget: str = "quick"
-    seed: int = 0
-    output: str | None = None
-    format: str = "json"
-    series_order: int | None = None
-
-    def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("integration tolerances must be positive")
-        if self.radius <= 0:
-            raise ValueError("chart radius must be positive")
-        if self.t_end == 0:
-            raise ValueError("t-end must be nonzero")
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
-
-    def controls(self) -> IntegrationControls:
-        return IntegrationControls(rtol=self.rtol, atol=self.atol)
+def _controls(args: argparse.Namespace) -> IntegrationControls:
+    return IntegrationControls(rtol=args.rtol, atol=args.atol)
 
 
 def _vector(text: str) -> np.ndarray:
@@ -92,11 +66,11 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_document(cfg: RunConfig, body: dict) -> None:
+def _write_document(args: argparse.Namespace, body: dict) -> None:
     """Write ``body`` as JSON under the schema_version/command/model header."""
-    doc = {"schema_version": SCHEMA_VERSION, "command": cfg.command, "model": cfg.model}
+    doc = {"schema_version": SCHEMA_VERSION, "command": args.command, "model": args.model}
     doc.update(body)
-    _emit(report_to_json(doc), cfg.output)
+    _emit(report_to_json(doc), args.output)
 
 
 def _require_dim(model, name, vec) -> np.ndarray:
@@ -112,20 +86,20 @@ def _require_dim(model, name, vec) -> np.ndarray:
 # -- subcommand bodies ----------------------------------------------------------
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    report = load_model(cfg.model).validate_spacetime(cfg.samples, cfg.seed)
-    _write_document(cfg, report)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    report = load_model(args.model).validate_spacetime(args.samples, args.seed)
+    _write_document(args, report)
     return 0 if report["all_passed"] else 1
 
 
-def _cmd_connection(cfg: RunConfig) -> int:
-    model = load_model(cfg.model)
-    x = _require_dim(model, "point", cfg.point)
-    y = _require_dim(model, "direction", cfg.direction)
+def _cmd_connection(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    x = _require_dim(model, "point", args.point)
+    y = _require_dim(model, "direction", args.direction)
     conn = GeneralConnection.cartan(model)
     p = bundle_point(x, y)
     ev = conn.evaluate(p)
-    _write_document(cfg, {
+    _write_document(args, {
         "point": _matrix_list(x),
         "direction": _matrix_list(y),
         "N": _matrix_list(ev.N),
@@ -136,37 +110,37 @@ def _cmd_connection(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_geodesic(cfg: RunConfig) -> int:
-    model = load_model(cfg.model)
-    x = _require_dim(model, "point", cfg.point)
-    u = _require_dim(model, "direction", cfg.direction)
+def _cmd_geodesic(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    x = _require_dim(model, "point", args.point)
+    u = _require_dim(model, "direction", args.direction)
     conn = GeneralConnection.cartan(model)
-    traj = integrate_autoparallel(conn, x, u, cfg.t_end, cfg.controls())
-    traj.to_csv(cfg.output or sys.stdout)
+    traj = integrate_autoparallel(conn, x, u, args.t_end, _controls(args))
+    traj.to_csv(args.output or sys.stdout)
     return 0
 
 
-def _cmd_autoparallel(cfg: RunConfig) -> int:
-    model = load_model(cfg.model)
-    x = _require_dim(model, "point", cfg.point)
-    u = _require_dim(model, "velocity", cfg.velocity)
-    v = _require_dim(model, "fiber", cfg.fiber)
+def _cmd_autoparallel(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    x = _require_dim(model, "point", args.point)
+    u = _require_dim(model, "velocity", args.velocity)
+    v = _require_dim(model, "fiber", args.fiber)
     conn = GeneralConnection.cartan(model)
-    traj = integrate_horizontal_autoparallel(conn, x, u, v, cfg.t_end, cfg.controls())
-    traj.to_csv(cfg.output or sys.stdout)
+    traj = integrate_horizontal_autoparallel(conn, x, u, v, args.t_end, _controls(args))
+    traj.to_csv(args.output or sys.stdout)
     return 0
 
 
-def _cmd_expmap(cfg: RunConfig) -> int:
-    model = load_model(cfg.model)
-    x = _require_dim(model, "point", cfg.point)
-    u = _require_dim(model, "velocity", cfg.velocity)
-    v = _require_dim(model, "fiber", cfg.fiber)
+def _cmd_expmap(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    x = _require_dim(model, "point", args.point)
+    u = _require_dim(model, "velocity", args.velocity)
+    v = _require_dim(model, "fiber", args.fiber)
     conn = GeneralConnection.cartan(model)
     end, dxdu, dydu, dxdv, dydv = exp_map_with_jacobian(
-        conn, x, u, v, wrt="uv", controls=cfg.controls()
+        conn, x, u, v, wrt="uv", controls=_controls(args)
     )
-    _write_document(cfg, {
+    _write_document(args, {
         "point": _matrix_list(x),
         "velocity": _matrix_list(u),
         "fiber": _matrix_list(v),
@@ -182,20 +156,20 @@ def _cmd_expmap(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_chart(cfg: RunConfig) -> int:
-    model = load_model(cfg.model)
-    base = _require_dim(model, "base", model.center() if cfg.base is None else cfg.base)
-    xt = _require_dim(model, "x-tilde", cfg.x_tilde)
-    yt = _require_dim(model, "y-tilde", cfg.y_tilde)
+def _cmd_chart(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    base = _require_dim(model, "base", model.center() if args.base is None else args.base)
+    xt = _require_dim(model, "x-tilde", args.x_tilde)
+    yt = _require_dim(model, "y-tilde", args.y_tilde)
     conn = GeneralConnection.cartan(model)
-    chart = AutoparallelChart(conn, base, kind=cfg.kind, radius_hint=cfg.radius)
-    if cfg.format == "csv":
-        if not cfg.output:
+    chart = AutoparallelChart(conn, base, kind=args.kind, radius_hint=args.radius)
+    if args.format == "csv":
+        if not args.output:
             raise ValueError("csv format requires --output")
-        export_grid_csv(chart, [xt], yt, cfg.output)
+        export_grid_csv(chart, [xt], yt, args.output)
         return 0
     body = chart.record(xt, yt)
-    order = cfg.series_order
+    order = args.series_order
     if order:
         approx = chart.series_forward(xt, yt, order)
         body["series"] = {
@@ -203,18 +177,18 @@ def _cmd_chart(cfg: RunConfig) -> int:
             "x": _matrix_list(approx.x),
             "y": _matrix_list(approx.y),
         }
-    _write_document(cfg, body)
+    _write_document(args, body)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    report = run_verification(cfg.model, seed=cfg.seed, budget=cfg.budget)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    report = run_verification(args.model, seed=args.seed, budget=args.budget)
     table = format_table(report) + "\n"
-    if cfg.output:
-        _emit(report_to_json(report), cfg.output)
+    if args.output:
+        _emit(report_to_json(report), args.output)
         sys.stdout.write(table)
     else:
-        sys.stdout.write(report_to_json(report) if cfg.format == "json" else table)
+        sys.stdout.write(report_to_json(report) if args.format == "json" else table)
     return 0 if report["all_passed"] else 1
 
 
@@ -229,18 +203,6 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch one parsed invocation; returns the process exit status."""
-    try:
-        return _COMMANDS[cfg.command](cfg)
-    except (ModelFormatError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FinslerKitError as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 2
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finslerkit",
@@ -250,19 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, summary):
-        # a flag not given stays out of the namespace, so RunConfig's default holds
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--model", required=True, help="builtin:NAME or a model JSON path")
         p.add_argument("--output", help="write the report here instead of stdout")
         return p
 
     def tolerances(p):
-        p.add_argument("--rtol", type=float)
-        p.add_argument("--atol", type=float)
+        p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
+        p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
 
     p = command("validate", "sample-based Lagrangian admissibility report")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
 
     p = command("connection", "connection tensors at one bundle point")
     p.add_argument("--point", type=_vector, required=True)
@@ -271,14 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("geodesic", "canonical-lift autoparallel, CSV trajectory")
     p.add_argument("--point", type=_vector, required=True)
     p.add_argument("--direction", type=_vector, required=True)
-    p.add_argument("--t-end", type=float)
+    p.add_argument("--t-end", type=float, default=1.0)
     tolerances(p)
 
     p = command("autoparallel", "horizontal autoparallel with independent seeds, CSV")
     p.add_argument("--point", type=_vector, required=True)
     p.add_argument("--velocity", type=_vector, required=True)
     p.add_argument("--fiber", type=_vector, required=True)
-    p.add_argument("--t-end", type=float)
+    p.add_argument("--t-end", type=float, default=1.0)
     tolerances(p)
 
     p = command("expmap", "exponential map value and Jacobian blocks")
@@ -289,35 +250,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("chart", "adapted-chart evaluation with round-trip audit")
     p.add_argument("--base", type=_vector, help="chart center (default: domain midpoint)")
-    p.add_argument("--kind", choices=["extended", "standard"])
+    p.add_argument("--kind", choices=["extended", "standard"], default="extended")
     p.add_argument("--x-tilde", type=_vector, required=True)
     p.add_argument("--y-tilde", type=_vector, required=True)
-    p.add_argument("--radius", type=float, help="trust-region radius")
+    p.add_argument("--radius", type=float, default=0.5, help="trust-region radius")
     p.add_argument("--series-order", type=int, choices=[1, 2, 3])
-    p.add_argument("--format", choices=["json", "csv"])
+    p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = command("verify", "run the property-verification suite")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", choices=["quick", "full"])
-    p.add_argument("--format", choices=["table", "json"])
-    p.set_defaults(format="table")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", choices=["quick", "full"], default="quick")
+    p.add_argument("--format", choices=["table", "json"], default="table")
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**vars(args))
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse ``argv``, run its command and return the process exit status."""
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except ValueError as err:
+        _check(args)
+        return _COMMANDS[args.command](args)
+    except (ModelFormatError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    return run(cfg)
+    except FinslerKitError as err:
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,8 +14,12 @@ by degree from the inverse of g's constant term (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13), and N = (1/4) ds/dy
 is one more gather.  No jet is inverted and no symbolic inverse is formed.
 The kernel works only on the x-degrees the callers read (see :func:`_x_cap`):
-N's higher x-slots are exact zeros.  An evaluation keeps N's jet and derives
-the tensors below from it on first access.
+N's higher x-slots are exact zeros.  Each caller asks for N's jet at the
+order it reads: 0 for the coefficients, 1 for :meth:`GeneralConnection.evaluate`
+and the order of its own state for a Taylor-mode flow.  One class,
+:class:`ConnectionEval`, holds an evaluation at every order and derives the
+tensors below from N's jet on first access.  The kernel's index tables come
+from ``JetSpace``'s public lookups (``slots`` and ``pairs``) alone.
 
 Derived objects follow the usual conventions:
 
@@ -61,18 +65,28 @@ def _lagrangian_jet(model: FinslerLagrangian, point: TangentBundlePoint, order: 
     return model.taylor(point, order + 3, x_order=_x_cap(order))
 
 
-def _shift_maps(space: JetSpace):
-    """Per variable v: ``up[v, i]``, the slot of slot i's multi-index plus
-    e_v, ``rise[v, i]``, that index's exponent of v (the factor of d/dv), and
-    ``down[v, i]``, the slot of i minus e_v.  Absent slots map to the pad
-    slot ``space.size``, which maps to itself with factor 0."""
-    pad = space.size
-    up = np.full((space.nvars, pad + 1), pad, dtype=np.intp)
-    down = np.full((space.nvars, pad + 1), pad, dtype=np.intp)
-    rise = np.zeros((space.nvars, pad + 1))
-    for v, (src, dst, fac) in enumerate(space._deriv):
-        up[v, dst], rise[v, dst], down[v, src] = src, fac, dst
-    return up, rise, down
+def _gather(space: JetSpace, start: np.ndarray, *variables: int):
+    """Sources and factors in ``space`` of the derivative in ``variables``
+    (one after another) of the monomials ``start`` (rows of exponents): the
+    slot of each monomial plus those unit vectors, and the product of the
+    powers the differentiations bring down.  A monomial with a negative
+    exponent, or one whose source the space does not hold, reads the pad slot
+    ``space.size`` with factor 0.
+
+    One call per derivative keeps every temporary at (slots, nvars).  One
+    above glibc's 128 KiB mmap threshold would, once freed, raise that
+    threshold for the rest of the process, so building these tables would
+    change how every later large array is allocated.
+    """
+    exponents = start.copy()
+    fac = np.ones(len(start))
+    for v in variables:
+        exponents[:, v] += 1
+        fac *= exponents[:, v]
+    src = space.slots(exponents)
+    absent = (src < 0) | (start < 0).any(axis=1)
+    src[absent], fac[absent] = space.size, 0.0
+    return src, fac
 
 
 @functools.lru_cache(maxsize=None)
@@ -96,32 +110,28 @@ def _spray_tables(lspace: JetSpace, order: int):
     n = nvars // 2
     work = JetSpace.get(nvars, order + 1, lspace.capped, lspace.cap - 1)
     out = JetSpace.get(nvars, order)
-    up, rise, down = _shift_maps(lspace)
-
-    def gather(start, *variables):
-        # sources and factors of the derivative in ``variables`` at ``start``
-        k, f = start, np.ones(start.size)
-        for v in variables:
-            k, f = up[v, k], f * rise[v, k]
-        return k, f
-
-    base = lspace.slots(work.exponents)
-    rows = [gather(base, n + b, n + a) for a in range(n) for b in range(n)]
-    rows += [gather(base, n + q, p) for p in range(n) for q in range(n)]
-    rows += [gather(down[n + p, base], n + q, p) for p in range(n) for q in range(n)]
-    rows += [gather(base, q) for q in range(n)]
+    base = work.exponents
+    rows = [_gather(lspace, base, n + b, n + a) for a in range(n) for b in range(n)]
+    rows += [_gather(lspace, base, n + q, p) for p in range(n) for q in range(n)]
+    for p in range(n):
+        # the term of y^p's slot: the monomial one power of y^p lower
+        lower = base - np.eye(nvars, dtype=np.int64)[n + p]
+        rows += [_gather(lspace, lower, n + q, p) for q in range(n)]
+    rows += [_gather(lspace, base, q) for q in range(n)]
     src = np.array([k for k, _ in rows])
     fac = np.array([f for _, f in rows])
     fac[: n * n] *= 0.5  # g is half the y-Hessian of L
     rhs_bins = np.tile(np.arange(n * work.size), 2 * n + 1)
 
-    up, rise, _ = _shift_maps(work)
-    at = work.slots(out.exponents)
-    kept = np.flatnonzero(at >= 0)
-    at = at[kept]
+    kept = np.flatnonzero(work.slots(out.exponents) >= 0)
+    # work holds every kept slot's monomial times y^b: same x-degree, degree
+    # <= order + 1
+    fibers = [_gather(work, out.exponents[kept], n + b) for b in range(n)]
     # C order, so that N's jet is laid out as the (n, n, size) array it reads as
-    nsrc = np.ascontiguousarray(np.arange(n)[:, None, None] * work.size + up[n:, at])
-    nfac = np.ascontiguousarray(0.25 * rise[n:, at])
+    nsrc = np.ascontiguousarray(
+        np.arange(n)[:, None, None] * work.size + np.array([k for k, _ in fibers])
+    )
+    nfac = 0.25 * np.array([f for _, f in fibers])
     return work, src, fac, rhs_bins, (n, n, out.size), kept, nsrc, nfac
 
 
@@ -133,19 +143,21 @@ def _degree_blocks(space: JetSpace, n: int) -> list:
     s[b, j]), and the bins that fold their (n, n, pairs) products into the
     (n, hi - lo) block."""
     size = space.size
-    ends = [prefix[0].size for prefix in space._mul_prefix]
+    full = space.full_support
+    # the product table of full jets, sorted by output degree
+    ia, ib, ic = space.pairs(space.order, full, full)
+    ends = np.searchsorted(space.degrees[ic], np.arange(space.order + 2))
     a = np.arange(n)[:, None, None]
     b = np.arange(n)[None, :, None]
     blocks = []
     for d in range(1, space.order + 1):
         lo, hi = np.searchsorted(space.degrees, [d, d + 1])
-        sl = slice(ends[d - 1], ends[d])
-        ia, ib, ic = space._mul_ia[sl], space._mul_ib[sl], space._mul_ic[sl]
-        keep = space.degrees[ia] > 0
-        ia, ib, ic = ia[keep], ib[keep], ic[keep]
-        h_idx = a * (n + 1) * size + b * size + ia
-        s_idx = (b * (n + 1) * size + n * size + ib)[0]
-        bins = np.broadcast_to(a * (hi - lo) + (ic - lo), h_idx.shape).ravel()
+        sl = slice(ends[d], ends[d + 1])
+        keep = space.degrees[ia[sl]] > 0
+        da, db, dc = ia[sl][keep], ib[sl][keep], ic[sl][keep]
+        h_idx = a * (n + 1) * size + b * size + da
+        s_idx = (b * (n + 1) * size + n * size + db)[0]
+        bins = np.broadcast_to(a * (hi - lo) + (dc - lo), h_idx.shape).ravel()
         blocks.append((lo, hi, h_idx, s_idx, bins))
     return blocks
 
@@ -192,10 +204,9 @@ def _spray(L: TaylorJet, point: TangentBundlePoint, order: int):
     """The L-metric g and N's jet from L's jet at ``point`` (x, y).
 
     Returns g as an (n, n, work.size) array on the slots of the kernel's
-    working space, N as an (n, n, size) array on those of
-    ``JetSpace.get(2n, order)``, and the working space.  The spray s is valid
-    to ``order + 1`` and N, its fiber derivative, to ``order``, on the
-    x-degrees :func:`_x_cap` names.
+    working space and N as an (n, n, size) array on those of
+    ``JetSpace.get(2n, order)``.  The spray s is valid to ``order + 1`` and N,
+    its fiber derivative, to ``order``, on the x-degrees :func:`_x_cap` names.
     """
     y = point.y
     n = y.size
@@ -208,11 +219,11 @@ def _spray(L: TaylorJet, point: TangentBundlePoint, order: int):
     s = _series_solve(work, g, rhs.reshape(n, work.size), point)
     njets = np.zeros(shape)
     njets[:, :, kept] = s.ravel()[nsrc] * nfac
-    return g, njets, work
+    return g, njets
 
 
 class ConnectionEval:
-    """Connection coefficients and first derivatives at one bundle point.
+    """N's jet at one bundle point, and the tensors its readers take from it.
 
     Holds N's jet of ``order`` (an (n, n, size) array on the slots of
     ``JetSpace.get(2n, order)``); each tensor below is derived from it on
@@ -222,6 +233,10 @@ class ConnectionEval:
     the differentiation index last, e.g. ``dN_y[a, b, c]`` is
     d/dy^c of N^a_b and ``delta_N[a, b, c]`` is delta_c N^a_b.
     ``R[a, b, c]`` is the curvature R^a_bc, antisymmetric in (b, c).
+    ``taylor[a, b, k, i]`` holds the Taylor coefficients at slot i of N^a_b
+    (k = 0) and of d/dy^c N^a_b (k = 1 + c, valid to ``order - 1``), exact on
+    the x-degrees :func:`_x_cap` names; flows compose it.  Every tensor needs
+    ``order >= 1``.
     """
 
     def __init__(self, point: TangentBundlePoint, jet: np.ndarray, order: int):
@@ -253,30 +268,6 @@ class ConnectionEval:
     @functools.cached_property
     def R(self) -> np.ndarray:
         return self.delta_N - np.transpose(self.delta_N, (0, 2, 1))
-
-
-class DeepConnectionEval(ConnectionEval):
-    """Adds exact second derivatives of N (needed by flow Jacobians).
-
-    ``ddN_xy[a, b, c, d]`` is d/dx^d of (d/dy^c N^a_b); ``ddN_yy[a, b, c, d]``
-    is d/dy^d d/dy^c N^a_b; ``delta_dN[a, b, c, d]`` is
-    delta_d (d/dy^c N^a_b).  ``taylor[a, b, k, i]`` holds the Taylor
-    coefficients at slot i of N^a_b (k = 0) and of d/dy^c N^a_b (k = 1 + c),
-    exact on the x-degrees :func:`_x_cap` names; flows compose it.
-    """
-
-    @functools.cached_property
-    def ddN_xy(self) -> np.ndarray:
-        return self._partials(range(self.n, 2 * self.n), range(self.n))
-
-    @functools.cached_property
-    def ddN_yy(self) -> np.ndarray:
-        fibers = range(self.n, 2 * self.n)
-        return self._partials(fibers, fibers)
-
-    @functools.cached_property
-    def delta_dN(self) -> np.ndarray:
-        return self.ddN_xy - np.einsum("md,abcm->abcd", self.N, self.ddN_yy)
 
     @functools.cached_property
     def taylor(self) -> np.ndarray:
@@ -368,7 +359,7 @@ class GeneralConnection:
                     out[a, b] = entry.c
             return out
 
-        _, njets, _ = _spray(_lagrangian_jet(self.lagrangian, point, order), point, order)
+        _, njets = _spray(_lagrangian_jet(self.lagrangian, point, order), point, order)
         if not np.isfinite(njets).all():
             raise NonFiniteField(f"connection coefficients are not finite at {point}")
         return njets
@@ -383,9 +374,9 @@ class GeneralConnection:
         """N with exact first x/y-derivatives, horizontal derivative, curvature."""
         return self._cached(point, 1)
 
-    def evaluate_deep(self, point: TangentBundlePoint, order: int = 2) -> DeepConnectionEval:
-        """Like :meth:`evaluate` plus exact second derivatives of N; an
-        ``order`` above 2 carries N's jet (``taylor``) further for flows."""
+    def evaluate_deep(self, point: TangentBundlePoint, order: int = 2) -> ConnectionEval:
+        """Like :meth:`evaluate` with N's jet (``taylor``) carried to
+        ``order``, the depth a Taylor-mode flow composes."""
         return self._cached(point, order)
 
     def _cached(self, point, order):
@@ -399,8 +390,7 @@ class GeneralConnection:
         cache = self._eval_cache
         hit = cache.pop(key, None)
         if hit is None:
-            kind = DeepConnectionEval if order >= 2 else ConnectionEval
-            hit = kind(point, self.n_jets(point, order), order)
+            hit = ConnectionEval(point, self.n_jets(point, order), order)
             if len(cache) >= _MEMO_SIZE:
                 del cache[next(iter(cache))]  # the least recently used
         cache[key] = hit  # (re)inserted last: dicts keep insertion order
@@ -432,12 +422,19 @@ class GeneralConnection:
 
 @functools.lru_cache(maxsize=None)
 def _fiber_rows(n: int, order: int) -> tuple:
-    """The gather of ``DeepConnectionEval.taylor``'s fiber rows in
-    ``JetSpace.get(2n, order)``: row 1 + c holds d/dy^c of every slot, as
-    (rows, slots, sources, factors)."""
-    deriv = JetSpace.get(2 * n, order)._deriv[n:]
-    deriv = [(np.full(s.size, 1 + c), d, s, f) for c, (s, d, f) in enumerate(deriv)]
-    return tuple(np.concatenate(column) for column in zip(*deriv))
+    """The gather of ``ConnectionEval.taylor``'s fiber rows in
+    ``JetSpace.get(2n, order)``: row 1 + c holds d/dy^c of every slot below
+    the order, as (rows, slots, sources, factors)."""
+    space = JetSpace.get(2 * n, order)
+    inner = np.flatnonzero(space.degrees < order)
+    # the full space holds every inner monomial times y^c
+    fibers = [_gather(space, space.exponents[inner], n + c) for c in range(n)]
+    return (
+        np.repeat(np.arange(1, n + 1), inner.size),
+        np.tile(inner, n),
+        np.concatenate([k for k, _ in fibers]),
+        np.concatenate([f for _, f in fibers]),
+    )
 
 
 def cartan_linear_delta(model: FinslerLagrangian, point: TangentBundlePoint) -> np.ndarray:
@@ -450,7 +447,7 @@ def cartan_linear_delta(model: FinslerLagrangian, point: TangentBundlePoint) -> 
     n = model.dimension
     # order 0 reads N at x-degree 0, and L's jet is exact on x-degree <= 1
     L = _lagrangian_jet(model, point, 0)
-    g, njets, _ = _spray(L, point, 0)
+    g, njets = _spray(L, point, 0)
 
     # d/dv g_qc = (1/2) d^3L / dy^q dy^c dv for v = x^b and v = y^m
     fibers = range(n, 2 * n)

@@ -58,10 +58,23 @@ TIGHT = IntegrationControls(rtol=1e-12, atol=1e-14)
 
 @dataclass
 class TrajectoryDiagnostics:
-    accepted: int
-    rejected: int
-    field_evals: int
+    """Counts of one flow, read from its solution when asked, so that
+    ``field_evals`` includes the dense-output stages of later queries."""
+
+    solution: OdeSolution
     max_horizontality_residual: float | None = None
+
+    @property
+    def accepted(self) -> int:
+        return self.solution.naccepted
+
+    @property
+    def rejected(self) -> int:
+        return self.solution.nrejected
+
+    @property
+    def field_evals(self) -> int:
+        return self.solution.nfev
 
 
 @dataclass
@@ -138,7 +151,7 @@ def integrate_autoparallel(
         ts=sol.ts,
         xs=sol.states[:, :n],
         ys=sol.states[:, n:],
-        diagnostics=TrajectoryDiagnostics(sol.naccepted, sol.nrejected, sol.nfev),
+        diagnostics=TrajectoryDiagnostics(sol),
         solution=sol,
     )
 
@@ -204,7 +217,7 @@ def integrate_horizontal_autoparallel(
         ts=sol.ts,
         xs=sol.states[:, :n],
         ys=sol.states[:, n : 2 * n],
-        diagnostics=TrajectoryDiagnostics(sol.naccepted, sol.nrejected, sol.nfev, max_resid),
+        diagnostics=TrajectoryDiagnostics(sol, max_resid),
         solution=sol,
     )
 
@@ -256,11 +269,11 @@ def _jet_rhs(conn: GeneralConnection, space: JetSpace, at_rest: bool):
     y' = -N(x, y) u and u' = -dN/dy^c(x, y) u u^c are composed to the space
     order m from N's (x, y)-jet at the primal point.  That takes N to order
     m + 1; a primal at rest (u = 0, so the u jets start at order 1) needs one
-    order less.
+    order less, and dN/dy at the primal point, so never less than order 1.
     """
     n = conn.dimension
     m = space.order
-    order = max(2, m if at_rest else m + 1)
+    order = max(1, m) if at_rest else m + 1
     nspace = JetSpace.get(2 * n, order)
 
     def rhs(t, z):

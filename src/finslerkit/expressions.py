@@ -624,7 +624,7 @@ class _Compiler:
     def _inside(self, support):
         """The slots whose multi-index involves only variables in ``support``."""
         if support not in self.inside:
-            self.inside[support] = np.flatnonzero(self.space._within(support))
+            self.inside[support] = np.flatnonzero(self.space.within(support))
         return self.inside[support]
 
     def _block(self, count):

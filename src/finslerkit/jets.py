@@ -15,9 +15,11 @@ the full-space product on every kept slot; a quantity that needs only a few
 x-derivatives skips the slots it never reads.
 
 Each multi-index has one integer code (see :class:`JetSpace`).  Codes add
-without carry, so a space builds its tables as array arithmetic on codes, and
-:meth:`JetSpace.slots` and :meth:`JetSpace.partial_slots` are the one way any
-module finds a slot.
+without carry, so a space builds its tables as array arithmetic on codes.
+Its tables are private: other modules find a slot only through
+:meth:`JetSpace.slots` and :meth:`JetSpace.partial_slots`, a product's pairs
+through :meth:`JetSpace.pairs` and the slots within a support through
+:meth:`JetSpace.within`.
 
 There is one product and one derivative, both on coefficient arrays:
 :meth:`JetSpace.product` and :meth:`JetSpace.derivative`.  A
@@ -254,12 +256,12 @@ class JetSpace:
             table = self._mul_prefix[order]
             if support_a != self.full_support or support_b != self.full_support:
                 ia, ib, ic = table
-                keep = self._within(support_a)[ia] & self._within(support_b)[ib]
+                keep = self.within(support_a)[ia] & self.within(support_b)[ib]
                 table = (ia[keep], ib[keep], ic[keep])
             self._pairs[key] = table
         return table
 
-    def _within(self, support: int) -> np.ndarray:
+    def within(self, support: int) -> np.ndarray:
         """Per slot: its multi-index involves only variables in ``support``."""
         outside = [v for v in range(self.nvars) if not support >> v & 1]
         return ~self.slot_vars[:, outside].any(axis=1)

@@ -15,6 +15,7 @@ reference the array build must reproduce.
 """
 
 import math
+from collections import Counter
 from itertools import combinations_with_replacement, permutations
 from types import SimpleNamespace
 
@@ -159,6 +160,39 @@ def rest_blocks(conn, base, v):
     )
 
 
+def count_n_jets(conn) -> Counter:
+    """From now on, count ``conn``'s builds of N's jet by order (a memo hit
+    builds none)."""
+    counts = Counter()
+    build = conn.n_jets
+
+    def counted(point, order):
+        counts[order] += 1
+        return build(point, order)
+
+    conn.n_jets = counted
+    return counts
+
+
+def second_derivatives(ev):
+    """The second derivatives of N an evaluation of order >= 2 holds, read
+    from its jet as [a, b, c, d] arrays: ``ddN_xy`` is d/dx^d d/dy^c N^a_b,
+    ``ddN_yy`` is d/dy^d d/dy^c N^a_b and ``delta_dN`` is delta_d of
+    d/dy^c N^a_b."""
+    n = ev.n
+    space = JetSpace.get(2 * n, ev.order)
+    fibers = range(n, 2 * n)
+
+    def partials(*axes):
+        idx, factorials = space.partial_slots(*axes)
+        return ev.jet[:, :, idx] * factorials
+
+    xy, yy = partials(fibers, range(n)), partials(fibers, fibers)
+    return SimpleNamespace(
+        ddN_xy=xy, ddN_yy=yy, delta_dN=xy - np.einsum("md,abcm->abcd", ev.N, yy)
+    )
+
+
 def _sym(t):
     """Symmetrize a tensor over every slot after the first."""
     perms = list(permutations(range(1, t.ndim)))
@@ -175,7 +209,7 @@ def closed_form_blocks(conn, base, v):
     # x'''^q = raw[q, b, c, d] u^b u^c u^d: x'' = -dN_y[q, b, c] u^b u^c
     # differentiated along the flow, with u' = x'' in each of its two slots
     raw = (
-        -deep.delta_dN
+        -second_derivatives(deep).delta_dN
         + np.einsum("qrc,rbd->qbcd", dN_y, dN_y)
         + np.einsum("qbr,rcd->qbcd", dN_y, dN_y)
     )

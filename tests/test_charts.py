@@ -35,7 +35,7 @@ from finslerkit.lagrangian import FinslerLagrangian
 from finslerkit.models import builtin_names, load_model
 
 from fd_oracles import richardson_gradient
-from jet_oracles import closed_form_blocks, rest_blocks, slot, unit_index
+from jet_oracles import closed_form_blocks, count_n_jets, rest_blocks, slot, unit_index
 
 
 def chart_for(name, base, kind="extended", **kw):
@@ -121,6 +121,17 @@ def test_connection_vanishes_on_center_fiber(kind, name, base):
         assert np.abs(n_chart).max() <= 1e-6 * (1.0 + np.abs(n_center).max())
 
 
+@pytest.mark.parametrize("name,base", [("randers2d", [0.2, -0.3]), ("quartic4d", [0.1] * 4)])
+def test_connection_in_chart_at_the_center_builds_order_one_jets(name, base):
+    # the order-1 rest recursion composes N and dN/dy at the chart center,
+    # and the chart image reads N alone
+    ch = chart_for(name, base)
+    n = ch.dimension
+    counts = count_n_jets(ch.connection)
+    ch.connection_in_chart(np.zeros(n), np.linspace(1.0, 0.5, n))
+    assert set(counts) == {0, 1}
+
+
 def test_connection_in_chart_flat_everywhere():
     ch = chart_for("flat4d", [0.0, 0.1, -0.2, 0.3], kind="standard")
     rng = np.random.default_rng(3)
@@ -137,6 +148,13 @@ def test_connection_in_chart_refuses_a_conjugate_point():
     ch = chart_for("sphere2d", [np.pi / 2, 0.0], radius_hint=4.0)
     with pytest.raises(SingularJacobian, match="condition number"):
         ch.connection_in_chart([0.0, np.pi], [1.0, 0.3])
+
+
+def _w_matrix(chart, yv):
+    """Inverse fiber metric contracted with the chart's xt-Hessian of L at
+    (0, yv)."""
+    g = chart.connection.lagrangian.l_metric(bundle_point(chart.base, yv))
+    return np.linalg.solve(g, chart.lagrangian_in_chart(yv).hess_xt)
 
 
 def test_chart_connection_derivative_matches_hessian_contraction():
@@ -157,7 +175,7 @@ def test_chart_connection_derivative_matches_hessian_contraction():
             ) / (2 * h)
 
         lhs[:, :, c] = (4 * deriv(h2) - deriv(h1)) / 3
-    dw = richardson_gradient(ch._w_matrix, yt, 2e-2, 1e-2)
+    dw = richardson_gradient(lambda yv: _w_matrix(ch, yv), yt, 2e-2, 1e-2)
     rhs = -0.5 * np.transpose(dw, (0, 2, 1))
     assert np.abs(lhs - rhs).max() <= 1e-4 * np.abs(rhs).max()
 
@@ -673,6 +691,32 @@ def test_library_takes_no_finite_differences():
                 names = {alias.name.split(".")[-1] for alias in node.names}
                 names.add((getattr(node, "module", None) or "").split(".")[-1])
                 assert not names & (helpers | {"numerics", "fd_oracles"}), path.name
+
+
+# JetSpace's tables, which only jets.py reads; other modules use its lookups
+PRIVATE_JET_TABLES = {
+    "_deriv", "_mul_prefix", "_mul_ia", "_mul_ib", "_mul_ic", "_mono_var", "_mono_parent",
+    "_within",
+}
+
+
+def _private_table_reads(tree) -> set:
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE_JET_TABLES
+    }
+
+
+def test_only_jets_reads_the_private_jet_tables():
+    modules = sorted(Path(finslerkit.__file__).parent.glob("*.py"))
+    for path in modules:
+        reads = _private_table_reads(ast.parse(path.read_text()))
+        if path.name == "jets.py":
+            assert {"_deriv", "_mul_prefix", "_mono_var", "_mono_parent"} <= reads
+        else:
+            assert reads == set(), path.name
+    assert _private_table_reads(ast.parse("src = space._deriv[v][0]")) == {"_deriv"}
 
 
 def test_finite_difference_guard_sees_sign_flipped_steps():

@@ -12,6 +12,7 @@ from finslerkit import (
     bundle_point,
 )
 from finslerkit.connection import (
+    ConnectionEval,
     GeneralConnection,
     _series_solve,
     _spray,
@@ -31,6 +32,7 @@ from jet_oracles import (
     jet_partial,
     jet_solve,
     multi_indices,
+    second_derivatives,
     slot,
     unit_index,
 )
@@ -170,7 +172,7 @@ def test_second_derivatives_of_n_match_fd():
     model = load_model("builtin:randers2d")
     conn = GeneralConnection.cartan(model)
     p = bundle_point([0.25, -0.6], [1.3, 0.4])
-    deep = conn.evaluate_deep(p)
+    deep = second_derivatives(conn.evaluate_deep(p))
     h = 1e-4
     for c in range(2):
         for d in range(2):
@@ -488,10 +490,9 @@ def _eager_tensors(conn, p, order):
     n = conn.dimension
     taylor = conn.n_jets(p, order)
     space = JetSpace.get(2 * n, order)
-    if order >= 2:
-        fiber = [space.derivative(taylor, n + c) for c in range(n)]
-        stack = np.stack([taylor] + fiber, axis=2)
-        taylor = stack[:, :, 0]
+    fiber = [space.derivative(taylor, n + c) for c in range(n)]
+    stack = np.stack([taylor] + fiber, axis=2)
+    taylor = stack[:, :, 0]
 
     def partials(*slot_lists):
         idx = np.array([slot(space, unit_index(2 * n, *sl)) for sl in slot_lists])
@@ -504,12 +505,7 @@ def _eager_tensors(conn, p, order):
     }
     out["delta_N"] = out["dN_x"] - np.einsum("mc,abm->abc", out["N"], out["dN_y"])
     out["R"] = out["delta_N"] - np.transpose(out["delta_N"], (0, 2, 1))
-    if order >= 2:
-        cd = [(c, d) for c in range(n) for d in range(n)]
-        out["ddN_xy"] = partials(*((n + c, d) for c, d in cd)).reshape(n, n, n, n)
-        out["ddN_yy"] = partials(*((n + c, n + d) for c, d in cd)).reshape(n, n, n, n)
-        out["delta_dN"] = out["ddN_xy"] - np.einsum("md,abcm->abcd", out["N"], out["ddN_yy"])
-        out["taylor"] = stack
+    out["taylor"] = stack
     return out
 
 
@@ -525,15 +521,12 @@ def test_evaluation_tensors_are_derived_on_first_access(name):
     for p in points:
         for order in (1, 2, 3):
             ev = conn.evaluate(p) if order == 1 else conn.evaluate_deep(p, order)
+            assert type(ev) is ConnectionEval  # one class at every order
             assert conn._cached(p, order) is ev  # the memo keeps the evaluation
-            assert not ev.__dict__.keys() & {"N", "dN_x", "delta_N", "R"}  # nothing derived yet
             want = _eager_tensors(conn, p, order)
-            if order == 1:
-                for absent in ("ddN_xy", "ddN_yy", "delta_dN", "taylor"):
-                    assert not hasattr(ev, absent)
-            else:
-                assert ev.taylor is ev.taylor  # the flows' read derives nothing else
-                assert not ev.__dict__.keys() & {"N", "dN_x", "delta_N", "R", "delta_dN"}
+            assert not ev.__dict__.keys() & want.keys()  # nothing derived yet
+            assert ev.taylor is ev.taylor  # the flows' read derives nothing else
+            assert not ev.__dict__.keys() & (want.keys() - {"taylor"})
             for attr, value in want.items():
                 got = getattr(ev, attr)
                 assert got.shape == value.shape, (name, order, attr)
@@ -547,6 +540,7 @@ def test_evaluation_tensors_are_the_jet_partials(name):
     n = model.dimension
     p = sample_points(model, 1, seed=8)[0]
     deep = conn.evaluate_deep(p)
+    second = second_derivatives(deep)
     njets = conn.n_jets(p, 2)
     space = JetSpace.get(2 * n, 2)
 
@@ -561,8 +555,8 @@ def test_evaluation_tensors_are_the_jet_partials(name):
                 assert deep.dN_x[a, b, c] == partial(a, b, c)
                 assert deep.dN_y[a, b, c] == partial(a, b, n + c)
                 for d in range(n):
-                    assert deep.ddN_xy[a, b, c, d] == partial(a, b, n + c, d)
-                    assert deep.ddN_yy[a, b, c, d] == partial(a, b, n + c, n + d)
+                    assert second.ddN_xy[a, b, c, d] == partial(a, b, n + c, d)
+                    assert second.ddN_yy[a, b, c, d] == partial(a, b, n + c, n + d)
 
 
 def _jet_stack(space, arrays):

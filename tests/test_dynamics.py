@@ -34,7 +34,15 @@ from finslerkit.jets import JetSpace
 from finslerkit.models import builtin_names, load_model
 
 from fd_oracles import richardson_hessian
-from jet_oracles import closed_form_blocks, multi_indices, rest_blocks, slot, unit_index
+from jet_oracles import (
+    closed_form_blocks,
+    count_n_jets,
+    multi_indices,
+    rest_blocks,
+    second_derivatives,
+    slot,
+    unit_index,
+)
 
 TIGHT = IntegrationControls(rtol=1e-12, atol=1e-13)
 LINE_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "line1d.json"
@@ -399,6 +407,38 @@ def test_exp_map_skips_the_residual_pass():
     assert d.field_evals == 2 + 11 * (d.accepted + d.rejected) + 4 * d.accepted
 
 
+@pytest.mark.parametrize(
+    "name,base,u,v",
+    [
+        ("sphere2d", [1.1, 0.3], [0.4, -0.2], [0.5, 0.3]),
+        ("quartic4d", [0.1, 0.2, -0.1, 0.3], [0.2, 0.1, -0.1, 0.05], [0.5, 0.5, -0.5, 0.5]),
+    ],
+)
+def test_an_order_zero_jet_flow_is_exp_map_from_order_one_connection_jets(name, base, u, v):
+    conn = conn_for(name)
+    counts = count_n_jets(conn)
+    x, y = exp_map_jets(conn, base, u, v, JetSpace.get(1, 0))
+    assert set(counts) == {1}  # the flow composes N and dN/dy at its primal point
+    want = exp_map(conn, base, u, v).as_state()
+    got = np.concatenate([x[:, 0], y[:, 0]])
+    assert np.abs(got - want).max() <= 1e-8 * (1.0 + np.abs(want).max())
+
+
+def test_trajectory_counts_include_queries_after_return():
+    traj = integrate_autoparallel(conn_for("sphere2d"), [1.1, 0.3], [0.4, -0.2], 2.0)
+    d, sol = traj.diagnostics, traj.solution
+    # the canonical lift builds no interpolant before it returns
+    assert d.field_evals == sol.nfev == 2 + 11 * (d.accepted + d.rejected) + d.accepted
+    at_return = d.field_evals
+    traj.state(0.7)
+    traj.state(1.5)
+    built = sum(seg.coeffs is not None for seg in sol.segments)
+    assert built == 2
+    # each built interpolant evaluated its 3 dense stages, and the counts say so
+    assert d.field_evals == sol.nfev == at_return + 3 * built
+    assert (d.accepted, d.rejected) == (sol.naccepted, sol.nrejected)
+
+
 def test_horizontal_rescaling_property():
     # EXP(alpha u, v) equals the (u, v)-curve evaluated at t = alpha
     conn = conn_for("randers2d")
@@ -676,8 +716,9 @@ def _variational_matrix(deep, u, n):
     A[n : 2 * n, 0:n] = -np.einsum("abc,b->ac", deep.dN_x, u)
     A[n : 2 * n, n : 2 * n] = -np.einsum("abc,b->ac", deep.dN_y, u)
     A[n : 2 * n, 2 * n :] = -deep.N
-    A[2 * n :, 0:n] = -np.einsum("abcd,b,c->ad", deep.ddN_xy, u, u)
-    A[2 * n :, n : 2 * n] = -np.einsum("abcd,b,c->ad", deep.ddN_yy, u, u)
+    second = second_derivatives(deep)
+    A[2 * n :, 0:n] = -np.einsum("abcd,b,c->ad", second.ddN_xy, u, u)
+    A[2 * n :, n : 2 * n] = -np.einsum("abcd,b,c->ad", second.ddN_yy, u, u)
     A[2 * n :, 2 * n :] = -(
         np.einsum("adb,b->ad", deep.dN_y, u) + np.einsum("abd,b->ad", deep.dN_y, u)
     )

@@ -6,7 +6,10 @@ Covers, one line each (the hash, then the command's arguments):
 - the quick verify report (``verify --format json``) at seeds 0 and 7 for
   every builtin model and for ``perfbench/line1d.json``;
 - the full-budget quartic4d verify report at seed 7;
-- the ``connection`` and ``chart`` commands of the CI workflow.
+- the ``connection`` and ``chart`` commands of the CI workflow;
+- the README's ``expmap`` and ``geodesic`` examples (the trajectory written
+  to standard output rather than to a file) and one ``autoparallel`` run,
+  the flows no report above reads.
 
 Each command runs through ``finslerkit.cli.main`` in this process, from the
 repository root (a report names its model as given, so the line model is
@@ -40,6 +43,13 @@ CI_COMMANDS = [
     "connection --model builtin:sphere2d --point 1.1,0.3 --direction 0.4,-0.2",
 ]
 
+FLOW_COMMANDS = [
+    "expmap --model builtin:randers2d --point 0.2,-0.3 --velocity 0.3,0.1 --fiber 1,0.4",
+    "geodesic --model builtin:sphere2d --point 1.1,0.3 --direction 0.4,-0.2 --t-end 2",
+    "autoparallel --model builtin:sphere2d --point 1.1,0.3 --velocity 0.4,-0.2 --fiber 0.5,0.3 "
+    "--t-end 2",
+]
+
 
 def commands() -> list[list[str]]:
     models = [f"builtin:{name}" for name in builtin_names()] + [LINE_MODEL]
@@ -50,7 +60,7 @@ def commands() -> list[list[str]]:
     ]
     runs.append(["verify", "--model", "builtin:quartic4d", "--seed", "7", "--budget", "full",
                  "--format", "json"])
-    return runs + [line.split() for line in CI_COMMANDS]
+    return runs + [line.split() for line in CI_COMMANDS + FLOW_COMMANDS]
 
 
 def main() -> int:

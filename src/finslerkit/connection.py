@@ -18,7 +18,10 @@ N's higher x-slots are exact zeros.  Each caller asks for N's jet at the
 order it reads: 0 for the coefficients, 1 for :meth:`GeneralConnection.evaluate`
 and the order of its own state for a Taylor-mode flow.  One class,
 :class:`ConnectionEval`, holds an evaluation at every order and derives the
-tensors below from N's jet on first access.  The kernel's index tables come
+tensors below from N's jet on first access.  The connection keeps no
+evaluations: every call builds its own, and a caller that reads one point
+more than once (a Taylor-mode flow at rest, whose primal point never moves)
+keeps the evaluation it got.  The kernel's index tables come
 from ``JetSpace``'s public lookups (``slots`` and ``pairs``) alone.
 
 Derived objects follow the usual conventions:
@@ -41,8 +44,6 @@ from .errors import NearDegenerateMetric, NonFiniteField
 from .jets import JetSpace, TaylorJet
 from .lagrangian import FinslerLagrangian
 
-# entries of GeneralConnection's evaluation memo
-_MEMO_SIZE = 16
 # relative tolerance of validate_flags' spot-checks
 _FLAG_TOL = 1e-9
 
@@ -301,7 +302,6 @@ class GeneralConnection:
         self._explicit_fn = explicit_fn
         self.homogeneous = homogeneous
         self.symmetric = symmetric
-        self._eval_cache: dict = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -371,30 +371,14 @@ class GeneralConnection:
         return self.n_jets(point, 0)[:, :, 0].copy()
 
     def evaluate(self, point: TangentBundlePoint) -> ConnectionEval:
-        """N with exact first x/y-derivatives, horizontal derivative, curvature."""
-        return self._cached(point, 1)
+        """N with exact first x/y-derivatives, horizontal derivative, curvature;
+        each call builds a new evaluation from N's jet of order 1."""
+        return ConnectionEval(point, self.n_jets(point, 1), 1)
 
     def evaluate_deep(self, point: TangentBundlePoint, order: int = 2) -> ConnectionEval:
         """Like :meth:`evaluate` with N's jet (``taylor``) carried to
         ``order``, the depth a Taylor-mode flow composes."""
-        return self._cached(point, order)
-
-    def _cached(self, point, order):
-        # flows probing a stationary bundle point hammer the same argument;
-        # a small memo makes those re-evaluations free.  Its hits are one flow
-        # apart at most, and an entry holds N's jet and what its readers
-        # derived from it (on quartic4d at order 2: a 5.8 KB jet, and the
-        # 29 KB fiber stack once a flow reads it), so it keeps the _MEMO_SIZE
-        # most recently used entries.
-        key = (point.x.tobytes(), point.y.tobytes(), order)
-        cache = self._eval_cache
-        hit = cache.pop(key, None)
-        if hit is None:
-            hit = ConnectionEval(point, self.n_jets(point, order), order)
-            if len(cache) >= _MEMO_SIZE:
-                del cache[next(iter(cache))]  # the least recently used
-        cache[key] = hit  # (re)inserted last: dicts keep insertion order
-        return hit
+        return ConnectionEval(point, self.n_jets(point, order), order)
 
     def berwald(self, point: TangentBundlePoint) -> np.ndarray:
         """Fiber-derivative coefficients D^a_bc = d/dy^b N^a_c as [a, b, c]."""

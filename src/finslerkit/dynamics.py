@@ -21,12 +21,15 @@ At u = 0 the jets need no integration: EXP(s du, v) is the time-s point of
 the flow, so the du-degree-k coefficients follow from the lower ones through
 the same right-hand side, one sweep per degree (:func:`_rest_jets`).  That
 recursion is the one source of EXP's Taylor coefficients at zero velocity,
-which the chart series, the Jacobian series and the Newton seed read.
+which the chart series, the Jacobian series and the Newton seed read.  The
+flow at rest never leaves its base point, so its sweeps compose one
+evaluation of N's jet there; every other flow evaluates N at each stage.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +43,16 @@ from .jets import JetSpace, compose
 
 @dataclass(frozen=True)
 class IntegrationControls:
-    """Tolerances and first step of one flow.
+    """Tolerances of one flow.
 
-    ``first_step`` None means the unit interval for the exponential-map flows
-    (``exp_map``, ``exp_map_jets`` and everything built on them) and Hairer's
-    starting-step estimate for flows to an arbitrary ``t_end``.
+    The first trial step is not a setting: the exponential-map flows
+    (``exp_map``, ``exp_map_jets`` and everything built on them) try the unit
+    interval, and flows to an arbitrary ``t_end`` start from Hairer's
+    starting-step estimate.
     """
 
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    first_step: float | None = None
 
 
 # The tight tolerances of chart flows, verify's probes and the geodesic trace.
@@ -59,10 +62,33 @@ TIGHT = IntegrationControls(rtol=1e-12, atol=1e-14)
 @dataclass
 class TrajectoryDiagnostics:
     """Counts of one flow, read from its solution when asked, so that
-    ``field_evals`` includes the dense-output stages of later queries."""
+    ``field_evals`` includes the dense-output stages of later queries.
+    ``connection`` is the horizontal autoparallel's, None for the canonical
+    lift, which has no horizontality residual."""
 
     solution: OdeSolution
-    max_horizontality_residual: float | None = None
+    connection: GeneralConnection | None
+
+    @functools.cached_property
+    def max_horizontality_residual(self) -> float | None:
+        """The largest horizontality residual |y' + N(x, y) x'|, scaled by
+        1 + |N x'|, of the continuous extension at segment midpoints.  The
+        first read measures it and builds every segment's interpolant, whose
+        dense stages ``field_evals`` counts from then on."""
+        conn, sol = self.connection, self.solution
+        if conn is None:
+            return None
+        n = conn.dimension
+        worst = 0.0
+        for seg in sol.segments:
+            tm = seg.t0 + 0.5 * seg.h
+            z, dz = sol(tm), sol.derivative(tm)
+            if float(np.linalg.norm(z[n : 2 * n])) < ZERO_DIRECTION_GUARD:
+                continue
+            transport = conn.coefficients(bundle_point(z[:n], z[n : 2 * n])) @ dz[:n]
+            resid = float(np.abs(dz[n : 2 * n] + transport).max())
+            worst = max(worst, resid / (1.0 + float(np.abs(transport).max())))
+        return worst
 
     @property
     def accepted(self) -> int:
@@ -127,33 +153,25 @@ def integrate_autoparallel(
     controls: IntegrationControls | None = None,
 ) -> Trajectory:
     """Canonical-lift autoparallel x'' + N(x, x') x' = 0 on [0, t_end]."""
-    controls = controls or IntegrationControls()
     n = conn.dimension
-    x0 = np.asarray(x0, dtype=float)
-    u = np.asarray(u, dtype=float)
 
     def rhs(t, z):
         x, v = z[:n], z[n:]
         N = conn.coefficients(bundle_point(x, v))
         return np.concatenate([v, -N @ v])
 
-    sol = solve_ode(
-        rhs,
-        0.0,
-        np.concatenate([x0, u]),
-        t_end,
-        rtol=controls.rtol,
-        atol=controls.atol,
-        first_step=controls.first_step,
-    )
-    return Trajectory(
-        dimension=n,
-        ts=sol.ts,
-        xs=sol.states[:, :n],
-        ys=sol.states[:, n:],
-        diagnostics=TrajectoryDiagnostics(sol),
-        solution=sol,
-    )
+    z0 = np.concatenate([np.asarray(x0, float), np.asarray(u, float)])
+    return _trajectory(rhs, z0, t_end, controls, n, None)
+
+
+def _trajectory(rhs, z0, t_end: float, controls, n: int, connection) -> Trajectory:
+    """``solve_ode`` on [0, t_end] from Hairer's starting-step estimate, its
+    samples the bundle points (x, y) that open the state; ``connection`` as
+    in :class:`TrajectoryDiagnostics`."""
+    controls = controls or IntegrationControls()
+    sol = solve_ode(rhs, 0.0, z0, t_end, rtol=controls.rtol, atol=controls.atol)
+    xs, ys = sol.states[:, :n], sol.states[:, n : 2 * n]
+    return Trajectory(n, sol.ts, xs, ys, TrajectoryDiagnostics(sol, connection), sol)
 
 
 def _horizontal_rhs(conn: GeneralConnection):
@@ -179,47 +197,12 @@ def integrate_horizontal_autoparallel(
     """Horizontal autoparallel with base velocity u and fiber anchor v.
 
     The trajectory carries state (x, y, u); the returned samples are the
-    bundle points (x, y), and the diagnostics include the largest
-    horizontality residual |y' + N(x, y) x'| (scaled) of the continuous
-    extension measured at segment midpoints.  That pass builds every
-    segment's interpolant, and ``field_evals`` counts its evaluations.
+    bundle points (x, y).  The diagnostics' horizontality residual is
+    measured on its first read, so a caller that reads only the samples or
+    the end point builds no interpolant.
     """
-    controls = controls or IntegrationControls()
-    n = conn.dimension
-    z0 = np.concatenate(
-        [np.asarray(x0, float), np.asarray(v, float), np.asarray(u, float)]
-    )
-    sol = solve_ode(
-        _horizontal_rhs(conn),
-        0.0,
-        z0,
-        t_end,
-        rtol=controls.rtol,
-        atol=controls.atol,
-        first_step=controls.first_step,
-    )
-
-    max_resid = 0.0
-    for seg in sol.segments:
-        tm = seg.t0 + 0.5 * seg.h
-        z = sol(tm)
-        dz = sol.derivative(tm)
-        x, y = z[:n], z[n : 2 * n]
-        if float(np.linalg.norm(y)) < ZERO_DIRECTION_GUARD:
-            continue
-        N = conn.coefficients(bundle_point(x, y))
-        resid = dz[n : 2 * n] + N @ dz[:n]
-        scale = 1.0 + float(np.abs(N @ dz[:n]).max())
-        max_resid = max(max_resid, float(np.abs(resid).max()) / scale)
-
-    return Trajectory(
-        dimension=n,
-        ts=sol.ts,
-        xs=sol.states[:, :n],
-        ys=sol.states[:, n : 2 * n],
-        diagnostics=TrajectoryDiagnostics(sol, max_resid),
-        solution=sol,
-    )
+    z0 = np.concatenate([np.asarray(x0, float), np.asarray(v, float), np.asarray(u, float)])
+    return _trajectory(_horizontal_rhs(conn), z0, t_end, controls, conn.dimension, conn)
 
 
 def _solve_time_one(rhs, z0, controls: IntegrationControls | None):
@@ -227,19 +210,10 @@ def _solve_time_one(rhs, z0, controls: IntegrationControls | None):
 
     EXP(s u, v) is the time-s point of the flow from (u, v), so the step a
     time-one flow needs is set by |u|, and error control shrinks a unit trial
-    that is too long, or one whose stages leave the field's domain.  An
-    explicit ``controls.first_step`` is used as given.
+    that is too long, or one whose stages leave the field's domain.
     """
     controls = controls or IntegrationControls()
-    return solve_ode(
-        rhs,
-        0.0,
-        z0,
-        1.0,
-        rtol=controls.rtol,
-        atol=controls.atol,
-        first_step=1.0 if controls.first_step is None else controls.first_step,
-    )
+    return solve_ode(rhs, 0.0, z0, 1.0, rtol=controls.rtol, atol=controls.atol, first_step=1.0)
 
 
 def exp_map(
@@ -270,16 +244,23 @@ def _jet_rhs(conn: GeneralConnection, space: JetSpace, at_rest: bool):
     order m from N's (x, y)-jet at the primal point.  That takes N to order
     m + 1; a primal at rest (u = 0, so the u jets start at order 1) needs one
     order less, and dN/dy at the primal point, so never less than order 1.
+    At rest the primal row never moves (x' = u = 0 and y' = -N 0 = 0 there),
+    so the field evaluates N once, on its first call, and composes that
+    evaluation at every later one.
     """
     n = conn.dimension
     m = space.order
     order = max(1, m) if at_rest else m + 1
     nspace = JetSpace.get(2 * n, order)
+    rest = None  # at rest: the one evaluation every call composes
 
     def rhs(t, z):
+        nonlocal rest
         state = z.reshape(space.size, 3 * n).T
         x, y, u = state[:n], state[n : 2 * n], state[2 * n :]
-        ev = conn.evaluate_deep(bundle_point(x[:, 0], y[:, 0]), order)
+        ev = rest or conn.evaluate_deep(bundle_point(x[:, 0], y[:, 0]), order)
+        if at_rest:
+            rest = ev
         dev = state[: 2 * n].copy()
         dev[:, 0] = 0.0
         # N[a, b] and dN[a, b, c] = d/dy^c N^a_b along the state jets
@@ -349,7 +330,8 @@ def _rest_jets(conn: GeneralConnection, space: JetSpace, z0: np.ndarray, u_seed)
     (k >= 2 for U; U_1 = du).  The brackets are the at-rest jet field at Z,
     and each reads only degrees below k, so ``space.order`` sweeps of
     Z <- Z0 + F(Z) / degree make every slot exact (Taylor coefficients of ODE
-    solutions, Jorba & Zou, Exp. Math. 14, 2005).
+    solutions, Jorba & Zou, Exp. Math. 14, 2005).  Every sweep reads N's jet
+    at the one primal point (x0, v), so the sweeps share one evaluation of N.
     """
     n = z0.shape[1] // 3
     degree = np.zeros(space.size)
@@ -380,7 +362,10 @@ def exp_map_with_jacobian(
     ``wrt``: "u", "v" or "uv" selects which directional seeds to carry; the
     blocks are the linear slots of the order-1 Taylor-mode flow.
     Returns (endpoint, dxdu, dydu, dxdv, dydv) with unused blocks None.
+    Raises ValueError for any other ``wrt``.
     """
+    if wrt not in ("u", "v", "uv"):
+        raise ValueError(f'wrt must be "u", "v" or "uv", not {wrt!r}')
     n = conn.dimension
     space = JetSpace.get(n * len(wrt), 1)
     u_seed = 0 if "u" in wrt else None

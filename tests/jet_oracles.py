@@ -161,8 +161,7 @@ def rest_blocks(conn, base, v):
 
 
 def count_n_jets(conn) -> Counter:
-    """From now on, count ``conn``'s builds of N's jet by order (a memo hit
-    builds none)."""
+    """From now on, count ``conn``'s builds of N's jet by order."""
     counts = Counter()
     build = conn.n_jets
 
@@ -172,6 +171,19 @@ def count_n_jets(conn) -> Counter:
 
     conn.n_jets = counted
     return counts
+
+
+def count_deep_evaluations(conn) -> list:
+    """From now on, record the order of each ``conn.evaluate_deep`` call."""
+    orders = []
+    evaluate = conn.evaluate_deep
+
+    def counted(point, order):
+        orders.append(order)
+        return evaluate(point, order)
+
+    conn.evaluate_deep = counted
+    return orders
 
 
 def second_derivatives(ev):

@@ -522,7 +522,10 @@ def test_evaluation_tensors_are_derived_on_first_access(name):
         for order in (1, 2, 3):
             ev = conn.evaluate(p) if order == 1 else conn.evaluate_deep(p, order)
             assert type(ev) is ConnectionEval  # one class at every order
-            assert conn._cached(p, order) is ev  # the memo keeps the evaluation
+            # every call builds its own evaluation, from the same N jet
+            again = conn.evaluate(p) if order == 1 else conn.evaluate_deep(p, order)
+            assert again is not ev
+            assert again.jet.tobytes() == ev.jet.tobytes()
             want = _eager_tensors(conn, p, order)
             assert not ev.__dict__.keys() & want.keys()  # nothing derived yet
             assert ev.taylor is ev.taylor  # the flows' read derives nothing else

@@ -36,6 +36,7 @@ from finslerkit.models import builtin_names, load_model
 from fd_oracles import richardson_hessian
 from jet_oracles import (
     closed_form_blocks,
+    count_deep_evaluations,
     count_n_jets,
     multi_indices,
     rest_blocks,
@@ -375,36 +376,45 @@ def test_horizontality_residual_is_small():
     assert traj.diagnostics.rejected <= traj.diagnostics.accepted
 
 
-def test_exp_map_skips_the_residual_pass():
-    conn = conn_for("randers2d")
-    x0, u, v = np.array([0.2, -0.1]), np.array([0.8, 0.4]), np.array([1.0, -0.3])
-    calls = 0
+def _count_coefficients(conn):
+    """From now on, count ``conn``'s ``coefficients`` calls; returns the
+    one-entry list that holds the count."""
+    calls = [0]
     coefficients = conn.coefficients
 
     def counted(p):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return coefficients(p)
 
     conn.coefficients = counted
-    p = exp_map(conn, x0, u, v)
-    assert calls == 0
-    # same steps as exp_map: its first trial step is the unit interval
-    traj = integrate_horizontal_autoparallel(
-        conn, x0, u, v, 1.0, IntegrationControls(first_step=1.0)
-    )
+    return calls
+
+
+def _assert_residual_measured_on_first_read(traj, calls):
+    """No residual probe and no interpolant until the residual is read; then
+    one probe per segment, and the 3 dense stages of each interpolant.
+    Hairer's start-up estimate costs the flow one evaluation more."""
     d = traj.diagnostics
-    assert calls == d.accepted  # one residual probe per segment
-    assert np.array_equal(p.x, traj.endpoint.x)
-    assert np.array_equal(p.y, traj.endpoint.y)
-    # default controls: Hairer's start-up estimate costs one evaluation more
-    calls = 0
+    assert calls[0] == 0
+    assert d.field_evals == 2 + 11 * (d.accepted + d.rejected) + d.accepted
+    assert not any(seg.coeffs is not None for seg in traj.solution.segments)
+    before = d.field_evals
+    resid = d.max_horizontality_residual
+    assert calls[0] == d.accepted
+    assert d.field_evals == traj.solution.nfev == before + 3 * d.accepted
+    assert d.max_horizontality_residual == resid  # measured once, then kept
+    assert calls[0] == d.accepted
+
+
+def test_exp_map_skips_the_residual_pass():
+    conn = conn_for("randers2d")
+    x0, u, v = np.array([0.2, -0.1]), np.array([0.8, 0.4]), np.array([1.0, -0.3])
+    calls = _count_coefficients(conn)
+    exp_map(conn, x0, u, v)
+    assert calls[0] == 0
     traj = integrate_horizontal_autoparallel(conn, x0, u, v, 1.0)
-    d = traj.diagnostics
-    assert calls == d.accepted
-    # the residual pass built every interpolant: 3 dense stages per segment
-    assert d.field_evals == traj.solution.nfev
-    assert d.field_evals == 2 + 11 * (d.accepted + d.rejected) + 4 * d.accepted
+    traj.endpoint  # reading the samples measures nothing
+    _assert_residual_measured_on_first_read(traj, calls)
 
 
 @pytest.mark.parametrize(
@@ -424,6 +434,34 @@ def test_an_order_zero_jet_flow_is_exp_map_from_order_one_connection_jets(name, 
     assert np.abs(got - want).max() <= 1e-8 * (1.0 + np.abs(want).max())
 
 
+@pytest.mark.parametrize("name", ["sphere2d", "quartic4d"])
+def test_exp_jets_at_rest_evaluate_the_connection_once(name):
+    # the flow at rest never leaves (base, v): every sweep composes one
+    # evaluation of N's jet there
+    model = load_model(f"builtin:{name}")
+    conn = GeneralConnection.cartan(model)
+    n = model.dimension
+    rng = np.random.default_rng(3)
+    base, v = model.draw_inner_x(rng), model.draw_fiber(rng)
+    orders = count_deep_evaluations(conn)
+    for order in (1, 2, 3, 4):
+        for space, u_seed, v_seed in (
+            (JetSpace.get(n, order), 0, None),
+            (JetSpace.get(2 * n, order, n, 1), n, 0),
+        ):
+            del orders[:]
+            exp_map_jets(conn, base, np.zeros(n), v, space, u_seed, v_seed)
+            assert orders == [order], (order, space.nvars)
+
+
+@pytest.mark.parametrize("wrt", ["x", "U", "uu", "vu", ""])
+def test_exp_map_with_jacobian_refuses_an_unknown_wrt(wrt, flows):
+    conn = conn_for("randers2d")
+    with pytest.raises(ValueError, match="wrt"):
+        exp_map_with_jacobian(conn, [0.2, -0.3], [0.3, 0.1], [1.0, 0.4], wrt=wrt)
+    assert flows == []  # refused before any flow
+
+
 def test_trajectory_counts_include_queries_after_return():
     traj = integrate_autoparallel(conn_for("sphere2d"), [1.1, 0.3], [0.4, -0.2], 2.0)
     d, sol = traj.diagnostics, traj.solution
@@ -437,6 +475,7 @@ def test_trajectory_counts_include_queries_after_return():
     # each built interpolant evaluated its 3 dense stages, and the counts say so
     assert d.field_evals == sol.nfev == at_return + 3 * built
     assert (d.accepted, d.rejected) == (sol.naccepted, sol.nrejected)
+    assert d.max_horizontality_residual is None  # the lift has none
 
 
 def test_horizontal_rescaling_property():
@@ -636,13 +675,18 @@ def test_a_unit_trial_with_an_excluded_stage_is_a_rejected_step(flows, monkeypat
     # flow itself passes r = 0.16 (the Cartesian chord's closest approach)
     conn = conn_for("polar2d")
     base, u, v = np.array([0.8, 0.0]), np.array([-2.0, 0.5]), np.array([1.0, 0.0])
-    ref = exp_map(conn, base, u, v, IntegrationControls(rtol=1e-13, atol=1e-15, first_step=1e-3))
+    # the reference starts with a short step, clear of the excluded set
+    z0 = np.concatenate([base, v, u])
+    end = solve_ode(
+        dynamics._horizontal_rhs(conn), 0.0, z0, 1.0, rtol=1e-13, atol=1e-15, first_step=1e-3
+    ).state_end
+    ref = bundle_point(end[:2], end[2:4])
 
     def no_estimate(*args):
         raise AssertionError("a time-one flow asked for the starting-step estimate")
 
     monkeypatch.setattr(integrate, "_initial_step", no_estimate)
-    for controls in (None, IntegrationControls(first_step=1.0)):
+    for controls in (None, IntegrationControls()):
         for run in (
             lambda: exp_map(conn, base, u, v, controls),
             lambda: exp_map_with_jacobian(conn, base, u, v, controls=controls)[0],
@@ -672,16 +716,6 @@ def test_small_velocity_flow_takes_one_step(flows):
         assert sol.segments[0].h == 1.0
 
 
-def test_explicit_first_step_is_honoured(flows):
-    conn = conn_for("randers2d")
-    x0, u, v = np.array([0.2, -0.1]), np.array([0.08, 0.04]), np.array([1.0, -0.3])
-    controls = IntegrationControls(first_step=0.25)
-    exp_map(conn, x0, u, v, controls)
-    exp_map_with_jacobian(conn, x0, u, v, controls=controls)
-    assert [sol.segments[0].h for sol in flows] == [0.25, 0.25]
-    assert controls.first_step == 0.25
-
-
 def test_flows_to_any_end_time_keep_the_starting_step_estimate(monkeypatch):
     calls = 0
     estimate = integrate._initial_step
@@ -696,12 +730,12 @@ def test_flows_to_any_end_time_keep_the_starting_step_estimate(monkeypatch):
     x0, u, v = np.array([0.2, -0.1]), np.array([0.08, 0.04]), np.array([1.0, -0.3])
     exp_map(conn, x0, u, v)
     assert calls == 0
+    coefficient_calls = _count_coefficients(conn)
     traj = integrate_horizontal_autoparallel(conn, x0, u, v, 1.0)
     assert calls == 1
     assert traj.solution.segments[0].h < 1.0
     # the estimate's probe is the start's second evaluation
-    d = traj.diagnostics
-    assert d.field_evals == 2 + 11 * (d.accepted + d.rejected) + 4 * d.accepted
+    _assert_residual_measured_on_first_read(traj, coefficient_calls)
     integrate_autoparallel(conn, x0, u, 1.0)
     assert calls == 2
 

@@ -15,7 +15,10 @@ from finslerkit import verify
 from finslerkit.bundle import bundle_point
 from finslerkit.charts import AutoparallelChart
 from finslerkit.connection import GeneralConnection
+from finslerkit.jets import JetSpace
 from finslerkit.models import BUILTIN_MODELS, builtin_names, load_model
+
+from jet_oracles import count_deep_evaluations
 
 ALWAYS = {
     "euler-degree", "horizontal-constancy", "fiber-symmetry", "connection-homogeneity",
@@ -105,6 +108,24 @@ def test_series_rows_catch_a_one_percent_cubic_error(monkeypatch, name, seed):
     rows = series_rows(name, seed)
     assert not rows["series-order-cubic"]["passed"]
     assert rows["series-order-quadratic"]["passed"] and rows["series-kind-gap"]["passed"]
+
+
+@pytest.mark.parametrize("name", ["sphere2d", "quartic4d"])
+def test_the_rest_flow_reference_evaluates_the_connection_once(name):
+    # every stage of the unit step at rest reads N's jet at (base, v)
+    model = load_model(f"builtin:{name}")
+    conn = GeneralConnection.cartan(model)
+    n = model.dimension
+    rng = np.random.default_rng(4)
+    base, v = model.draw_inner_x(rng), model.draw_fiber(rng)
+    orders = count_deep_evaluations(conn)
+    for space, u_seed, v_seed in (
+        (JetSpace.get(n, 3), 0, None),
+        (JetSpace.get(2 * n, 3, n, 1), n, 0),
+    ):
+        del orders[:]
+        verify._rest_flow_jets(conn, base, v, space, u_seed, v_seed)
+        assert orders == [3]
 
 
 def test_fiber_draws_take_the_model_band(monkeypatch):

@@ -9,11 +9,15 @@ Covers, one line each (the hash, then the command's arguments):
 - the ``connection`` and ``chart`` commands of the CI workflow;
 - the README's ``expmap`` and ``geodesic`` examples (the trajectory written
   to standard output rather than to a file) and one ``autoparallel`` run,
-  the flows no report above reads.
+  the flows no report above reads;
+- the ``validate`` report of every builtin model;
+- the ``connection`` and ``validate`` commands of the CI workflow's 3-d custom
+  model, whose Lagrangian divides by a jet, run from a temporary directory
+  that holds its document as ``custom3d.json``.
 
 Each command runs through ``finslerkit.cli.main`` in this process, from the
-repository root (a report names its model as given, so the line model is
-named by its relative path), its standard output captured.  Two checkouts
+repository root unless said otherwise (a report names its model as given, so
+the line model is named by its relative path), its standard output captured.  Two checkouts
 print the same lines exactly when none of these reports moved by a byte.
 Run from the repository root:
 
@@ -25,7 +29,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
+import tempfile
 from pathlib import Path
 
 from finslerkit import cli
@@ -51,6 +57,22 @@ FLOW_COMMANDS = [
 ]
 
 
+# the CI workflow's custom model: exp, log, sqrt, abs, sin, cos and a jet division
+CUSTOM3D = {
+    "dimension": 3, "homogeneity_degree": 2, "family": "custom",
+    "parameters": {"expression": (
+        "exp(0.2 * x1) * y1^2 - (1 + 0.1 * sin(x2) * cos(x3)) * (y2^2 + y3^2) "
+        "+ 0.05 * log(2 + x2) * y1 * y2 + 0.02 * abs(x1 - 2) * (y1^4 + y2^4) "
+        "/ (y1^2 + y2^2 + y3^2) - 0.02 * sqrt(y2^4 + y3^4)"
+    )},
+}
+
+CUSTOM_COMMANDS = [
+    "connection --model custom3d.json --point 0.1,0.2,-0.3 --direction 1,0.3,-0.2",
+    "validate --model custom3d.json --samples 20",
+]
+
+
 def commands() -> list[list[str]]:
     models = [f"builtin:{name}" for name in builtin_names()] + [LINE_MODEL]
     runs = [
@@ -63,14 +85,26 @@ def commands() -> list[list[str]]:
     return runs + [line.split() for line in CI_COMMANDS + FLOW_COMMANDS]
 
 
+def report_hash(argv: list[str]) -> None:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    print(digest, " ".join(argv), flush=True)
+
+
 def main() -> int:
     os.chdir(ROOT)
     for argv in commands():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            cli.main(argv)
-        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        print(digest, " ".join(argv), flush=True)
+        report_hash(argv)
+    for name in builtin_names():
+        report_hash(["validate", "--model", f"builtin:{name}"])
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        Path("custom3d.json").write_text(json.dumps(CUSTOM3D))
+        for line in CUSTOM_COMMANDS:
+            report_hash(line.split())
+        os.chdir(ROOT)
     return 0
 
 

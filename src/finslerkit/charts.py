@@ -129,19 +129,22 @@ class AutoparallelChart:
             )
 
     def _image_jets(self, xt, yt, space: JetSpace, u_seed: int, v_seed: int | None = None):
-        """The image of (xt + du, yt + dv) as jets in ``space``, valid to its
-        order for the extended kind and to one order less for the standard
-        kind; the seeds are placed as in :func:`exp_map_jets`."""
+        """The image of (xt + du, yt + dv) as jets, seeded as in
+        :func:`exp_map_jets`: x in ``space``, as is y for the extended kind.
+        The standard kind's fiber y = (dx/dxt) yt is valid one order lower, so
+        it lies in the space of that order, the prefix of ``space``."""
         n = self.dimension
         x, y = exp_map_jets(
             self.connection, self.base, xt, yt, space, u_seed, v_seed, TIGHT
         )
-        xs = [TaylorJet(space, space.order, c) for c in x]
+        xs = [TaylorJet(space, c) for c in x]
         if self.kind == "extended":
-            return xs, [TaylorJet(space, space.order, c) for c in y]
-        # y = (dx/dxt) yt, with yt itself a jet when it is seeded
-        fiber = yt if v_seed is None else [space.variable(v_seed + i, yt[i]) for i in range(n)]
-        ys = [sum(xs[a].deriv(u_seed + i) * fiber[i] for i in range(n)) for a in range(n)]
+            return xs, [TaylorJet(space, c) for c in y]
+        low = JetSpace.get(space.nvars, space.order - 1, space.capped, space.cap)
+        # dx[i][a] = dx^a/dxt^i, with yt itself a jet when it is seeded
+        dx = [space.derivative(x, u_seed + i)[:, : low.size] for i in range(n)]
+        fiber = yt if v_seed is None else [low.variable(v_seed + i, yt[i]) for i in range(n)]
+        ys = [sum(TaylorJet(low, dx[i][a]) * fiber[i] for i in range(n)) for a in range(n)]
         return xs, ys
 
     def to_manifold(self, xt, yt) -> TangentBundlePoint:
@@ -215,9 +218,10 @@ class AutoparallelChart:
                 # a trial carries its Newton matrix, so the accepted one seeds
                 # the next iteration without a second integration
                 z_try = z + lam * step
-                try:
+                try:  # a trial outside the trust radius is rejected unflowed
+                    self._check_trust(z_try[:n])
                     trial = self._forward_with_update_matrix(z_try)
-                except ExcludedSetEntered:
+                except (OutsideTrustRegion, ExcludedSetEntered):
                     trial = None
                 if trial is not None and float(np.abs(trial[0] - target).max()) < res:
                     z = z_try
@@ -255,7 +259,7 @@ class AutoparallelChart:
         space = JetSpace.get(n, max(order, y_order + (self.kind == "standard")))
         xs, ys = self._image_jets(np.zeros(n), yt, space, 0)
         x = space.terms(np.array([j.c for j in xs]), xt, range(order + 1))
-        y = space.terms(np.array([j.c for j in ys]), xt, range(y_order + 1))
+        y = ys[0].space.terms(np.array([j.c for j in ys]), xt, range(y_order + 1))
         return bundle_point(x, y)
 
     def jacobian_series(self, yt) -> ChartJacobianSeries:
@@ -315,9 +319,11 @@ class AutoparallelChart:
         return self.connection.lagrangian
 
     def _lagrangian_jet(self, yt: np.ndarray, space: JetSpace, u_seed: int, v_seed=None):
-        """L at the chart image of (du, yt + dv) as a jet in ``space``."""
+        """L at the chart image of (du, yt + dv) as a jet in the space of the
+        image's fiber (see :meth:`_image_jets`)."""
         xs, ys = self._image_jets(np.zeros(self.dimension), yt, space, u_seed, v_seed)
-        jet = self._require_lagrangian()(xs, ys)
+        low = ys[0].space
+        jet = self._require_lagrangian()([TaylorJet(low, j.c[: low.size]) for j in xs], ys)
         if not np.isfinite(jet.c).all():
             raise NonFiniteField(
                 f"Lagrangian jet in the chart is not finite at {bundle_point(self.base, yt)}"

@@ -146,7 +146,7 @@ def _degree_blocks(space: JetSpace, n: int) -> list:
     size = space.size
     full = space.full_support
     # the product table of full jets, sorted by output degree
-    ia, ib, ic = space.pairs(space.order, full, full)
+    ia, ib, ic = space.pairs(full, full)
     ends = np.searchsorted(space.degrees[ic], np.arange(space.order + 2))
     a = np.arange(n)[:, None, None]
     b = np.arange(n)[None, :, None]
@@ -389,19 +389,24 @@ class GeneralConnection:
 
     def validate_flags(self, points) -> dict:
         """Spot-check declared homogeneity/symmetry on sample points."""
-        results = {"homogeneous": True, "symmetric": True, "checked": 0}
-        for p in points:
-            ev = self.evaluate(p)
-            scale = 1.0 + float(np.abs(ev.N).max())
-            for lam in (0.5, 2.0):
-                scaled = self.coefficients(bundle_point(p.x, lam * p.y))
-                if np.abs(scaled - lam * ev.N).max() > _FLAG_TOL * scale * max(1.0, lam):
-                    results["homogeneous"] = False
-            gap = np.abs(ev.dN_y - np.transpose(ev.dN_y, (0, 2, 1))).max()
-            if gap > _FLAG_TOL * (1.0 + np.abs(ev.dN_y).max()):
-                results["symmetric"] = False
-            results["checked"] += 1
-        return results
+        residuals = [self.flag_residuals(p, self.evaluate(p)) for p in points]
+        return {
+            "homogeneous": all(h <= _FLAG_TOL for h, _ in residuals),
+            "symmetric": all(s <= _FLAG_TOL for _, s in residuals),
+            "checked": len(residuals),
+        }
+
+    def flag_residuals(self, p: TangentBundlePoint, ev: ConnectionEval) -> tuple:
+        """The relative residuals at ``p`` (``ev`` its evaluation) of fiber
+        homogeneity, N(x, lam y) = lam N(x, y) for lam = 0.5 and 2, and of
+        fiber symmetry, dN^a_c/dy^b = dN^a_b/dy^c."""
+        homogeneity = max(
+            np.abs(self.coefficients(bundle_point(p.x, lam * p.y)) - lam * ev.N).max()
+            / ((1.0 + np.abs(ev.N).max()) * max(1.0, lam))
+            for lam in (0.5, 2.0)
+        )
+        symmetry = np.abs(ev.dN_y - np.transpose(ev.dN_y, (0, 2, 1))).max()
+        return float(homogeneity), float(symmetry / (1.0 + np.abs(ev.dN_y).max()))
 
 
 @functools.lru_cache(maxsize=None)

@@ -265,9 +265,9 @@ def _jet_rhs(conn: GeneralConnection, space: JetSpace, at_rest: bool):
         dev[:, 0] = 0.0
         # N[a, b] and dN[a, b, c] = d/dy^c N^a_b along the state jets
         composed = compose(ev.taylor, nspace, dev, space)
-        dN_u = space.product(composed[:, :, 1:], u[None, None], m).sum(axis=2)
+        dN_u = space.product(composed[:, :, 1:], u[None, None]).sum(axis=2)
         # y' = -N u and u' = -(dN u) u in one product
-        both = space.product(np.stack([composed[:, :, 0], dN_u]), u[None, None], m)
+        both = space.product(np.stack([composed[:, :, 0], dN_u]), u[None, None])
         ydot, udot = -both.sum(axis=2)
         return np.concatenate([u, ydot, udot]).T.ravel()
 

@@ -260,7 +260,8 @@ def coordinate_env(n: int, x, y) -> dict:
 # -- the compiled tape ---------------------------------------------------------
 #
 # A tape replays over jets exactly the operations evaluate() applies to
-# TaylorJets, as a straight-line program on one flat file of cells.  A
+# TaylorJets, as a straight-line program on one flat file of cells.  Every
+# input, and so every register, is a jet valid to the space's order.  A
 # register maps the space's slots to cells: a block for the slots its support
 # allows (the others read a constant 0), or a view of other cells (a seeded
 # variable is its value cell, a 1 and 0s; _compose's centred jet and the
@@ -284,7 +285,7 @@ _ROUND = ("scalar", "ufunc") * 4 + ("wave",)
 def compiled(tree, key: str, space, inputs) -> "Tape":
     """The tape of ``tree`` (named by ``key``) on ``space``, compiled once per
     process; ``inputs`` is None for the space's variables seeded at a point,
-    else one (order, support) per input jet."""
+    else the support of each input jet."""
     tape = _TAPES.get((key, space, inputs))
     if tape is None:
         tape = _TAPES[key, space, inputs] = Tape(tree, space, inputs)
@@ -314,11 +315,10 @@ class _Reg:
     """A register while compiling: its slot -> cell map, or None while it is a
     pending sum of ``terms``; a sum keeps its terms once it has cells."""
 
-    __slots__ = ("cells", "order", "support", "ready", "terms")
+    __slots__ = ("cells", "support", "ready", "terms")
 
-    def __init__(self, cells, order, support, ready, terms):
-        self.cells, self.order, self.support = cells, order, support
-        self.ready, self.terms = ready, terms
+    def __init__(self, cells, support, ready, terms):
+        self.cells, self.support, self.ready, self.terms = cells, support, ready, terms
 
 
 class Tape:
@@ -357,7 +357,7 @@ class Tape:
             at += out.size
         self.root = root  # a float for a constant tree
         if isinstance(root, _Reg):
-            self.root, self.order, self.support = None, root.order, root.support
+            self.root, self.support = None, root.support
             self.out = new[root.cells]
 
     def run(self, *seed):
@@ -379,7 +379,7 @@ class Tape:
                 flat[out] = fn(flat[a])
         if self.root is not None:
             return self.root
-        return jets.TaylorJet(self.space, self.order, flat[self.out], self.support)
+        return jets.TaylorJet(self.space, flat[self.out], self.support)
 
 
 class _Compiler:
@@ -397,9 +397,9 @@ class _Compiler:
                 cells = np.full(size, self.zero)
                 cells[max(units[v], 0)] = self.one  # no unit slot at order 0 or cap 0
                 cells[0] = cell
-                regs.append(_Reg(cells, space.order, 1 << v, -1, None))
+                regs.append(_Reg(cells, 1 << v, -1, None))
         else:
-            regs = [_Reg(self._block(size), order, support, -1, None) for order, support in inputs]
+            regs = [_Reg(self._block(size), support, -1, None) for support in inputs]
             self.seed = np.concatenate([r.cells for r in regs])
         self.env = coordinate_env(len(regs) // 2, regs[: len(regs) // 2], regs[len(regs) // 2:])
 
@@ -467,7 +467,7 @@ class _Compiler:
     @_hashconsed
     def compose(self, a, name, p):
         """TaylorJet._compose of the series ``name`` at a's value."""
-        m = a.order
+        m = self.space.order
         s = self._py(lambda u0: jets.SERIES[name](u0, m, p), a, m + 1)
         w = self._view(a, self.zero)
         if m == 0:
@@ -486,7 +486,7 @@ class _Compiler:
         """TaylorJet.reciprocal: Newton sweeps from 1 / a's value."""
         start = self._py(lambda c0: [jets.reciprocal_start(c0)], a, 1)[0]
         inv = self._constant(a, start)
-        for _ in range(jets.newton_sweeps(a.order)):
+        for _ in range(jets.newton_sweeps(self.space.order)):
             minus = self.scale(self.mul(a, inv), self.const(-1.0))
             inv = self.mul(inv, self.addc(minus, self.const(2.0)))
         return inv
@@ -496,16 +496,14 @@ class _Compiler:
         """A pending sum of the pairs of TaylorJet's product."""
         self.materialize(a)
         self.materialize(b)
-        order = min(a.order, b.order)
-        ia, ib, ic = self.space.pairs(order, a.support, b.support)
+        ia, ib, ic = self.space.pairs(a.support, b.support)
         term = (a.cells[ia], b.cells[ib], ic)
-        return _Reg(None, order, a.support | b.support, max(a.ready, b.ready), [term])
+        return _Reg(None, a.support | b.support, max(a.ready, b.ready), [term])
 
     @_hashconsed
     def add(self, a, b):
-        """TaylorJet + TaylorJet, masked to the lower order."""
-        order = min(a.order, b.order)
-        if order == self.space.order and a.terms and b.terms:  # a sum of sums
+        """TaylorJet + TaylorJet."""
+        if a.terms and b.terms:  # a sum of sums
             # b + a is a + b bit for bit: the pending sum ready last leads
             if b.cells is None and (a.cells is not None or b.ready > a.ready):
                 a, b = b, a
@@ -513,8 +511,7 @@ class _Compiler:
             inside = self._inside(b.support)
             term = (b.cells[inside], np.full(inside.size, self.one), inside)
             return self._sum(a, term, b.ready, a.support | b.support)
-        out = self._ew(np.add, a, b)
-        return out if order == self.space.order else self._ew(np.multiply, out, self._mask(order))
+        return self._ew(np.add, a, b)
 
     @_hashconsed
     def addc(self, a, s):
@@ -523,7 +520,7 @@ class _Compiler:
             term = (np.array([s]), np.array([self.one]), np.zeros(1, np.intp))
             return self._sum(a, term, self.ready.get(s, -1), a.support)
         self.materialize(a)
-        c0 = self._ew(np.add, _Reg(a.cells[:1], 0, 0, a.ready, None), s)
+        c0 = self._ew(np.add, _Reg(a.cells[:1], 0, a.ready, None), s)
         self.ready[int(c0.cells[0])] = c0.ready
         return self._view(a, c0.cells[0])
 
@@ -540,16 +537,15 @@ class _Compiler:
         self.materialize(a)
         if isinstance(b, _Reg):
             self.materialize(b)
-            cells, ready, order = b.cells, b.ready, min(a.order, b.order)
-            support = a.support | b.support
+            cells, ready, support = b.cells, b.ready, a.support | b.support
         else:
-            cells, ready, order, support = b, self.ready.get(b, -1), a.order, a.support
+            cells, ready, support = b, self.ready.get(b, -1), a.support
         base = self.ncells  # above every cell so far: pair (i, j) is i * base + j
         keys, back = np.unique(a.cells * base + cells, return_inverse=True)
         out, time = self._block(keys.size), _when(max(a.ready, ready), "ufunc")
         entry = (out, keys // base, keys % base)
         self.batches.setdefault((time, ufunc.__name__, 0), []).append(entry)
-        return _Reg(out[back.reshape(-1)], order, support, time, None)
+        return _Reg(out[back.reshape(-1)], support, time, None)
 
     def _sum(self, a, term, ready, support):
         """A pending sum: a's own terms if it is pending, else its cells, then ``term``."""
@@ -557,20 +553,20 @@ class _Compiler:
         if a.cells is not None:
             inside = self._inside(a.support)
             lead = [(a.cells[inside], np.full(inside.size, self.one), inside)]
-        return _Reg(None, a.order, support, max(a.ready, ready), lead + [term])
+        return _Reg(None, support, max(a.ready, ready), lead + [term])
 
     def _view(self, a, cell):
         """a with slot 0 read from ``cell``."""
         self.materialize(a)
         cells = a.cells.copy()
         cells[0] = cell
-        return _Reg(cells, a.order, a.support, max(a.ready, self.ready.get(cell, -1)), None)
+        return _Reg(cells, a.support, max(a.ready, self.ready.get(cell, -1)), None)
 
     def _constant(self, a, cell):
-        """The constant jet ``cell`` with a's order and support."""
+        """The constant jet ``cell`` with a's support."""
         cells = np.full(self.space.size, self.zero)
         cells[0] = cell
-        return _Reg(cells, a.order, a.support, self.ready.get(cell, -1), None)
+        return _Reg(cells, a.support, self.ready.get(cell, -1), None)
 
     def materialize(self, r):
         """Give a pending sum a block for its support's slots (its other slots
@@ -612,14 +608,6 @@ class _Compiler:
             self.consts[key] = int(self._block(1)[0])
             self.fixed[self.consts[key]] = value
         return self.consts[key]
-
-    def _mask(self, order):
-        """TaylorJet._mask's factors, a constant register."""
-        if order not in self.consts:
-            block = self._block(self.space.size)
-            self.consts[order] = _Reg(block, order, self.space.full_support, -1, None)
-            self.fixed.update(zip(self.consts[order].cells.tolist(), self.space.masks[order]))
-        return self.consts[order]
 
     def _inside(self, support):
         """The slots whose multi-index involves only variables in ``support``."""

@@ -252,16 +252,19 @@ class OdeSolution:
         return out
 
     def _segment(self, t: float) -> int:
-        """Index of the segment holding t, clamped to the first and last."""
+        """Index of the segment holding t; ``ValueError`` outside the run."""
         if not self.segments:
             raise FinslerKitError("empty solution has no interpolant")
+        lo, hi = sorted((float(self.ts[0]), float(self.ts[-1])))
+        if not lo <= t <= hi:
+            raise ValueError(f"t = {t!r} lies outside the integrated interval [{lo!r}, {hi!r}]")
         nseg = len(self.segments)
         lefts = self.ts[:nseg]  # ts[k] is the left end of segment k
         if self.ts[-1] < self.ts[0]:  # backward-time run
             lefts = -lefts
             t = -t
         k = int(np.searchsorted(lefts, t, side="right")) - 1
-        return min(max(k, 0), nseg - 1)
+        return min(k, nseg - 1)  # the end point: the last segment
 
     def _coefficients(self, index: int) -> np.ndarray:
         """The segment's monomial rows, made on its first query."""
@@ -387,10 +390,10 @@ def solve_ode(
         err = 0.0 if e5 == 0.0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * m)
 
         if err <= 1.0:
-            k[12] = call(t + hs, z_new)
+            t_new = t_end if hs == t_end - t else t + hs  # the last step ends on t_end
+            k[12] = call(t_new, z_new)
             sol.segments.append(_Segment(t, hs, k.copy()))
-            t = t + hs
-            z = z_new
+            t, z = t_new, z_new
             ts.append(t)
             states.append(z)
             naccepted += 1

@@ -23,18 +23,21 @@ through :meth:`JetSpace.pairs` and the slots within a support through
 
 There is one product and one derivative, both on coefficient arrays:
 :meth:`JetSpace.product` and :meth:`JetSpace.derivative`.  A
-:class:`TaylorJet` is one such array with an order and a support, and its
-``*`` and ``deriv`` call them; :func:`compose` and the Taylor-mode flows call
-them on stacks of arrays.  The product folds a precomputed (i, j, k) pair
-table with ``np.bincount``.  The table is sorted by output degree, so the
-pairs a product of order-o jets needs (output degree <= o) are a prefix of it
-(truncated Taylor arithmetic, Griewank & Walther, *Evaluating Derivatives*,
-2nd ed., SIAM 2008).  Division goes through a Newton iteration for the
-reciprocal; analytic functions (sin, exp, sqrt, ...) compose their univariate
-Taylor series, one helper per function in :data:`SERIES`, with the nilpotent
-part via Horner's rule; :func:`compose` applies a multivariate jet to other
-jets (how Taylor-mode flows push N's jet through their state).  A model's
-Lagrangian runs the same operations from its compiled expression tape
+:class:`TaylorJet` is one such array with a support, and its ``*`` calls the
+product; :func:`compose` and the Taylor-mode flows call the kernels on stacks
+of arrays.  The product folds a precomputed (i, j, k) pair table, sorted by
+output degree, with ``np.bincount``.  A jet is valid to its space's order.
+Since slots come in (degree, lex) order, the slots of the order-k space, and
+its pairs in their order, are the first ones of the order-m space of the same
+cap for any k <= m (truncated Taylor arithmetic, Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008): a quantity valid one order
+lower, such as a derivative, lives in that space, restricted by slicing.
+Division goes through a Newton iteration for the reciprocal; analytic
+functions (sin, exp, sqrt, ...) compose their univariate Taylor series, one
+helper per function in :data:`SERIES`, with the nilpotent part via Horner's
+rule; :func:`compose` applies a multivariate jet to other jets (how
+Taylor-mode flows push N's jet through their state).  A model's Lagrangian
+runs the same operations from its compiled expression tape
 (``expressions.Tape``): the products of each wave are one
 :func:`wave_products` over a register file, their terms read from
 :meth:`JetSpace.pairs`.
@@ -44,13 +47,13 @@ coefficients may involve.  The invariant is that each slot whose multi-index
 uses a variable outside the support holds exactly 0.  A constant has support
 0, ``variable(v)`` has ``1 << v``, sums and products take the union, and the
 other operations keep their operand's support; a jet built from a raw array
-gets every variable.  A product runs only the prefix pairs whose left slot
-lies in the left support and whose right slot lies in the right one (sparse
+gets every variable.  A product runs only the pairs whose left slot lies in
+the left support and whose right slot lies in the right one (sparse
 derivative propagation, ibid., ch. 13).  Every dropped pair has an exactly
 zero factor, so its product is +0 or -0 when the other factor is finite; and
 ``np.bincount`` starts each bin from +0.0 and adds in array order, so no bin
 is ever -0.0 and adding a signed zero never changes it.  The kept pairs run in
-the prefix's order, so finite products are bit-identical to the full-table
+the table's order, so finite products are bit-identical to the full-table
 product, sign bits included.
 
 A reciprocal of a jet with zero constant term, a float power of zero with a
@@ -103,9 +106,11 @@ class JetSpace:
     The space owns the jet arithmetic's two kernels, on coefficient arrays
     whose last axis runs over its slots: :meth:`product` and
     :meth:`derivative`.  A product of factors with partial supports (see
-    :class:`TaylorJet`) runs the subsequence of ``_mul_prefix[order]`` that
-    :meth:`pairs` filters by the supports, cached per (order, support_a,
-    support_b); full against full is the prefix itself.
+    :class:`TaylorJet`) runs the subsequence of the pair table that
+    :meth:`pairs` filters by the supports, cached per (support_a, support_b);
+    full against full is the whole table.  For k <= ``order`` the order-k
+    space of the same ``capped`` and ``cap`` is this space's prefix: its
+    slots, and its pairs in their order, are the first ones of this space.
 
     Instances are cached per (nvars, order, capped, cap); construction cost is
     paid once per process.
@@ -152,11 +157,6 @@ class JetSpace:
         factorial = np.array([math.factorial(k) for k in range(base)])
         self.factorials = factorial[self.exponents].prod(axis=1).astype(float)
 
-        # masks[o] zeroes every coefficient of degree > o
-        self.masks = [
-            (self.degrees <= o).astype(float) for o in range(order + 1)
-        ]
-
         # multiplication table: c[k] += a[i] * b[j] over all pairs with
         # deg(i) + deg(j) <= order and k in the space, grouped by output
         # degree d = deg(k).
@@ -164,9 +164,10 @@ class JetSpace:
         # degree d - deg(i).  Each output slot k thus receives its summands in
         # ascending i, the order of an i-major table, and since np.bincount
         # adds its weights in array order every product is bit-identical to a
-        # full i-major product masked to the result order.
+        # full i-major product.  The pairs of output degree <= k are the whole
+        # table of the order-k space, on the same slots.
         lo = np.searchsorted(self.degrees, np.arange(order + 2))  # degree d: lo[d]:lo[d + 1]
-        ia, ib, ic, ends = [], [], [], []  # ends[o]: number of pairs of output degree <= o
+        ia, ib, ic = [], [], []
         for d in range(order + 1):
             for da in range(d + 1):
                 i = np.arange(lo[da], lo[da + 1])[:, None]
@@ -176,16 +177,10 @@ class JetSpace:
                 ia.append(np.broadcast_to(i, k.shape)[kept])
                 ib.append(np.broadcast_to(j, k.shape)[kept])
                 ic.append(k[kept])
-            ends.append(sum(map(len, ic)))
         self._mul_ia = np.concatenate(ia)
         self._mul_ib = np.concatenate(ib)
         self._mul_ic = np.concatenate(ic)
-        # _mul_prefix[o]: views of the pairs a product of order-o jets needs;
-        # its slots above degree o get no summand and stay exactly zero
-        self._mul_prefix = [
-            (self._mul_ia[:e], self._mul_ib[:e], self._mul_ic[:e]) for e in ends
-        ]
-        self._pairs: dict[tuple[int, int, int], tuple] = {}
+        self._pairs: dict[tuple[int, int], tuple] = {}
 
         # derivative tables: one (src, dst, factor) triple set per variable;
         # a source of degree > order or above the cap is not in the space,
@@ -246,19 +241,18 @@ class JetSpace:
         at = np.minimum(np.searchsorted(self.codes, codes), self.size - 1)
         return np.where(self.codes[at] == codes, at, -1)
 
-    def pairs(self, order: int, support_a: int, support_b: int) -> tuple:
-        """The pairs of ``_mul_prefix[order]``, in its order, whose left slot
+    def pairs(self, support_a: int, support_b: int) -> tuple:
+        """The product pairs (i, j, k), in table order, whose left slot
         involves only variables in ``support_a`` and right slot only variables
         in ``support_b``."""
-        key = (order, support_a, support_b)
+        key = (support_a, support_b)
         table = self._pairs.get(key)
         if table is None:
-            table = self._mul_prefix[order]
+            ia, ib, ic = self._mul_ia, self._mul_ib, self._mul_ic
             if support_a != self.full_support or support_b != self.full_support:
-                ia, ib, ic = table
                 keep = self.within(support_a)[ia] & self.within(support_b)[ib]
-                table = (ia[keep], ib[keep], ic[keep])
-            self._pairs[key] = table
+                ia, ib, ic = ia[keep], ib[keep], ic[keep]
+            table = self._pairs[key] = (ia, ib, ic)
         return table
 
     def within(self, support: int) -> np.ndarray:
@@ -272,17 +266,15 @@ class JetSpace:
         self,
         a: np.ndarray,
         b: np.ndarray,
-        order: int,
         support_a: int | None = None,
         support_b: int | None = None,
     ) -> np.ndarray:
         """Slot-wise jet products of ``a`` and ``b`` (broadcast against each
-        other), truncated at ``order``.  ``support_a`` and ``support_b`` bound
-        the variables the factors' non-zero slots involve; ``None`` is every
-        variable."""
+        other), truncated at the space order.  ``support_a`` and ``support_b``
+        bound the variables the factors' non-zero slots involve; ``None`` is
+        every variable."""
         full = self.full_support
         ia, ib, ic = self.pairs(
-            order,
             full if support_a is None else support_a,
             full if support_b is None else support_b,
         )
@@ -304,7 +296,8 @@ class JetSpace:
         return c[..., keep] @ monomials[keep]
 
     def derivative(self, c: np.ndarray, v: int) -> np.ndarray:
-        """Partial derivative in variable ``v`` of every jet in the stack ``c``."""
+        """Partial derivative in variable ``v`` of every jet in the stack ``c``,
+        valid one order below the space (its top-degree slots read 0)."""
         src, dst, fac = self._deriv[v]
         out = np.zeros(c.shape)
         out[..., dst] = c[..., src] * fac
@@ -315,7 +308,7 @@ class JetSpace:
     def constant(self, value: float) -> "TaylorJet":
         c = np.zeros(self.size)
         c[0] = float(value)
-        return TaylorJet(self, self.order, c, 0)
+        return TaylorJet(self, c, 0)
 
     def variable(self, v: int, value: float) -> "TaylorJet":
         """The coordinate function of variable ``v`` expanded at ``value``."""
@@ -324,25 +317,23 @@ class JetSpace:
         i = self.slots(np.eye(self.nvars, dtype=np.int64)[v])
         if i >= 0:  # absent at order 0 or cap 0
             c[i] = 1.0
-        return TaylorJet(self, self.order, c, 1 << v)
+        return TaylorJet(self, c, 1 << v)
 
 
 class TaylorJet:
-    """One truncated multivariate Taylor series, valid up to ``self.order``.
+    """One truncated multivariate Taylor series, valid to its space's order.
 
-    Coefficients above the jet's own validity order are kept zeroed so that
-    arithmetic never propagates stale high-degree terms.  ``support`` is a
-    bitmask of the variables the non-zero coefficients may involve: every slot
-    whose multi-index uses a variable outside it is exactly 0, so products skip
-    those slots bit-identically (see the module docstring).  ``None`` means
-    every variable, the right default for a jet built from a raw array.
+    ``support`` is a bitmask of the variables the non-zero coefficients may
+    involve: every slot whose multi-index uses a variable outside it is
+    exactly 0, so products skip those slots bit-identically (see the module
+    docstring).  ``None`` means every variable, the right default for a jet
+    built from a raw array.
     """
 
-    __slots__ = ("space", "order", "c", "support")
+    __slots__ = ("space", "c", "support")
 
-    def __init__(self, space: JetSpace, order: int, c: np.ndarray, support: int | None = None):
+    def __init__(self, space: JetSpace, c: np.ndarray, support: int | None = None):
         self.space = space
-        self.order = order
         self.c = c
         self.support = space.full_support if support is None else support
 
@@ -359,40 +350,22 @@ class TaylorJet:
         idx, factorials = self.space.partial_slots(*axes)
         return self.c[idx] * factorials
 
-    def deriv(self, v: int) -> "TaylorJet":
-        """Partial derivative with respect to variable ``v``; drops one order."""
-        if self.order < 1:
-            raise OrderUnsupported("cannot differentiate an order-0 jet")
-        c = self.space.derivative(self.c, v)
-        out = TaylorJet(self.space, self.order - 1, c, self.support)
-        out._mask()
-        return out
-
-    def _mask(self):
-        if self.order < self.space.order:
-            self.c *= self.space.masks[self.order]
-        return self
-
     def copy(self) -> "TaylorJet":
-        return TaylorJet(self.space, self.order, self.c.copy(), self.support)
+        return TaylorJet(self.space, self.c.copy(), self.support)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, TaylorJet):
-            c = self.c + other.c
-            out = TaylorJet(
-                self.space, min(self.order, other.order), c, self.support | other.support
-            )
-            return out._mask()
+            return TaylorJet(self.space, self.c + other.c, self.support | other.support)
         c = self.c.copy()
         c[0] += float(other)
-        return TaylorJet(self.space, self.order, c, self.support)
+        return TaylorJet(self.space, c, self.support)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TaylorJet(self.space, self.order, -self.c, self.support)
+        return TaylorJet(self.space, -self.c, self.support)
 
     def __sub__(self, other):
         return self.__add__(-other if isinstance(other, TaylorJet) else -float(other))
@@ -402,24 +375,23 @@ class TaylorJet:
 
     def __mul__(self, other):
         if not isinstance(other, TaylorJet):
-            return TaylorJet(self.space, self.order, self.c * float(other), self.support)
-        order = min(self.order, other.order)
-        c = self.space.product(self.c, other.c, order, self.support, other.support)
-        return TaylorJet(self.space, order, c, self.support | other.support)
+            return TaylorJet(self.space, self.c * float(other), self.support)
+        c = self.space.product(self.c, other.c, self.support, other.support)
+        return TaylorJet(self.space, c, self.support | other.support)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "TaylorJet":
         inv = self.space.constant(reciprocal_start(self.c[0]))
-        inv.order, inv.support = self.order, self.support
-        for _ in range(newton_sweeps(self.order)):
+        inv.support = self.support
+        for _ in range(newton_sweeps(self.space.order)):
             inv = inv * (2.0 - self * inv)
         return inv
 
     def __truediv__(self, other):
         if isinstance(other, TaylorJet):
             return self * other.reciprocal()
-        return TaylorJet(self.space, self.order, self.c / float(other), self.support)
+        return TaylorJet(self.space, self.c / float(other), self.support)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * float(other)
@@ -430,9 +402,7 @@ class TaylorJet:
             if k < 0:
                 return self.reciprocal() ** (-k)
             if k == 0:
-                one = self.space.constant(1.0)
-                one.order, one.support = self.order, self.support
-                return one
+                return TaylorJet(self.space, self.space.constant(1.0).c, self.support)
             result, base = None, self
             while k:
                 if k & 1:
@@ -460,7 +430,7 @@ class TaylorJet:
         return r
 
     def _series(self, name: str, p) -> "TaylorJet":
-        return self._compose(SERIES[name](self.c[0], self.order, p))
+        return self._compose(SERIES[name](self.c[0], self.space.order, p))
 
     sin = partialmethod(_series, "sin", None)
     cos = partialmethod(_series, "cos", None)
@@ -472,7 +442,7 @@ class TaylorJet:
         return self if abs_sign(self.c[0]) > 0.0 else -self
 
     def __repr__(self):
-        return f"TaylorJet(order={self.order}, value={self.value:.6g})"
+        return f"TaylorJet(order={self.space.order}, value={self.value:.6g})"
 
 
 # -- generic scalar shims ----------------------------------------------------
@@ -673,5 +643,5 @@ def compose(coef: np.ndarray, space: JetSpace, inner: np.ndarray, out: JetSpace)
         if d == 1:
             mono[lo:hi] = inner[var]
         else:
-            mono[lo:hi] = out.product(mono[space._mono_parent[lo:hi]], inner[var], order)
+            mono[lo:hi] = out.product(mono[space._mono_parent[lo:hi]], inner[var])
     return coef[..., :count] @ mono

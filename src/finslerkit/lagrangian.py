@@ -262,7 +262,9 @@ class FinslerLagrangian:
             return self._evaluator(x, y)
         if isinstance(x[0], TaylorJet):
             inputs = list(x) + list(y)
-            key = tuple((jet.order, jet.support) for jet in inputs)
+            if any(jet.space is not inputs[0].space for jet in inputs):
+                raise ValueError("L's input jets must lie in one jet space")
+            key = tuple(jet.support for jet in inputs)
             tape = ex.compiled(self._tree, self._key, inputs[0].space, key)
             return tape.run(*[jet.c for jet in inputs])
         return ex.evaluate(self._tree, ex.coordinate_env(self.dimension, x, y))

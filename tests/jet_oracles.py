@@ -24,7 +24,7 @@ import numpy as np
 from finslerkit import jets
 from finslerkit.bundle import bundle_point
 from finslerkit.dynamics import exp_map_jets
-from finslerkit.errors import NearDegenerateMetric
+from finslerkit.errors import NearDegenerateMetric, OrderUnsupported
 from finslerkit.expressions import coordinate_env, evaluate, parse
 from finslerkit.jets import JetSpace, TaylorJet, eval_taylor
 
@@ -61,10 +61,27 @@ def jet_partial(jet, alpha) -> float:
     return float(jet.c[i] * jet.space.factorials[i])
 
 
+def restrict(jet, order):
+    """``jet`` in the order-``order`` space of its own cap: its first slots."""
+    space = jet.space
+    low = JetSpace.get(space.nvars, order, space.capped, space.cap)
+    return TaylorJet(low, jet.c[: low.size], jet.support)
+
+
+def deriv(jet, v):
+    """Partial derivative of ``jet`` in variable ``v``, a jet in the space one
+    order lower."""
+    space = jet.space
+    if space.order < 1:
+        raise OrderUnsupported("cannot differentiate an order-0 jet")
+    return restrict(TaylorJet(space, space.derivative(jet.c, v), jet.support), space.order - 1)
+
+
 def loop_tables(nvars, order, capped=0, cap=None):
     """The tables of ``JetSpace(nvars, order, capped, cap)`` built by loops
     over tuples: the multi-indices sorted by (degree, lex), the pair table
-    i-major within each output degree, one shifted lookup per slot and
+    i-major within each output degree (``ends[d]``: the number of pairs of
+    output degree <= d), one shifted lookup per slot and
     variable for the derivatives, and the first variable's parent for the
     monomial recursion."""
     cap = order if cap is None else cap
@@ -119,7 +136,6 @@ def loop_tables(nvars, order, capped=0, cap=None):
         degrees=degrees,
         exponents=np.array(indices, dtype=np.int64).reshape(size, nvars),
         factorials=np.array([float(np.prod([math.factorial(k) for k in a])) for a in indices]),
-        masks=[(degrees <= o).astype(float) for o in range(order + 1)],
         _mul_ia=np.array(ia, dtype=np.intp),
         _mul_ib=np.array(ib, dtype=np.intp),
         _mul_ic=np.array(ic, dtype=np.intp),
@@ -151,7 +167,7 @@ def rest_blocks(conn, base, v):
     us, vs = range(n, 2 * n), range(n)
 
     def block(rows, *axes):
-        return np.array([TaylorJet(space, space.order, c).partials(*axes) for c in rows])
+        return np.array([TaylorJet(space, c).partials(*axes) for c in rows])
 
     return SimpleNamespace(
         dx_du=block(x, us), dy_du=block(y, us), dx_dv=block(x, vs), dy_dv=block(y, vs),
@@ -236,8 +252,8 @@ def closed_form_blocks(conn, base, v):
 def jet_solve(matrix, rhs):
     """Solve M p = r by Gaussian elimination over jets, pivoting on values.
 
-    ``matrix`` is an n x n nested list of jets, ``rhs`` a length-n list; the
-    returned list holds jets of the common validity order.
+    ``matrix`` is an n x n nested list of jets, ``rhs`` a length-n list, all
+    in one space; the returned list holds jets in that space.
     """
     n = len(matrix)
     aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
@@ -263,22 +279,23 @@ def jet_solve(matrix, rhs):
     return out
 
 
-def jet_level_n(L, y, order):
-    """N^a_b's jets (valid to ``order``) from L's jet at (x, y) by jet
-    arithmetic alone: derivatives by ``TaylorJet.deriv``, the bracket by jet
-    products and the spray by :func:`jet_solve`."""
+def jet_level_n(L, y):
+    """N^a_b's jets from L's jet at (x, y) by jet arithmetic alone:
+    derivatives by :func:`deriv`, the bracket by jet products and the spray by
+    :func:`jet_solve`.  They lie three orders below L's space."""
     n = len(y)
-    ys = [L.space.variable(n + i, y[i]) for i in range(n)]
-    dL_x = [L.deriv(q) for q in range(n)]
-    g = [[0.5 * L.deriv(n + a).deriv(n + b) for b in range(n)] for a in range(n)]
+    low = L.space.order - 2  # the order of g, the bracket and the spray
+    ys = [restrict(L.space.variable(n + i, y[i]), low) for i in range(n)]
+    dL_x = [deriv(L, q) for q in range(n)]
+    g = [[0.5 * deriv(deriv(L, n + a), n + b) for b in range(n)] for a in range(n)]
     rhs = []
     for q in range(n):
-        acc = -1.0 * dL_x[q]
+        acc = -1.0 * restrict(dL_x[q], low)
         for k in range(n):
-            acc = acc + ys[k] * dL_x[k].deriv(n + q)
+            acc = acc + ys[k] * deriv(dL_x[k], n + q)
         rhs.append(acc)
     spray = jet_solve(g, rhs)
-    return [[0.25 * spray[a].deriv(n + b) for b in range(n)] for a in range(n)]
+    return [[0.25 * deriv(spray[a], n + b) for b in range(n)] for a in range(n)]
 
 
 def family_walk(model):

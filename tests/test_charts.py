@@ -317,19 +317,19 @@ def test_sphere_standard_chart_lagrangian_is_the_normal_coordinate_expansion():
     order = 6
     space = JetSpace.get(2, order + 1)  # the standard fiber costs one order
     jet = ch._lagrangian_jet(yt, space, 0)
+    assert jet.space is JetSpace.get(2, order)
     g0 = ch.connection.lagrangian.l_metric(bundle_point(ch.base, yt))
-    xt = [space.variable(i, 0.0) for i in range(2)]
+    xt = [jet.space.variable(i, 0.0) for i in range(2)]
 
     def inner(a, b):
         return sum(float(g0[i, j]) * a[i] * b[j] for i in range(2) for j in range(2))
 
     r2, xy, yy = inner(xt, xt), inner(xt, yt), inner(yt, yt)
-    expected = space.constant(yy)
+    expected = jet.space.constant(yy)
     for k in range(1, order // 2 + 1):
         c = (-1) ** k * 2 ** (2 * k + 1) / math.factorial(2 * k + 2)
         expected = expected + c * r2 ** (k - 1) * (r2 * yy - xy * xy)
-    keep = space.degrees <= order
-    assert np.abs(jet.c[keep] - expected.c[keep]).max() <= 1e-10
+    assert np.abs(jet.c - expected.c).max() <= 1e-10
 
 
 def test_newton_divergence_reports_last_iterate(monkeypatch):
@@ -345,12 +345,13 @@ def test_newton_divergence_reports_last_iterate(monkeypatch):
 # The damped Newton loop on a scripted forward map: the state and update
 # matrix of each call come from ``forward``, and the seed is the origin, so
 # each test drives one path of the loop.  Every value is dyadic, so each
-# residual below is exact.
+# residual below is exact.  The trust radius 4 holds every trial but the
+# ones a test sets out to refuse.
 _TARGET = np.array([0.5, 0.25, 1.0, -0.5])
 
 
-def _scripted_newton(monkeypatch, forward):
-    ch = chart_for("polar2d", [1.0, 0.0])
+def _scripted_newton(monkeypatch, forward, radius_hint=4.0):
+    ch = chart_for("polar2d", [1.0, 0.0], radius_hint=radius_hint)
     trials = []
 
     def scripted(z):
@@ -384,6 +385,23 @@ def test_newton_halves_a_step_into_the_excluded_set(monkeypatch):
     assert np.concatenate([xt, yt]).tolist() == _TARGET.tolist()
     want = [np.zeros(4), _TARGET, 0.5 * _TARGET, _TARGET]
     assert [t.tolist() for t in trials] == [w.tolist() for w in want]
+
+
+def test_newton_trials_outside_the_trust_radius_cost_no_flow(monkeypatch):
+    # the full step lands at 2 * target, |xt| = 1.118 > 1: it is rejected as
+    # an excluded-set trial is, without a flow, and the half step is taken
+    identity = lambda z, call: (z, 0.5 * np.eye(4))
+    ch, p, trials = _scripted_newton(monkeypatch, identity, radius_hint=1.0)
+    xt, yt = ch.from_manifold(p)
+    assert np.concatenate([xt, yt]).tolist() == _TARGET.tolist()
+    assert [t.tolist() for t in trials] == [[0.0] * 4, _TARGET.tolist()]
+    # a target beyond the radius (|xt| = 0.559 > 0.5): no trial outside it
+    # flows, so Newton never converges to an xt the forward map refuses
+    ch, p, trials = _scripted_newton(monkeypatch, identity, radius_hint=0.5)
+    with pytest.raises(NewtonDiverged):
+        ch.from_manifold(p)
+    assert len(trials) > 2
+    assert max(float(np.linalg.norm(t[:2])) for t in trials) <= 0.5
 
 
 def test_newton_without_progress_reports_its_last_iterate(monkeypatch):
@@ -695,7 +713,7 @@ def test_library_takes_no_finite_differences():
 
 # JetSpace's tables, which only jets.py reads; other modules use its lookups
 PRIVATE_JET_TABLES = {
-    "_deriv", "_mul_prefix", "_mul_ia", "_mul_ib", "_mul_ic", "_mono_var", "_mono_parent",
+    "_deriv", "_mul_ia", "_mul_ib", "_mul_ic", "_pairs", "_mono_var", "_mono_parent",
     "_within",
 }
 
@@ -713,7 +731,7 @@ def test_only_jets_reads_the_private_jet_tables():
     for path in modules:
         reads = _private_table_reads(ast.parse(path.read_text()))
         if path.name == "jets.py":
-            assert {"_deriv", "_mul_prefix", "_mono_var", "_mono_parent"} <= reads
+            assert {"_deriv", "_mul_ia", "_pairs", "_mono_var", "_mono_parent"} <= reads
         else:
             assert reads == set(), path.name
     assert _private_table_reads(ast.parse("src = space._deriv[v][0]")) == {"_deriv"}
@@ -785,7 +803,7 @@ def test_chart_lagrangian_jet_error_names_its_point():
     def field(xs, ys):
         value = ys[0] * ys[0] + ys[1] * ys[1]
         if isinstance(value, TaylorJet) and value.space.nvars == 2:  # the chart's own jets
-            return TaylorJet(value.space, value.order, np.full(value.space.size, np.inf))
+            return TaylorJet(value.space, np.full(value.space.size, np.inf))
         return value
 
     model = FinslerLagrangian.from_callable(field, 2, 2)

@@ -74,17 +74,21 @@ def test_backward_time_integration():
 
 @pytest.mark.parametrize("t_end", [2.0, -2.0])
 def test_dense_output_segment_lookup_matches_bisection(t_end):
-    # the segment whose left end is the last one <= t (>= t backward), clamped
+    # the segment whose left end is the last one <= t (>= t backward), the
+    # end point in the last one; a query outside the run raises
     f = lambda t, z: np.array([z[1], -z[0]])
     sol = solve_ode(f, 0.0, np.array([1.0, 0.0]), t_end)
     assert len(sol.segments) > 2
     sign = 1.0 if t_end > 0 else -1.0
     lefts = [sign * seg.t0 for seg in sol.segments]
     mids = 0.5 * (sol.ts[1:] + sol.ts[:-1])
-    queries = list(sol.ts) + list(mids) + [-sign * 0.5, t_end + sign * 0.5]
+    queries = list(sol.ts) + list(mids)
     for t in queries:
         k = min(max(bisect_right(lefts, sign * t) - 1, 0), len(lefts) - 1)
         assert sol._segment(float(t)) == k, t
+    for t in (-sign * 0.5, t_end + sign * 0.5):
+        with pytest.raises(ValueError, match="outside the integrated interval"):
+            sol._segment(t)
     # a query exactly on an interior node starts the following segment
     assert np.array_equal(sol(float(sol.ts[1])), sol.states[1])
     assert sol.segments[1].coeffs.shape == (8, 2)  # degree 7
@@ -93,11 +97,30 @@ def test_dense_output_segment_lookup_matches_bisection(t_end):
 def test_dense_output_of_zero_length_run():
     sol = solve_ode(lambda t, z: -z, 0.5, np.array([1.0, 2.0]), 0.5)
     assert len(sol.segments) == 1
-    for t in (0.0, 0.5, 1.0):
-        assert np.array_equal(sol(t), [1.0, 2.0])
-        assert np.array_equal(sol.derivative(t), [0.0, 0.0])
+    assert np.array_equal(sol(0.5), [1.0, 2.0])
+    assert np.array_equal(sol.derivative(0.5), [0.0, 0.0])
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"t = .* outside the integrated interval \[0.5, 0.5\]"):
+            sol(t)
     assert sol.segments[0].coeffs.shape == (8, 2)
     assert sol.nfev == 0
+
+
+@pytest.mark.parametrize("t_end", [1.0, -1.0, 10.0])
+def test_trajectory_refuses_times_outside_its_run(t_end):
+    # dense output answers on [t0, t_end] only, its end points included
+    conn = conn_for("sphere2d")
+    traj = integrate_horizontal_autoparallel(conn, [1.1, 0.3], [0.4, -0.2], [0.5, 0.3], t_end)
+    assert traj.ts[-1] == t_end
+    assert np.array_equal(traj.state(0.0).x, [1.1, 0.3])
+    assert np.allclose(traj.state(t_end).x, traj.endpoint.x, rtol=0.0, atol=1e-12)
+    lo, hi = sorted((0.0, t_end))
+    for t in (5.0 * t_end, -0.5 * t_end, float(np.nextafter(t_end, 2.0 * t_end))):
+        message = f"t = {t!r} lies outside the integrated interval [{lo!r}, {hi!r}]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            traj.state(t)
+    with pytest.raises(ValueError, match="outside the integrated interval"):
+        traj.solution.derivative(5.0 * t_end)
 
 
 def test_tableau_order_conditions():

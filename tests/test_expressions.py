@@ -22,7 +22,7 @@ from finslerkit.expressions import (
 )
 from finslerkit.jets import JetSpace, TaylorJet, eval_taylor, finite_jet
 
-from jet_oracles import jet_partial
+from jet_oracles import jet_partial, restrict
 
 
 def ev(text, **env):
@@ -161,7 +161,7 @@ _coordinate = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1.0, -1.0, 0
 
 
 def _outcome(compute):
-    """The jet's bytes, order and support, a float, or the error's type and
+    """The jet's bytes, space and support, a float, or the error's type and
     message; numpy's own warnings are off, so every failure is the library's.
     A NaN's sign bit is not compared: every user of a jet rejects NaN."""
     try:
@@ -170,7 +170,7 @@ def _outcome(compute):
     except (FinslerKitError, ValueError, OverflowError, ZeroDivisionError) as err:
         return type(err), str(err)
     if isinstance(out, TaylorJet):
-        return np.where(np.isnan(out.c), np.nan, out.c).tobytes(), out.order, out.support
+        return np.where(np.isnan(out.c), np.nan, out.c).tobytes(), out.space, out.support
     return out
 
 
@@ -200,15 +200,13 @@ def test_tape_is_the_walk_over_taylor_jets_bit_for_bit(tree, coords, order):
         return evaluate(tree, coordinate_env(2, xs, ys))
 
     space = JetSpace.get(4, order, 2, 1)
-    # chart-style inputs: full support, the fiber one order below the base
+    # chart-style inputs: full support, the fiber one order below the base,
+    # and the base restricted to the fiber's space
     rng = np.random.default_rng([len(repr(tree)), order])
-    jets = [TaylorJet(space, order, np.append(v, rng.standard_normal(space.size - 1)))
-            for v in coords]
-    for jet in jets[2:]:
-        jet.order = max(order - 1, 0)
-        jet._mask()
-    inputs = tuple((jet.order, jet.support) for jet in jets)
-    tape = expressions.compiled(tree, repr(tree), space, inputs)
+    jets = [restrict(TaylorJet(space, np.append(v, rng.standard_normal(space.size - 1))),
+                     max(order - 1, 0)) for v in coords]
+    inputs = tuple(jet.support for jet in jets)
+    tape = expressions.compiled(tree, repr(tree), jets[0].space, inputs)
     assert _outcome(lambda: tape.run(*[jet.c for jet in jets])) == _outcome(
         lambda: walk(jets[:2], jets[2:])
     )

@@ -26,7 +26,7 @@ from finslerkit.jets import (
 from finslerkit.lagrangian import FinslerLagrangian
 
 from fd_oracles import central_gradient, richardson_hessian
-from jet_oracles import jet_partial, loop_tables, multi_indices, slot, unit_index
+from jet_oracles import deriv, jet_partial, loop_tables, multi_indices, restrict, slot, unit_index
 
 
 def quadratic_fiber(xs, ys):
@@ -196,8 +196,8 @@ def test_powers_and_series_multiply_no_constant_jets(monkeypatch):
     monkeypatch.undo()
     assert np.array_equal((u**0).c, space.constant(1.0).c)
     assert np.allclose((u**5).c, (u * u * u * u * u).c, atol=1e-14)
-    order0 = TaylorJet(space, 0, space.constant(0.3).c)
-    assert np.array_equal(order0.exp().c, space.constant(math.exp(0.3)).c)
+    order0 = JetSpace.get(2, 0)
+    assert np.array_equal(order0.constant(0.3).exp().c, order0.constant(math.exp(0.3)).c)
 
 
 def test_half_power_matches_sqrt():
@@ -298,17 +298,24 @@ def test_derivative_drops_order_and_matches_shift():
     u = space.variable(0, 0.4)
     v = space.variable(1, 1.2)
     f = u * u * v  # d/du = 2uv
-    d = f.deriv(0)
-    assert d.order == 2
+    d = deriv(f, 0)
+    assert d.space is JetSpace.get(2, 2)
     assert d.value == pytest.approx(2 * 0.4 * 1.2, rel=1e-15)
     assert jet_partial(d, (0, 1)) == pytest.approx(2 * 0.4, rel=1e-15)
     with pytest.raises(OrderUnsupported):
-        f.deriv(0).deriv(1).deriv(0).deriv(1)
+        deriv(deriv(deriv(deriv(f, 0), 1), 0), 1)
+
+
+def _padded(space, jet):
+    """``jet``'s coefficients on the slots of ``space``, of which its own
+    space is a prefix, zero above."""
+    return np.append(jet.c, np.zeros(space.size - jet.space.size))
 
 
 def _full_table_product(space, a, b):
     """Reference product: every pair of the order-``space.order`` table, in
-    i-major order, folded with bincount, then masked to the result order."""
+    i-major order, folded with bincount, then masked to the lower order of
+    the factors' spaces."""
     ia, ib, ic = [], [], []
     indices = multi_indices(space)
     slot_of = {alpha: i for i, alpha in enumerate(indices)}
@@ -319,20 +326,22 @@ def _full_table_product(space, a, b):
                 ia.append(i)
                 ib.append(j)
                 ic.append(slot_of[gamma])
-    full = np.bincount(ic, weights=a.c[ia] * b.c[ib], minlength=space.size)
-    order = min(a.order, b.order)
+    a_c, b_c = _padded(space, a), _padded(space, b)
+    full = np.bincount(ic, weights=a_c[ia] * b_c[ib], minlength=space.size)
+    order = min(a.space.order, b.space.order)
     return np.where(space.degrees <= order, full, 0.0)
 
 
 def _dict_convolution(space, a, b):
-    order = min(a.order, b.order)
+    order = min(a.space.order, b.space.order)
+    a_c, b_c = _padded(space, a), _padded(space, b)
     acc = {}
     indices = multi_indices(space)
     for i, alpha in enumerate(indices):
         for j, beta in enumerate(indices):
             gamma = tuple(p + q for p, q in zip(alpha, beta))
             if sum(gamma) <= order:
-                acc[gamma] = acc.get(gamma, 0.0) + a.c[i] * b.c[j]
+                acc[gamma] = acc.get(gamma, 0.0) + a_c[i] * b_c[j]
     return np.array([acc.get(alpha, 0.0) for alpha in indices])
 
 
@@ -350,7 +359,7 @@ def _jet_pair(draw):
     for _ in range(2):
         o = draw(st.integers(0, order))
         c = np.where(space.degrees <= o, np.array(draw(coeffs)), 0.0)
-        jets.append(TaylorJet(space, o, c))
+        jets.append(restrict(TaylorJet(space, c), o))
     return space, jets[0], jets[1]
 
 
@@ -358,13 +367,12 @@ def _jet_pair(draw):
 @given(pair=_jet_pair())
 def test_product_touches_only_the_needed_degrees(pair):
     space, a, b = pair
-    prod = a * b
-    order = min(a.order, b.order)
-    assert prod.order == order
-    assert prod.c.tobytes() == _full_table_product(space, a, b).tobytes()
+    order = min(a.space.order, b.space.order)
+    prod = restrict(a, order) * restrict(b, order)
+    assert prod.space is JetSpace.get(space.nvars, order)
+    assert _padded(space, prod).tobytes() == _full_table_product(space, a, b).tobytes()
     ref = _dict_convolution(space, a, b)
-    assert np.allclose(prod.c, ref, rtol=1e-14, atol=1e-14)
-    assert (prod.c[space.degrees > order] == 0.0).all()
+    assert np.allclose(_padded(space, prod), ref, rtol=1e-14, atol=1e-14)
 
 
 @st.composite
@@ -383,15 +391,17 @@ def _capped_case(draw):
     for _ in range(2):
         o = draw(st.integers(0, order))
         c = np.where(full.degrees <= o, np.array(draw(coeffs)), 0.0)
-        jets.append(TaylorJet(full, o, c))
-    return JetSpace.get(nvars, order, capped, cap), jets[0], jets[1]
+        jets.append(restrict(TaylorJet(full, c), o))
+    return (capped, cap), jets[0], jets[1]
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=_capped_case())
 def test_capped_space_is_exact_on_its_slots(case):
-    space, a, b = case
-    full = a.space
+    (capped, cap), a, b = case
+    order = min(a.space.order, b.space.order)
+    a, b = restrict(a, order), restrict(b, order)
+    full, space = a.space, JetSpace.get(a.space.nvars, order, capped, cap)
     x_degree = lambda alpha: sum(alpha[: space.capped])
     assert multi_indices(space) == [
         alpha for alpha in multi_indices(full) if x_degree(alpha) <= space.cap
@@ -399,21 +409,22 @@ def test_capped_space_is_exact_on_its_slots(case):
     slot_of = {alpha: i for i, alpha in enumerate(multi_indices(full))}
     kept = np.array([slot_of[alpha] for alpha in multi_indices(space)], dtype=np.intp)
 
-    def restrict(jet):
-        return TaylorJet(space, jet.order, jet.c[kept])
+    def capped_jet(jet):
+        return TaylorJet(space, jet.c[kept])
 
-    prod = restrict(a) * restrict(b)
-    assert prod.order == min(a.order, b.order)
+    prod = capped_jet(a) * capped_jet(b)
+    assert prod.space is space
     assert prod.c.tobytes() == (a * b).c[kept].tobytes()
-    if a.order == 0:
+    if order == 0:
         return
+    low = JetSpace.get(space.nvars, order - 1, capped, cap)
     for v in range(space.nvars):
-        d = restrict(a).deriv(v)
-        ref = a.deriv(v).c[kept]
+        d = deriv(capped_jet(a), v)
+        ref = deriv(a, v).c[kept[: low.size]]
         if v >= space.capped:  # uncapped: exact on every slot
             assert d.c.tobytes() == ref.tobytes()
         else:  # capped: exact below the cap, zero on it
-            below = np.array([x_degree(alpha) < space.cap for alpha in multi_indices(space)])
+            below = np.array([x_degree(alpha) < space.cap for alpha in multi_indices(low)])
             assert d.c[below].tobytes() == ref[below].tobytes()
             assert (d.c[~below] == 0.0).all()
 
@@ -459,13 +470,45 @@ def _assert_tables_match(*args):
     for name in ("degrees", "exponents", "factorials", "_mul_ia", "_mul_ib", "_mul_ic",
                  "_mono_var", "_mono_parent"):
         _same_array(getattr(space, name), getattr(ref, name), args + (name,))
-    assert [ia.size for ia, _, _ in space._mul_prefix] == ref.ends, args
-    for got, want in zip(space.masks, ref.masks, strict=True):
-        _same_array(got, want, args + ("masks",))
+    nvars, order, capped, cap = args
+    # the pairs of output degree <= k are the whole table of the order-k space
+    lower = [JetSpace.get(nvars, k, capped, cap)._mul_ia.size for k in range(order + 1)]
+    assert lower == ref.ends, args
     for got, want in zip(space._deriv, ref._deriv, strict=True):
         for g, w in zip(got, want, strict=True):
             _same_array(g, w, args + ("_deriv",))
     assert (space.slots(space.exponents) == np.arange(space.size)).all(), args
+
+
+@pytest.mark.parametrize("nvars", range(1, 7))
+def test_lower_order_spaces_are_prefixes(nvars):
+    # for every cap and k <= m, the order-k space is the order-m space's first
+    # slots: its pairs are the first pairs in their order, so its products
+    # are the first slots of the order-m products bit for bit, and a
+    # derivative restricted to order k - 1 reads the same in both
+    rng = np.random.default_rng(nvars)
+    for order in range(6):
+        for capped in range(nvars + 1):
+            for cap in range(order + 1):
+                space = JetSpace.get(nvars, order, capped, cap)
+                a, b = rng.standard_normal((2, space.size))
+                product = space.product(a, b)
+                for k in range(order + 1):
+                    low = JetSpace.get(nvars, k, capped, cap)
+                    size, pairs = low.size, low._mul_ia.size
+                    what = (nvars, order, capped, cap, k)
+                    assert size == np.count_nonzero(space.degrees <= k), what
+                    assert (low.exponents == space.exponents[:size]).all(), what
+                    for name in ("_mul_ia", "_mul_ib", "_mul_ic"):
+                        assert (getattr(low, name) == getattr(space, name)[:pairs]).all(), what
+                    assert (space.degrees[space._mul_ic[pairs:]] > k).all(), what
+                    _same_array(low.product(a[:size], b[:size]), product[:size], what)
+                    if k == 0:
+                        continue
+                    lower = JetSpace.get(nvars, k - 1, capped, cap).size
+                    for v in range(nvars):
+                        want = space.derivative(a, v)[:lower]
+                        _same_array(low.derivative(a[:size], v)[:lower], want, what + (v,))
 
 
 def test_slots_returns_minus_one_outside_the_space():
@@ -518,7 +561,7 @@ def _composition_case(draw):
 def test_compose_is_the_polynomial_of_the_inner_jets(case):
     space, out, coef, inner = case
     got = compose(coef, space, inner, out)
-    jets = [TaylorJet(out, out.order, c) for c in inner]
+    jets = [TaylorJet(out, c) for c in inner]
     for row, want_coef in zip(got, coef):
         want = out.constant(0.0)
         for i, alpha in enumerate(multi_indices(space)):
@@ -531,7 +574,7 @@ def test_compose_is_the_polynomial_of_the_inner_jets(case):
             want = want + term
         assert np.allclose(row, want.c, rtol=1e-12, atol=1e-12)
     # stacked products are the row-by-row jet products, bit for bit
-    stacked = out.product(inner[:, None], inner[None], out.order)
+    stacked = out.product(inner[:, None], inner[None])
     for a in range(len(inner)):
         for b in range(len(inner)):
             assert stacked[a, b].tobytes() == (jets[a] * jets[b]).c.tobytes()
@@ -573,12 +616,14 @@ def _evaluate_tree(tree, space, full, seen):
         else:
             jet = space.constant(tree[1])
         if full:
-            jet = TaylorJet(space, jet.order, jet.c.copy())
+            jet = TaylorJet(space, jet.c.copy())
         seen.append(jet)
         return jet
     a = _evaluate_tree(tree[1], space, full, seen)
     if head in ("+", "-", "*", "/"):
         b = _evaluate_tree(tree[2], space, full, seen)
+        order = min(a.space.order, b.space.order)  # a derivative lies one order lower
+        a, b = restrict(a, order), restrict(b, order)
         if head == "+":
             out = a + b
         elif head == "-":
@@ -602,7 +647,7 @@ def _evaluate_tree(tree, space, full, seen):
     elif head == "scale":
         out = a * tree[2]
     else:  # deriv
-        out = a.deriv(tree[2] % space.nvars) if a.order >= 1 else a
+        out = deriv(a, tree[2] % space.nvars) if a.space.order >= 1 else a
     seen.append(out)
     return out
 
@@ -630,7 +675,7 @@ def test_support_aware_products_are_bit_identical_to_full_support(case):
     assert full.support == space.full_support
     if not np.isfinite(full.c).all():
         return  # the bit-identity claim is for finite results
-    assert sparse.order == full.order
+    assert sparse.space is full.space
     assert np.array_equal(_bits(sparse), _bits(full))
 
 
@@ -643,7 +688,7 @@ def test_every_slot_outside_the_support_is_zero(case):
         _evaluate_tree(tree, space, False, seen)
     for jet in seen:
         assert 0 <= jet.support <= space.full_support
-        for alpha, coefficient in zip(multi_indices(space), jet.c):
+        for alpha, coefficient in zip(multi_indices(jet.space), jet.c):
             if any(k and not jet.support >> v & 1 for v, k in enumerate(alpha)):
                 assert coefficient == 0.0  # +0.0, or -0.0 after a negation
 
@@ -655,8 +700,8 @@ def test_stacked_products_with_partial_supports_are_the_row_by_row_products(case
     seen = []
     with np.errstate(over="ignore", invalid="ignore"):
         _evaluate_tree(tree, space, False, seen)
-    order = max(jet.order for jet in seen)
-    rows = [jet for jet in seen if jet.order == order and np.isfinite(jet.c).all()]
+    top = max((jet.space for jet in seen), key=lambda s: s.order)
+    rows = [jet for jet in seen if jet.space is top and np.isfinite(jet.c).all()]
     if not rows:
         return
     # each stack's support bounds every row's: the union of the rows' supports
@@ -666,7 +711,7 @@ def test_stacked_products_with_partial_supports_are_the_row_by_row_products(case
     a = np.stack([jet.c for jet in left])[:, None]
     b = np.stack([jet.c for jet in right])[None]
     with np.errstate(over="ignore", invalid="ignore"):
-        stacked = space.product(a, b, order, support_a, support_b)
+        stacked = top.product(a, b, support_a, support_b)
         for i, jet_a in enumerate(left):
             for j, jet_b in enumerate(right):
                 assert np.array_equal(stacked[i, j].view(np.int64), _bits(jet_a * jet_b))
@@ -677,16 +722,15 @@ def test_supports_of_constructors():
     assert space.full_support == 0b1111
     assert space.constant(2.0).support == 0
     assert space.variable(2, 0.5).support == 0b0100
-    assert TaylorJet(space, 2, np.zeros(space.size)).support == space.full_support
+    assert TaylorJet(space, np.zeros(space.size)).support == space.full_support
     # sums and products take the union; the rest keep the operand's support
     u, w = space.variable(0, 0.3), space.variable(3, -0.4)
     assert (u + w).support == (u * w).support == (u - w).support == 0b1001
-    for kept in (-u, 2.0 * u, u / 3.0, u.deriv(0), u.copy(), u.exp(), u.reciprocal(), u**2, u**0):
+    for kept in (-u, 2.0 * u, u / 3.0, deriv(u, 0), u.copy(), u.exp(), u.reciprocal(), u**2, u**0):
         assert kept.support == 0b0001
-    # full against full runs the degree prefix itself
-    for order in range(space.order + 1):
-        full = space.full_support
-        assert space.pairs(order, full, full) is space._mul_prefix[order]
+    # full against full runs the whole table
+    full = space.full_support
+    assert space.pairs(full, full)[0] is space._mul_ia
 
 
 def test_array_built_image_jets_have_full_support():
@@ -723,20 +767,20 @@ def test_quartic_lagrangian_jet_touches_under_one_percent_of_the_pairs(monkeypat
 
     model = load_model("builtin:quartic4d")
     p = bundle_point([0.1, -0.2, 0.3, 0.05], [0.7, -0.4, 0.5, 0.9])
-    counts = {"run": 0, "prefix": 0}
+    counts = {"run": 0, "table": 0}
     pairs = JetSpace.pairs
 
-    def counted(space, order, support_a, support_b):
-        table = pairs(space, order, support_a, support_b)
+    def counted(space, support_a, support_b):
+        table = pairs(space, support_a, support_b)
         counts["run"] += table[0].size
-        counts["prefix"] += space._mul_prefix[order][0].size
+        counts["table"] += space._mul_ia.size
         return table
 
     monkeypatch.setattr(JetSpace, "pairs", counted)
     walk_taylor(model, p, 5, _x_cap(2))
-    run, prefix = counts["run"], counts["prefix"]
-    assert prefix > 0
-    assert run <= 0.01 * prefix
+    run, table = counts["run"], counts["table"]
+    assert table > 0
+    assert run <= 0.01 * table
     counts["run"] = 0
     monkeypatch.setattr(expressions, "_TAPES", {})  # the tape reads its pairs as it compiles
     _lagrangian_jet(model, p, 2)
@@ -767,7 +811,7 @@ def test_non_finite_field_jets_name_their_point():
     p = bundle_point([0.5, -0.25], [1.0, 2.0])
 
     def infinite(xs, ys):
-        return TaylorJet(xs[0].space, xs[0].order, np.full(xs[0].space.size, np.inf))
+        return TaylorJet(xs[0].space, np.full(xs[0].space.size, np.inf))
 
     at = r"at x = \[0.5, -0.25\], y = \[1.0, 2.0\]"
     with pytest.raises(NonFiniteField, match="non-finite derivatives " + at):

@@ -262,3 +262,17 @@ def test_lagrangian_errors_name_their_point():
     # finite coefficients whose Hessian entry 2 * 1e308 is not
     with np.errstate(all="ignore"), pytest.raises(NonFiniteField, match="L-metric has non-finite entries " + at):
         custom("1e308 * y1^2 + y2^2").l_metric(p)
+
+
+def test_input_jets_from_two_spaces_are_refused():
+    # the tape seeds one space's slots per input: a fiber one order below the
+    # base is restricted by the caller first, never passed as it is
+    from finslerkit.jets import JetSpace
+
+    model = load_model("builtin:sphere2d")
+    base, fiber = JetSpace.get(2, 3), JetSpace.get(2, 2)
+    xs = [base.variable(0, 1.1), base.variable(1, 0.3)]
+    with pytest.raises(ValueError, match="one jet space"):
+        model(xs, [fiber.constant(0.8), fiber.constant(-0.5)])
+    jet = model(xs, [base.constant(0.8), base.constant(-0.5)])
+    assert jet.value == pytest.approx(0.64 + math.sin(1.1) ** 2 * 0.25, rel=1e-15)

@@ -1,7 +1,7 @@
 """Points of the tangent bundle and the numerical guards applied to them."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class TangentBundlePoint:
             raise NonFiniteField("tangent bundle point has non-finite coordinates")
 
     def __str__(self):
-        return f"x = {self.x.tolist()}, y = {self.y.tolist()}"
+        return state_text(self.as_state())
 
     @property
     def dim(self) -> int:
@@ -39,16 +39,34 @@ class TangentBundlePoint:
 
     def require_nonzero_direction(self):
         """Raise :class:`NearZeroDirection` if y is numerically on the zero section."""
-        norm = math.sqrt(self.y.dot(self.y))  # np.linalg.norm's formula, without its overhead
-        if norm < ZERO_DIRECTION_GUARD:
-            raise NearZeroDirection(
-                f"fiber direction norm {norm:.3e} below guard {ZERO_DIRECTION_GUARD:.1e}"
-            )
+        check_state(self.as_state())
         return self
 
     def as_state(self) -> np.ndarray:
         """Concatenate (x, y) into a flat state vector."""
         return np.concatenate([self.x, self.y])
+
+
+def state_text(xy) -> str:
+    """The bundle point of the state ``xy`` (x, then y, in one array) as
+    :class:`TangentBundlePoint` prints it; errors format it only when raised."""
+    n = len(xy) // 2
+    return f"x = {xy[:n].tolist()}, y = {xy[n:].tolist()}"
+
+
+def check_state(xy) -> None:
+    """Raise :class:`NonFiniteField` if the state ``xy`` (x, then y) is not
+    finite and :class:`NearZeroDirection` if y is numerically on the zero
+    section; both name the point."""
+    if not np.isfinite(xy).all():
+        raise NonFiniteField(f"tangent bundle point has non-finite coordinates: {state_text(xy)}")
+    y = xy[len(xy) // 2 :]
+    norm = math.sqrt(y.dot(y))  # np.linalg.norm's formula, without its overhead
+    if norm < ZERO_DIRECTION_GUARD:
+        raise NearZeroDirection(
+            f"fiber direction norm {norm:.3e} below guard {ZERO_DIRECTION_GUARD:.1e}"
+            f" at {state_text(xy)}"
+        )
 
 
 def bundle_point(x, y) -> TangentBundlePoint:

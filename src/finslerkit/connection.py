@@ -16,13 +16,18 @@ is one more gather.  No jet is inverted and no symbolic inverse is formed.
 The kernel works only on the x-degrees the callers read (see :func:`_x_cap`):
 N's higher x-slots are exact zeros.  Each caller asks for N's jet at the
 order it reads: 0 for the coefficients, 1 for :meth:`GeneralConnection.evaluate`
-and the order of its own state for a Taylor-mode flow.  One class,
-:class:`ConnectionEval`, holds an evaluation at every order and derives the
-tensors below from N's jet on first access.  The connection keeps no
-evaluations: every call builds its own, and a caller that reads one point
-more than once (a Taylor-mode flow at rest, whose primal point never moves)
-keeps the evaluation it got.  The kernel's index tables come
-from ``JetSpace``'s public lookups (``slots`` and ``pairs``) alone.
+and the horizontal flow, and the order of its own state for a Taylor-mode flow.
+
+An evaluation is little arithmetic, so its fixed cost per call is what a flow
+pays.  :class:`ConnectionKernel` does all that depends on the order alone once
+per (connection, order): it holds L's compiled tape, the spray's tables,
+degree blocks and scratch (:class:`_Spray`) and the slot tables of dN/dy and
+of the fiber stack.  A call runs only the tape, the gathers, the bincount
+folds and the series solve on the caller's (x, y) array: flow stages call it
+on slices of their state, and ``n_jets`` at a point.  An error names the
+point, formatted only when raised.  :class:`ConnectionEval` holds an
+evaluation and derives the tensors below from N's jet on first access.  The
+index tables come from ``JetSpace``'s public lookups alone.
 
 Derived objects follow the usual conventions:
 
@@ -39,7 +44,13 @@ import functools
 
 import numpy as np
 
-from .bundle import DEGENERACY_CONDITION_LIMIT, TangentBundlePoint, bundle_point
+from .bundle import (
+    DEGENERACY_CONDITION_LIMIT,
+    TangentBundlePoint,
+    bundle_point,
+    check_state,
+    state_text,
+)
 from .errors import NearDegenerateMetric, NonFiniteField
 from .jets import JetSpace, TaylorJet
 from .lagrangian import FinslerLagrangian
@@ -136,13 +147,57 @@ def _spray_tables(lspace: JetSpace, order: int):
     return work, src, fac, rhs_bins, (n, n, out.size), kept, nsrc, nfac
 
 
+class _Spray:
+    """The array kernel from L's jet in ``lspace`` to N's jet of ``order``:
+    the tables of :func:`_spray_tables` and :func:`_degree_blocks`, looked up
+    once, and the fixed scratch every call writes (L's coefficients then the
+    pad slot's 0, the bracket weights y^p, 1, -1, and the [g | bracket] stack
+    of :func:`_series_solve`)."""
+
+    def __init__(self, lspace: JetSpace, order: int):
+        work, self.src, self.fac, self.rhs_bins, self.shape, kept, self.nsrc, self.nfac = (
+            _spray_tables(lspace, order)
+        )
+        n = self.n = self.shape[0]
+        self.size = work.size
+        self.blocks = _degree_blocks(work, n)
+        # None: N's jet keeps every slot (orders 0 and 1), so it is the gather
+        self.kept = None if kept.size == self.shape[2] else kept
+        self.padded = np.zeros(lspace.size + 1)
+        self.weights = np.concatenate([np.zeros(n), np.ones(n), [-1.0]])
+        self.stack = np.empty((n, (n + 1) * work.size))
+
+    def __call__(self, c: np.ndarray, xy: np.ndarray) -> np.ndarray:
+        """N's jet on the slots of ``JetSpace.get(2n, order)`` from L's
+        coefficients ``c`` at the state ``xy``: the spray s is valid to
+        ``order + 1`` and N to ``order``, on the x-degrees :func:`_x_cap` names."""
+        n, size = self.n, self.size
+        nw = n * size
+        self.padded[:-1] = c
+        self.weights[:n] = xy[n:]
+        d = self.padded[self.src] * self.fac
+        stack = self.stack
+        stack[:, :nw] = d[: n * n].reshape(n, nw)
+        terms = self.weights[:, None] * d[n * n :].reshape(2 * n + 1, nw)
+        rhs = np.bincount(self.rhs_bins, weights=terms.ravel(), minlength=nw)
+        stack[:, nw:] = rhs.reshape(n, size)
+        s = _series_solve(self.blocks, stack, xy)
+        values = s.ravel()[self.nsrc] * self.nfac
+        if self.kept is None:
+            return values
+        njets = np.zeros(self.shape)
+        njets[:, :, self.kept] = values
+        return njets
+
+
 @functools.lru_cache(maxsize=None)
 def _degree_blocks(space: JetSpace, n: int) -> list:
     """Per degree d >= 1 of ``space``: its slot range [lo, hi), the product
     pairs (i, j) of output degree d with deg i >= 1 as flat indices into the
     (n, (n + 1) * size) array [h | s] of :func:`_series_solve` (h[a, b, i] and
-    s[b, j]), and the bins that fold their (n, n, pairs) products into the
-    (n, hi - lo) block."""
+    s[b, j]), and the bins that fold their products into the (n, hi - lo)
+    block.  All three run over (a, b, pair) in C order, flattened, so a
+    block's products are one 1-d gather each."""
     size = space.size
     full = space.full_support
     # the product table of full jets, sorted by output degree
@@ -157,98 +212,67 @@ def _degree_blocks(space: JetSpace, n: int) -> list:
         keep = space.degrees[ia[sl]] > 0
         da, db, dc = ia[sl][keep], ib[sl][keep], ic[sl][keep]
         h_idx = a * (n + 1) * size + b * size + da
-        s_idx = (b * (n + 1) * size + n * size + db)[0]
+        s_idx = np.broadcast_to(b * (n + 1) * size + n * size + db, h_idx.shape).ravel()
         bins = np.broadcast_to(a * (hi - lo) + (dc - lo), h_idx.shape).ravel()
-        blocks.append((lo, hi, h_idx, s_idx, bins))
+        blocks.append((lo, hi, h_idx.ravel(), s_idx, bins))
     return blocks
 
 
-def _series_solve(space: JetSpace, g: np.ndarray, rhs: np.ndarray, point) -> np.ndarray:
-    """Solve g s = rhs for an (n, n, size) stack g and an (n, size) stack rhs
-    of coefficient arrays in ``space``; s is valid to the space order.  An
-    error names the bundle ``point``.
+def _series_solve(blocks: list, stack: np.ndarray, xy) -> np.ndarray:
+    """Solve g s = rhs for the (n, (n + 1) * size) array ``stack`` = [g | rhs]
+    (row a: g[a, b, i] in (b, i) order, then rhs[a, i]) of coefficient arrays
+    in the space whose :func:`_degree_blocks` are ``blocks``; s is valid to
+    the space order.  An error names the bundle state ``xy`` (x, then y).
 
     With h = g0^{-1} g and r = g0^{-1} rhs (g0 = g's constant term), the
     degree-d slots of s are those of r minus the degree-d part of
     (h - 1) s, which reads s below degree d only.  g0 is checked as the
     L-metric at the evaluation point.
     """
-    n = g.shape[0]
-    g0 = g[:, :, 0]
+    n = stack.shape[0]
+    size = stack.shape[1] // (n + 1)
+    g0 = stack[:, : n * size : size]
     if not np.isfinite(g0).all():
-        raise NonFiniteField(f"L-metric is not finite at the requested point {point}")
+        raise NonFiniteField(f"L-metric is not finite at the requested point {state_text(xy)}")
     # one SVD gives the condition number and, once that passes, the inverse
     left, sv, right = np.linalg.svd(g0)
     cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
     if cond > DEGENERACY_CONDITION_LIMIT:
-        raise NearDegenerateMetric(
-            f"L-metric condition number {cond:.3e} at the connection evaluation point"
-        )
+        raise NearDegenerateMetric(f"L-metric condition number {cond:.3e} at {state_text(xy)}")
     inv = (right.T / sv) @ left.T
     # [h | r]; explicit sums over q keep each slot's rounding independent of
     # the layout
-    stack = np.concatenate([g.reshape(n, -1), rhs], axis=1)
     pre = inv[:, :1] * stack[0]
     for q in range(1, n):
         pre += inv[:, q : q + 1] * stack[q]
     flat = pre.ravel()
-    s = pre[:, n * space.size :]  # r, overwritten degree by degree with s
-    for lo, hi, h_idx, s_idx, bins in _degree_blocks(space, n):
+    s = pre[:, n * size :]  # r, overwritten degree by degree with s
+    for lo, hi, h_idx, s_idx, bins in blocks:
         w = flat[h_idx] * flat[s_idx]
-        s[:, lo:hi] -= np.bincount(bins, weights=w.ravel(), minlength=n * (hi - lo)).reshape(
-            n, hi - lo
-        )
+        s[:, lo:hi] -= np.bincount(bins, weights=w, minlength=n * (hi - lo)).reshape(n, hi - lo)
     return s
-
-
-def _spray(L: TaylorJet, point: TangentBundlePoint, order: int):
-    """The L-metric g and N's jet from L's jet at ``point`` (x, y).
-
-    Returns g as an (n, n, work.size) array on the slots of the kernel's
-    working space and N as an (n, n, size) array on those of
-    ``JetSpace.get(2n, order)``.  The spray s is valid to ``order + 1`` and N,
-    its fiber derivative, to ``order``, on the x-degrees :func:`_x_cap` names.
-    """
-    y = point.y
-    n = y.size
-    work, src, fac, rhs_bins, shape, kept, nsrc, nfac = _spray_tables(L.space, order)
-    d = np.append(L.c, 0.0)[src] * fac
-    g = d[: n * n].reshape(n, n, work.size)
-    weights = np.concatenate([y, np.ones(n), [-1.0]])
-    terms = weights[:, None] * d[n * n :].reshape(2 * n + 1, n * work.size)
-    rhs = np.bincount(rhs_bins, weights=terms.ravel(), minlength=n * work.size)
-    s = _series_solve(work, g, rhs.reshape(n, work.size), point)
-    njets = np.zeros(shape)
-    njets[:, :, kept] = s.ravel()[nsrc] * nfac
-    return g, njets
 
 
 class ConnectionEval:
     """N's jet at one bundle point, and the tensors its readers take from it.
 
     Holds N's jet of ``order`` (an (n, n, size) array on the slots of
-    ``JetSpace.get(2n, order)``); each tensor below is derived from it on
-    first access and then kept, so callers pay only for what they read.
+    ``JetSpace.get(2n, order)``) and the :class:`ConnectionKernel` that built
+    it; each tensor below is derived from the jet on first access and then
+    kept, so callers pay only for what they read.
 
     Index layout: ``N[a, b]`` has upper index first; derivative tensors put
     the differentiation index last, e.g. ``dN_y[a, b, c]`` is
     d/dy^c of N^a_b and ``delta_N[a, b, c]`` is delta_c N^a_b.
     ``R[a, b, c]`` is the curvature R^a_bc, antisymmetric in (b, c).
-    ``taylor[a, b, k, i]`` holds the Taylor coefficients at slot i of N^a_b
-    (k = 0) and of d/dy^c N^a_b (k = 1 + c, valid to ``order - 1``), exact on
-    the x-degrees :func:`_x_cap` names; flows compose it.  Every tensor needs
-    ``order >= 1``.
+    Every tensor needs ``order >= 1``.
     """
 
-    def __init__(self, point: TangentBundlePoint, jet: np.ndarray, order: int):
+    def __init__(self, point: TangentBundlePoint, jet: np.ndarray, kernel: ConnectionKernel):
         self.point = point
         self.jet = jet
-        self.order = order
-        self.n = jet.shape[0]
-
-    def _partials(self, *axes):
-        idx, factorials = JetSpace.get(2 * self.n, self.order).partial_slots(*axes)
-        return self.jet[:, :, idx] * factorials
+        self.kernel = kernel
+        self.order, self.n = kernel.order, kernel.n
 
     @functools.cached_property
     def N(self) -> np.ndarray:
@@ -256,11 +280,12 @@ class ConnectionEval:
 
     @functools.cached_property
     def dN_x(self) -> np.ndarray:
-        return self._partials(range(self.n))
+        idx, factorials = self.kernel.space.partial_slots(range(self.n))
+        return self.jet[:, :, idx] * factorials
 
     @functools.cached_property
     def dN_y(self) -> np.ndarray:
-        return self._partials(range(self.n, 2 * self.n))
+        return self.kernel.fiber_derivative(self.jet)
 
     @functools.cached_property
     def delta_N(self) -> np.ndarray:
@@ -270,12 +295,81 @@ class ConnectionEval:
     def R(self) -> np.ndarray:
         return self.delta_N - np.transpose(self.delta_N, (0, 2, 1))
 
+
+class ConnectionKernel:
+    """N's jet of one order as a function of the bundle state.
+
+    :meth:`GeneralConnection.kernel` builds one per order and keeps it.  It
+    holds L's jet function (``FinslerLagrangian.jet_function``) and its
+    :class:`_Spray`, or an explicit connection's callable, and, once read,
+    the slot tables of dN/dy and of the fiber stack (``order >= 1``).  A call
+    checks the state ``xy`` (x, then y, in one array) with
+    ``bundle.check_state`` and returns N's jet, checked finite, as an
+    (n, n, size) array on the slots of ``space`` = ``JetSpace.get(2n, order)``.
+    A canonical connection's jet is exact on the x-degrees the callers of the
+    order read; higher x-slots are exact zeros (see :func:`_x_cap`).
+    """
+
+    def __init__(self, conn: "GeneralConnection", order: int):
+        n = conn.dimension
+        self.n, self.order = n, order
+        self.space = JetSpace.get(2 * n, order)
+        self._explicit = conn._explicit_fn
+        if conn.lagrangian is not None:
+            cap = _x_cap(order)
+            self._lagrangian = conn.lagrangian.jet_function(order + 3, cap)
+            self._spray = _Spray(JetSpace.get(2 * n, order + 3, n, cap), order)
+
+    # the slot tables of dN/dy and of the fiber stack, found on first use
     @functools.cached_property
-    def taylor(self) -> np.ndarray:
-        row, slot, src, fac = _fiber_rows(self.n, self.order)
-        stack = np.zeros((self.n, self.n, self.n + 1, self.jet.shape[2]))
-        stack[:, :, 0] = self.jet
-        stack[:, :, row, slot] = self.jet[:, :, src] * fac
+    def _dy(self) -> tuple:
+        return self.space.partial_slots(range(self.n, 2 * self.n))
+
+    @functools.cached_property
+    def _fibers(self) -> tuple:
+        return _fiber_rows(self.n, self.order)
+
+    def __call__(self, xy: np.ndarray) -> np.ndarray:
+        check_state(xy)
+        if self._explicit is not None:
+            return self._explicit_jets(xy)
+        jet = self._spray(self._lagrangian(xy), xy)
+        if not np.isfinite(jet).all():
+            raise NonFiniteField(f"connection coefficients are not finite at {state_text(xy)}")
+        return jet
+
+    def _explicit_jets(self, xy: np.ndarray) -> np.ndarray:
+        n, space = self.n, self.space
+        xs = [space.variable(i, xy[i]) for i in range(n)]
+        ys = [space.variable(n + i, xy[n + i]) for i in range(n)]
+        rows = self._explicit(xs, ys)
+        out = np.empty((n, n, space.size))
+        for a in range(n):
+            for b in range(n):
+                entry = rows[a][b]
+                if not isinstance(entry, TaylorJet):
+                    entry = space.constant(float(entry))
+                if not np.isfinite(entry.c).all():
+                    raise NonFiniteField(
+                        f"explicit connection entry ({a},{b}) not finite at {state_text(xy)}"
+                    )
+                out[a, b] = entry.c
+        return out
+
+    def fiber_derivative(self, jet: np.ndarray) -> np.ndarray:
+        """dN/dy at the jet's point from N's jet: ``[a, b, c]`` is
+        d/dy^c N^a_b."""
+        idx, factorials = self._dy
+        return jet[:, :, idx] * factorials
+
+    def fiber_stack(self, jet: np.ndarray) -> np.ndarray:
+        """The jets a Taylor-mode flow composes, from N's jet: ``[a, b, k, i]``
+        is the coefficient at slot i of N^a_b (k = 0) and of d/dy^c N^a_b
+        (k = 1 + c, valid to ``order - 1``)."""
+        row, slot, src, fac = self._fibers
+        stack = np.zeros((self.n, self.n, self.n + 1, jet.shape[2]))
+        stack[:, :, 0] = jet
+        stack[:, :, row, slot] = jet[:, :, src] * fac
         return stack
 
 
@@ -302,6 +396,7 @@ class GeneralConnection:
         self._explicit_fn = explicit_fn
         self.homogeneous = homogeneous
         self.symmetric = symmetric
+        self._kernels: dict[int, ConnectionKernel] = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -333,36 +428,19 @@ class GeneralConnection:
 
     # -- jet-level core ------------------------------------------------------
 
+    def kernel(self, order: int) -> ConnectionKernel:
+        """The evaluation of N's jet of ``order``, built on first use and then
+        kept: flows take it once per field and call it at every stage."""
+        kernel = self._kernels.get(order)
+        if kernel is None:
+            kernel = self._kernels[order] = ConnectionKernel(self, order)
+        return kernel
+
     def n_jets(self, point: TangentBundlePoint, order: int) -> np.ndarray:
         """N^a_b's Taylor coefficients valid to ``order``, as an (n, n, size)
-        array on the slots of ``JetSpace.get(2n, order)``.
-
-        For a canonical connection the coefficients are exact on the slots of
-        x-degree the callers of that order read; higher x-slots are exact zeros
-        (see :func:`_x_cap`).
-        """
-        n = self.dimension
-        if self._explicit_fn is not None:
-            point.require_nonzero_direction()
-            space = JetSpace.get(2 * n, order)
-            xs = [space.variable(i, point.x[i]) for i in range(n)]
-            ys = [space.variable(n + i, point.y[i]) for i in range(n)]
-            rows = self._explicit_fn(xs, ys)
-            out = np.empty((n, n, space.size))
-            for a in range(n):
-                for b in range(n):
-                    entry = rows[a][b]
-                    if not isinstance(entry, TaylorJet):
-                        entry = space.constant(float(entry))
-                    if not np.isfinite(entry.c).all():
-                        raise NonFiniteField(f"explicit connection entry ({a},{b}) not finite")
-                    out[a, b] = entry.c
-            return out
-
-        _, njets = _spray(_lagrangian_jet(self.lagrangian, point, order), point, order)
-        if not np.isfinite(njets).all():
-            raise NonFiniteField(f"connection coefficients are not finite at {point}")
-        return njets
+        array on the slots of ``JetSpace.get(2n, order)``: one call of the
+        order's :class:`ConnectionKernel` at the point."""
+        return self.kernel(order)(point.as_state())
 
     # -- extraction ----------------------------------------------------------
 
@@ -373,12 +451,12 @@ class GeneralConnection:
     def evaluate(self, point: TangentBundlePoint) -> ConnectionEval:
         """N with exact first x/y-derivatives, horizontal derivative, curvature;
         each call builds a new evaluation from N's jet of order 1."""
-        return ConnectionEval(point, self.n_jets(point, 1), 1)
+        return ConnectionEval(point, self.n_jets(point, 1), self.kernel(1))
 
     def evaluate_deep(self, point: TangentBundlePoint, order: int = 2) -> ConnectionEval:
-        """Like :meth:`evaluate` with N's jet (``taylor``) carried to
-        ``order``, the depth a Taylor-mode flow composes."""
-        return ConnectionEval(point, self.n_jets(point, order), order)
+        """Like :meth:`evaluate` with N's jet carried to ``order``, for the
+        readers of its higher derivatives."""
+        return ConnectionEval(point, self.n_jets(point, order), self.kernel(order))
 
     def berwald(self, point: TangentBundlePoint) -> np.ndarray:
         """Fiber-derivative coefficients D^a_bc = d/dy^b N^a_c as [a, b, c]."""
@@ -411,7 +489,7 @@ class GeneralConnection:
 
 @functools.lru_cache(maxsize=None)
 def _fiber_rows(n: int, order: int) -> tuple:
-    """The gather of ``ConnectionEval.taylor``'s fiber rows in
+    """The gather of :meth:`ConnectionKernel.fiber_stack`'s fiber rows in
     ``JetSpace.get(2n, order)``: row 1 + c holds d/dy^c of every slot below
     the order, as (rows, slots, sources, factors)."""
     space = JetSpace.get(2 * n, order)
@@ -436,10 +514,12 @@ def cartan_linear_delta(model: FinslerLagrangian, point: TangentBundlePoint) -> 
     n = model.dimension
     # order 0 reads N at x-degree 0, and L's jet is exact on x-degree <= 1
     L = _lagrangian_jet(model, point, 0)
-    g, njets = _spray(L, point, 0)
+    njets = _Spray(L.space, 0)(L.c, point.as_state())
 
-    # d/dv g_qc = (1/2) d^3L / dy^q dy^c dv for v = x^b and v = y^m
+    # g_qc = (1/2) d^2L / dy^q dy^c, and d/dv g_qc = (1/2) d^3L / dy^q dy^c dv
+    # for v = x^b and v = y^m
     fibers = range(n, 2 * n)
+    g = 0.5 * L.partials(fibers, fibers)
     dg_x = 0.5 * L.partials(fibers, fibers, range(n))  # [q, c, b] = d_b g_qc
     dg_y = 0.5 * L.partials(fibers, fibers, fibers)  # [q, c, m] = d/dy^m g_qc
 
@@ -447,4 +527,4 @@ def cartan_linear_delta(model: FinslerLagrangian, point: TangentBundlePoint) -> 
     delta_g = dg_x - np.einsum("mb,qcm->qcb", njets[:, :, 0], dg_y)
     # term[q, b, c] = delta_b g_qc + delta_c g_qb - delta_q g_bc
     term = np.transpose(delta_g, (0, 2, 1)) + delta_g - np.transpose(delta_g, (2, 0, 1))
-    return 0.5 * np.einsum("aq,qbc->abc", np.linalg.inv(g[:, :, 0]), term)
+    return 0.5 * np.einsum("aq,qbc->abc", np.linalg.inv(g), term)

@@ -24,6 +24,12 @@ recursion is the one source of EXP's Taylor coefficients at zero velocity,
 which the chart series, the Jacobian series and the Newton seed read.  The
 flow at rest never leaves its base point, so its sweeps compose one
 evaluation of N's jet there; every other flow evaluates N at each stage.
+
+A flow stage is one kernel call.  Each field takes its connection's
+:class:`~finslerkit.connection.ConnectionKernel` of the order it reads once,
+when the field is built, and every stage calls it on the (x, y) slice of the
+stage's state: no stage builds a bundle point or an evaluation object, or
+looks up a jet space, a tape or a table.
 """
 
 from __future__ import annotations
@@ -154,10 +160,11 @@ def integrate_autoparallel(
 ) -> Trajectory:
     """Canonical-lift autoparallel x'' + N(x, x') x' = 0 on [0, t_end]."""
     n = conn.dimension
+    kernel = conn.kernel(0)
 
     def rhs(t, z):
-        x, v = z[:n], z[n:]
-        N = conn.coefficients(bundle_point(x, v))
+        v = z[n:]
+        N = kernel(z)[:, :, 0]  # the state (x, v) is the bundle point
         return np.concatenate([v, -N @ v])
 
     z0 = np.concatenate([np.asarray(x0, float), np.asarray(u, float)])
@@ -175,13 +182,18 @@ def _trajectory(rhs, z0, t_end: float, controls, n: int, connection) -> Trajecto
 
 
 def _horizontal_rhs(conn: GeneralConnection):
+    """Horizontal field on the state (x, y, u): x' = u, y' = -N(x, y) u and
+    u' = -dN/dy^c(x, y) u u^c.  The field takes the connection's order-1
+    kernel once; a stage is one kernel call on the state's (x, y) slice, then
+    N and dN/dy read from N's jet through the kernel's slot tables."""
     n = conn.dimension
+    kernel = conn.kernel(1)
 
     def rhs(t, z):
-        x, y, u = z[:n], z[n : 2 * n], z[2 * n :]
-        ev = conn.evaluate(bundle_point(x, y))
-        xdd = -np.einsum("abc,b,c->a", ev.dN_y, u, u)
-        return np.concatenate([u, -ev.N @ u, xdd])
+        u = z[2 * n :]
+        jet = kernel(z[: 2 * n])
+        xdd = -np.einsum("abc,b,c->a", kernel.fiber_derivative(jet), u, u)
+        return np.concatenate([u, -jet[:, :, 0] @ u, xdd])
 
     return rhs
 
@@ -244,27 +256,29 @@ def _jet_rhs(conn: GeneralConnection, space: JetSpace, at_rest: bool):
     order m from N's (x, y)-jet at the primal point.  That takes N to order
     m + 1; a primal at rest (u = 0, so the u jets start at order 1) needs one
     order less, and dN/dy at the primal point, so never less than order 1.
-    At rest the primal row never moves (x' = u = 0 and y' = -N 0 = 0 there),
-    so the field evaluates N once, on its first call, and composes that
-    evaluation at every later one.
+    The field takes the connection's kernel of that order once; a stage is
+    one kernel call on the primal (x, y), the first 2n entries of ``z``, and
+    the kernel's fiber stack of N and dN/dy, which the stage composes.  At
+    rest the primal row never moves (x' = u = 0 and y' = -N 0 = 0 there), so
+    the field evaluates N once, on its first call, and composes that stack
+    at every later one.
     """
     n = conn.dimension
     m = space.order
-    order = max(1, m) if at_rest else m + 1
-    nspace = JetSpace.get(2 * n, order)
-    rest = None  # at rest: the one evaluation every call composes
+    kernel = conn.kernel(max(1, m) if at_rest else m + 1)
+    rest = None  # at rest: the one fiber stack every call composes
 
     def rhs(t, z):
         nonlocal rest
         state = z.reshape(space.size, 3 * n).T
-        x, y, u = state[:n], state[n : 2 * n], state[2 * n :]
-        ev = rest or conn.evaluate_deep(bundle_point(x[:, 0], y[:, 0]), order)
+        u = state[2 * n :]
+        stack = rest if rest is not None else kernel.fiber_stack(kernel(z[: 2 * n]))
         if at_rest:
-            rest = ev
+            rest = stack
         dev = state[: 2 * n].copy()
         dev[:, 0] = 0.0
         # N[a, b] and dN[a, b, c] = d/dy^c N^a_b along the state jets
-        composed = compose(ev.taylor, nspace, dev, space)
+        composed = compose(stack, kernel.space, dev, space)
         dN_u = space.product(composed[:, :, 1:], u[None, None]).sum(axis=2)
         # y' = -N u and u' = -(dN u) u in one product
         both = space.product(np.stack([composed[:, :, 0], dN_u]), u[None, None])

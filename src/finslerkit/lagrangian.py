@@ -26,12 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expressions as ex
-from .bundle import (
-    DEGENERACY_CONDITION_LIMIT,
-    ZERO_DIRECTION_GUARD,
-    TangentBundlePoint,
-    bundle_point,
-)
+from .bundle import DEGENERACY_CONDITION_LIMIT, TangentBundlePoint, bundle_point, state_text
 from .errors import ModelFormatError, NonFiniteField
 from .jets import JetSpace, TaylorJet, eval_taylor, finite_jet
 
@@ -291,6 +286,27 @@ class FinslerLagrangian:
         space = JetSpace.get(2 * n, order, n, x_order)
         jet = ex.compiled(self._tree, self._key, space, None).run(point.x, point.y)
         return finite_jet(jet, space, point)
+
+    def jet_function(self, order: int, x_order: int):
+        """:meth:`taylor`'s coefficients as a function of the state ``xy``
+        (x, then y, checked by the caller with ``bundle.check_state``).  The
+        space and the tape are looked up once, here; a call runs the tape."""
+        n = self.dimension
+        if self._tree is None:
+            return lambda xy: self.taylor(bundle_point(xy[:n], xy[n:]), order, x_order).c
+        space = JetSpace.get(2 * n, order, n, x_order)
+        tape = ex.compiled(self._tree, self._key, space, None)
+
+        def run(xy):
+            jet = tape.run(xy)
+            c = jet.c if isinstance(jet, TaylorJet) else space.constant(jet).c
+            if not np.isfinite(c).all():
+                raise NonFiniteField(
+                    f"field evaluation produced non-finite derivatives at {state_text(xy)}"
+                )
+            return c
+
+        return run
 
     def l_metric(self, point: TangentBundlePoint) -> np.ndarray:
         """Fiber Hessian g^L_ab = (1/2) d_a d_b L over y."""

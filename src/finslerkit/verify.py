@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import TangentBundlePoint, bundle_point
+from .bundle import bundle_point
 from .charts import AutoparallelChart
 from .connection import GeneralConnection, cartan_linear_delta
 from .dynamics import (

@@ -15,7 +15,6 @@ reference the array build must reproduce.
 """
 
 import math
-from collections import Counter
 from itertools import combinations_with_replacement, permutations
 from types import SimpleNamespace
 
@@ -176,29 +175,27 @@ def rest_blocks(conn, base, v):
     )
 
 
-def count_n_jets(conn) -> Counter:
-    """From now on, count ``conn``'s builds of N's jet by order."""
-    counts = Counter()
-    build = conn.n_jets
-
-    def counted(point, order):
-        counts[order] += 1
-        return build(point, order)
-
-    conn.n_jets = counted
-    return counts
-
-
-def count_deep_evaluations(conn) -> list:
-    """From now on, record the order of each ``conn.evaluate_deep`` call."""
+def count_kernel_calls(conn) -> list:
+    """From now on, record the order of each call of one of ``conn``'s
+    kernels, the one evaluation of N's jet: ``n_jets`` (and so
+    ``coefficients``, ``evaluate`` and ``evaluate_deep``) and every flow
+    stage call one.  A flow field takes its kernel when it is built, so count
+    before building the field."""
     orders = []
-    evaluate = conn.evaluate_deep
+    kernel = conn.kernel
 
-    def counted(point, order):
-        orders.append(order)
-        return evaluate(point, order)
+    class Counted:
+        def __init__(self, inner):
+            self.inner = inner
 
-    conn.evaluate_deep = counted
+        def __call__(self, xy):
+            orders.append(self.inner.order)
+            return self.inner(xy)
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    conn.kernel = lambda order: Counted(kernel(order))
     return orders
 
 

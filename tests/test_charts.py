@@ -35,7 +35,7 @@ from finslerkit.lagrangian import FinslerLagrangian
 from finslerkit.models import builtin_names, load_model
 
 from fd_oracles import richardson_gradient
-from jet_oracles import closed_form_blocks, count_n_jets, rest_blocks, slot, unit_index
+from jet_oracles import closed_form_blocks, count_kernel_calls, rest_blocks, slot, unit_index
 
 
 def chart_for(name, base, kind="extended", **kw):
@@ -127,9 +127,9 @@ def test_connection_in_chart_at_the_center_builds_order_one_jets(name, base):
     # and the chart image reads N alone
     ch = chart_for(name, base)
     n = ch.dimension
-    counts = count_n_jets(ch.connection)
+    orders = count_kernel_calls(ch.connection)
     ch.connection_in_chart(np.zeros(n), np.linspace(1.0, 0.5, n))
-    assert set(counts) == {0, 1}
+    assert set(orders) == {0, 1}
 
 
 def test_connection_in_chart_flat_everywhere():
@@ -714,7 +714,6 @@ def test_library_takes_no_finite_differences():
 # JetSpace's tables, which only jets.py reads; other modules use its lookups
 PRIVATE_JET_TABLES = {
     "_deriv", "_mul_ia", "_mul_ib", "_mul_ic", "_pairs", "_mono_var", "_mono_parent",
-    "_within",
 }
 
 

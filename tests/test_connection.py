@@ -14,8 +14,9 @@ from finslerkit import (
 from finslerkit.connection import (
     ConnectionEval,
     GeneralConnection,
+    _degree_blocks,
     _series_solve,
-    _spray,
+    _Spray,
     _x_cap,
     cartan_linear_delta,
 )
@@ -418,7 +419,8 @@ def test_jet_solve_takes_one_reciprocal_per_pivot(monkeypatch):
 def _full_space_n_jets(model, p, order):
     """Reference N jets: the same kernel on a full-space L jet of total
     degree order + 3."""
-    return _spray(eval_taylor(model, p, order + 3), p, order)[1]
+    L = eval_taylor(model, p, order + 3)
+    return _Spray(L.space, order)(L.c, p.as_state())
 
 
 @pytest.mark.parametrize("name", MODELS + ["line1d"])
@@ -527,14 +529,19 @@ def test_evaluation_tensors_are_derived_on_first_access(name):
             assert again is not ev
             assert again.jet.tobytes() == ev.jet.tobytes()
             want = _eager_tensors(conn, p, order)
+            # the flows' fiber stack comes from the kernel, not the evaluation
+            stack = want.pop("taylor")
+            assert not hasattr(ev, "taylor")
+            assert conn.kernel(order).fiber_stack(ev.jet).tobytes() == stack.tobytes()
             assert not ev.__dict__.keys() & want.keys()  # nothing derived yet
-            assert ev.taylor is ev.taylor  # the flows' read derives nothing else
-            assert not ev.__dict__.keys() & (want.keys() - {"taylor"})
             for attr, value in want.items():
                 got = getattr(ev, attr)
                 assert got.shape == value.shape, (name, order, attr)
                 assert got.tobytes() == value.tobytes(), (name, order, attr)
                 assert getattr(ev, attr) is got  # derived once, then kept
+            assert conn.kernel(order).fiber_derivative(ev.jet).tobytes() == ev.dN_y.tobytes()
+
+
 @pytest.mark.parametrize("name", MODELS)
 def test_evaluation_tensors_are_the_jet_partials(name):
     # the array extraction in _assemble against a slot-by-slot loop
@@ -576,7 +583,8 @@ def test_series_solve_matches_jet_elimination(n):
             g = rng.standard_normal((n, n, space.size))
             g[:, :, 0] = g0
             rhs = rng.standard_normal((n, space.size))
-            s = _series_solve(space, g, rhs, None)
+            stack = np.concatenate([g.reshape(n, -1), rhs], axis=1)
+            s = _series_solve(_degree_blocks(space, n), stack, None)
             ref = jet_solve([_jet_stack(space, row) for row in g], _jet_stack(space, rhs))
             ref = np.array([jet.c for jet in ref])
             assert np.abs(s - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max()), (n, order)
@@ -587,13 +595,14 @@ def test_series_solve_refuses_a_degenerate_metric():
     rng = np.random.default_rng(3)
     g = rng.standard_normal((2, 2, space.size))
     rhs = rng.standard_normal((2, space.size))
-    p = bundle_point([0.25], [1.5])
+    xy = bundle_point([0.25], [1.5]).as_state()
+    blocks = _degree_blocks(space, 2)
     g[:, :, 0] = [[1.0, 0.0], [0.0, 1e-9]]
-    with pytest.raises(NearDegenerateMetric):
-        _series_solve(space, g, rhs, p)
+    with pytest.raises(NearDegenerateMetric, match=r"at x = \[0.25\], y = \[1.5\]"):
+        _series_solve(blocks, np.concatenate([g.reshape(2, -1), rhs], axis=1), xy)
     g[:, :, 0] = [[1.0, np.nan], [0.0, 1.0]]
     with pytest.raises(NonFiniteField, match=r"not finite at the requested point x = \[0.25\], y = \[1.5\]"):
-        _series_solve(space, g, rhs, p)
+        _series_solve(blocks, np.concatenate([g.reshape(2, -1), rhs], axis=1), xy)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -616,15 +625,16 @@ def test_n_jets_match_jet_level_elimination(name):
 
 
 def test_n_jets_take_no_jet_products_outside_the_lagrangian(monkeypatch):
+    # the connection's kernel runs L's jet as its compiled tape
     inside = 0
     calls = {"inside": 0, "outside": 0}
-    taylor = FinslerLagrangian.taylor
+    run = expressions.Tape.run
 
-    def traced_taylor(self, *args, **kwargs):
+    def traced_run(self, *args):
         nonlocal inside
         inside += 1
         try:
-            return taylor(self, *args, **kwargs)
+            return run(self, *args)
         finally:
             inside -= 1
 
@@ -635,7 +645,7 @@ def test_n_jets_take_no_jet_products_outside_the_lagrangian(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(FinslerLagrangian, "taylor", traced_taylor)
+    monkeypatch.setattr(expressions.Tape, "run", traced_run)
     for attr in ("__mul__", "__rmul__", "reciprocal"):
         monkeypatch.setattr(TaylorJet, attr, counted(TaylorJet.__dict__[attr]))
     # L's own products run as waves of its compiled tape

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerkit import dynamics, expressions, integrate
-from finslerkit.bundle import bundle_point
-from finslerkit.connection import GeneralConnection
+from finslerkit import connection, dynamics, expressions, integrate
+from finslerkit.bundle import TangentBundlePoint, bundle_point
+from finslerkit.connection import ConnectionEval, GeneralConnection
 from finslerkit.dynamics import (
     IntegrationControls,
     exp_map,
@@ -36,8 +36,7 @@ from finslerkit.models import builtin_names, load_model
 from fd_oracles import richardson_hessian
 from jet_oracles import (
     closed_form_blocks,
-    count_deep_evaluations,
-    count_n_jets,
+    count_kernel_calls,
     multi_indices,
     rest_blocks,
     second_derivatives,
@@ -399,45 +398,33 @@ def test_horizontality_residual_is_small():
     assert traj.diagnostics.rejected <= traj.diagnostics.accepted
 
 
-def _count_coefficients(conn):
-    """From now on, count ``conn``'s ``coefficients`` calls; returns the
-    one-entry list that holds the count."""
-    calls = [0]
-    coefficients = conn.coefficients
-
-    def counted(p):
-        calls[0] += 1
-        return coefficients(p)
-
-    conn.coefficients = counted
-    return calls
-
-
-def _assert_residual_measured_on_first_read(traj, calls):
+def _assert_residual_measured_on_first_read(traj, orders):
     """No residual probe and no interpolant until the residual is read; then
     one probe per segment, and the 3 dense stages of each interpolant.
-    Hairer's start-up estimate costs the flow one evaluation more."""
+    Hairer's start-up estimate costs the flow one evaluation more.
+    ``orders`` records the connection's kernel calls (``count_kernel_calls``);
+    a probe reads N alone, the order-0 kernel."""
     d = traj.diagnostics
-    assert calls[0] == 0
+    assert orders.count(0) == 0
     assert d.field_evals == 2 + 11 * (d.accepted + d.rejected) + d.accepted
     assert not any(seg.coeffs is not None for seg in traj.solution.segments)
     before = d.field_evals
     resid = d.max_horizontality_residual
-    assert calls[0] == d.accepted
+    assert orders.count(0) == d.accepted
     assert d.field_evals == traj.solution.nfev == before + 3 * d.accepted
     assert d.max_horizontality_residual == resid  # measured once, then kept
-    assert calls[0] == d.accepted
+    assert orders.count(0) == d.accepted
 
 
 def test_exp_map_skips_the_residual_pass():
     conn = conn_for("randers2d")
     x0, u, v = np.array([0.2, -0.1]), np.array([0.8, 0.4]), np.array([1.0, -0.3])
-    calls = _count_coefficients(conn)
+    orders = count_kernel_calls(conn)
     exp_map(conn, x0, u, v)
-    assert calls[0] == 0
+    assert orders.count(0) == 0
     traj = integrate_horizontal_autoparallel(conn, x0, u, v, 1.0)
     traj.endpoint  # reading the samples measures nothing
-    _assert_residual_measured_on_first_read(traj, calls)
+    _assert_residual_measured_on_first_read(traj, orders)
 
 
 @pytest.mark.parametrize(
@@ -449,9 +436,9 @@ def test_exp_map_skips_the_residual_pass():
 )
 def test_an_order_zero_jet_flow_is_exp_map_from_order_one_connection_jets(name, base, u, v):
     conn = conn_for(name)
-    counts = count_n_jets(conn)
+    orders = count_kernel_calls(conn)
     x, y = exp_map_jets(conn, base, u, v, JetSpace.get(1, 0))
-    assert set(counts) == {1}  # the flow composes N and dN/dy at its primal point
+    assert set(orders) == {1}  # the flow composes N and dN/dy at its primal point
     want = exp_map(conn, base, u, v).as_state()
     got = np.concatenate([x[:, 0], y[:, 0]])
     assert np.abs(got - want).max() <= 1e-8 * (1.0 + np.abs(want).max())
@@ -466,7 +453,7 @@ def test_exp_jets_at_rest_evaluate_the_connection_once(name):
     n = model.dimension
     rng = np.random.default_rng(3)
     base, v = model.draw_inner_x(rng), model.draw_fiber(rng)
-    orders = count_deep_evaluations(conn)
+    orders = count_kernel_calls(conn)
     for order in (1, 2, 3, 4):
         for space, u_seed, v_seed in (
             (JetSpace.get(n, order), 0, None),
@@ -475,6 +462,87 @@ def test_exp_jets_at_rest_evaluate_the_connection_once(name):
             del orders[:]
             exp_map_jets(conn, base, np.zeros(n), v, space, u_seed, v_seed)
             assert orders == [order], (order, space.nvars)
+
+
+# -- flow stages -----------------------------------------------------------------
+
+
+def _stage(conn, kind, x, y, u):
+    """A flow field of ``conn`` and the state of one of its stages at (x, y)
+    with velocity u: the horizontal field, or the order-1 Taylor-mode field
+    in (u, v) seeds that ``exp_map_with_jacobian`` integrates."""
+    n = conn.dimension
+    if kind == "horizontal":
+        return dynamics._horizontal_rhs(conn), np.concatenate([x, y, u]).astype(float)
+    space = JetSpace.get(2 * n, 1)
+    z = dynamics._seeded_state(space, x, np.asarray(u, float), y, 0, n)
+    return dynamics._jet_rhs(conn, space, at_rest=False), z.ravel()
+
+
+@pytest.mark.parametrize(
+    "name,kind", [("sphere2d", "horizontal"), ("quartic4d", "jacobian")]
+)
+def test_a_flow_stage_after_the_first_builds_nothing(name, kind, monkeypatch):
+    # a field takes its kernel once; a stage is one call of it on the state
+    model = load_model(f"builtin:{name}")
+    rng = np.random.default_rng(12)
+    x, y = model.draw_inner_x(rng), model.draw_fiber(rng)
+    u = 0.3 * model.draw_fiber(rng)
+    rhs, z = _stage(GeneralConnection.cartan(model), kind, x, y, u)
+    first = rhs(0.0, z)
+    calls = []
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(label)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        TangentBundlePoint, "__post_init__", counted("point", TangentBundlePoint.__post_init__)
+    )
+    monkeypatch.setattr(ConnectionEval, "__init__", counted("evaluation", ConnectionEval.__init__))
+    monkeypatch.setattr(JetSpace, "get", classmethod(counted("JetSpace.get", JetSpace.get.__func__)))
+    monkeypatch.setattr(JetSpace, "partial_slots", counted("partial_slots", JetSpace.partial_slots))
+    monkeypatch.setattr(expressions, "compiled", counted("compiled", expressions.compiled))
+    for attr in ("_spray_tables", "_degree_blocks", "_fiber_rows"):
+        monkeypatch.setattr(connection, attr, counted(attr, getattr(connection, attr)))
+    for _ in range(3):
+        assert rhs(0.0, z).tobytes() == first.tobytes()
+    assert calls == []
+    # the counters see the lookups: a new connection's first stage makes them
+    _stage(GeneralConnection.cartan(model), kind, x, y, u)[0](0.0, z)
+    assert {"JetSpace.get", "compiled", "_spray_tables", "partial_slots"} <= set(calls)
+
+
+# a quadratic model whose L-metric diag(1, x1^2) degenerates at x1 = 0, and
+# one whose L jet overflows at large x1
+DEGENERATE = {
+    "dimension": 2, "homogeneity_degree": 2, "family": "quadratic",
+    "parameters": {"metric": [["1", "0"], ["0", "x1^2"]]},
+}
+OVERFLOWING = {
+    "dimension": 2, "homogeneity_degree": 2, "family": "custom",
+    "parameters": {"expression": "y1^2 + y2^2 + 1e307 * x1^2 * (y1^2 + y2^2)"},
+}
+
+
+@pytest.mark.parametrize("kind", ["horizontal", "jacobian"])
+@pytest.mark.parametrize(
+    "source,x,y,error",
+    [
+        ("builtin:sphere2d", [1.1, 0.3], [1e-13, 0.0], NearZeroDirection),
+        (DEGENERATE, [1e-5, 0.3], [0.6, 0.8], NearDegenerateMetric),
+        (OVERFLOWING, [1e200, 0.0], [1.0, 0.5], NonFiniteField),
+    ],
+    ids=["zero-fiber", "degenerate", "non-finite"],
+)
+def test_a_failing_stage_keeps_its_error_type_and_point(kind, source, x, y, error):
+    conn = GeneralConnection.cartan(load_model(source))
+    rhs, z = _stage(conn, kind, x, y, [0.3, -0.2])
+    with np.errstate(all="ignore"), pytest.raises(error, match=re.escape(f"x = {x}, y = {y}")):
+        rhs(0.0, z)
 
 
 @pytest.mark.parametrize("wrt", ["x", "U", "uu", "vu", ""])
@@ -753,12 +821,12 @@ def test_flows_to_any_end_time_keep_the_starting_step_estimate(monkeypatch):
     x0, u, v = np.array([0.2, -0.1]), np.array([0.08, 0.04]), np.array([1.0, -0.3])
     exp_map(conn, x0, u, v)
     assert calls == 0
-    coefficient_calls = _count_coefficients(conn)
+    orders = count_kernel_calls(conn)
     traj = integrate_horizontal_autoparallel(conn, x0, u, v, 1.0)
     assert calls == 1
     assert traj.solution.segments[0].h < 1.0
     # the estimate's probe is the start's second evaluation
-    _assert_residual_measured_on_first_read(traj, coefficient_calls)
+    _assert_residual_measured_on_first_read(traj, orders)
     integrate_autoparallel(conn, x0, u, 1.0)
     assert calls == 2
 

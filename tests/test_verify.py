@@ -18,7 +18,7 @@ from finslerkit.connection import GeneralConnection
 from finslerkit.jets import JetSpace
 from finslerkit.models import BUILTIN_MODELS, builtin_names, load_model
 
-from jet_oracles import count_deep_evaluations
+from jet_oracles import count_kernel_calls
 
 ALWAYS = {
     "euler-degree", "horizontal-constancy", "fiber-symmetry", "connection-homogeneity",
@@ -118,7 +118,7 @@ def test_the_rest_flow_reference_evaluates_the_connection_once(name):
     n = model.dimension
     rng = np.random.default_rng(4)
     base, v = model.draw_inner_x(rng), model.draw_fiber(rng)
-    orders = count_deep_evaluations(conn)
+    orders = count_kernel_calls(conn)
     for space, u_seed, v_seed in (
         (JetSpace.get(n, 3), 0, None),
         (JetSpace.get(2 * n, 3, n, 1), n, 0),

@@ -13,9 +13,12 @@ Covers, one line each (the hash, then the command's arguments):
 - the ``validate`` report of every builtin model;
 - the ``connection`` and ``validate`` commands of the CI workflow's 3-d custom
   model, whose Lagrangian divides by a jet, run from a temporary directory
-  that holds its document as ``custom3d.json``.
+  that holds its document as ``custom3d.json``;
+- the CSV of the CI workflow's ``scripts/trace_geodesic.py`` command, which
+  reads a trajectory's dense output.
 
-Each command runs through ``finslerkit.cli.main`` in this process, from the
+Each command runs through ``finslerkit.cli.main`` (the trace through the
+script's own ``main``) in this process, from the
 repository root unless said otherwise (a report names its model as given, so
 the line model is named by its relative path), its standard output captured.  Two checkouts
 print the same lines exactly when none of these reports moved by a byte.
@@ -31,6 +34,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import tempfile
 from pathlib import Path
 
@@ -72,6 +76,9 @@ CUSTOM_COMMANDS = [
     "validate --model custom3d.json --samples 20",
 ]
 
+TRACE_SCRIPT = "scripts/trace_geodesic.py"
+TRACE_COMMAND = "--point 1.1,0.3 --direction 0.4,-0.2 --steps 10"
+
 
 def commands() -> list[list[str]]:
     models = [f"builtin:{name}" for name in builtin_names()] + [LINE_MODEL]
@@ -85,12 +92,15 @@ def commands() -> list[list[str]]:
     return runs + [line.split() for line in CI_COMMANDS + FLOW_COMMANDS]
 
 
-def report_hash(argv: list[str]) -> None:
+def output_hash(main, argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.main(argv)
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    print(digest, " ".join(argv), flush=True)
+        main(argv)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def report_hash(argv: list[str]) -> None:
+    print(output_hash(cli.main, argv), " ".join(argv), flush=True)
 
 
 def main() -> int:
@@ -105,6 +115,8 @@ def main() -> int:
         for line in CUSTOM_COMMANDS:
             report_hash(line.split())
         os.chdir(ROOT)
+    trace = runpy.run_path(str(ROOT / TRACE_SCRIPT))["main"]
+    print(output_hash(trace, TRACE_COMMAND.split()), TRACE_SCRIPT, TRACE_COMMAND, flush=True)
     return 0
 
 

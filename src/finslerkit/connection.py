@@ -24,10 +24,17 @@ per (connection, order): it holds L's compiled tape, the spray's tables,
 degree blocks and scratch (:class:`_Spray`) and the slot tables of dN/dy and
 of the fiber stack.  A call runs only the tape, the gathers, the bincount
 folds and the series solve on the caller's (x, y) array: flow stages call it
-on slices of their state, and ``n_jets`` at a point.  An error names the
-point, formatted only when raised.  :class:`ConnectionEval` holds an
-evaluation and derives the tensors below from N's jet on first access.  The
-index tables come from ``JetSpace``'s public lookups alone.
+on slices of their state, and ``n_jets`` at a point.  A (B, 2n) stack of
+states runs through the same tape, gathers, folds and solve once for all its
+states, in chunks whose temporaries stay below glibc's mmap threshold: every
+fold sums each state's terms in that state's own order, so each state's jet
+is the one a call at that state alone gives, bit for bit.  The fixed cost of
+a call is then shared by the stack; a solution's dense output and its
+horizontality residual call the kernel this way.  An error names the point
+(in a stack, the first state that fails), formatted only when raised.
+:class:`ConnectionEval` holds an evaluation and derives the tensors below
+from N's jet on first access.  The index tables come from ``JetSpace``'s
+public lookups alone.
 
 Derived objects follow the usual conventions:
 
@@ -41,22 +48,29 @@ Derived objects follow the usual conventions:
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from .bundle import (
     DEGENERACY_CONDITION_LIMIT,
     TangentBundlePoint,
+    all_finite,
     bundle_point,
     check_state,
     state_text,
 )
 from .errors import NearDegenerateMetric, NonFiniteField
-from .jets import JetSpace, TaylorJet
+from .jets import JetSpace, TaylorJet, lane_bincount
 from .lagrangian import FinslerLagrangian
 
 # relative tolerance of validate_flags' spot-checks
 _FLAG_TOL = 1e-9
+# the most bytes one temporary of a kernel call on a chunk of lanes holds:
+# half glibc's 128 KiB mmap threshold (see _gather), so that the few alive at
+# once do not grow the heap past its trim threshold either, which would page
+# the chunk's memory in again on every call
+_LANE_BYTES = 64 * 1024
 
 
 def _x_cap(order: int) -> int:
@@ -111,9 +125,10 @@ def _spray_tables(lspace: JetSpace, order: int):
     an ideal, so g, the bracket and s are bit-identical on ``work``'s slots
     to the same solve in a larger space.  ``src``/``fac`` gather the rows
     0.5 d^2L/dy^a dy^b (n * n rows, g) and then the (2n + 1) x n bracket terms
-    d^2L/dx^p dy^q, the same shifted up by y^p's slot, and dL/dx^q; a source
+    d^2L/dx^p dy^q, the same shifted up by y^p's slot, and -dL/dx^q; a source
     that is not kept reads the pad slot ``lspace.size``.  The bracket is the
-    weighted sum (weights y^p, 1, -1) of those terms, folded by ``rhs_bins``.
+    sum of those terms, the first n groups weighted by y^p, folded by
+    ``rhs_bins``.
     ``nsrc``/``nfac`` take the spray s (n, work.size) to
     N^a_b = (1/4) ds^a/dy^b on the slots ``kept`` of JetSpace.get(2n, order),
     those ``work`` holds; N's other slots, of x-degree at L's cap, are zeros.
@@ -133,6 +148,7 @@ def _spray_tables(lspace: JetSpace, order: int):
     src = np.array([k for k, _ in rows])
     fac = np.array([f for _, f in rows])
     fac[: n * n] *= 0.5  # g is half the y-Hessian of L
+    fac[-n:] *= -1.0  # the bracket's weight -1 on dL/dx^q: an exact sign flip
     rhs_bins = np.tile(np.arange(n * work.size), 2 * n + 1)
 
     kept = np.flatnonzero(work.slots(out.exponents) >= 0)
@@ -150,9 +166,9 @@ def _spray_tables(lspace: JetSpace, order: int):
 class _Spray:
     """The array kernel from L's jet in ``lspace`` to N's jet of ``order``:
     the tables of :func:`_spray_tables` and :func:`_degree_blocks`, looked up
-    once, and the fixed scratch every call writes (L's coefficients then the
-    pad slot's 0, the bracket weights y^p, 1, -1, and the [g | bracket] stack
-    of :func:`_series_solve`)."""
+    once, and the scratch a call at one state writes (L's coefficients then
+    the pad slot's 0, and the [g | bracket] stack of :func:`_series_solve`).
+    ``width`` is the most float cells one lane of a call's temporaries holds."""
 
     def __init__(self, lspace: JetSpace, order: int):
         work, self.src, self.fac, self.rhs_bins, self.shape, kept, self.nsrc, self.nfac = (
@@ -164,28 +180,42 @@ class _Spray:
         # None: N's jet keeps every slot (orders 0 and 1), so it is the gather
         self.kept = None if kept.size == self.shape[2] else kept
         self.padded = np.zeros(lspace.size + 1)
-        self.weights = np.concatenate([np.zeros(n), np.ones(n), [-1.0]])
         self.stack = np.empty((n, (n + 1) * work.size))
+        self.width = max(
+            [self.padded.size, self.src.size, n * (n + 1) * work.size, self.nsrc.size,
+             int(np.prod(self.shape))] + [h_idx.size for _, _, h_idx, _, _ in self.blocks]
+        )
 
     def __call__(self, c: np.ndarray, xy: np.ndarray) -> np.ndarray:
         """N's jet on the slots of ``JetSpace.get(2n, order)`` from L's
         coefficients ``c`` at the state ``xy``: the spray s is valid to
-        ``order + 1`` and N to ``order``, on the x-degrees :func:`_x_cap` names."""
+        ``order + 1`` and N to ``order``, on the x-degrees :func:`_x_cap` names.
+        With a trailing lane axis, ``c`` (size, B) at the states ``xy``
+        (2n, B) give the (n, n, size, B) jets, each lane bit-identical to its
+        own call."""
         n, size = self.n, self.size
         nw = n * size
-        self.padded[:-1] = c
-        self.weights[:n] = xy[n:]
-        d = self.padded[self.src] * self.fac
-        stack = self.stack
-        stack[:, :nw] = d[: n * n].reshape(n, nw)
-        terms = self.weights[:, None] * d[n * n :].reshape(2 * n + 1, nw)
-        rhs = np.bincount(self.rhs_bins, weights=terms.ravel(), minlength=nw)
-        stack[:, nw:] = rhs.reshape(n, size)
+        lanes = c.shape[1:]
+        if lanes:
+            padded = np.zeros((len(c) + 1,) + lanes)
+            stack = np.empty(self.stack.shape + lanes)
+            fac, nfac = self.fac[..., None], self.nfac[..., None]
+        else:
+            padded, stack, fac, nfac = self.padded, self.stack, self.fac, self.nfac
+        padded[:-1] = c
+        d = (padded.take(self.src, 0) if lanes else padded[self.src]) * fac
+        terms = d[n * n :].reshape((2 * n + 1, nw) + lanes)
+        terms[:n] *= xy[n:, None]  # the weights y^p
+        fold = lane_bincount if lanes else np.bincount
+        rhs = fold(self.rhs_bins, terms.reshape((-1,) + lanes), nw)
+        stack[:, :nw] = d[: n * n].reshape((n, nw) + lanes)
+        stack[:, nw:] = rhs.reshape((n, size) + lanes)
         s = _series_solve(self.blocks, stack, xy)
-        values = s.ravel()[self.nsrc] * self.nfac
+        s = s.reshape((-1,) + lanes)
+        values = (s.take(self.nsrc, 0) if lanes else s[self.nsrc]) * nfac
         if self.kept is None:
             return values
-        njets = np.zeros(self.shape)
+        njets = np.zeros(self.shape + lanes)
         njets[:, :, self.kept] = values
         return njets
 
@@ -223,33 +253,47 @@ def _series_solve(blocks: list, stack: np.ndarray, xy) -> np.ndarray:
     (row a: g[a, b, i] in (b, i) order, then rhs[a, i]) of coefficient arrays
     in the space whose :func:`_degree_blocks` are ``blocks``; s is valid to
     the space order.  An error names the bundle state ``xy`` (x, then y).
+    With a trailing lane axis, a (n, (n + 1) * size, B) stack at the states
+    ``xy`` (2n, B) solves every lane as on its own, with one SVD of the
+    (B, n, n) stack of g's constant terms.
 
     With h = g0^{-1} g and r = g0^{-1} rhs (g0 = g's constant term), the
     degree-d slots of s are those of r minus the degree-d part of
     (h - 1) s, which reads s below degree d only.  g0 is checked as the
     L-metric at the evaluation point.
     """
-    n = stack.shape[0]
+    n, lanes = stack.shape[0], stack.shape[2:]
     size = stack.shape[1] // (n + 1)
     g0 = stack[:, : n * size : size]
-    if not np.isfinite(g0).all():
-        raise NonFiniteField(f"L-metric is not finite at the requested point {state_text(xy)}")
+    if not all_finite(g0):
+        lane = np.argmax(~np.isfinite(g0).all(axis=(0, 1)))
+        raise NonFiniteField(
+            f"L-metric is not finite at the requested point {state_text(xy.T, lane)}"
+        )
     # one SVD gives the condition number and, once that passes, the inverse
-    left, sv, right = np.linalg.svd(g0)
-    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
-    if cond > DEGENERACY_CONDITION_LIMIT:
-        raise NearDegenerateMetric(f"L-metric condition number {cond:.3e} at {state_text(xy)}")
-    inv = (right.T / sv) @ left.T
+    left, sv, right = np.linalg.svd(g0.transpose(2, 0, 1) if lanes else g0)
+    for lane, row in enumerate(sv.reshape(-1, n).tolist()):
+        cond = row[0] / row[-1] if row[-1] > 0.0 else math.inf
+        if cond > DEGENERACY_CONDITION_LIMIT:
+            raise NearDegenerateMetric(
+                f"L-metric condition number {cond:.3e} at {state_text(xy.T, lane)}"
+            )
+    if lanes:  # lanes trail again, in C order, so that flat below is a view of pre
+        inv = (right.swapaxes(1, 2) / sv[:, None]) @ left.swapaxes(1, 2)
+        inv = np.ascontiguousarray(inv.transpose(1, 2, 0))
+    else:
+        inv = (right.T / sv) @ left.T
     # [h | r]; explicit sums over q keep each slot's rounding independent of
     # the layout
     pre = inv[:, :1] * stack[0]
     for q in range(1, n):
         pre += inv[:, q : q + 1] * stack[q]
-    flat = pre.ravel()
+    flat = pre.reshape((-1,) + lanes)
     s = pre[:, n * size :]  # r, overwritten degree by degree with s
+    fold = lane_bincount if lanes else np.bincount
     for lo, hi, h_idx, s_idx, bins in blocks:
-        w = flat[h_idx] * flat[s_idx]
-        s[:, lo:hi] -= np.bincount(bins, weights=w, minlength=n * (hi - lo)).reshape(n, hi - lo)
+        w = flat.take(h_idx, 0) * flat.take(s_idx, 0) if lanes else flat[h_idx] * flat[s_idx]
+        s[:, lo:hi] -= fold(bins, w, n * (hi - lo)).reshape((n, hi - lo) + lanes)
     return s
 
 
@@ -308,6 +352,16 @@ class ConnectionKernel:
     (n, n, size) array on the slots of ``space`` = ``JetSpace.get(2n, order)``.
     A canonical connection's jet is exact on the x-degrees the callers of the
     order read; higher x-slots are exact zeros (see :func:`_x_cap`).
+
+    A (B, 2n) stack of states gives the (B, n, n, size) stack of their jets,
+    each bit-identical to the call at its own state: the same tape, gathers,
+    folds and solve run once on every lane, in chunks of at most ``lanes``
+    states, so that no temporary of a chunk reaches ``_LANE_BYTES``.  A
+    chunk of one state takes the single state's path: a kernel too wide for
+    two states per chunk, an explicit connection's and one whose L jet has no
+    tape take the stack one state at a time.
+    The stack's own (B, n, n, size) result is the caller's to size.  An error
+    names the first state of the stack that raises it.
     """
 
     def __init__(self, conn: "GeneralConnection", order: int):
@@ -315,10 +369,13 @@ class ConnectionKernel:
         self.n, self.order = n, order
         self.space = JetSpace.get(2 * n, order)
         self._explicit = conn._explicit_fn
+        self.lanes = 1  # an explicit callable, or an L jet without a tape: one state a call
         if conn.lagrangian is not None:
             cap = _x_cap(order)
-            self._lagrangian = conn.lagrangian.jet_function(order + 3, cap)
+            self._lagrangian, cells = conn.lagrangian.jet_function(order + 3, cap)
             self._spray = _Spray(JetSpace.get(2 * n, order + 3, n, cap), order)
+            if cells is not None:
+                self.lanes = max(1, _LANE_BYTES // (8 * max(cells, self._spray.width)))
 
     # the slot tables of dN/dy and of the fiber stack, found on first use
     @functools.cached_property
@@ -331,11 +388,32 @@ class ConnectionKernel:
 
     def __call__(self, xy: np.ndarray) -> np.ndarray:
         check_state(xy)
+        if xy.ndim == 1:
+            return self._jets(xy)
+        # inside, lanes trail: a state's cells are rows, so every gather of
+        # a single state's path is a gather of rows here; a chunk of one
+        # state, so every state of a kernel too wide to share a chunk, takes
+        # the single state's path, which costs about half a one-lane chunk
+        out = np.empty((len(xy), self.n, self.n, self.space.size))
+        for i in range(0, len(xy), self.lanes):
+            chunk = xy[i : i + self.lanes]
+            if len(chunk) == 1:
+                out[i] = self._jets(chunk[0])
+            else:
+                out[i : i + len(chunk)] = np.moveaxis(self._jets(chunk.T), -1, 0)
+        return out
+
+    def _jets(self, xy: np.ndarray) -> np.ndarray:
+        """N's jet at the state ``xy``, or at the (2n, B) states' columns as
+        an (n, n, size, B) array."""
         if self._explicit is not None:
             return self._explicit_jets(xy)
         jet = self._spray(self._lagrangian(xy), xy)
-        if not np.isfinite(jet).all():
-            raise NonFiniteField(f"connection coefficients are not finite at {state_text(xy)}")
+        if not all_finite(jet):
+            lane = np.argmax(~np.isfinite(jet).all(axis=(0, 1, 2)))
+            raise NonFiniteField(
+                f"connection coefficients are not finite at {state_text(xy.T, lane)}"
+            )
         return jet
 
     def _explicit_jets(self, xy: np.ndarray) -> np.ndarray:
@@ -351,7 +429,7 @@ class ConnectionKernel:
                     entry = space.constant(float(entry))
                 if not np.isfinite(entry.c).all():
                     raise NonFiniteField(
-                        f"explicit connection entry ({a},{b}) not finite at {state_text(xy)}"
+                        f"explicit connection entry ({a},{b}) not finite at {state_text(xy, 0)}"
                     )
                 out[a, b] = entry.c
         return out

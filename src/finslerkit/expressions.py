@@ -355,6 +355,9 @@ class Tape:
                     b = int(b[0]) if (b == b[0]).all() else b
                     self.steps.append((1, getattr(np, kind), slice(at, at + out.size), new[a], b))
             at += out.size
+        # the most cells one lane of coefficients()'s temporaries holds: the
+        # register file or a step's gathered cells
+        self.width = max([self.ncells] + [np.size(step[3]) for step in self.steps])
         self.root = root  # a float for a constant tree
         if isinstance(root, _Reg):
             self.root, self.support = None, root.support
@@ -364,22 +367,39 @@ class Tape:
         """The tree's jet for the ``seed`` arrays: the point's x and y, or the
         input jets' coefficients.  A constant tree gives its float, as
         evaluate() does."""
-        flat = np.empty(self.ncells)
-        flat[: self.nfixed] = self.fixed_values
+        c = self.coefficients(*seed)
+        return c if self.root is not None else jets.TaylorJet(self.space, c, self.support)
+
+    def coefficients(self, *seed):
+        """:meth:`run`'s coefficient array (a constant tree's float).
+
+        Seeds with a trailing lane axis, (k, B) each, give the jets of B
+        states at once as one (size, B) array, each lane bit-identical to its
+        own run.  The register file is then (ncells, B): every gather and
+        elementwise step runs on all lanes, a wave's sums keep each lane's
+        order (:func:`jets.lane_bincount`), and scalar steps run lane by lane.
+        """
+        lanes = seed[0].shape[1:]
+        cells = np.empty((self.ncells,) + lanes)
+        cells[: self.nfixed] = self.fixed_values[:, None] if lanes else self.fixed_values
         at = self.nfixed
         for values in seed:
-            flat[at : at + values.size] = values
-            at += values.size
+            cells[at : at + len(values)] = values
+            at += len(values)
+        rows = cells.T if lanes else (cells,)
         for kind, fn, out, a, b in self.steps:
             if kind == 2:
-                jets.wave_products(flat, out, a, fn)
+                jets.wave_products(cells, out, a, fn)
+            elif kind == 1 and lanes:
+                fn(cells.take(a, 0), cells.take(b, 0), out=cells[out])
             elif kind == 1:
-                fn(flat[a], flat[b], out=flat[out])
+                fn(cells[a], cells[b], out=cells[out])
             else:
-                flat[out] = fn(flat[a])
+                for row in rows:
+                    row[out] = fn(row[a])
         if self.root is not None:
             return self.root
-        return jets.TaylorJet(self.space, flat[self.out], self.support)
+        return cells.take(self.out, 0) if lanes else cells[self.out]
 
 
 class _Compiler:

@@ -13,10 +13,18 @@ needs a fraction of the steps of a 5th-order one.
 A step evaluates f at 11 new stages; an accepted step adds one evaluation at
 its end point, which is the next step's first stage (FSAL), so an accepted
 step costs 12 evaluations and a rejected one 11.  Each accepted segment keeps
-its 13 stage rows.  The first query of a segment's continuous extension
-evaluates the three extra dense-output stages and stores the monomial
-coefficients of the degree-7 interpolant (continuous order 7, C^1 at the
-nodes), so a run read only at its end point never pays for dense output.
+its 13 stage rows.  The first query of the continuous extension builds every
+segment's interpolant: the three extra dense-output stages of all segments
+are independent, so each is one call of f on the stack of every segment's
+stage state, and each segment stores the monomial coefficients of its
+degree-7 interpolant (continuous order 7, C^1 at the nodes).  A run read only
+at its end point never pays for dense output.
+
+The field contract: ``f(t, z)`` takes a time and a state of shape (m,) and
+returns the derivative, of shape (m,); it also broadcasts over a leading
+axis, so that a (B,) array of times and a (B, m) stack of states give the
+(B, m) stack of derivatives, each row the value f gives that row's time and
+state alone.  Steps call f on single states; dense output calls it on stacks.
 
 Coefficients: the DOP853 tables of Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I* (2nd ed.), Sec. II.10, after Prince &
@@ -25,12 +33,15 @@ Dormand, J. Comput. Appl. Math. 7 (1981).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .bundle import all_finite
 from .errors import (
     ExcludedSetEntered,
     FinslerKitError,
@@ -212,9 +223,9 @@ _POWERS = np.arange(8)
 class _Segment:
     """One accepted step from ``t0`` with signed step ``h``.
 
-    ``stages`` holds its 13 stage rows until the first query, which replaces
-    them with ``coeffs``: the 8 monomial coefficient rows of the interpolant
-    in s = (t - t0) / h.
+    ``stages`` holds its 13 stage rows until the solution's first query,
+    which replaces them with ``coeffs``: the 8 monomial coefficient rows of
+    the interpolant in s = (t - t0) / h.
     """
 
     __slots__ = ("t0", "h", "stages", "coeffs")
@@ -227,8 +238,9 @@ class _Segment:
 class OdeSolution:
     """Accepted-step mesh plus a lazily built piecewise degree-7 extension.
 
-    ``nfev`` counts every evaluation of the right-hand side, including the
-    dense-output stages that queries make after ``solve_ode`` returned.
+    ``nfev`` counts every evaluation of the right-hand side, one per state,
+    including the dense-output stages that queries make after ``solve_ode``
+    returned.
     """
 
     ts: np.ndarray
@@ -244,47 +256,69 @@ class OdeSolution:
         return self.states[-1]
 
     def _eval(self, t, z) -> np.ndarray:
-        """Counted, finiteness-checked evaluation of the right-hand side."""
-        self.nfev += 1
+        """Counted, finiteness-checked evaluation of the right-hand side at a
+        state, or at a stack of states (one per row, ``t`` one time per row)."""
+        self.nfev += len(z) if z.ndim > 1 else 1
         out = np.asarray(self.fun(t, z), dtype=float)
-        if not np.isfinite(out).all():
+        if out.shape != z.shape:
+            raise ValueError(
+                f"right-hand side of shape {out.shape} at states of shape {z.shape}:"
+                " f(t, z) must broadcast over a leading axis of z"
+            )
+        if not all_finite(out):
+            if z.ndim > 1:  # the first row that is not finite
+                row = int(np.argmin(np.isfinite(out).all(axis=-1)))
+                t, z = t[row], z[row]
             raise NonFiniteField(f"right-hand side is not finite at t = {float(t)!r}, state {z}")
         return out
+
+    @functools.cached_property
+    def _lookup(self) -> tuple:
+        """The run's bounds (lo, hi), the sign of its direction and the
+        segments' left ends times that sign, an ascending list."""
+        t0, t1 = float(self.ts[0]), float(self.ts[-1])
+        sign = -1.0 if t1 < t0 else 1.0  # ts[k] is the left end of segment k
+        return min(t0, t1), max(t0, t1), sign, (sign * self.ts[: len(self.segments)]).tolist()
 
     def _segment(self, t: float) -> int:
         """Index of the segment holding t; ``ValueError`` outside the run."""
         if not self.segments:
             raise FinslerKitError("empty solution has no interpolant")
-        lo, hi = sorted((float(self.ts[0]), float(self.ts[-1])))
+        lo, hi, sign, lefts = self._lookup
         if not lo <= t <= hi:
             raise ValueError(f"t = {t!r} lies outside the integrated interval [{lo!r}, {hi!r}]")
-        nseg = len(self.segments)
-        lefts = self.ts[:nseg]  # ts[k] is the left end of segment k
-        if self.ts[-1] < self.ts[0]:  # backward-time run
-            lefts = -lefts
-            t = -t
-        k = int(np.searchsorted(lefts, t, side="right")) - 1
-        return min(k, nseg - 1)  # the end point: the last segment
+        k = bisect.bisect_right(lefts, sign * t) - 1
+        return min(k, len(lefts) - 1)  # the end point: the last segment
 
     def _coefficients(self, index: int) -> np.ndarray:
-        """The segment's monomial rows, made on its first query."""
-        seg = self.segments[index]
-        if seg.coeffs is None:
-            t0, h = seg.t0, seg.h
-            z, z_new = self.states[index], self.states[index + 1]
-            k = np.empty((16, z.size))
-            k[:13] = seg.stages
-            for i in range(13, 16):
-                k[i] = self._eval(t0 + _C[i] * h, z + h * (_A[i] @ k[:i]))
+        """The segment's monomial rows; the first query makes every segment's."""
+        if self.segments[index].coeffs is None:
+            self._interpolate()
+        return self.segments[index].coeffs
+
+    def _interpolate(self) -> None:
+        """Every segment's interpolant.  Each of the three dense stages is one
+        evaluation of the field on the stack of all segments' stage states;
+        each segment's stage state and terms are formed as on its own."""
+        segs, states = self.segments, self.states
+        k = np.empty((len(segs), 16, states.shape[1]))
+        for kj, seg in zip(k, segs):
+            kj[:13] = seg.stages
+        t0 = np.array([seg.t0 for seg in segs])
+        h = np.array([seg.h for seg in segs])
+        for i in range(13, 16):
+            z = np.array([zj + hj * (_A[i] @ kj[:i]) for zj, hj, kj in zip(states, h, k)])
+            k[:, i] = self._eval(t0 + _C[i] * h, z)
+        for seg, z, z_new, kj in zip(segs, states, states[1:], k):
+            h = seg.h
             dz = z_new - z
             F = np.empty((7, z.size))
             F[0] = dz
-            F[1] = h * k[0] - dz
-            F[2] = 2.0 * dz - h * (k[12] + k[0])
-            F[3:] = h * (_D @ k)
+            F[1] = h * kj[0] - dz
+            F[2] = 2.0 * dz - h * (kj[12] + kj[0])
+            F[3:] = h * (_D @ kj)
             seg.coeffs = np.vstack([z, _MONOMIAL.T @ F])
             seg.stages = None
-        return seg.coeffs
 
     def __call__(self, t: float) -> np.ndarray:
         t = float(t)
@@ -329,6 +363,9 @@ def solve_ode(
 ) -> OdeSolution:
     """Integrate dz/dt = f(t, z) from t0 to t_end.
 
+    ``f`` keeps the module's field contract: a step evaluates it at one
+    state, and the first query of the solution at the stack of every
+    segment's dense-stage states, so it must broadcast over a leading axis.
     An :class:`ExcludedSetEntered` or :class:`NonFiniteField` at a trial
     stage rejects the step and cuts it by ``MIN_FACTOR``; if the step then
     underflows, that stage's error is raised.  The same errors at t0 or at an

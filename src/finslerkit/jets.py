@@ -603,22 +603,37 @@ def finite_jet(out, space: JetSpace, point: TangentBundlePoint) -> TaylorJet:
     return out
 
 
+def lane_bincount(bins: np.ndarray, weights: np.ndarray, width: int) -> np.ndarray:
+    """``np.bincount(bins, weights, minlength=width)`` of each lane of a
+    (len(bins), B) stack of weights, as a (width, B) array: the term of lane
+    l in bin i folds into bin i * B + l, so one call sums every lane in its
+    own order, bit-identical to its own call."""
+    lanes = weights.shape[1]
+    bins = (bins[:, None] * lanes + np.arange(lanes)).ravel()
+    return np.bincount(bins, weights.ravel(), width * lanes).reshape(width, lanes)
+
+
 def wave_products(flat: np.ndarray, out: slice, factors, bins) -> None:
     """One wave of jet products and sums on the register file ``flat``: with
     the first half of ``factors`` the left cells of the terms and the second
     half the right ones, cell ``out.start + i`` becomes the sum of the term
     products over the terms t with ``bins[t] == i``, added in term order from
-    +0.0.
+    +0.0.  An (ncells, B) file of B lanes sums each lane in its own order
+    (:func:`lane_bincount`), and gathers its rows with ``take``: the same
+    copy as fancy indexing, which copies a short trailing axis element by
+    element and so runs several times slower.  Every lane gather of the tape
+    and of the connection kernel is a ``take`` for this reason.
 
     Each product's terms are its :meth:`JetSpace.pairs` table mapped to cells,
     its bins offset to its own output cells, so every output gets its summands in
     its own product's order and each product is bit-identical to
     :meth:`JetSpace.product`.
     """
-    values = flat[factors]
+    single = flat.ndim == 1
+    values = flat[factors] if single else flat.take(factors, 0)
+    fold = np.bincount if single else lane_bincount
     half = len(bins)
-    weights = values[:half] * values[half:]
-    flat[out] = np.bincount(bins, weights=weights, minlength=out.stop - out.start)
+    flat[out] = fold(bins, values[:half] * values[half:], out.stop - out.start)
 
 
 # -- composition -------------------------------------------------------------

@@ -26,7 +26,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import expressions as ex
-from .bundle import DEGENERACY_CONDITION_LIMIT, TangentBundlePoint, bundle_point, state_text
+from .bundle import (
+    DEGENERACY_CONDITION_LIMIT,
+    TangentBundlePoint,
+    all_finite,
+    bundle_point,
+    state_text,
+)
 from .errors import ModelFormatError, NonFiniteField
 from .jets import JetSpace, TaylorJet, eval_taylor, finite_jet
 
@@ -289,24 +295,30 @@ class FinslerLagrangian:
 
     def jet_function(self, order: int, x_order: int):
         """:meth:`taylor`'s coefficients as a function of the state ``xy``
-        (x, then y, checked by the caller with ``bundle.check_state``).  The
-        space and the tape are looked up once, here; a call runs the tape."""
+        (x, then y, checked by the caller with ``bundle.check_state``), or of
+        a (2n, B) array of B states, one per column, giving a (size, B) array;
+        and the most float cells one state of a call holds in a temporary, or
+        None for a Lagrangian without a tree, whose function takes one state
+        a call.  The space and the tape are looked up once, here; a call runs
+        the tape, on all states at once."""
         n = self.dimension
         if self._tree is None:
-            return lambda xy: self.taylor(bundle_point(xy[:n], xy[n:]), order, x_order).c
+            return (lambda xy: self.taylor(bundle_point(xy[:n], xy[n:]), order, x_order).c), None
         space = JetSpace.get(2 * n, order, n, x_order)
         tape = ex.compiled(self._tree, self._key, space, None)
 
         def run(xy):
-            jet = tape.run(xy)
-            c = jet.c if isinstance(jet, TaylorJet) else space.constant(jet).c
-            if not np.isfinite(c).all():
+            c = tape.coefficients(xy)
+            if tape.root is not None:  # a constant L, in every lane
+                c = np.multiply.outer(space.constant(c).c, np.ones(xy.shape[1:]))
+            if not all_finite(c):
+                lane = np.argmax(~np.isfinite(c).all(axis=0))
                 raise NonFiniteField(
-                    f"field evaluation produced non-finite derivatives at {state_text(xy)}"
+                    f"field evaluation produced non-finite derivatives at {state_text(xy.T, lane)}"
                 )
             return c
 
-        return run
+        return run, max(space.size, tape.width)
 
     def l_metric(self, point: TangentBundlePoint) -> np.ndarray:
         """Fiber Hessian g^L_ab = (1/2) d_a d_b L over y."""

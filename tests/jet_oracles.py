@@ -175,13 +175,31 @@ def rest_blocks(conn, base, v):
     )
 
 
-def count_kernel_calls(conn) -> list:
-    """From now on, record the order of each call of one of ``conn``'s
-    kernels, the one evaluation of N's jet: ``n_jets`` (and so
+class KernelCalls(list):
+    """The order of each kernel call, in call order; ``lanes`` holds the
+    number of states each call took (1 for a single state)."""
+
+    def __init__(self):
+        super().__init__()
+        self.lanes = []
+
+    def __delitem__(self, index):
+        super().__delitem__(index)
+        del self.lanes[index]
+
+    def since(self, mark: int) -> list:
+        """(order, lanes) of every call from the ``mark``-th on."""
+        return list(zip(self[mark:], self.lanes[mark:]))
+
+
+def count_kernel_calls(conn) -> KernelCalls:
+    """From now on, record the order and the lane count of each call of one
+    of ``conn``'s kernels, the one evaluation of N's jet: ``n_jets`` (and so
     ``coefficients``, ``evaluate`` and ``evaluate_deep``) and every flow
-    stage call one.  A flow field takes its kernel when it is built, so count
-    before building the field."""
-    orders = []
+    stage call one, and a solution's dense stages and a residual probe call
+    one on a stack of states.  A flow field takes its kernel when it is
+    built, so count before building the field."""
+    calls = KernelCalls()
     kernel = conn.kernel
 
     class Counted:
@@ -189,14 +207,15 @@ def count_kernel_calls(conn) -> list:
             self.inner = inner
 
         def __call__(self, xy):
-            orders.append(self.inner.order)
+            calls.append(self.inner.order)
+            calls.lanes.append(len(xy) if xy.ndim > 1 else 1)
             return self.inner(xy)
 
         def __getattr__(self, name):
             return getattr(self.inner, name)
 
     conn.kernel = lambda order: Counted(kernel(order))
-    return orders
+    return calls
 
 
 def second_derivatives(ev):

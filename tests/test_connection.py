@@ -628,13 +628,13 @@ def test_n_jets_take_no_jet_products_outside_the_lagrangian(monkeypatch):
     # the connection's kernel runs L's jet as its compiled tape
     inside = 0
     calls = {"inside": 0, "outside": 0}
-    run = expressions.Tape.run
+    coefficients = expressions.Tape.coefficients
 
-    def traced_run(self, *args):
+    def traced_coefficients(self, *args):
         nonlocal inside
         inside += 1
         try:
-            return run(self, *args)
+            return coefficients(self, *args)
         finally:
             inside -= 1
 
@@ -645,7 +645,7 @@ def test_n_jets_take_no_jet_products_outside_the_lagrangian(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(expressions.Tape, "run", traced_run)
+    monkeypatch.setattr(expressions.Tape, "coefficients", traced_coefficients)
     for attr in ("__mul__", "__rmul__", "reciprocal"):
         monkeypatch.setattr(TaylorJet, attr, counted(TaylorJet.__dict__[attr]))
     # L's own products run as waves of its compiled tape
@@ -712,3 +712,75 @@ def test_non_finite_connection_coefficients_name_their_point():
     at = r"at x = \[1e-160, 0.0\], y = \[1.0, 0.5\]"
     with np.errstate(all="ignore"), pytest.raises(NonFiniteField, match="coefficients are not finite " + at):
         GeneralConnection.cartan(model).n_jets(p, 3)
+
+
+# -- the kernel on a stack of states ---------------------------------------------
+
+LANE_SOURCES = {
+    **{name: f"builtin:{name}" for name in MODELS}, "line1d": str(LINE_MODEL), "custom3d": CUSTOM3D,
+}
+
+
+@pytest.mark.parametrize("name", list(LANE_SOURCES) + ["explicit"])
+def test_every_lane_of_a_stack_is_its_own_call_bit_for_bit(name):
+    rng = np.random.default_rng(31)
+    if name == "explicit":
+        conn = GeneralConnection.explicit(_skew_fiber, 2)
+        draw = lambda: np.concatenate([rng.uniform(-0.5, 0.5, 2), rng.uniform(0.5, 1.0, 2)])
+    else:
+        model = load_model(LANE_SOURCES[name])
+        conn = GeneralConnection.cartan(model)
+        draw = lambda: model.draw_point(rng).as_state()
+    n = conn.dimension
+    for order in (0, 1, 2):
+        kernel = conn.kernel(order)
+        # a second chunk of two states, and a stack of one state
+        for count in (kernel.lanes + 2, 1):
+            states = np.array([draw() for _ in range(count)])
+            stack = kernel(states)
+            assert stack.shape == (count, n, n, kernel.space.size)
+            for xy, jet in zip(states, stack):
+                assert jet.tobytes() == kernel(xy).tobytes(), (order, count)
+
+
+# a quadratic model whose L-metric diag(1, x1^2) degenerates at x1 = 0, and
+# one whose L jet overflows at large x1
+DEGENERATE = {
+    "dimension": 2, "homogeneity_degree": 2, "family": "quadratic",
+    "parameters": {"metric": [["1", "0"], ["0", "x1^2"]]},
+}
+OVERFLOWING = {
+    "dimension": 2, "homogeneity_degree": 2, "family": "custom",
+    "parameters": {"expression": "y1^2 + y2^2 + 1e307 * x1^2 * (y1^2 + y2^2)"},
+}
+
+
+@pytest.mark.parametrize(
+    "source,x,y,error",
+    [
+        ("builtin:sphere2d", [1.1, 0.3], [1e-13, 0.0], NearZeroDirection),
+        (DEGENERATE, [1e-5, 0.3], [0.6, 0.8], NearDegenerateMetric),
+        (OVERFLOWING, [1e200, 0.0], [1.0, 0.5], NonFiniteField),
+    ],
+    ids=["zero-fiber", "degenerate", "non-finite"],
+)
+def test_one_bad_lane_raises_its_own_error_naming_its_point(source, x, y, error):
+    conn = GeneralConnection.cartan(load_model(source))
+    bad = np.array(x + y)
+    rng = np.random.default_rng(8)
+    for order in (0, 1, 2):
+        kernel = conn.kernel(order)
+        good = [
+            np.concatenate([[rng.uniform(0.5, 1.0), rng.uniform(-0.5, 0.5)], rng.uniform(0.5, 1.0, 2)])
+            for _ in range(kernel.lanes + 2)
+        ]
+        kernel(np.array(good))
+        with np.errstate(all="ignore"), pytest.raises(error) as single:
+            kernel(bad)
+        assert f"x = {x}, y = {y}" in str(single.value)
+        # the bad lane in the first chunk, and in the second
+        for lane in (1, kernel.lanes + 1):
+            states = np.array(good[:lane] + [bad] + good[lane:])
+            with np.errstate(all="ignore"), pytest.raises(error) as stacked:
+                kernel(states)
+            assert str(stacked.value) == str(single.value), (order, lane)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from finslerkit import connection, dynamics, expressions, integrate
-from finslerkit.bundle import TangentBundlePoint, bundle_point
+from finslerkit.bundle import ZERO_DIRECTION_GUARD, TangentBundlePoint, bundle_point
 from finslerkit.connection import ConnectionEval, GeneralConnection
 from finslerkit.dynamics import (
     IntegrationControls,
@@ -56,7 +56,7 @@ def conn_for(name):
 
 
 def test_oscillator_round_trip_and_dense_output():
-    f = lambda t, z: np.array([z[1], -z[0]])
+    f = lambda t, z: np.stack([z[..., 1], -z[..., 0]], axis=-1)
     sol = solve_ode(f, 0.0, np.array([1.0, 0.0]), 2 * np.pi)
     assert np.abs(sol.state_end - [1.0, 0.0]).max() < 1e-9
     for t in np.linspace(0.3, 6.0, 17):
@@ -65,7 +65,7 @@ def test_oscillator_round_trip_and_dense_output():
 
 
 def test_backward_time_integration():
-    f = lambda t, z: np.array([z[1], -z[0]])
+    f = lambda t, z: np.stack([z[..., 1], -z[..., 0]], axis=-1)
     sol = solve_ode(f, 0.0, np.array([1.0, 0.0]), -1.3)
     assert abs(sol.state_end[0] - np.cos(1.3)) < 1e-9
     assert abs(sol(-0.7)[0] - np.cos(0.7)) < 1e-9
@@ -75,7 +75,7 @@ def test_backward_time_integration():
 def test_dense_output_segment_lookup_matches_bisection(t_end):
     # the segment whose left end is the last one <= t (>= t backward), the
     # end point in the last one; a query outside the run raises
-    f = lambda t, z: np.array([z[1], -z[0]])
+    f = lambda t, z: np.stack([z[..., 1], -z[..., 0]], axis=-1)
     sol = solve_ode(f, 0.0, np.array([1.0, 0.0]), t_end)
     assert len(sol.segments) > 2
     sign = 1.0 if t_end > 0 else -1.0
@@ -146,7 +146,9 @@ def test_error_rows_sum_to_zero():
 
 def test_interpolant_matches_the_step_ends():
     # s = 0 and s = 1 give z and z_new, with slopes f(t, z) and f(t + h, z_new)
-    f = lambda t, z: np.array([z[1], 5.0 * (1.0 - z[0] ** 2) * z[1] - z[0]])
+    f = lambda t, z: np.stack(
+        [z[..., 1], 5.0 * (1.0 - z[..., 0] ** 2) * z[..., 1] - z[..., 0]], axis=-1
+    )
     sol = solve_ode(f, 0.0, np.array([2.0, 0.0]), 3.0)
     for i, seg in enumerate(sol.segments):
         r = sol._coefficients(i)
@@ -164,7 +166,7 @@ def test_interpolant_matches_the_step_ends():
 @pytest.mark.parametrize("t_end", [7.0, -7.0])
 def test_dense_output_matches_the_oscillator(t_end):
     # z = (cos t, -sin t) at the default tolerances, forward and backward
-    f = lambda t, z: np.array([z[1], -z[0]])
+    f = lambda t, z: np.stack([z[..., 1], -z[..., 0]], axis=-1)
     sol = solve_ode(f, 0.0, np.array([1.0, 0.0]), t_end)
     ts = np.linspace(0.0, t_end, 1001)
     exact = np.stack([np.cos(ts), -np.sin(ts)], axis=1)
@@ -182,27 +184,32 @@ def test_dense_output_matches_the_oscillator(t_end):
 
 
 def test_nfev_counts_every_evaluation_and_dense_stages_are_lazy():
-    calls = 0
+    calls = states = 0
 
     def f(t, z):
-        nonlocal calls
+        nonlocal calls, states
         calls += 1
-        return np.array([z[1], 5.0 * (1.0 - z[0] ** 2) * z[1] - z[0]])
+        states += len(z) if z.ndim > 1 else 1
+        return np.stack([z[..., 1], 5.0 * (1.0 - z[..., 0] ** 2) * z[..., 1] - z[..., 0]], axis=-1)
 
     sol = solve_ode(f, 0.0, np.array([2.0, 0.0]), 10.0)
     assert sol.nrejected > 0
     # start-up (f at t0 and the initial-step probe), 11 stages per attempted
     # step, the FSAL stage per accepted step, and no dense stages
-    assert sol.nfev == calls == 2 + 11 * (sol.naccepted + sol.nrejected) + sol.naccepted
+    assert sol.nfev == states == calls == 2 + 11 * (sol.naccepted + sol.nrejected) + sol.naccepted
     assert all(seg.coeffs is None for seg in sol.segments)
     t = float(sol.ts[3] + 0.25 * (sol.ts[4] - sol.ts[3]))
     before = calls
     sol(t)
-    assert sol.nfev == calls == before + 3
+    # the first query builds every interpolant: one call per dense stage on
+    # the stack of all segments, and nfev counts each segment's 3 states
+    assert calls == before + 3
+    assert sol.nfev == states == before + 3 * sol.naccepted
     sol.derivative(t)
     sol(float(sol.ts[3]))
-    assert sol.nfev == calls == before + 3
-    assert sol.segments[3].stages is None
+    assert calls == before + 3
+    assert sol.nfev == states == before + 3 * sol.naccepted
+    assert all(seg.stages is None for seg in sol.segments)
 
 
 def test_blow_up_raises_step_underflow():
@@ -398,22 +405,81 @@ def test_horizontality_residual_is_small():
     assert traj.diagnostics.rejected <= traj.diagnostics.accepted
 
 
+FLOW_CASES = [
+    ("sphere2d", [1.1, 0.3], [0.4, -0.2], [0.5, 0.3]),
+    ("quartic4d", [0.1, 0.2, -0.1, 0.3], [0.2, 0.1, -0.1, 0.05], [0.5, 0.5, -0.5, 0.5]),
+]
+
+
+@pytest.mark.parametrize("name,base,u,v", FLOW_CASES)
+def test_interpolants_built_together_are_those_built_one_at_a_time(name, base, u, v):
+    # the first query evaluates the dense stages of every segment on one
+    # stack; each segment's interpolant is the one it gets alone, from
+    # single-state evaluations of the same field
+    conn = conn_for(name)
+    for traj in (
+        integrate_horizontal_autoparallel(conn, base, u, v, 3.0),
+        integrate_autoparallel(conn, base, u, 3.0),
+    ):
+        sol = traj.solution
+        assert len(sol.segments) > 2
+
+        def each(t, z):
+            return np.array([sol.fun(ti, zi) for ti, zi in zip(t, z)])
+
+        alone = [
+            integrate.OdeSolution(
+                sol.ts[j : j + 2], sol.states[j : j + 2], [integrate._Segment(seg.t0, seg.h, seg.stages)], each
+            )
+            for j, seg in enumerate(sol.segments)
+        ]
+        sol(float(sol.ts[0]))
+        for seg, one in zip(sol.segments, alone):
+            one(float(one.ts[0]))
+            assert seg.coeffs.tobytes() == one.segments[0].coeffs.tobytes()
+
+
+@pytest.mark.parametrize("name,base,u,v", FLOW_CASES)
+def test_the_residual_is_its_per_segment_reference_bit_for_bit(name, base, u, v):
+    conn = conn_for(name)
+    traj = integrate_horizontal_autoparallel(conn, base, u, v, 3.0)
+    sol, n = traj.solution, conn.dimension
+    worst = 0.0
+    for seg in sol.segments:
+        tm = seg.t0 + 0.5 * seg.h
+        z, dz = sol(tm), sol.derivative(tm)
+        if float(np.linalg.norm(z[n : 2 * n])) < ZERO_DIRECTION_GUARD:
+            continue
+        transport = conn.coefficients(bundle_point(z[:n], z[n : 2 * n])) @ dz[:n]
+        resid = float(np.abs(dz[n : 2 * n] + transport).max())
+        worst = max(worst, resid / (1.0 + float(np.abs(transport).max())))
+    assert traj.diagnostics.max_horizontality_residual == worst
+
+
+def test_a_field_that_does_not_broadcast_is_refused_at_the_first_query():
+    sol = solve_ode(lambda t, z: np.array([z[1], -z[0]]), 0.0, np.array([1.0, 0.0]), 7.0)
+    assert len(sol.segments) > 2
+    with pytest.raises(ValueError, match=r"f\(t, z\) must broadcast over a leading axis"):
+        sol(1.0)
+
+
 def _assert_residual_measured_on_first_read(traj, orders):
     """No residual probe and no interpolant until the residual is read; then
-    one probe per segment, and the 3 dense stages of each interpolant.
-    Hairer's start-up estimate costs the flow one evaluation more.
-    ``orders`` records the connection's kernel calls (``count_kernel_calls``);
-    a probe reads N alone, the order-0 kernel."""
+    the 3 dense stages of every interpolant, each one order-1 kernel call on
+    the stack of all segments, and one probe of every segment midpoint, one
+    order-0 kernel call (a probe reads N alone).  Hairer's start-up estimate
+    costs the flow one evaluation more.  ``orders`` records the connection's
+    kernel calls (``count_kernel_calls``)."""
     d = traj.diagnostics
     assert orders.count(0) == 0
     assert d.field_evals == 2 + 11 * (d.accepted + d.rejected) + d.accepted
     assert not any(seg.coeffs is not None for seg in traj.solution.segments)
-    before = d.field_evals
+    before, mark = d.field_evals, len(orders)
     resid = d.max_horizontality_residual
-    assert orders.count(0) == d.accepted
+    assert orders.since(mark) == [(1, d.accepted)] * 3 + [(0, d.accepted)]
     assert d.field_evals == traj.solution.nfev == before + 3 * d.accepted
     assert d.max_horizontality_residual == resid  # measured once, then kept
-    assert orders.count(0) == d.accepted
+    assert len(orders) == mark + 4
 
 
 def test_exp_map_skips_the_residual_pass():
@@ -560,10 +626,12 @@ def test_trajectory_counts_include_queries_after_return():
     assert d.field_evals == sol.nfev == 2 + 11 * (d.accepted + d.rejected) + d.accepted
     at_return = d.field_evals
     traj.state(0.7)
-    traj.state(1.5)
     built = sum(seg.coeffs is not None for seg in sol.segments)
-    assert built == 2
-    # each built interpolant evaluated its 3 dense stages, and the counts say so
+    assert built == d.accepted
+    # the first query built every interpolant, 3 dense stages each, and the
+    # counts say so; a later query builds nothing
+    assert d.field_evals == sol.nfev == at_return + 3 * built
+    traj.state(1.5)
     assert d.field_evals == sol.nfev == at_return + 3 * built
     assert (d.accepted, d.rejected) == (sol.naccepted, sol.nrejected)
     assert d.max_horizontality_residual is None  # the lift has none

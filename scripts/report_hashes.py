@@ -5,7 +5,8 @@ Covers, one line each (the hash, then the command's arguments):
 
 - the quick verify report (``verify --format json``) at seeds 0 and 7 for
   every builtin model and for ``perfbench/line1d.json``;
-- the full-budget quartic4d verify report at seed 7;
+- the full-budget verify reports at seed 7 of quartic4d and of the line
+  model, whose velocity-rescaling row integrates 80 flows as one stack;
 - the ``connection`` and ``chart`` commands of the CI workflow;
 - the README's ``expmap`` and ``geodesic`` examples (the trajectory written
   to standard output rather than to a file) and one ``autoparallel`` run,
@@ -87,8 +88,10 @@ def commands() -> list[list[str]]:
         for seed in (0, 7)
         for model in models
     ]
-    runs.append(["verify", "--model", "builtin:quartic4d", "--seed", "7", "--budget", "full",
-                 "--format", "json"])
+    runs += [
+        ["verify", "--model", model, "--seed", "7", "--budget", "full", "--format", "json"]
+        for model in ("builtin:quartic4d", LINE_MODEL)
+    ]
     return runs + [line.split() for line in CI_COMMANDS + FLOW_COMMANDS]
 
 

@@ -436,9 +436,9 @@ class ConnectionKernel:
 
     def fiber_derivative(self, jet: np.ndarray) -> np.ndarray:
         """dN/dy at the jet's point from N's jet: ``[a, b, c]`` is
-        d/dy^c N^a_b."""
+        d/dy^c N^a_b; a stack of jets gives the stack of theirs."""
         idx, factorials = self._dy
-        return jet[:, :, idx] * factorials
+        return jet[..., idx] * factorials
 
     def fiber_stack(self, jet: np.ndarray) -> np.ndarray:
         """The jets a Taylor-mode flow composes, from N's jet: ``[a, b, k, i]``

@@ -35,7 +35,10 @@ field and the canonical lift make one kernel call on the whole stack, so a
 solution's dense output costs one call per dense stage for all its segments,
 and the horizontality residual is one order-0 call on every segment midpoint.
 The Taylor-mode field takes a stack one state at a time; no reader queries a
-jet flow's dense output.
+jet flow's dense output.  ``integrate_horizontal_autoparallel`` and
+``exp_map`` take a leading stack axis of flows, which the integrator steps
+in lockstep, one kernel call per stage for all running flows; each flow
+comes out bit for bit as from its own call.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import integrate
 from .bundle import ZERO_DIRECTION_GUARD, TangentBundlePoint, bundle_point
 from .connection import GeneralConnection
 from .errors import NonFiniteField
@@ -180,14 +184,35 @@ def integrate_autoparallel(
     return _trajectory(rhs, z0, t_end, controls, n, None)
 
 
-def _trajectory(rhs, z0, t_end: float, controls, n: int, connection) -> Trajectory:
-    """``solve_ode`` on [0, t_end] from Hairer's starting-step estimate, its
-    samples the bundle points (x, y) that open the state; ``connection`` as
-    in :class:`TrajectoryDiagnostics`."""
+def _solve(rhs, z0: np.ndarray, t_end, controls, first_step):
+    """``solve_ode`` from t = 0 at the controls' tolerances: one solution for
+    one state, a list for a (B, m) stack of states.  A stack goes through
+    the integrator module's name, so that this module's ``solve_ode``, which
+    perfbench's tracer wraps and reads as one solution, sees single flows."""
     controls = controls or IntegrationControls()
-    sol = solve_ode(rhs, 0.0, z0, t_end, rtol=controls.rtol, atol=controls.atol)
-    xs, ys = sol.states[:, :n], sol.states[:, n : 2 * n]
-    return Trajectory(n, sol.ts, xs, ys, TrajectoryDiagnostics(sol, connection), sol)
+    solve = solve_ode if z0.ndim == 1 else integrate.solve_ode
+    return solve(rhs, 0.0, z0, t_end, rtol=controls.rtol, atol=controls.atol, first_step=first_step)
+
+
+def _trajectory(rhs, z0, t_end, controls, n: int, connection) -> Trajectory | list[Trajectory]:
+    """``solve_ode`` on [0, t_end] from Hairer's starting-step estimate, its
+    samples the bundle points (x, y) that open the state; a (B, m) stack of
+    states gives a list of B trajectories.  ``connection`` as in
+    :class:`TrajectoryDiagnostics`."""
+
+    def trajectory(sol):
+        xs, ys = sol.states[:, :n], sol.states[:, n : 2 * n]
+        return Trajectory(n, sol.ts, xs, ys, TrajectoryDiagnostics(sol, connection), sol)
+
+    sol = _solve(rhs, z0, t_end, controls, None)
+    return trajectory(sol) if z0.ndim == 1 else [trajectory(s) for s in sol]
+
+
+def _flow_state(x, u, v) -> np.ndarray:
+    """The horizontal flow's state (x, y = v, u), or the (B, 3n) stack of
+    states of a leading stack axis on any of them."""
+    parts = np.broadcast_arrays(*(np.asarray(a, float) for a in (x, v, u)))
+    return np.concatenate(parts, axis=-1)
 
 
 def _horizontal_rhs(conn: GeneralConnection):
@@ -195,21 +220,25 @@ def _horizontal_rhs(conn: GeneralConnection):
     u' = -dN/dy^c(x, y) u u^c.  The field takes the connection's order-1
     kernel once; a stage is one kernel call on the state's (x, y) slice, then
     N and dN/dy read from N's jet through the kernel's slot tables.  A stack
-    of states is one kernel call on all their (x, y) slices."""
+    of states is one kernel call on all their (x, y) slices and one of each
+    contraction."""
     n = conn.dimension
     kernel = conn.kernel(1)
 
-    def field(z, jet):
-        u = z[2 * n :]
-        xdd = -np.einsum("abc,b,c->a", kernel.fiber_derivative(jet), u, u)
-        return np.concatenate([u, -jet[:, :, 0] @ u, xdd])
-
     def rhs(t, z):
         if z.ndim == 1:
-            return field(z, kernel(z[: 2 * n]))
-        # one kernel call for the stack, then each state's contractions as
-        # at that state alone (einsum's summation order follows the layout)
-        return np.array([field(*lane) for lane in zip(z, kernel(z[:, : 2 * n]))])
+            u = z[2 * n :]
+            jet = kernel(z[: 2 * n])
+            xdd = -np.einsum("abc,b,c->a", kernel.fiber_derivative(jet), u, u)
+            return np.concatenate([u, -jet[:, :, 0] @ u, xdd])
+        # the same contractions on the stack, which give each state the bits
+        # of its own: einsum and matmul loop over the leading axis outside
+        # the single state's inner loops
+        u = z[:, 2 * n :]
+        jet = kernel(z[:, : 2 * n])
+        xdd = -np.einsum("zabc,zb,zc->za", kernel.fiber_derivative(jet), u, u)
+        ydot = (-jet[..., 0] @ u[..., None])[..., 0]
+        return np.concatenate([u, ydot, xdd], axis=1)
 
     return rhs
 
@@ -219,17 +248,20 @@ def integrate_horizontal_autoparallel(
     x0,
     u,
     v,
-    t_end: float,
+    t_end,
     controls: IntegrationControls | None = None,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Horizontal autoparallel with base velocity u and fiber anchor v.
 
     The trajectory carries state (x, y, u); the returned samples are the
     bundle points (x, y).  The diagnostics' horizontality residual is
     measured on its first read, so a caller that reads only the samples or
-    the end point builds no interpolant.
+    the end point builds no interpolant.  A leading stack axis on x0, u or
+    v, with ``t_end`` one time or one per flow, integrates the flows as one
+    stack and returns a list of trajectories, each bit for bit its own
+    call's.
     """
-    z0 = np.concatenate([np.asarray(x0, float), np.asarray(v, float), np.asarray(u, float)])
+    z0 = _flow_state(x0, u, v)
     return _trajectory(_horizontal_rhs(conn), z0, t_end, controls, conn.dimension, conn)
 
 
@@ -240,8 +272,7 @@ def _solve_time_one(rhs, z0, controls: IntegrationControls | None):
     time-one flow needs is set by |u|, and error control shrinks a unit trial
     that is too long, or one whose stages leave the field's domain.
     """
-    controls = controls or IntegrationControls()
-    return solve_ode(rhs, 0.0, z0, 1.0, rtol=controls.rtol, atol=controls.atol, first_step=1.0)
+    return _solve(rhs, z0, 1.0, controls, 1.0)
 
 
 def exp_map(
@@ -250,15 +281,19 @@ def exp_map(
     u,
     v,
     controls: IntegrationControls | None = None,
-) -> TangentBundlePoint:
-    """Time-one point of the horizontal autoparallel: EXP_base(u, v)."""
+) -> TangentBundlePoint | list[TangentBundlePoint]:
+    """Time-one point of the horizontal autoparallel: EXP_base(u, v).  A
+    leading stack axis on base, u or v gives a list of points, the flows
+    integrated as one stack, each point bit for bit its own call's."""
     n = conn.dimension
-    z0 = np.concatenate(
-        [np.asarray(base, float), np.asarray(v, float), np.asarray(u, float)]
-    )
-    z = _solve_time_one(_horizontal_rhs(conn), z0, controls).state_end
-    # copies, so that a kept endpoint does not pin the flow's state history
-    return bundle_point(z[:n].copy(), z[n : 2 * n].copy())
+    z0 = _flow_state(base, u, v)
+    sol = _solve_time_one(_horizontal_rhs(conn), z0, controls)
+
+    def endpoint(z):
+        # copies, so that a kept endpoint does not pin the flow's state history
+        return bundle_point(z[:n].copy(), z[n : 2 * n].copy())
+
+    return endpoint(sol.state_end) if z0.ndim == 1 else [endpoint(s.state_end) for s in sol]
 
 
 # -- Taylor-mode flow -----------------------------------------------------------

@@ -5,8 +5,8 @@ the combined 5th/3rd-order error estimate.  A field that cannot be evaluated
 at a trial stage (``f`` raises :class:`ExcludedSetEntered`, or returns a
 non-finite value) rejects that step like a failed error test, as in SUNDIALS
 ARKODE's recoverable right-hand-side failures; a failure at the start point
-or at an accepted step's end point ends the run, so the caller's field is the
-one check of its excluded set.  Tolerances default to the tight values the
+or at an accepted step's end point ends that flow's run, so the caller's
+field is the one check of its excluded set.  Tolerances default to the tight values the
 rest of the package assumes (rtol 1e-10, atol 1e-12), where an 8th-order pair
 needs a fraction of the steps of a 5th-order one.
 
@@ -24,7 +24,20 @@ The field contract: ``f(t, z)`` takes a time and a state of shape (m,) and
 returns the derivative, of shape (m,); it also broadcasts over a leading
 axis, so that a (B,) array of times and a (B, m) stack of states give the
 (B, m) stack of derivatives, each row the value f gives that row's time and
-state alone.  Steps call f on single states; dense output calls it on stacks.
+state alone.  A flow run alone calls f on its single state at every step;
+a run of several flows calls it on the stack of the running flows' stage
+states, and dense output on the stack of a solution's segments.
+
+Independent flows integrate as one stack (per-trajectory adaptivity in
+ensembles, Utkarsh et al., CMAME 2024): ``solve_ode`` on a (B, m) stack of
+initial states steps its B lanes in lockstep.  Each lane keeps its own time,
+end time, step size, error norm, accept or reject, step budget and solution,
+its step control in Python floats as in a run alone; only the field calls
+and the stage sums are shared, the sums as batched matmuls that give every
+lane the bits of its own.  A lane that is done leaves the calls, and a call
+for one lane is made on its 1-D state.
+So a flow's result does not depend on which flows share its stack or how
+many do: every lane is bit for bit the flow run alone.
 
 Coefficients: the DOP853 tables of Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I* (2nd ed.), Sec. II.10, after Prince &
@@ -256,21 +269,10 @@ class OdeSolution:
         return self.states[-1]
 
     def _eval(self, t, z) -> np.ndarray:
-        """Counted, finiteness-checked evaluation of the right-hand side at a
-        state, or at a stack of states (one per row, ``t`` one time per row)."""
+        """Counted :func:`_field` at a state, or at a stack of states (one
+        per row, ``t`` one time per row)."""
         self.nfev += len(z) if z.ndim > 1 else 1
-        out = np.asarray(self.fun(t, z), dtype=float)
-        if out.shape != z.shape:
-            raise ValueError(
-                f"right-hand side of shape {out.shape} at states of shape {z.shape}:"
-                " f(t, z) must broadcast over a leading axis of z"
-            )
-        if not all_finite(out):
-            if z.ndim > 1:  # the first row that is not finite
-                row = int(np.argmin(np.isfinite(out).all(axis=-1)))
-                t, z = t[row], z[row]
-            raise NonFiniteField(f"right-hand side is not finite at t = {float(t)!r}, state {z}")
-        return out
+        return _field(self.fun, t, z)
 
     @functools.cached_property
     def _lookup(self) -> tuple:
@@ -337,6 +339,24 @@ class OdeSolution:
         return (_POWERS[1:] * s ** _POWERS[:-1]) @ r[1:] / seg.h
 
 
+def _field(f, t, z) -> np.ndarray:
+    """f(t, z) at a state, or at a stack of states, checked for shape and
+    for finiteness; a non-finite row raises :class:`NonFiniteField` naming
+    the first such row's time and state."""
+    out = np.asarray(f(t, z), dtype=float)
+    if out.shape != z.shape:
+        raise ValueError(
+            f"right-hand side of shape {out.shape} at states of shape {z.shape}:"
+            " f(t, z) must broadcast over a leading axis of z"
+        )
+    if not all_finite(out):
+        if z.ndim > 1:  # the first row that is not finite
+            row = int(np.argmin(np.isfinite(out).all(axis=-1)))
+            t, z = t[row], z[row]
+        raise NonFiniteField(f"right-hand side is not finite at t = {float(t)!r}, state {z}")
+    return out
+
+
 def _initial_step(f, t0, z0, f0, direction, rtol, atol):
     sc = atol + rtol * np.abs(z0)
     d0 = np.sqrt(np.mean((z0 / sc) ** 2))
@@ -352,107 +372,270 @@ def _initial_step(f, t0, z0, f0, direction, rtol, atol):
     return min(100 * h0, h1)
 
 
+class _Lane:
+    """One flow of a run: its solution, its state and first stage, and its
+    step control in Python floats, which advance exactly as in a run of
+    this flow alone."""
+
+    __slots__ = ("sol", "t", "t_end", "direction", "h", "hs", "z", "f0", "ts", "states",
+                 "tries", "just_rejected", "failure", "error")
+
+    def __init__(self, sol: OdeSolution, t0, t_end):
+        self.sol, self.t, self.t_end = sol, t0, t_end
+        self.direction = 1.0 if t_end - t0 > 0 else -1.0
+        self.z = sol.states[0].copy()
+        self.ts, self.states = [t0], [self.z]
+        self.tries = 0  # step attempts begun
+        self.just_rejected = False
+        self.failure = None  # the last trial stage's error since an accepted step
+        self.error = None  # the error that ended the flow
+
+    def begin(self) -> bool:
+        """Begin the next step attempt; False once the flow has reached its
+        end or failed, with ``error`` set in the latter case."""
+        t = self.t
+        if self.tries == MAX_STEPS:
+            self.error = StepBudgetExceeded(
+                f"integration exceeded {MAX_STEPS} steps at t = {float(t)!r}", t=float(t), h=self.h
+            )
+            return False
+        self.tries += 1
+        if (t - self.t_end) * self.direction >= 0.0:
+            return False
+        self.h = h = min(self.h, abs(self.t_end - t))
+        if h < 1e-14 * max(1.0, abs(t)):
+            self.error = self.failure
+            if self.error is None:
+                self.error = StepSizeUnderflow(f"step size {h:.3e} underflowed at t = {float(t)!r}")
+            return False
+        self.hs = h * self.direction
+        return True
+
+    @property
+    def t_new(self):
+        """The end of the attempted step; the last step ends on t_end."""
+        return self.t_end if self.hs == self.t_end - self.t else self.t + self.hs
+
+    def reject(self, factor: float) -> None:
+        self.sol.nrejected += 1
+        self.just_rejected = True
+        self.h *= factor
+
+    def accept(self, z_new, stages, err: float) -> None:
+        """Take the step to ``z_new`` whose 13 stage rows are ``stages``."""
+        t_new = self.t_new
+        self.sol.segments.append(_Segment(self.t, self.hs, stages))
+        self.t, self.z, self.f0 = t_new, z_new, stages[12]  # FSAL
+        self.ts.append(t_new)
+        self.states.append(z_new)
+        self.sol.naccepted += 1
+        self.failure = None
+        factor = MAX_FACTOR if err == 0.0 else min(
+            MAX_FACTOR, max(MIN_FACTOR, SAFETY * err ** -0.125)
+        )
+        if self.just_rejected:
+            factor = min(1.0, factor)
+        self.h *= factor
+        self.just_rejected = False
+
+
+def _evaluate(f, t, z):
+    """:func:`_field` at one lane's (m,) state and time, or at a (B, m)
+    stack of states and times.  Returns the derivatives and the (position,
+    error) pairs of the lanes where f failed (see :func:`_refused`).  The
+    caller counts the evaluations."""
+    try:
+        return _field(f, t, z), ()
+    except (ExcludedSetEntered, NonFiniteField) as err:
+        return _refused(f, t, z, err)
+
+
+def _refused(f, t, z, err):
+    """After f at times ``t`` and states ``z`` raised ``err``, which enters
+    the excluded set or is not finite: for one lane's state, that lane's
+    failure; for a stack, f on each lane alone.  Returns the derivatives,
+    undefined on the failed lanes, and the (position, error) pairs of those
+    lanes."""
+    if z.ndim == 1:
+        return None, ((0, err),)
+    out = np.empty_like(z)
+    failed = []
+    for j, (tj, zj) in enumerate(zip(t, z)):
+        try:
+            out[j] = _field(f, tj, zj)
+        except (ExcludedSetEntered, NonFiniteField) as lane_err:
+            failed.append((j, lane_err))
+    return out, failed
+
+
+def _operands(lanes, z, k):
+    """A step's operands for ``lanes``, given the rows ``z`` and ``k`` of
+    their states and stages: the states, stages, times and signed steps, and
+    the steps as state multipliers.  One lane's are its (m,) state, its
+    (13, m) stages and Python floats, as in a run on its own; more lanes'
+    are stacks."""
+    if len(lanes) == 1:
+        lane = lanes[0]
+        return z[0], k[0], lane.t, lane.hs, lane.hs
+    hs = np.array([lane.hs for lane in lanes])
+    return z, k, np.array([lane.t for lane in lanes]), hs, hs[:, None]
+
+
+def _squares(x) -> list:
+    """Each lane's sum of squares of its row of ``x``, as Python floats: the
+    one lane's dot, or the row dots of a stack as batched matmuls, which
+    give the same bits."""
+    if x.ndim == 1:
+        return [float(x @ x)]
+    return (x[:, None, :] @ x[:, :, None]).ravel().tolist()
+
+
 def solve_ode(
     f,
     t0: float,
     z0,
-    t_end: float,
+    t_end,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     first_step: float | None = None,
-) -> OdeSolution:
+) -> OdeSolution | list[OdeSolution]:
     """Integrate dz/dt = f(t, z) from t0 to t_end.
 
-    ``f`` keeps the module's field contract: a step evaluates it at one
-    state, and the first query of the solution at the stack of every
-    segment's dense-stage states, so it must broadcast over a leading axis.
-    An :class:`ExcludedSetEntered` or :class:`NonFiniteField` at a trial
-    stage rejects the step and cuts it by ``MIN_FACTOR``; if the step then
-    underflows, that stage's error is raised.  The same errors at t0 or at an
-    accepted step's end point are raised at once.  Raises
-    :class:`StepSizeUnderflow` when error control pushes the step below the
-    round-off floor, and :class:`StepBudgetExceeded` after ``MAX_STEPS`` step
-    attempts.
+    ``z0`` is one state (m,), or a (B, m) stack of the initial states of B
+    independent flows; ``t_end`` is one end time, or one per flow.  The
+    flows step in lockstep: each attempt evaluates every stage of every
+    running flow in one call of f, while each flow keeps its own step size,
+    error norm, accept or reject, step budget and solution, bit for bit
+    those of its run alone.  A flow drops out of the calls once it reaches
+    its end.  Returns the flow's :class:`OdeSolution`, or a list of B.
+
+    ``f`` keeps the module's field contract.  An :class:`ExcludedSetEntered`
+    or :class:`NonFiniteField` at a trial stage rejects that flow's step and
+    cuts it by ``MIN_FACTOR``; if the step then underflows, that stage's
+    error is raised.  The same errors at t0 or at an accepted step's end
+    point end the flow.  A flow also ends in :class:`StepSizeUnderflow` when
+    error control pushes its step below the round-off floor, and in
+    :class:`StepBudgetExceeded` after ``MAX_STEPS`` step attempts.  Once
+    every flow has ended, the error of the first flow that failed is raised,
+    the one a loop over the flows would raise.
     """
     z0 = np.asarray(z0, dtype=float)
-    m = z0.size
-    sol = OdeSolution(np.array([t0]), z0[None, :].copy(), [], f)
-    span = t_end - t0
-    if span == 0.0:
-        sol.segments.append(_Segment(t0, 1.0, coeffs=np.vstack([z0, np.zeros((7, m))])))
-        return sol
-    direction = 1.0 if span > 0 else -1.0
-    call = sol._eval
-
-    k = np.empty((13, m))
-    k[0] = call(t0, z0)
-    h = first_step if first_step is not None else _initial_step(
-        call, t0, z0, k[0], direction, rtol, atol
-    )
-    h = min(abs(h), abs(span))
-
-    ts = [t0]
-    states = [z0.copy()]
-    t, z = t0, z0.copy()
-    naccepted = nrejected = 0
-    just_rejected = False
-    stage_failure = None  # the last trial stage's error since an accepted step
-
-    for _ in range(MAX_STEPS):
-        if (t - t_end) * direction >= 0.0:
-            break
-        h = min(h, abs(t_end - t))
-        if h < 1e-14 * max(1.0, abs(t)):
-            if stage_failure is not None:
-                raise stage_failure
-            raise StepSizeUnderflow(f"step size {h:.3e} underflowed at t = {float(t)!r}")
-        hs = h * direction
-
-        try:
-            for i in range(1, 12):
-                k[i] = call(t + _C[i] * hs, z + hs * (_A[i] @ k[:i]))
-        except (ExcludedSetEntered, NonFiniteField) as err:
-            stage_failure = err
-            nrejected += 1
-            just_rejected = True
-            h *= MIN_FACTOR
-            continue
-        dz = _A[12] @ k[:12]  # the 8th-order weights b
-        z_new = z + hs * dz
-        # DOP853's error norm: the 5th-order estimate scaled by the 3rd-order one
-        sc = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
-        err5 = (_E5 @ k[:12]) / sc
-        err3 = (dz - _BHH @ k[[0, 8, 11]]) / sc
-        e5, e3 = float(err5 @ err5), float(err3 @ err3)
-        err = 0.0 if e5 == 0.0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * m)
-
-        if err <= 1.0:
-            t_new = t_end if hs == t_end - t else t + hs  # the last step ends on t_end
-            k[12] = call(t_new, z_new)
-            sol.segments.append(_Segment(t, hs, k.copy()))
-            t, z = t_new, z_new
-            ts.append(t)
-            states.append(z)
-            naccepted += 1
-            k[0] = k[12]  # FSAL
-            stage_failure = None
-            factor = MAX_FACTOR if err == 0.0 else min(
-                MAX_FACTOR, max(MIN_FACTOR, SAFETY * err ** -0.125)
-            )
-            if just_rejected:
-                factor = min(1.0, factor)
-            h *= factor
-            just_rejected = False
+    stack = z0.reshape(-1, z0.shape[-1])
+    m = stack.shape[1]
+    ends = np.broadcast_to(t_end, len(stack)).tolist() if np.ndim(t_end) else [t_end] * len(stack)
+    lanes, moving = [], []
+    for z, end in zip(stack, ends):
+        lane = _Lane(OdeSolution(np.array([t0]), z[None, :].copy(), [], f), t0, end)
+        lanes.append(lane)
+        if end - t0 == 0.0:
+            lane.sol.segments.append(_Segment(t0, 1.0, coeffs=np.vstack([z, np.zeros((7, m))])))
         else:
-            nrejected += 1
-            just_rejected = True
-            h *= max(MIN_FACTOR, SAFETY * err ** -0.125)
-    else:
-        raise StepBudgetExceeded(
-            f"integration exceeded {MAX_STEPS} steps at t = {float(t)!r}", t=float(t), h=h
-        )
+            moving.append(lane)
+    if moving:
+        _start(f, moving, first_step, rtol, atol)
+        running = [lane for lane in moving if lane.error is None]
+        while running:
+            running = [lane for lane in running if lane.begin()]
+            if running:
+                _step(f, running, m, rtol, atol)
+    for lane in lanes:
+        if lane.error is not None:
+            raise lane.error
+    for lane in moving:
+        lane.sol.ts, lane.sol.states = np.array(lane.ts), np.array(lane.states)
+    sols = [lane.sol for lane in lanes]
+    return sols[0] if z0.ndim == 1 else sols
 
-    sol.ts = np.array(ts)
-    sol.states = np.array(states)
-    sol.naccepted, sol.nrejected = naccepted, nrejected
-    return sol
+
+def _start(f, lanes, first_step, rtol, atol) -> None:
+    """Every flow's first stage at t0, then its first trial step: the given
+    ``first_step``, or Hairer's estimate, which evaluates f once more."""
+    if len(lanes) == 1:
+        t, z = lanes[0].t, lanes[0].z
+    else:
+        t, z = np.array([lane.t for lane in lanes]), np.array([lane.z for lane in lanes])
+    f0, failed = _evaluate(f, t, z)
+    for j, err in failed:
+        lanes[j].error = err
+    for j, lane in enumerate(lanes):
+        lane.sol.nfev += 1
+        if lane.error is not None:
+            continue
+        lane.f0 = f0 if f0.ndim == 1 else f0[j]
+        h = first_step
+        if h is None:
+            try:
+                h = _initial_step(
+                    lane.sol._eval, lane.t, lane.z, lane.f0, lane.direction, rtol, atol
+                )
+            except (ExcludedSetEntered, NonFiniteField) as err:
+                lane.error = err
+                continue
+        lane.h = min(abs(h), abs(lane.t_end - lane.t))
+
+
+def _step(f, lanes, m: int, rtol: float, atol: float) -> None:
+    """One step attempt of every lane in lockstep: each stage one call of f
+    on the lanes whose stages so far succeeded, each lane's error test as on
+    its own, and one call at the end points of the accepted steps (FSAL)."""
+    if len(lanes) == 1:  # the 1-D rows and Python floats of a run on its own
+        lane = lanes[0]
+        z, t, hs, hz = lane.z, lane.t, lane.hs, lane.hs
+        k = np.empty((13, m))
+        k[0] = lane.f0
+    else:
+        k = np.empty((len(lanes), 13, m))
+        k[:, 0] = [lane.f0 for lane in lanes]
+        z, k, t, hs, hz = _operands(lanes, np.array([lane.z for lane in lanes]), k)
+    for i in range(1, 12):
+        ti, zi = t + _C[i] * hs, z + hz * (_A[i] @ k[..., :i, :])
+        try:
+            out, failed = _field(f, ti, zi), ()
+        except (ExcludedSetEntered, NonFiniteField) as err:
+            out, failed = _refused(f, ti, zi, err)
+        if failed:
+            failed = dict(failed)
+            for j, err in failed.items():
+                lanes[j].sol.nfev += i
+                lanes[j].failure = err
+                lanes[j].reject(MIN_FACTOR)
+            keep = [j for j in range(len(lanes)) if j not in failed]
+            if not keep:
+                return
+            lanes = [lanes[j] for j in keep]
+            z, k, t, hs, hz = _operands(lanes, z[keep], k[keep])
+            out = out[keep].reshape(z.shape)
+        k[..., i, :] = out
+    dz = _A[12] @ k[..., :12, :]  # the 8th-order weights b
+    z_new = z + hz * dz
+    # DOP853's error norm: the 5th-order estimate scaled by the 3rd-order one
+    sc = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
+    err5 = (_E5 @ k[..., :12, :]) / sc
+    err3 = (dz - _BHH @ k[..., [0, 8, 11], :]) / sc
+    accepted = []
+    for j, (lane, e5, e3) in enumerate(zip(lanes, _squares(err5), _squares(err3))):
+        lane.sol.nfev += 11
+        err = 0.0 if e5 == 0.0 else lane.h * e5 / math.sqrt((e5 + 0.01 * e3) * m)
+        if err <= 1.0:
+            accepted.append((j, err))
+        else:
+            lane.reject(max(MIN_FACTOR, SAFETY * err ** -0.125))
+    if not accepted:
+        return
+    z_new, k = z_new.reshape(-1, m), k.reshape(-1, 13, m)  # one lane's too, as a stack
+    rows = [j for j, _ in accepted]
+    ends = [lanes[j] for j in rows]
+    if len(ends) == 1:
+        t_new, z_end = ends[0].t_new, z_new[rows[0]]
+    else:
+        t_new, z_end = np.array([lane.t_new for lane in ends]), z_new[rows]
+    out, failed = _evaluate(f, t_new, z_end)
+    failed = dict(failed)
+    for p, ((j, err), lane) in enumerate(zip(accepted, ends)):
+        lane.sol.nfev += 1
+        if p in failed:
+            lane.error = failed[p]
+            continue
+        stages = k[j] if len(lanes) == 1 else k[j].copy()
+        stages[12] = out if out.ndim == 1 else out[p]
+        lane.accept(z_new[j], stages, err)

@@ -202,17 +202,25 @@ def _check_identities(ctx: _Ctx) -> list:
 
 def _check_velocity_rescaling(ctx: _Ctx) -> list:
     rng = ctx.rng(1)
-    worst = 0.0
     count = ctx.counts["rescale"]
+    alphas = (0.25, 0.5, 2.0)
+    group = 1 + len(alphas)
+    # per draw, a reference flow to t = 2 and the rescaled flows to t = 1
+    # (the factor 1.0 keeps u's bits); every draw's flows run as one stack
+    starts = []
     for _ in range(count):
         x0 = ctx.model.draw_inner_x(rng)
         u = ctx.model.draw_fiber(rng, (0.2, 0.35))
         v = ctx.model.draw_fiber(rng)
-        ref = integrate_horizontal_autoparallel(ctx.conn, x0, u, v, 2.0, TIGHT)
-        for alpha in (0.25, 0.5, 2.0):
-            end = integrate_horizontal_autoparallel(
-                ctx.conn, x0, alpha * u, v, 1.0, TIGHT
-            ).endpoint
+        starts += [(x0, alpha * u, v) for alpha in (1.0,) + alphas]
+    x0s, us, vs = (np.array(part) for part in zip(*starts))
+    ends = np.tile([2.0] + [1.0] * len(alphas), count)
+    flows = integrate_horizontal_autoparallel(ctx.conn, x0s, us, vs, ends, TIGHT)
+    worst = 0.0
+    for i in range(0, len(flows), group):
+        ref = flows[i]
+        for alpha, flow in zip(alphas, flows[i + 1 : i + group]):
+            end = flow.endpoint
             at = ref.state(alpha)
             gap = np.linalg.norm(np.concatenate([end.x - at.x, end.y - at.y]))
             worst = max(worst, gap)
@@ -225,13 +233,13 @@ def _check_velocity_rescaling(ctx: _Ctx) -> list:
 
 def _check_exp_zero_velocity(ctx: _Ctx) -> list:
     rng = ctx.rng(2)
-    worst = 0.0
     count = ctx.counts["exp_zero"]
-    n = ctx.dimension
-    for _ in range(count):
-        x0 = ctx.model.draw_inner_x(rng)
-        v = ctx.model.draw_fiber(rng)
-        end = exp_map(ctx.conn, x0, np.zeros(n), v, TIGHT)
+    draws = [(ctx.model.draw_inner_x(rng), ctx.model.draw_fiber(rng)) for _ in range(count)]
+    x0s, vs = np.array(draws).transpose(1, 0, 2)
+    # the draws' flows as one stack
+    ends = exp_map(ctx.conn, x0s, np.zeros_like(x0s), vs, TIGHT)
+    worst = 0.0
+    for x0, v, end in zip(x0s, vs, ends):
         worst = max(worst, np.abs(end.x - x0).max(), np.abs(end.y - v).max())
     return [
         _row(ctx, "exp-zero-velocity",

@@ -373,15 +373,15 @@ def _initial_step(f, t0, z0, f0, direction, rtol, atol):
 
 
 class _Lane:
-    """One flow of a run: its solution, its state and first stage, and its
-    step control in Python floats, which advance exactly as in a run of
-    this flow alone."""
+    """One flow of a run: its place in the stack, its solution, its state and
+    first stage, and its step control in Python floats, which advance exactly
+    as in a run of this flow alone."""
 
-    __slots__ = ("sol", "t", "t_end", "direction", "h", "hs", "z", "f0", "ts", "states",
-                 "tries", "just_rejected", "failure", "error")
+    __slots__ = ("rank", "sol", "t", "t_end", "direction", "h", "hs", "z", "f0", "ts",
+                 "states", "tries", "just_rejected", "failure", "error")
 
-    def __init__(self, sol: OdeSolution, t0, t_end):
-        self.sol, self.t, self.t_end = sol, t0, t_end
+    def __init__(self, rank: int, sol: OdeSolution, t0, t_end):
+        self.rank, self.sol, self.t, self.t_end = rank, sol, t0, t_end
         self.direction = 1.0 if t_end - t0 > 0 else -1.0
         self.z = sol.states[0].copy()
         self.ts, self.states = [t0], [self.z]
@@ -393,6 +393,8 @@ class _Lane:
     def begin(self) -> bool:
         """Begin the next step attempt; False once the flow has reached its
         end or failed, with ``error`` set in the latter case."""
+        if self.error is not None:
+            return False
         t = self.t
         if self.tries == MAX_STEPS:
             self.error = StepBudgetExceeded(
@@ -441,11 +443,11 @@ class _Lane:
 
 def _evaluate(f, t, z):
     """:func:`_field` at one lane's (m,) state and time, or at a (B, m)
-    stack of states and times.  Returns the derivatives and the (position,
-    error) pairs of the lanes where f failed (see :func:`_refused`).  The
-    caller counts the evaluations."""
+    stack of states and times.  Returns the derivatives and a dict from the
+    position of each lane where f failed to its error (see
+    :func:`_refused`).  The caller counts the evaluations."""
     try:
-        return _field(f, t, z), ()
+        return _field(f, t, z), {}
     except (ExcludedSetEntered, NonFiniteField) as err:
         return _refused(f, t, z, err)
 
@@ -454,31 +456,40 @@ def _refused(f, t, z, err):
     """After f at times ``t`` and states ``z`` raised ``err``, which enters
     the excluded set or is not finite: for one lane's state, that lane's
     failure; for a stack, f on each lane alone.  Returns the derivatives,
-    undefined on the failed lanes, and the (position, error) pairs of those
-    lanes."""
-    if z.ndim == 1:
-        return None, ((0, err),)
+    undefined on the failed lanes, and a dict from the position of each
+    failed lane to its error."""
     out = np.empty_like(z)
-    failed = []
+    if z.ndim == 1:
+        return out, {0: err}
+    failed = {}
     for j, (tj, zj) in enumerate(zip(t, z)):
         try:
             out[j] = _field(f, tj, zj)
         except (ExcludedSetEntered, NonFiniteField) as lane_err:
-            failed.append((j, lane_err))
+            failed[j] = lane_err
     return out, failed
 
 
+def _args(lanes, t, z):
+    """f's arguments at the lanes' times ``t`` (a list) and states ``z`` (a
+    list or a stack): one lane's Python-float time and (m,) state, as in a
+    run on its own, or the array of times and the stack."""
+    if len(lanes) == 1:
+        return t[0], z[0]
+    return np.array(t), np.asarray(z)
+
+
 def _operands(lanes, z, k):
-    """A step's operands for ``lanes``, given the rows ``z`` and ``k`` of
-    their states and stages: the states, stages, times and signed steps, and
-    the steps as state multipliers.  One lane's are its (m,) state, its
-    (13, m) stages and Python floats, as in a run on its own; more lanes'
-    are stacks."""
+    """A step's operands for ``lanes``, given the rows ``z`` (a list or a
+    stack) and ``k`` of their states and stages: the states, stages, times
+    and signed steps, and the steps as state multipliers.  One lane's are
+    its (m,) state, its (13, m) stages and Python floats, as in a run on its
+    own; more lanes' are stacks."""
     if len(lanes) == 1:
         lane = lanes[0]
         return z[0], k[0], lane.t, lane.hs, lane.hs
     hs = np.array([lane.hs for lane in lanes])
-    return z, k, np.array([lane.t for lane in lanes]), hs, hs[:, None]
+    return np.asarray(z), k, np.array([lane.t for lane in lanes]), hs, hs[:, None]
 
 
 def _squares(x) -> list:
@@ -488,6 +499,16 @@ def _squares(x) -> list:
     if x.ndim == 1:
         return [float(x @ x)]
     return (x[:, None, :] @ x[:, :, None]).ravel().tolist()
+
+
+def _unsettled(lanes, running):
+    """The running lanes whose runs can still change which error the stack
+    raises: all of them until a lane has failed, then those below the first
+    failed lane, the ones a loop over the flows would run before it."""
+    for lane in lanes:
+        if lane.error is not None:
+            return [r for r in running if r.rank < lane.rank]
+    return running
 
 
 def solve_ode(
@@ -515,17 +536,19 @@ def solve_ode(
     error is raised.  The same errors at t0 or at an accepted step's end
     point end the flow.  A flow also ends in :class:`StepSizeUnderflow` when
     error control pushes its step below the round-off floor, and in
-    :class:`StepBudgetExceeded` after ``MAX_STEPS`` step attempts.  Once
-    every flow has ended, the error of the first flow that failed is raised,
-    the one a loop over the flows would raise.
+    :class:`StepBudgetExceeded` after ``MAX_STEPS`` step attempts.  The
+    error of the first flow that fails is raised, the one a loop over the
+    flows would raise: the flows above it stop with it, and it is raised
+    once no flow below it runs.  Any other error that f raises in a stacked
+    call propagates from that call, whichever flow's state caused it.
     """
     z0 = np.asarray(z0, dtype=float)
     stack = z0.reshape(-1, z0.shape[-1])
     m = stack.shape[1]
     ends = np.broadcast_to(t_end, len(stack)).tolist() if np.ndim(t_end) else [t_end] * len(stack)
     lanes, moving = [], []
-    for z, end in zip(stack, ends):
-        lane = _Lane(OdeSolution(np.array([t0]), z[None, :].copy(), [], f), t0, end)
+    for rank, (z, end) in enumerate(zip(stack, ends)):
+        lane = _Lane(rank, OdeSolution(np.array([t0]), z[None, :].copy(), [], f), t0, end)
         lanes.append(lane)
         if end - t0 == 0.0:
             lane.sol.segments.append(_Segment(t0, 1.0, coeffs=np.vstack([z, np.zeros((7, m))])))
@@ -533,9 +556,10 @@ def solve_ode(
             moving.append(lane)
     if moving:
         _start(f, moving, first_step, rtol, atol)
-        running = [lane for lane in moving if lane.error is None]
+        running = moving
         while running:
-            running = [lane for lane in running if lane.begin()]
+            going = [lane for lane in running if lane.begin()]
+            running = going if len(going) == len(running) else _unsettled(lanes, going)
             if running:
                 _step(f, running, m, rtol, atol)
     for lane in lanes:
@@ -550,18 +574,14 @@ def solve_ode(
 def _start(f, lanes, first_step, rtol, atol) -> None:
     """Every flow's first stage at t0, then its first trial step: the given
     ``first_step``, or Hairer's estimate, which evaluates f once more."""
-    if len(lanes) == 1:
-        t, z = lanes[0].t, lanes[0].z
-    else:
-        t, z = np.array([lane.t for lane in lanes]), np.array([lane.z for lane in lanes])
-    f0, failed = _evaluate(f, t, z)
-    for j, err in failed:
-        lanes[j].error = err
+    f0, failed = _evaluate(f, *_args(lanes, [lane.t for lane in lanes], [lane.z for lane in lanes]))
+    f0 = f0.reshape(len(lanes), -1)
     for j, lane in enumerate(lanes):
         lane.sol.nfev += 1
-        if lane.error is not None:
+        if j in failed:
+            lane.error = failed[j]
             continue
-        lane.f0 = f0 if f0.ndim == 1 else f0[j]
+        lane.f0 = f0[j]
         h = first_step
         if h is None:
             try:
@@ -578,23 +598,16 @@ def _step(f, lanes, m: int, rtol: float, atol: float) -> None:
     """One step attempt of every lane in lockstep: each stage one call of f
     on the lanes whose stages so far succeeded, each lane's error test as on
     its own, and one call at the end points of the accepted steps (FSAL)."""
-    if len(lanes) == 1:  # the 1-D rows and Python floats of a run on its own
-        lane = lanes[0]
-        z, t, hs, hz = lane.z, lane.t, lane.hs, lane.hs
-        k = np.empty((13, m))
-        k[0] = lane.f0
-    else:
-        k = np.empty((len(lanes), 13, m))
-        k[:, 0] = [lane.f0 for lane in lanes]
-        z, k, t, hs, hz = _operands(lanes, np.array([lane.z for lane in lanes]), k)
+    k = np.empty((len(lanes), 13, m))
+    k[:, 0] = [lane.f0 for lane in lanes]
+    z, k, t, hs, hz = _operands(lanes, [lane.z for lane in lanes], k)
     for i in range(1, 12):
         ti, zi = t + _C[i] * hs, z + hz * (_A[i] @ k[..., :i, :])
         try:
-            out, failed = _field(f, ti, zi), ()
+            out, failed = _field(f, ti, zi), None
         except (ExcludedSetEntered, NonFiniteField) as err:
             out, failed = _refused(f, ti, zi, err)
         if failed:
-            failed = dict(failed)
             for j, err in failed.items():
                 lanes[j].sol.nfev += i
                 lanes[j].failure = err
@@ -625,17 +638,14 @@ def _step(f, lanes, m: int, rtol: float, atol: float) -> None:
     z_new, k = z_new.reshape(-1, m), k.reshape(-1, 13, m)  # one lane's too, as a stack
     rows = [j for j, _ in accepted]
     ends = [lanes[j] for j in rows]
-    if len(ends) == 1:
-        t_new, z_end = ends[0].t_new, z_new[rows[0]]
-    else:
-        t_new, z_end = np.array([lane.t_new for lane in ends]), z_new[rows]
-    out, failed = _evaluate(f, t_new, z_end)
-    failed = dict(failed)
+    z_end = z_new if len(ends) == len(lanes) else z_new[rows]
+    out, failed = _evaluate(f, *_args(ends, [lane.t_new for lane in ends], z_end))
+    out = out.reshape(-1, m)
     for p, ((j, err), lane) in enumerate(zip(accepted, ends)):
         lane.sol.nfev += 1
         if p in failed:
             lane.error = failed[p]
             continue
-        stages = k[j] if len(lanes) == 1 else k[j].copy()
-        stages[12] = out if out.ndim == 1 else out[p]
+        stages = k[j].copy()
+        stages[12] = out[p]
         lane.accept(z_new[j], stages, err)

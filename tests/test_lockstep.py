@@ -207,3 +207,64 @@ def test_several_failing_lanes_raise_the_first_lanes_error(order, monkeypatch):
         assert (err.t, err.h) == (want.t, want.h)
     if first == "excluded":  # the lane's own state, not the stack's
         assert str(err) == f"excluded state {z0[order.index('excluded')]}"
+
+
+def _horizon(t, z):
+    """A still flow whose first component is a time past which its field is
+    excluded."""
+    if np.any(np.asarray(t) >= z[..., 0]):
+        raise ExcludedSetEntered(f"past its horizon at t = {t}, state {z}")
+    return np.zeros_like(z)
+
+
+def test_a_lane_excluded_at_an_accepted_steps_end_point_ends_at_once(monkeypatch):
+    # from t0 = 0.2, one step of the whole span ends on t_end = 0.9, while
+    # its last trial stage sits at 0.2 + 0.7000000000000001 = 0.8999999999999999;
+    # so a horizon of 0.9 excludes that step's end point and no trial stage
+    monkeypatch.setattr(integrate, "MAX_STEPS", 1000)
+    assert 0.2 + (0.9 - 0.2) < 0.9
+    states = 0
+
+    def field(t, z):
+        nonlocal states
+        states += len(z) if z.ndim > 1 else 1
+        return _horizon(t, z)
+
+    end = np.array([0.9, 1.0, 0.0])
+    with pytest.raises(ExcludedSetEntered) as alone:
+        solve_ode(field, 0.2, end, 0.9, first_step=1.0)
+    # the start, 11 trial stages and the end point, then the flow ends
+    assert states == 13
+    assert str(alone.value) == f"past its horizon at t = 0.9, state {end}"
+    z0 = np.array([[5.0, 1.0, 0.0], end, [5.0, 2.0, 0.0]])
+    with pytest.raises(ExcludedSetEntered) as stacked:
+        solve_ode(field, 0.2, z0, 0.9, first_step=1.0)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_a_failed_lane_stops_the_lanes_above_it_and_raises_once_none_below_it_runs(monkeypatch):
+    # a loop over the flows would run the first flow to its end and then
+    # raise the second flow's error, never starting the third, whose budget
+    # would run out; the stack spends no more than that on the third lane
+    monkeypatch.setattr(integrate, "MAX_STEPS", 1000)
+    states = 0
+
+    def field(t, z):
+        nonlocal states
+        states += len(z) if z.ndim > 1 else 1
+        return _kinds(t, z)
+
+    ok, budget, excluded = FLOWS["ok"], FLOWS["budget"], FLOWS["excluded"]
+    solve_ode(field, 0.0, np.array(ok[0]), ok[1])
+    ok_states, states = states, 0
+    # the refused start on the stack, each lane's start alone and the
+    # first-step estimate of each lane that started; then only the first
+    # flow steps, its states those of its run alone after its start and
+    # estimate
+    for lanes, steps in (((excluded, budget), 0), ((ok, excluded, budget), ok_states - 2)):
+        z0 = np.array([z for z, _ in lanes])
+        with pytest.raises(NearZeroDirection) as stacked:
+            solve_ode(field, 0.0, z0, np.array([t_end for _, t_end in lanes]))
+        assert str(stacked.value) == f"excluded state {np.array(excluded[0])}"
+        assert states == 2 * len(lanes) + (len(lanes) - 1) + steps
+        states = 0

@@ -377,8 +377,8 @@ class _Lane:
     first stage, and its step control in Python floats, which advance exactly
     as in a run of this flow alone."""
 
-    __slots__ = ("rank", "sol", "t", "t_end", "direction", "h", "hs", "z", "f0", "ts",
-                 "states", "tries", "just_rejected", "failure", "error")
+    __slots__ = ("rank", "sol", "t", "t_end", "direction", "h", "hs", "t_new", "z", "f0",
+                 "ts", "states", "tries", "just_rejected", "failure", "error")
 
     def __init__(self, rank: int, sol: OdeSolution, t0, t_end):
         self.rank, self.sol, self.t, self.t_end = rank, sol, t0, t_end
@@ -410,24 +410,23 @@ class _Lane:
             if self.error is None:
                 self.error = StepSizeUnderflow(f"step size {h:.3e} underflowed at t = {float(t)!r}")
             return False
-        self.hs = h * self.direction
+        self.hs = hs = h * self.direction
+        self.t_new = self.t_end if hs == self.t_end - t else t + hs  # the last step ends on t_end
         return True
-
-    @property
-    def t_new(self):
-        """The end of the attempted step; the last step ends on t_end."""
-        return self.t_end if self.hs == self.t_end - self.t else self.t + self.hs
 
     def reject(self, factor: float) -> None:
         self.sol.nrejected += 1
         self.just_rejected = True
         self.h *= factor
 
-    def accept(self, z_new, stages, err: float) -> None:
-        """Take the step to ``z_new`` whose 13 stage rows are ``stages``."""
+    def accept(self, z_new, k, f_new, err: float) -> None:
+        """Take the step to ``z_new`` whose first 12 stage rows are ``k``'s
+        and whose end point's derivative is ``f_new``."""
         t_new = self.t_new
+        stages = k.copy()
+        stages[12] = f_new
         self.sol.segments.append(_Segment(self.t, self.hs, stages))
-        self.t, self.z, self.f0 = t_new, z_new, stages[12]  # FSAL
+        self.t, self.z, self.f0 = t_new, z_new, f_new  # FSAL
         self.ts.append(t_new)
         self.states.append(z_new)
         self.sol.naccepted += 1
@@ -441,15 +440,22 @@ class _Lane:
         self.just_rejected = False
 
 
-def _evaluate(f, t, z):
-    """:func:`_field` at one lane's (m,) state and time, or at a (B, m)
-    stack of states and times.  Returns the derivatives and a dict from the
-    position of each lane where f failed to its error (see
-    :func:`_refused`).  The caller counts the evaluations."""
+def _evaluate(f, t: list, z):
+    """:func:`_field` at lanes' times ``t`` and states ``z`` (a list of rows
+    or a stack): for one lane at its Python-float time and (m,) state, as in
+    a run on its own, for more at the array of times and the stack.  Returns
+    the (B, m) derivatives and a dict from the position of each lane where f
+    failed to its error (see :func:`_refused`).  The caller counts the
+    evaluations."""
+    if len(t) == 1:
+        t, z = t[0], z[0]
+    else:
+        t, z = np.array(t), np.asarray(z)
     try:
-        return _field(f, t, z), {}
+        out, failed = _field(f, t, z), {}
     except (ExcludedSetEntered, NonFiniteField) as err:
-        return _refused(f, t, z, err)
+        out, failed = _refused(f, t, z, err)
+    return out.reshape(-1, z.shape[-1]), failed
 
 
 def _refused(f, t, z, err):
@@ -470,26 +476,17 @@ def _refused(f, t, z, err):
     return out, failed
 
 
-def _args(lanes, t, z):
-    """f's arguments at the lanes' times ``t`` (a list) and states ``z`` (a
-    list or a stack): one lane's Python-float time and (m,) state, as in a
-    run on its own, or the array of times and the stack."""
-    if len(lanes) == 1:
-        return t[0], z[0]
-    return np.array(t), np.asarray(z)
-
-
-def _operands(lanes, z, k):
-    """A step's operands for ``lanes``, given the rows ``z`` (a list or a
-    stack) and ``k`` of their states and stages: the states, stages, times
-    and signed steps, and the steps as state multipliers.  One lane's are
-    its (m,) state, its (13, m) stages and Python floats, as in a run on its
-    own; more lanes' are stacks."""
+def _operands(lanes, k):
+    """A step's operands for ``lanes``, given the rows ``k`` of their
+    stages: the states, stages, times and signed steps, and the steps as
+    state multipliers.  One lane's are its (m,) state, its (13, m) stages
+    and Python floats, as in a run on its own; more lanes' are stacks."""
     if len(lanes) == 1:
         lane = lanes[0]
-        return z[0], k[0], lane.t, lane.hs, lane.hs
+        return lane.z, k[0], lane.t, lane.hs, lane.hs
     hs = np.array([lane.hs for lane in lanes])
-    return np.asarray(z), k, np.array([lane.t for lane in lanes]), hs, hs[:, None]
+    z = np.array([lane.z for lane in lanes])
+    return z, k, np.array([lane.t for lane in lanes]), hs, hs[:, None]
 
 
 def _squares(x) -> list:
@@ -574,8 +571,7 @@ def solve_ode(
 def _start(f, lanes, first_step, rtol, atol) -> None:
     """Every flow's first stage at t0, then its first trial step: the given
     ``first_step``, or Hairer's estimate, which evaluates f once more."""
-    f0, failed = _evaluate(f, *_args(lanes, [lane.t for lane in lanes], [lane.z for lane in lanes]))
-    f0 = f0.reshape(len(lanes), -1)
+    f0, failed = _evaluate(f, [lane.t for lane in lanes], [lane.z for lane in lanes])
     for j, lane in enumerate(lanes):
         lane.sol.nfev += 1
         if j in failed:
@@ -599,53 +595,48 @@ def _step(f, lanes, m: int, rtol: float, atol: float) -> None:
     on the lanes whose stages so far succeeded, each lane's error test as on
     its own, and one call at the end points of the accepted steps (FSAL)."""
     k = np.empty((len(lanes), 13, m))
-    k[:, 0] = [lane.f0 for lane in lanes]
-    z, k, t, hs, hz = _operands(lanes, [lane.z for lane in lanes], k)
+    for j, lane in enumerate(lanes):
+        k[j, 0] = lane.f0
+    z, k, t, hs, hz = _operands(lanes, k)
     for i in range(1, 12):
         ti, zi = t + _C[i] * hs, z + hz * (_A[i] @ k[..., :i, :])
         try:
-            out, failed = _field(f, ti, zi), None
+            k[..., i, :] = _field(f, ti, zi)
+            continue
         except (ExcludedSetEntered, NonFiniteField) as err:
             out, failed = _refused(f, ti, zi, err)
-        if failed:
-            for j, err in failed.items():
-                lanes[j].sol.nfev += i
-                lanes[j].failure = err
-                lanes[j].reject(MIN_FACTOR)
-            keep = [j for j in range(len(lanes)) if j not in failed]
-            if not keep:
-                return
-            lanes = [lanes[j] for j in keep]
-            z, k, t, hs, hz = _operands(lanes, z[keep], k[keep])
-            out = out[keep].reshape(z.shape)
-        k[..., i, :] = out
+        for j, err in failed.items():
+            lanes[j].sol.nfev += i
+            lanes[j].failure = err
+            lanes[j].reject(MIN_FACTOR)
+        keep = [j for j in range(len(lanes)) if j not in failed]
+        if not keep:
+            return
+        lanes = [lanes[j] for j in keep]
+        z, k, t, hs, hz = _operands(lanes, k[keep])
+        k[..., i, :] = out[keep].reshape(z.shape)
     dz = _A[12] @ k[..., :12, :]  # the 8th-order weights b
     z_new = z + hz * dz
     # DOP853's error norm: the 5th-order estimate scaled by the 3rd-order one
     sc = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
     err5 = (_E5 @ k[..., :12, :]) / sc
     err3 = (dz - _BHH @ k[..., [0, 8, 11], :]) / sc
+    z_new, k = z_new.reshape(-1, m), k.reshape(-1, 13, m)  # one lane's too, as a stack
     accepted = []
-    for j, (lane, e5, e3) in enumerate(zip(lanes, _squares(err5), _squares(err3))):
+    for lane, e5, e3, z_j, k_j in zip(lanes, _squares(err5), _squares(err3), z_new, k):
         lane.sol.nfev += 11
         err = 0.0 if e5 == 0.0 else lane.h * e5 / math.sqrt((e5 + 0.01 * e3) * m)
         if err <= 1.0:
-            accepted.append((j, err))
+            accepted.append((lane, z_j, k_j, err))
         else:
             lane.reject(max(MIN_FACTOR, SAFETY * err ** -0.125))
     if not accepted:
         return
-    z_new, k = z_new.reshape(-1, m), k.reshape(-1, 13, m)  # one lane's too, as a stack
-    rows = [j for j, _ in accepted]
-    ends = [lanes[j] for j in rows]
-    z_end = z_new if len(ends) == len(lanes) else z_new[rows]
-    out, failed = _evaluate(f, *_args(ends, [lane.t_new for lane in ends], z_end))
-    out = out.reshape(-1, m)
-    for p, ((j, err), lane) in enumerate(zip(accepted, ends)):
+    z_end = z_new if len(accepted) == len(lanes) else [z_j for _, z_j, _, _ in accepted]
+    out, failed = _evaluate(f, [lane.t_new for lane, _, _, _ in accepted], z_end)
+    for p, (lane, z_j, k_j, err) in enumerate(accepted):
         lane.sol.nfev += 1
         if p in failed:
             lane.error = failed[p]
             continue
-        stages = k[j].copy()
-        stages[12] = out[p]
-        lane.accept(z_new[j], stages, err)
+        lane.accept(z_j, k_j, out[p], err)

@@ -440,17 +440,17 @@ class _Lane:
         self.just_rejected = False
 
 
-def _evaluate(f, t: list, z):
-    """:func:`_field` at lanes' times ``t`` and states ``z`` (a list of rows
-    or a stack): for one lane at its Python-float time and (m,) state, as in
-    a run on its own, for more at the array of times and the stack.  Returns
+def _evaluate(f, t: list, z: list):
+    """:func:`_field` at lanes' times ``t`` and (m,) states ``z``: for one
+    lane at its Python-float time and state, as in a run on its own, for
+    more at the array of times and the stack of states.  Returns
     the (B, m) derivatives and a dict from the position of each lane where f
     failed to its error (see :func:`_refused`).  The caller counts the
     evaluations."""
     if len(t) == 1:
         t, z = t[0], z[0]
     else:
-        t, z = np.array(t), np.asarray(z)
+        t, z = np.array(t), np.array(z)
     try:
         out, failed = _field(f, t, z), {}
     except (ExcludedSetEntered, NonFiniteField) as err:
@@ -543,7 +543,7 @@ def solve_ode(
     stack = z0.reshape(-1, z0.shape[-1])
     m = stack.shape[1]
     ends = np.broadcast_to(t_end, len(stack)).tolist() if np.ndim(t_end) else [t_end] * len(stack)
-    lanes, moving = [], []
+    lanes, moving, starts = [], [], []
     for rank, (z, end) in enumerate(zip(stack, ends)):
         lane = _Lane(rank, OdeSolution(np.array([t0]), z[None, :].copy(), [], f), t0, end)
         lanes.append(lane)
@@ -551,11 +551,12 @@ def solve_ode(
             lane.sol.segments.append(_Segment(t0, 1.0, coeffs=np.vstack([z, np.zeros((7, m))])))
         else:
             moving.append(lane)
+            starts.append(lane.z)
     if moving:
-        _start(f, moving, first_step, rtol, atol)
+        _start(f, t0, moving, starts, first_step, rtol, atol)
         running = moving
         while running:
-            going = [lane for lane in running if lane.begin()]
+            going = list(filter(_Lane.begin, running))
             running = going if len(going) == len(running) else _unsettled(lanes, going)
             if running:
                 _step(f, running, m, rtol, atol)
@@ -564,14 +565,16 @@ def solve_ode(
             raise lane.error
     for lane in moving:
         lane.sol.ts, lane.sol.states = np.array(lane.ts), np.array(lane.states)
-    sols = [lane.sol for lane in lanes]
-    return sols[0] if z0.ndim == 1 else sols
+    if z0.ndim == 1:
+        return lanes[0].sol
+    return [lane.sol for lane in lanes]
 
 
-def _start(f, lanes, first_step, rtol, atol) -> None:
-    """Every flow's first stage at t0, then its first trial step: the given
-    ``first_step``, or Hairer's estimate, which evaluates f once more."""
-    f0, failed = _evaluate(f, [lane.t for lane in lanes], [lane.z for lane in lanes])
+def _start(f, t0, lanes, states, first_step, rtol, atol) -> None:
+    """Every flow's first stage at t0 and its ``states``, then its first
+    trial step: the given ``first_step``, or Hairer's estimate, which
+    evaluates f once more."""
+    f0, failed = _evaluate(f, [t0] * len(lanes), states)
     for j, lane in enumerate(lanes):
         lane.sol.nfev += 1
         if j in failed:
@@ -622,18 +625,19 @@ def _step(f, lanes, m: int, rtol: float, atol: float) -> None:
     err5 = (_E5 @ k[..., :12, :]) / sc
     err3 = (dz - _BHH @ k[..., [0, 8, 11], :]) / sc
     z_new, k = z_new.reshape(-1, m), k.reshape(-1, 13, m)  # one lane's too, as a stack
-    accepted = []
+    accepted, ends, times = [], [], []
     for lane, e5, e3, z_j, k_j in zip(lanes, _squares(err5), _squares(err3), z_new, k):
         lane.sol.nfev += 11
         err = 0.0 if e5 == 0.0 else lane.h * e5 / math.sqrt((e5 + 0.01 * e3) * m)
         if err <= 1.0:
             accepted.append((lane, z_j, k_j, err))
+            ends.append(z_j)
+            times.append(lane.t_new)
         else:
             lane.reject(max(MIN_FACTOR, SAFETY * err ** -0.125))
     if not accepted:
         return
-    z_end = z_new if len(accepted) == len(lanes) else [z_j for _, z_j, _, _ in accepted]
-    out, failed = _evaluate(f, [lane.t_new for lane, _, _, _ in accepted], z_end)
+    out, failed = _evaluate(f, times, ends)
     for p, (lane, z_j, k_j, err) in enumerate(accepted):
         lane.sol.nfev += 1
         if p in failed:

@@ -443,19 +443,18 @@ class _Lane:
 def _evaluate(f, t: list, z: list):
     """:func:`_field` at lanes' times ``t`` and (m,) states ``z``: for one
     lane at its Python-float time and state, as in a run on its own, for
-    more at the array of times and the stack of states.  Returns
-    the (B, m) derivatives and a dict from the position of each lane where f
-    failed to its error (see :func:`_refused`).  The caller counts the
-    evaluations."""
+    more at the array of times and the stack of states.  Returns the
+    derivatives, shaped as the states f took, and a dict from the position
+    of each lane where f failed to its error (see :func:`_refused`).  The
+    caller counts the evaluations."""
     if len(t) == 1:
         t, z = t[0], z[0]
     else:
         t, z = np.array(t), np.array(z)
     try:
-        out, failed = _field(f, t, z), {}
+        return _field(f, t, z), {}
     except (ExcludedSetEntered, NonFiniteField) as err:
-        out, failed = _refused(f, t, z, err)
-    return out.reshape(-1, z.shape[-1]), failed
+        return _refused(f, t, z, err)
 
 
 def _refused(f, t, z, err):
@@ -487,6 +486,12 @@ def _operands(lanes, k):
     hs = np.array([lane.hs for lane in lanes])
     z = np.array([lane.z for lane in lanes])
     return z, k, np.array([lane.t for lane in lanes]), hs, hs[:, None]
+
+
+def _rows(x, lanes):
+    """``x``'s row for each of ``lanes``: one lane's arrays carry no lane
+    axis, a stack's lead with it."""
+    return (x,) if len(lanes) == 1 else x
 
 
 def _squares(x) -> list:
@@ -575,12 +580,12 @@ def _start(f, t0, lanes, states, first_step, rtol, atol) -> None:
     trial step: the given ``first_step``, or Hairer's estimate, which
     evaluates f once more."""
     f0, failed = _evaluate(f, [t0] * len(lanes), states)
-    for j, lane in enumerate(lanes):
+    for j, (lane, f0_j) in enumerate(zip(lanes, _rows(f0, lanes))):
         lane.sol.nfev += 1
         if j in failed:
             lane.error = failed[j]
             continue
-        lane.f0 = f0[j]
+        lane.f0 = f0_j
         h = first_step
         if h is None:
             try:
@@ -624,9 +629,9 @@ def _step(f, lanes, m: int, rtol: float, atol: float) -> None:
     sc = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
     err5 = (_E5 @ k[..., :12, :]) / sc
     err3 = (dz - _BHH @ k[..., [0, 8, 11], :]) / sc
-    z_new, k = z_new.reshape(-1, m), k.reshape(-1, 13, m)  # one lane's too, as a stack
     accepted, ends, times = [], [], []
-    for lane, e5, e3, z_j, k_j in zip(lanes, _squares(err5), _squares(err3), z_new, k):
+    norms = zip(_squares(err5), _squares(err3))
+    for lane, (e5, e3), z_j, k_j in zip(lanes, norms, _rows(z_new, lanes), _rows(k, lanes)):
         lane.sol.nfev += 11
         err = 0.0 if e5 == 0.0 else lane.h * e5 / math.sqrt((e5 + 0.01 * e3) * m)
         if err <= 1.0:
@@ -638,9 +643,9 @@ def _step(f, lanes, m: int, rtol: float, atol: float) -> None:
     if not accepted:
         return
     out, failed = _evaluate(f, times, ends)
-    for p, (lane, z_j, k_j, err) in enumerate(accepted):
+    for p, ((lane, z_j, k_j, err), f_new) in enumerate(zip(accepted, _rows(out, accepted))):
         lane.sol.nfev += 1
         if p in failed:
             lane.error = failed[p]
             continue
-        lane.accept(z_j, k_j, out[p], err)
+        lane.accept(z_j, k_j, f_new, err)
